@@ -85,7 +85,9 @@ def theta_prime(tolerance: float = 1e-10) -> float:
     """The unique root of f on (0, 1/3], by bisection.
 
     Monotonicity (f' > 0) is spot-checked on a sample grid so the
-    bracketing argument actually applies.
+    bracketing argument actually applies.  Bisection also stops once the
+    bracket is two adjacent floats, so a tolerance below their spacing
+    cannot loop forever.
     """
     if tolerance <= 0:
         raise ValueError(f"tolerance must be positive, got {tolerance}")
@@ -97,6 +99,8 @@ def theta_prime(tolerance: float = 1e-10) -> float:
         raise ArithmeticError("f does not change sign on [0, 1/3]")
     while hi - lo > tolerance:
         mid = (lo + hi) / 2
+        if mid in (lo, hi):
+            break
         if f_theta(mid) < 0:
             lo = mid
         else:

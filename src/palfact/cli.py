@@ -32,7 +32,7 @@ __all__ = ["RunConfig", "cli", "dispatch", "main"]
 
 FORMATS = ("table", "csv", "json")
 
-# Enumerations beyond this length take minutes and gigabytes; ask first.
+# Each letter beyond this length doubles the enumeration time; ask first.
 LONG_RUN_THRESHOLD = 26
 
 
@@ -99,7 +99,9 @@ def _parse_word_arg(text: str):
         raise click.UsageError(str(exc)) from exc
 
 
-def _guard_long(n: int, allow_long: bool) -> None:
+def _guard_length(option: str, n: int, allow_long: bool) -> None:
+    if n < 1:
+        raise click.UsageError(f"{option} must be positive, got {n}")
     if n > LONG_RUN_THRESHOLD and not allow_long:
         raise click.UsageError(
             f"lengths above {LONG_RUN_THRESHOLD} are long-running; pass --allow-long to proceed"
@@ -237,7 +239,7 @@ def _orbit_json(representative: str) -> dict:
 def kmax_command(base: RunConfig, max_n: int, allow_long: bool, threads, fmt, cache_dir, seed) -> None:
     """Exact worst-case table K(1)..K(MAX_N) by full enumeration."""
     config = _resolve(base, threads, fmt, cache_dir, seed)
-    _guard_long(max_n, allow_long)
+    _guard_length("--max-n", max_n, allow_long)
     rows = _kmax_rows_cached(config, max_n)
     if config.format == "csv":
         click.echo("n,K,maximizer_count")
@@ -270,7 +272,7 @@ def kmax_command(base: RunConfig, max_n: int, allow_long: bool, threads, fmt, ca
 def kbar_command(base: RunConfig, max_n: int, allow_long: bool, threads, fmt, cache_dir, seed) -> None:
     """Exact average table kbar(1)..kbar(MAX_N)."""
     config = _resolve(base, threads, fmt, cache_dir, seed)
-    _guard_long(max_n, allow_long)
+    _guard_length("--max-n", max_n, allow_long)
     hists = _histograms_cached(config, max_n)
     rows = [AverageRow(n=h.n, s=h.s) for h in hists]
     if config.format == "csv":
@@ -305,7 +307,7 @@ def kbar_command(base: RunConfig, max_n: int, allow_long: bool, threads, fmt, ca
 def histogram_command(base: RunConfig, n: int, allow_long: bool, threads, fmt, cache_dir, seed) -> None:
     """Exact counts x_k of words of length N with m = k."""
     config = _resolve(base, threads, fmt, cache_dir, seed)
-    _guard_long(n, allow_long)
+    _guard_length("--n", n, allow_long)
     hist = _histograms_cached(config, n)[-1]
     if config.format == "csv":
         click.echo("n,k,x_k")
@@ -327,7 +329,7 @@ def histogram_command(base: RunConfig, n: int, allow_long: bool, threads, fmt, c
 def worst_command(base: RunConfig, n: int, allow_long: bool, threads, fmt, cache_dir, seed) -> None:
     """All words attaining K(N), grouped into symmetry orbits."""
     config = _resolve(base, threads, fmt, cache_dir, seed)
-    _guard_long(n, allow_long)
+    _guard_length("--n", n, allow_long)
     orbits = _lib_call(extremal.worst_words, n, config.threads)
     k = _lib_call(extremal.k_max, n, config.threads).k
     if config.format == "csv":
@@ -423,11 +425,11 @@ def _verify_reports(config: RunConfig, target: str, max_n: int, trials: int) -> 
         top = min(16, max_n)
         bad = []
         cases = 0
-        for n in range(9, top + 1):
+        for n in range(distribution.COUNTING_MIN_N, top + 1):
             rep = distribution.counting_bound_check(n, config.threads)
             cases += len(rep.entries)
             bad.extend({"n": n, "k": e.k} for e in rep.entries if not e.holds)
-        add("counting", {"n_range": f"9..{top}", "cases": cases}, not bad, bad)
+        add("counting", {"n_range": f"{distribution.COUNTING_MIN_N}..{top}", "cases": cases}, not bad, bad)
     return reports
 
 
@@ -442,6 +444,13 @@ def verify_command(base: RunConfig, target: str, max_n: int, trials: int, thread
     config = _resolve(base, threads, fmt, cache_dir, seed)
     if max_n < 1:
         raise click.UsageError(f"--max-n must be positive, got {max_n}")
+    # Below the counting bound's first length the claim would check nothing.
+    if target in ("counting", "all") and max_n < distribution.COUNTING_MIN_N:
+        raise click.UsageError(
+            f"verify {target} needs --max-n >= {distribution.COUNTING_MIN_N} (the counting bound starts there), got {max_n}"
+        )
+    if trials < 1:
+        raise click.UsageError(f"--trials must be positive, got {trials}")
     reports = _verify_reports(config, target, max_n, trials)
     failed = [rep for rep in reports if rep["verdict"] != "pass"]
     if config.format == "json":

@@ -25,7 +25,12 @@ __all__ = [
     "k_bar_rows",
     "subadditivity_check",
     "counting_bound_check",
+    "COUNTING_MIN_N",
 ]
+
+# Shortest length for which the counting bound is asserted (see
+# counting_bound_check).
+COUNTING_MIN_N = 9
 
 
 @dataclass(frozen=True)
@@ -187,8 +192,8 @@ def counting_bound_check(n: int, threads: int = 1) -> CountingBoundReport:
     is the quantity the product bound a_k actually dominates; this needs
     the maximum below n/2, hence n >= 9.  Compared via squared integers.
     """
-    if n < 9:
-        raise ValueError(f"the counting bound is asserted only for n >= 9, got {n}")
+    if n < COUNTING_MIN_N:
+        raise ValueError(f"the counting bound is asserted only for n >= {COUNTING_MIN_N}, got {n}")
     hist = histogram(n, threads)
     entries = []
     for k in range(1, hist.max_m + 1):

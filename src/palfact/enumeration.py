@@ -9,8 +9,17 @@ the layer for length j is obtained from the shorter layers by minimising
 over palindromic suffixes.  A suffix of length L occupies the top L bits,
 so after reshaping the layer to (2^L, columns) each palindromic suffix
 value selects one row and the update is a vectorised elementwise minimum.
-Everything is exact integer arithmetic; results are independent of any
-worker or chunk partitioning by construction.
+
+A scan up to n_max is sharded by prefix: with depth d = max(1, n_max - 26)
+every a-initial prefix of d letters, in ascending order, is extended by
+n_max - d symbols, so no shard holds more than 2^(n_max-d+1) bytes of
+layers (plus 2^(n_max-d-1) bytes of scratch).  Lengths up to d come from
+one unsharded scan.  Each layer is turned into row data in cache-sized
+chunks (compare-and-count per value, maximizer indices only where a chunk
+reaches the running maximum), and shards merge associatively: counts add
+and maximizer words concatenate, then the lexicographically least samples
+are selected from the merged set.  Everything is exact integer
+arithmetic, so results do not depend on the shard depth.
 
 A classic depth-first enumeration over the prefix tree (push/pop of an
 :class:`~palfact.factorization.IncrementalState`, search space partitioned
@@ -26,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .factorization import IncrementalState
-from .words import Word, parse_word
+from .words import Word
 
 __all__ = [
     "PACKED_LIMIT",
@@ -44,7 +53,14 @@ PACKED_LIMIT = 32
 # Largest temporary (rows x columns elements) allowed for a fancy-indexed
 # row-block minimum; beyond it, rows are updated one slice at a time.
 _FANCY_LIMIT = 1 << 22
-_BINCOUNT_CHUNK = 1 << 24
+
+# Shards extend their prefix by at most this many symbols, so a shard's top
+# layer is at most 64 MiB.
+_SHARD_BITS = 26
+
+# Row extraction works on slices of this many layer entries: a slice and its
+# bool mask (512 KiB together) stay in L2 across the per-value compare passes.
+_ROW_CHUNK = 1 << 18
 
 
 def palindrome_values(length: int) -> np.ndarray:
@@ -151,15 +167,6 @@ def extension_m(prefix: Word, ext_len: int) -> list[np.ndarray]:
     return ext
 
 
-def _bincount_uint8(arr: np.ndarray) -> np.ndarray:
-    """np.bincount without materialising an int64 copy of the whole layer."""
-    out = np.zeros(256, dtype=np.int64)
-    for s in range(0, arr.size, _BINCOUNT_CHUNK):
-        c = np.bincount(arr[s : s + _BINCOUNT_CHUNK])
-        out[: c.size] += c
-    return out
-
-
 def _lex_keys(words: np.ndarray, length: int) -> np.ndarray:
     """Keys whose integer order equals lexicographic order of the words."""
     keys = np.zeros_like(words)
@@ -197,27 +204,78 @@ class LengthRow:
         return sum(k * c for k, c in self.counts.items())
 
 
-def _row_from_layer(layer: np.ndarray, n: int, sample_limit: int, keep_max: bool) -> LengthRow:
-    counts_arr = _bincount_uint8(layer)
-    counts = {k: 2 * int(c) for k, c in enumerate(counts_arr) if c}
-    max_m = max(counts)
-    idx = np.nonzero(layer == max_m)[0]
-    bits = (idx.astype(np.int64) << 1)  # prepend the fixed leading 'a'
-    if idx.size > sample_limit:
-        keys = _lex_keys(bits, n)
-        part = np.argpartition(keys, sample_limit)[:sample_limit]
-        chosen = bits[part[np.argsort(keys[part], kind="stable")]]
+class _RowBuilder:
+    """Row statistics for one length, merged over the layers of every shard."""
+
+    def __init__(self, n: int) -> None:
+        self.n = n
+        self.counts = [0] * 256
+        self.max_m = 0
+        self.max_bits: list[np.ndarray] = []
+
+    def add_layer(self, layer: np.ndarray, prefix_bits: int, depth: int, hit: np.ndarray) -> None:
+        """Fold in the layer of one shard; ``hit`` is a bool scratch buffer."""
+        for start in range(0, layer.size, _ROW_CHUNK):
+            chunk = layer[start : start + _ROW_CHUNK]
+            mask = hit[: chunk.size]
+            low, top = int(chunk.min()), int(chunk.max())
+            rest = chunk.size
+            for k in range(low, top):
+                np.equal(chunk, k, out=mask)
+                seen = int(np.count_nonzero(mask))
+                self.counts[k] += seen
+                rest -= seen
+            self.counts[top] += rest
+            if top > self.max_m:
+                self.max_m, self.max_bits = top, []
+            if top == self.max_m:
+                idx = np.flatnonzero(chunk == top) + start
+                self.max_bits.append(prefix_bits | (idx << depth))
+
+    def row(self, sample_limit: int, keep_max: bool) -> LengthRow:
+        n = self.n
+        bits = np.sort(np.concatenate(self.max_bits))
+        if bits.size > sample_limit:
+            keys = _lex_keys(bits, n)
+            part = np.argpartition(keys, sample_limit)[:sample_limit]
+            chosen = bits[part[np.argsort(keys[part], kind="stable")]]
+        else:
+            chosen = bits[np.argsort(_lex_keys(bits, n), kind="stable")]
+        return LengthRow(
+            n=n,
+            counts={k: 2 * c for k, c in enumerate(self.counts) if c},
+            max_m=self.max_m,
+            max_count=2 * int(bits.size),
+            sample_words=tuple(_word_text(int(b), n) for b in chosen),
+            max_words_bits=tuple(int(b) for b in bits) if keep_max else None,
+        )
+
+
+def _scan_sharded(
+    n_max: int,
+    depth: int,
+    sample_limit: int,
+    keep_max_words: frozenset[int] | set[int],
+) -> dict[int, LengthRow]:
+    """Rows 1..n_max with lengths above ``depth`` built one prefix shard at a time."""
+    depth = min(depth, n_max)
+    if depth > 1:
+        rows = _scan_sharded(depth, 1, sample_limit, keep_max_words)
     else:
-        chosen = bits[np.argsort(_lex_keys(bits, n), kind="stable")]
-    samples = tuple(_word_text(int(b), n) for b in chosen)
-    return LengthRow(
-        n=n,
-        counts=counts,
-        max_m=max_m,
-        max_count=2 * int(idx.size),
-        sample_words=samples,
-        max_words_bits=tuple(int(b) for b in bits) if keep_max else None,
-    )
+        rows = {1: LengthRow(1, {1: 2}, 1, 2, ("a",), (0,) if 1 in keep_max_words else None)}
+    ext_len = n_max - depth
+    if not ext_len:
+        return rows
+    builders = {e: _RowBuilder(depth + e) for e in range(1, ext_len + 1)}
+    hit = np.empty(_ROW_CHUNK, dtype=bool)
+    for prefix_bits in range(0, 1 << depth, 2):  # bit 0 clear: the prefix starts with 'a'
+        ext = extension_m(Word(prefix_bits, depth), ext_len)
+        for e in range(1, ext_len + 1):
+            builders[e].add_layer(ext[e], prefix_bits, depth, hit)
+            ext[e] = None  # type: ignore[call-overload]
+    for builder in builders.values():
+        rows[builder.n] = builder.row(sample_limit, builder.n in keep_max_words)
+    return rows
 
 
 def scan_lengths(
@@ -229,18 +287,12 @@ def scan_lengths(
     """Exact per-length statistics of m for every length 1..n_max.
 
     Enumerates only words starting with 'a'; the letter-swap involution is
-    fixed-point free, so all counts double exactly.
+    fixed-point free, so all counts double exactly.  Peak memory is about
+    2^(min(n_max, 27)) bytes of layers, whatever n_max is.
     """
     if not 1 <= n_max <= PACKED_LIMIT:
         raise ValueError(f"length must be in 1..{PACKED_LIMIT}, got {n_max}")
-    rows = {1: LengthRow(1, {1: 2}, 1, 2, ("a",), (0,) if 1 in keep_max_words else None)}
-    if n_max == 1:
-        return rows
-    ext = extension_m(parse_word("a"), n_max - 1)
-    for e in range(1, n_max):
-        rows[e + 1] = _row_from_layer(ext[e], e + 1, sample_limit, (e + 1) in keep_max_words)
-        ext[e] = None  # type: ignore[call-overload]
-    return rows
+    return _scan_sharded(n_max, max(1, n_max - _SHARD_BITS), sample_limit, keep_max_words)
 
 
 # ---------------------------------------------------------------------------

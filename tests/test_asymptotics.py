@@ -105,6 +105,13 @@ class TestThetaPrime:
         with pytest.raises(ValueError):
             theta_prime(0.0)
 
+    def test_tolerance_below_float_spacing_terminates(self):
+        # Adjacent floats near theta' are ~1e-17 apart, so hi - lo can never
+        # fall below 1e-300; the bisection must stop on a collapsed bracket.
+        root = theta_prime(1e-300)
+        assert abs(root - theta_prime(1e-15)) <= 1e-15
+        assert abs(root - theta_prime(1e-10)) <= 1e-10
+
 
 class TestGPrimeRoots:
     def test_published_locations(self):

@@ -176,6 +176,56 @@ class TestVerifyCommand:
         assert code == 2
 
 
+class TestInputContract:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("kmax", "--max-n", "0"),
+            ("kbar", "--max-n", "0"),
+            ("histogram", "--n", "0"),
+            ("worst", "--n", "0"),
+            ("kmax", "--max-n", "-4"),
+            ("worst", "--n", "-1"),
+        ],
+    )
+    def test_nonpositive_length_is_usage_error(self, capsys, tmp_path, argv):
+        code, out, err = run(capsys, "--cache-dir", str(tmp_path), *argv)
+        assert code == 2
+        assert "must be positive" in err
+        assert out == ""
+        assert not tmp_path.exists() or not any(tmp_path.iterdir())
+
+    def test_zero_trials_is_usage_error(self, capsys):
+        code, out, err = run(capsys, "verify", "ksum", "--trials", "0")
+        assert code == 2
+        assert "--trials must be positive" in err
+        assert "PASS" not in out and "FAIL" not in out
+
+    @pytest.mark.parametrize("target,max_n", [("counting", "5"), ("all", "8"), ("counting", "1")])
+    def test_counting_below_nine_is_usage_error(self, capsys, target, max_n):
+        code, out, err = run(capsys, "verify", target, "--max-n", max_n, "--trials", "10")
+        assert code == 2
+        assert "--max-n >= 9" in err
+        assert out == ""
+
+    def test_counting_at_nine_checks_cases(self, capsys):
+        code, out, _ = run(capsys, "--format", "json", "verify", "counting", "--max-n", "9")
+        assert code == 0
+        (report,) = json.loads(out)
+        assert report["verdict"] == "pass"
+        assert report["params"]["cases"] > 0
+
+    def test_theorem1_keeps_small_max_n(self, capsys):
+        code, out, _ = run(capsys, "verify", "theorem1", "--max-n", "5")
+        assert code == 0
+        assert "theorem1: PASS (cases=5)" in out
+
+    def test_tiny_tolerance_terminates(self, capsys):
+        code, out, _ = run(capsys, "--format", "json", "bounds", "--tolerance", "1e-300")
+        assert code == 0
+        assert abs(json.loads(out)["theta_prime"] - 0.0948820786) < 1e-10
+
+
 class TestBoundsCommand:
     def test_json_schema(self, capsys):
         code, out, _ = run(capsys, "--format", "json", "bounds")

@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 
 from oracles import brute_force_m_table, text_of
+from palfact import enumeration
 from palfact.enumeration import (
     PACKED_LIMIT,
+    _scan_sharded,
     dfs_scan,
     extension_m,
     palindrome_values,
@@ -100,6 +102,51 @@ class TestScanLengths:
             scan_lengths(0)
         with pytest.raises(ValueError):
             scan_lengths(PACKED_LIMIT + 1)
+
+
+@pytest.fixture(scope="module")
+def oracles_14():
+    """Per length 1..14: m of every word from the cut-pattern oracle, and the DFS row."""
+    return {n: (brute_force_m_table(n), dfs_scan(n, sample_limit=8)) for n in range(1, 15)}
+
+
+class TestSharding:
+    """Rows must not depend on the prefix depth the scan is sharded at."""
+
+    @pytest.mark.parametrize("n_max", [2, 7, 12, 18])
+    @pytest.mark.parametrize("sample_limit", [3, 64])
+    def test_rows_independent_of_shard_depth(self, n_max, sample_limit):
+        keep = frozenset(range(1, n_max + 1))
+        unsharded = _scan_sharded(n_max, 1, sample_limit, keep)
+        assert sorted(unsharded) == list(range(1, n_max + 1))
+        for depth in range(2, 7):
+            assert _scan_sharded(n_max, depth, sample_limit, keep) == unsharded, depth
+
+    @pytest.mark.parametrize("depth", [1, 3])
+    def test_rows_independent_of_row_chunk(self, monkeypatch, depth):
+        keep = frozenset(range(1, 15))
+        whole = _scan_sharded(14, depth, 3, keep)
+        monkeypatch.setattr(enumeration, "_ROW_CHUNK", 64)
+        assert _scan_sharded(14, depth, 3, keep) == whole
+
+    @pytest.mark.parametrize("depth", range(1, 7))
+    def test_sharded_rows_match_oracles(self, depth, oracles_14):
+        rows = _scan_sharded(14, depth, 8, frozenset(range(1, 15)))
+        for n in range(1, 15):
+            row, (table, dfs) = rows[n], oracles_14[n]
+            expected = {int(k): int(c) for k, c in enumerate(np.bincount(table)) if c}
+            assert row.counts == expected, (depth, n)
+            assert row.max_m == int(table.max())
+            a_initial = [int(b) for b in np.flatnonzero(table == row.max_m) if b % 2 == 0]
+            assert list(row.max_words_bits) == a_initial
+            assert row.max_count == 2 * len(a_initial)
+            assert list(row.sample_words) == sorted(text_of(b, n) for b in a_initial)[:8]
+            assert (dfs.counts, dfs.max_m, dfs.max_count, dfs.sample_words) == (
+                row.counts,
+                row.max_m,
+                row.max_count,
+                row.sample_words,
+            )
 
 
 class TestDfsBackend:
