@@ -89,8 +89,8 @@ def theta_prime(tolerance: float = 1e-10) -> float:
     bracket is two adjacent floats, so a tolerance below their spacing
     cannot loop forever.
     """
-    if tolerance <= 0:
-        raise ValueError(f"tolerance must be positive, got {tolerance}")
+    if not 0 < tolerance < math.inf:
+        raise ValueError(f"tolerance must be positive and finite, got {tolerance}")
     for theta in np.linspace(1e-6, 1 / 3, 101):
         if f_prime(float(theta)) <= 0:
             raise ArithmeticError(f"f' is not positive at {theta}; bisection premise fails")

@@ -1,10 +1,11 @@
 """On-disk result cache for enumeration rows.
 
 One JSON document per (kind, n), named ``<kind>_<n>.json``, carrying a
-schema version and a payload checksum.  Anything that fails validation is
-ignored and recomputed; an unwritable directory degrades to in-memory
-operation with a warning, never a hard failure.  Writes go through a
-temporary file and an atomic rename.
+schema version and a payload checksum.  Anything that fails validation,
+including a payload impossible for its length, is ignored and recomputed;
+an unwritable directory degrades to in-memory operation with a warning,
+never a hard failure.  Writes go through a temporary file and an atomic
+rename.
 """
 
 from __future__ import annotations
@@ -16,18 +17,35 @@ import tempfile
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Callable
+from typing import Any
 
 __all__ = ["SCHEMA_VERSION", "CacheEntry", "ResultCache", "payload_checksum"]
 
 SCHEMA_VERSION = 1
 
-KINDS = ("kmax", "histogram")
-
 
 def payload_checksum(payload: dict[str, Any]) -> str:
     canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canonical.encode()).hexdigest()
+
+
+def _possible(kind: str, n: int, payload: dict[str, Any]) -> bool:
+    """Whether a payload can describe the words of length n: a histogram
+    counts all 2^n words at m in 1..n, and K(n) in 1..n is attained by an
+    even number of words (the letter swap pairs them)."""
+    if payload.get("n") != n:
+        return False
+    if kind == "histogram":
+        counts = payload.get("counts")
+        return (
+            isinstance(counts, dict)
+            and all(k.isdecimal() and 1 <= int(k) <= n and isinstance(c, int) and c > 0 for k, c in counts.items())
+            and sum(counts.values()) == 1 << n
+        )
+    if kind == "kmax":
+        k, count = payload.get("K"), payload.get("maximizer_count")
+        return isinstance(k, int) and 1 <= k <= n and isinstance(count, int) and count > 0 and count % 2 == 0
+    return False
 
 
 @dataclass(frozen=True)
@@ -90,6 +108,7 @@ class ResultCache:
             or raw.get("schema_version") != SCHEMA_VERSION
             or not isinstance(payload, dict)
             or raw.get("checksum") != payload_checksum(payload)
+            or not _possible(kind, n, payload)
         ):
             warnings.warn(f"ignoring stale or corrupt cache file {path}", stacklevel=2)
             return None
@@ -120,15 +139,3 @@ class ResultCache:
             return False
         self._writable = True
         return True
-
-    def get_or_compute(
-        self,
-        kind: str,
-        n: int,
-        compute: Callable[[], dict[str, Any]],
-    ) -> dict[str, Any]:
-        payload = self.load(kind, n)
-        if payload is None:
-            payload = compute()
-            self.store(CacheEntry(kind=kind, n=n, payload=payload))
-        return payload

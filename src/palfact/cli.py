@@ -3,11 +3,12 @@
 Subcommands: m, factor, kmax, kbar, histogram, worst, verify, bounds.
 Exit status is 0 on success, 1 when a verification ran and failed (the
 counterexamples are printed), 2 on usage errors.  Output is byte-stable
-for a fixed configuration and seed regardless of the thread count.
+for a fixed configuration and seed, and each command makes at most one
+enumeration pass.
 
-The shared options (--format, --threads, --cache-dir, --seed) are
-accepted both before and after the subcommand; the subcommand position
-wins, and PALIN_CACHE_DIR overrides any --cache-dir.
+The shared options (--format, --cache-dir, --seed) are accepted both
+before and after the subcommand; the subcommand position wins, and
+PALIN_CACHE_DIR overrides any --cache-dir.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ from . import distribution, extremal, lemmas
 from .asymptotics import bounds_report
 from .cache import CacheEntry, ResultCache
 from .distribution import AverageRow, MHistogram
+from .enumeration import PACKED_LIMIT
 from .extremal import ExtremalRow
 from .factorization import min_factorization
 from .words import WordError, orbit, parse_word
@@ -38,14 +40,11 @@ LONG_RUN_THRESHOLD = 26
 
 @dataclass
 class RunConfig:
-    threads: int = 1
     format: str = "table"
     cache_dir: str | None = None
     seed: int = 42
 
     def __post_init__(self) -> None:
-        if self.threads < 1:
-            raise ValueError(f"threads must be positive, got {self.threads}")
         if self.format not in FORMATS:
             raise ValueError(f"format must be one of {FORMATS}, got {self.format!r}")
 
@@ -65,13 +64,11 @@ def _common_options(fn):
     fn = click.option(
         "--format", "-f", "fmt", type=click.Choice(FORMATS), default=None, help="Output format."
     )(fn)
-    fn = click.option("--threads", type=int, default=None, help="Worker count.")(fn)
     return fn
 
 
 def _resolve(
     base: RunConfig,
-    threads: int | None,
     fmt: str | None,
     cache_dir: str | None,
     seed: int | None,
@@ -79,7 +76,6 @@ def _resolve(
     merged_cache = os.environ.get("PALIN_CACHE_DIR") or (cache_dir if cache_dir is not None else base.cache_dir)
     try:
         return RunConfig(
-            threads=threads if threads is not None else base.threads,
             format=fmt if fmt is not None else base.format,
             cache_dir=merged_cache,
             seed=seed if seed is not None else base.seed,
@@ -100,8 +96,11 @@ def _parse_word_arg(text: str):
 
 
 def _guard_length(option: str, n: int, allow_long: bool) -> None:
+    """Reject a length before the cache is read or any word is enumerated."""
     if n < 1:
         raise click.UsageError(f"{option} must be positive, got {n}")
+    if n > PACKED_LIMIT:
+        raise click.UsageError(f"{option} must be in 1..{PACKED_LIMIT}, got {n}")
     if n > LONG_RUN_THRESHOLD and not allow_long:
         raise click.UsageError(
             f"lengths above {LONG_RUN_THRESHOLD} are long-running; pass --allow-long to proceed"
@@ -116,18 +115,15 @@ def _lib_call(fn, *args, **kwargs):
 
 
 @click.group()
-@click.option("--threads", type=int, default=None, help="Worker count (default: machine parallelism).")
 @click.option("--format", "-f", "fmt", type=click.Choice(FORMATS), default="table", help="Output format.")
 @click.option("--cache-dir", type=click.Path(file_okay=False), default=None,
               help="Directory for persisted rows (PALIN_CACHE_DIR overrides).")
 @click.option("--seed", type=int, default=42, help="Seed for randomized checks.")
 @click.pass_context
-def cli(ctx: click.Context, threads: int | None, fmt: str, cache_dir: str | None, seed: int) -> None:
+def cli(ctx: click.Context, fmt: str, cache_dir: str | None, seed: int) -> None:
     """Minimal palindromic factorizations: worst cases, averages, bounds."""
-    if threads is None:
-        threads = os.cpu_count() or 1
     try:
-        ctx.obj = RunConfig(threads=threads, format=fmt, cache_dir=cache_dir, seed=seed)
+        ctx.obj = RunConfig(format=fmt, cache_dir=cache_dir, seed=seed)
     except ValueError as exc:
         raise click.UsageError(str(exc)) from exc
 
@@ -136,9 +132,9 @@ def cli(ctx: click.Context, threads: int | None, fmt: str, cache_dir: str | None
 @click.argument("word")
 @_common_options
 @click.pass_obj
-def m_command(base: RunConfig, word: str, threads, fmt, cache_dir, seed) -> None:
+def m_command(base: RunConfig, word: str, fmt, cache_dir, seed) -> None:
     """Print the asymmetry measure m(WORD)."""
-    config = _resolve(base, threads, fmt, cache_dir, seed)
+    config = _resolve(base, fmt, cache_dir, seed)
     fact = _lib_call(min_factorization, _parse_word_arg(word))
     if config.format == "json":
         _echo_json({"word": fact.word.text, "m": fact.m})
@@ -153,9 +149,9 @@ def m_command(base: RunConfig, word: str, threads, fmt, cache_dir, seed) -> None
 @click.argument("word")
 @_common_options
 @click.pass_obj
-def factor_command(base: RunConfig, word: str, threads, fmt, cache_dir, seed) -> None:
+def factor_command(base: RunConfig, word: str, fmt, cache_dir, seed) -> None:
     """Print a minimal palindromic factorization of WORD."""
-    config = _resolve(base, threads, fmt, cache_dir, seed)
+    config = _resolve(base, fmt, cache_dir, seed)
     fact = _lib_call(min_factorization, _parse_word_arg(word))
     if config.format == "json":
         _echo_json(
@@ -186,7 +182,7 @@ def _kmax_rows_cached(config: RunConfig, n_max: int) -> list[ExtremalRow]:
             )
             for payload in cached  # type: ignore[index]
         ]
-    rows = _lib_call(extremal.k_max_rows, n_max, config.threads)
+    rows = _lib_call(extremal.k_max_rows, n_max)
     for row in rows:
         cache.store(
             CacheEntry(
@@ -214,7 +210,7 @@ def _histograms_cached(config: RunConfig, n_max: int) -> list[MHistogram]:
             )
             for payload in cached  # type: ignore[index]
         ]
-    rows = _lib_call(distribution.histogram_rows, n_max, config.threads)
+    rows = _lib_call(distribution.histogram_rows, n_max)
     for row in rows:
         cache.store(
             CacheEntry(
@@ -236,9 +232,9 @@ def _orbit_json(representative: str) -> dict:
 @click.option("--allow-long", is_flag=True, help="Permit lengths above 26.")
 @_common_options
 @click.pass_obj
-def kmax_command(base: RunConfig, max_n: int, allow_long: bool, threads, fmt, cache_dir, seed) -> None:
+def kmax_command(base: RunConfig, max_n: int, allow_long: bool, fmt, cache_dir, seed) -> None:
     """Exact worst-case table K(1)..K(MAX_N) by full enumeration."""
-    config = _resolve(base, threads, fmt, cache_dir, seed)
+    config = _resolve(base, fmt, cache_dir, seed)
     _guard_length("--max-n", max_n, allow_long)
     rows = _kmax_rows_cached(config, max_n)
     if config.format == "csv":
@@ -269,9 +265,9 @@ def kmax_command(base: RunConfig, max_n: int, allow_long: bool, threads, fmt, ca
 @click.option("--allow-long", is_flag=True, help="Permit lengths above 26.")
 @_common_options
 @click.pass_obj
-def kbar_command(base: RunConfig, max_n: int, allow_long: bool, threads, fmt, cache_dir, seed) -> None:
+def kbar_command(base: RunConfig, max_n: int, allow_long: bool, fmt, cache_dir, seed) -> None:
     """Exact average table kbar(1)..kbar(MAX_N)."""
-    config = _resolve(base, threads, fmt, cache_dir, seed)
+    config = _resolve(base, fmt, cache_dir, seed)
     _guard_length("--max-n", max_n, allow_long)
     hists = _histograms_cached(config, max_n)
     rows = [AverageRow(n=h.n, s=h.s) for h in hists]
@@ -304,9 +300,9 @@ def kbar_command(base: RunConfig, max_n: int, allow_long: bool, threads, fmt, ca
 @click.option("--allow-long", is_flag=True, help="Permit lengths above 26.")
 @_common_options
 @click.pass_obj
-def histogram_command(base: RunConfig, n: int, allow_long: bool, threads, fmt, cache_dir, seed) -> None:
+def histogram_command(base: RunConfig, n: int, allow_long: bool, fmt, cache_dir, seed) -> None:
     """Exact counts x_k of words of length N with m = k."""
-    config = _resolve(base, threads, fmt, cache_dir, seed)
+    config = _resolve(base, fmt, cache_dir, seed)
     _guard_length("--n", n, allow_long)
     hist = _histograms_cached(config, n)[-1]
     if config.format == "csv":
@@ -326,12 +322,12 @@ def histogram_command(base: RunConfig, n: int, allow_long: bool, threads, fmt, c
 @click.option("--allow-long", is_flag=True, help="Permit lengths above 26.")
 @_common_options
 @click.pass_obj
-def worst_command(base: RunConfig, n: int, allow_long: bool, threads, fmt, cache_dir, seed) -> None:
+def worst_command(base: RunConfig, n: int, allow_long: bool, fmt, cache_dir, seed) -> None:
     """All words attaining K(N), grouped into symmetry orbits."""
-    config = _resolve(base, threads, fmt, cache_dir, seed)
+    config = _resolve(base, fmt, cache_dir, seed)
     _guard_length("--n", n, allow_long)
-    orbits = _lib_call(extremal.worst_words, n, config.threads)
-    k = _lib_call(extremal.k_max, n, config.threads).k
+    orbits = _lib_call(extremal.worst_words, n)
+    k = _lib_call(extremal.k_max, n).k
     if config.format == "csv":
         click.echo("n,representative,orbit_size")
         for orb in orbits:
@@ -401,7 +397,7 @@ def _verify_reports(config: RunConfig, target: str, max_n: int, trials: int) -> 
             params["cases"] = rep.cases
             add(rep.lemma_id, params, rep.passed, list(rep.counterexamples))
     if target in ("theorem1", "all"):
-        rep = extremal.verify_theorem1(max_n, config.threads)
+        rep = extremal.verify_theorem1(max_n)
         add(
             "theorem1",
             {"n_max": max_n, "cases": rep.checked},
@@ -409,7 +405,7 @@ def _verify_reports(config: RunConfig, target: str, max_n: int, trials: int) -> 
             [{"n": n, "enumerated": e, "formula": f} for n, e, f in rep.mismatches],
         )
     if target in ("subadditivity", "all"):
-        rep = distribution.subadditivity_check(max(2, max_n), config.threads)
+        rep = distribution.subadditivity_check(max(2, max_n))
         add(
             "subadditivity",
             {
@@ -426,7 +422,7 @@ def _verify_reports(config: RunConfig, target: str, max_n: int, trials: int) -> 
         bad = []
         cases = 0
         for n in range(distribution.COUNTING_MIN_N, top + 1):
-            rep = distribution.counting_bound_check(n, config.threads)
+            rep = distribution.counting_bound_check(n)
             cases += len(rep.entries)
             bad.extend({"n": n, "k": e.k} for e in rep.entries if not e.holds)
         add("counting", {"n_range": f"{distribution.COUNTING_MIN_N}..{top}", "cases": cases}, not bad, bad)
@@ -439,11 +435,10 @@ def _verify_reports(config: RunConfig, target: str, max_n: int, trials: int) -> 
 @click.option("--trials", type=int, default=10_000, help="Trials for the randomized tuple check.")
 @_common_options
 @click.pass_obj
-def verify_command(base: RunConfig, target: str, max_n: int, trials: int, threads, fmt, cache_dir, seed) -> int:
+def verify_command(base: RunConfig, target: str, max_n: int, trials: int, fmt, cache_dir, seed) -> int:
     """Replay the machine-checkable claims; exit 1 on any failure."""
-    config = _resolve(base, threads, fmt, cache_dir, seed)
-    if max_n < 1:
-        raise click.UsageError(f"--max-n must be positive, got {max_n}")
+    config = _resolve(base, fmt, cache_dir, seed)
+    _guard_length("--max-n", max_n, allow_long=True)
     # Below the counting bound's first length the claim would check nothing.
     if target in ("counting", "all") and max_n < distribution.COUNTING_MIN_N:
         raise click.UsageError(
@@ -472,9 +467,9 @@ def verify_command(base: RunConfig, target: str, max_n: int, trials: int, thread
 @click.option("--tolerance", type=float, default=1e-10, help="Bisection tolerance for the root of f.")
 @_common_options
 @click.pass_obj
-def bounds_command(base: RunConfig, tolerance: float, threads, fmt, cache_dir, seed) -> None:
+def bounds_command(base: RunConfig, tolerance: float, fmt, cache_dir, seed) -> None:
     """Both bound constants for the limit of kbar(n)/n."""
-    config = _resolve(base, threads, fmt, cache_dir, seed)
+    config = _resolve(base, fmt, cache_dir, seed)
     hists = _histograms_cached(config, 21)
     rows = [AverageRow(n=h.n, s=h.s) for h in hists]
     report = _lib_call(bounds_report, rows, tolerance)

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .asymptotics import a_bound_squared
-from .enumeration import PACKED_LIMIT, dfs_scan, scan_lengths
+from .enumeration import PACKED_LIMIT, _rows_upto
 
 __all__ = [
     "MHistogram",
@@ -90,40 +90,24 @@ class AverageRow:
         return f"{units // 10_000}.{units % 10_000:04d}"
 
 
-def _check_args(n: int, threads: int) -> None:
-    if not 1 <= n <= PACKED_LIMIT:
-        raise ValueError(f"length must be in 1..{PACKED_LIMIT}, got {n}")
-    if threads < 1:
-        raise ValueError(f"threads must be positive, got {threads}")
-
-
-def histogram(n: int, threads: int = 1, *, backend: str = "vectorized") -> MHistogram:
+def histogram(n: int) -> MHistogram:
     """Exact histogram of m over all 2^n words of length n."""
-    _check_args(n, threads)
-    if backend == "dfs":
-        row = dfs_scan(n, threads=threads)
-    elif backend == "vectorized":
-        row = scan_lengths(n)[n]
-    else:
-        raise ValueError(f"unknown backend {backend!r}")
-    return MHistogram(n=n, counts=dict(sorted(row.counts.items())))
+    return MHistogram(n=n, counts=dict(sorted(_rows_upto(n)[n].counts.items())))
 
 
-def histogram_rows(n_max: int, threads: int = 1) -> list[MHistogram]:
+def histogram_rows(n_max: int) -> list[MHistogram]:
     """Histograms for every length 1..n_max from one enumeration pass."""
-    _check_args(n_max, threads)
-    rows = scan_lengths(n_max)
+    rows = _rows_upto(n_max)
     return [MHistogram(n=n, counts=dict(sorted(rows[n].counts.items()))) for n in range(1, n_max + 1)]
 
 
-def k_bar(n: int, threads: int = 1, *, backend: str = "vectorized") -> AverageRow:
+def k_bar(n: int) -> AverageRow:
     """Exact average S(n)/2^n."""
-    hist = histogram(n, threads, backend=backend)
-    return AverageRow(n=n, s=hist.s)
+    return AverageRow(n=n, s=histogram(n).s)
 
 
-def k_bar_rows(n_max: int, threads: int = 1) -> list[AverageRow]:
-    rows = scan_lengths(n_max)
+def k_bar_rows(n_max: int) -> list[AverageRow]:
+    rows = _rows_upto(n_max)
     return [AverageRow(n=n, s=rows[n].s) for n in range(1, n_max + 1)]
 
 
@@ -146,11 +130,11 @@ class SubadditivityReport:
         return sum(total // 2 for total in range(2, self.n_max + 1))
 
 
-def subadditivity_check(n_max: int, threads: int = 1) -> SubadditivityReport:
+def subadditivity_check(n_max: int) -> SubadditivityReport:
     """Verify kbar(i+j) <= kbar(i) + kbar(j) for all i+j <= n_max, exactly."""
     if not 2 <= n_max <= PACKED_LIMIT:
         raise ValueError(f"n_max must be in 2..{PACKED_LIMIT}, got {n_max}")
-    rows = k_bar_rows(n_max, threads)
+    rows = k_bar_rows(n_max)
     kbar = {row.n: row.kbar for row in rows}
     violations = []
     for total in range(2, n_max + 1):
@@ -183,7 +167,7 @@ class CountingBoundReport:
         return all(e.holds for e in self.entries)
 
 
-def counting_bound_check(n: int, threads: int = 1) -> CountingBoundReport:
+def counting_bound_check(n: int) -> CountingBoundReport:
     """Check x_k + x_{k-2} + ... <= a_k = C(n-1, k-1) 2^((n+k)/2) for every
     k up to the enumerated maximum.
 
@@ -194,7 +178,7 @@ def counting_bound_check(n: int, threads: int = 1) -> CountingBoundReport:
     """
     if n < COUNTING_MIN_N:
         raise ValueError(f"the counting bound is asserted only for n >= {COUNTING_MIN_N}, got {n}")
-    hist = histogram(n, threads)
+    hist = histogram(n)
     entries = []
     for k in range(1, hist.max_m + 1):
         cumulative = sum(hist.counts.get(j, 0) for j in range(k, 0, -2))

@@ -21,15 +21,15 @@ and maximizer words concatenate, then the lexicographically least samples
 are selected from the merged set.  Everything is exact integer
 arithmetic, so results do not depend on the shard depth.
 
-A classic depth-first enumeration over the prefix tree (push/pop of an
-:class:`~palfact.factorization.IncrementalState`, search space partitioned
-by fixed-depth prefixes, associative merge) is provided as an independent
-slow backend; the two are cross-checked in the test suite.
+Rows depend on n alone, so the row consumers in ``extremal`` and
+``distribution`` share one memo: it keeps the rows of the longest scan made
+so far in the process, answers every request up to that length from them,
+and is replaced when a longer scan is needed.  A command therefore makes at
+most one enumeration pass.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,7 +43,6 @@ __all__ = [
     "palindrome_values",
     "extension_m",
     "scan_lengths",
-    "dfs_scan",
 ]
 
 # Vectorised layers index words by int64 values; 32 keeps every layer and
@@ -185,7 +184,8 @@ class LengthRow:
 
     Counts cover all 2^n words; sample_words lists the lexicographically
     least maximizers that start with 'a' (their complements are the
-    b-initial maximizers).
+    b-initial maximizers), and max_words_bits every one of them as packed
+    words in ascending order.
     """
 
     n: int
@@ -193,7 +193,7 @@ class LengthRow:
     max_m: int
     max_count: int
     sample_words: tuple[str, ...]
-    max_words_bits: tuple[int, ...] | None = None
+    max_words_bits: tuple[int, ...]
 
     @property
     def total(self) -> int:
@@ -232,7 +232,7 @@ class _RowBuilder:
                 idx = np.flatnonzero(chunk == top) + start
                 self.max_bits.append(prefix_bits | (idx << depth))
 
-    def row(self, sample_limit: int, keep_max: bool) -> LengthRow:
+    def row(self, sample_limit: int) -> LengthRow:
         n = self.n
         bits = np.sort(np.concatenate(self.max_bits))
         if bits.size > sample_limit:
@@ -247,22 +247,17 @@ class _RowBuilder:
             max_m=self.max_m,
             max_count=2 * int(bits.size),
             sample_words=tuple(_word_text(int(b), n) for b in chosen),
-            max_words_bits=tuple(int(b) for b in bits) if keep_max else None,
+            max_words_bits=tuple(int(b) for b in bits),
         )
 
 
-def _scan_sharded(
-    n_max: int,
-    depth: int,
-    sample_limit: int,
-    keep_max_words: frozenset[int] | set[int],
-) -> dict[int, LengthRow]:
+def _scan_sharded(n_max: int, depth: int, sample_limit: int) -> dict[int, LengthRow]:
     """Rows 1..n_max with lengths above ``depth`` built one prefix shard at a time."""
     depth = min(depth, n_max)
     if depth > 1:
-        rows = _scan_sharded(depth, 1, sample_limit, keep_max_words)
+        rows = _scan_sharded(depth, 1, sample_limit)
     else:
-        rows = {1: LengthRow(1, {1: 2}, 1, 2, ("a",), (0,) if 1 in keep_max_words else None)}
+        rows = {1: LengthRow(1, {1: 2}, 1, 2, ("a",), (0,))}
     ext_len = n_max - depth
     if not ext_len:
         return rows
@@ -274,16 +269,11 @@ def _scan_sharded(
             builders[e].add_layer(ext[e], prefix_bits, depth, hit)
             ext[e] = None  # type: ignore[call-overload]
     for builder in builders.values():
-        rows[builder.n] = builder.row(sample_limit, builder.n in keep_max_words)
+        rows[builder.n] = builder.row(sample_limit)
     return rows
 
 
-def scan_lengths(
-    n_max: int,
-    *,
-    sample_limit: int = 64,
-    keep_max_words: frozenset[int] | set[int] = frozenset(),
-) -> dict[int, LengthRow]:
+def scan_lengths(n_max: int, *, sample_limit: int = 64) -> dict[int, LengthRow]:
     """Exact per-length statistics of m for every length 1..n_max.
 
     Enumerates only words starting with 'a'; the letter-swap involution is
@@ -292,108 +282,18 @@ def scan_lengths(
     """
     if not 1 <= n_max <= PACKED_LIMIT:
         raise ValueError(f"length must be in 1..{PACKED_LIMIT}, got {n_max}")
-    return _scan_sharded(n_max, max(1, n_max - _SHARD_BITS), sample_limit, keep_max_words)
+    return _scan_sharded(n_max, max(1, n_max - _SHARD_BITS), sample_limit)
 
 
-# ---------------------------------------------------------------------------
-# Independent depth-first backend (slow; used for cross-checks and as the
-# reference realisation of the prefix-tree search).
+# Rows of the longest scan made so far in this process, keyed 1..n.  Shared
+# by every caller, which is sound because rows are a pure function of n and
+# no caller mutates them.
+_memo: dict[int, LengthRow] = {}
 
 
-class _DfsAccumulator:
-    def __init__(self, n: int, sample_limit: int) -> None:
-        self.n = n
-        self.sample_limit = sample_limit
-        self.counts = [0] * (n + 2)
-        self.max_m = 0
-        self.max_count = 0
-        self.samples: list[str] = []
-
-    def record(self, m: int, word_bits: int) -> None:
-        self.counts[m] += 1
-        if m > self.max_m:
-            self.max_m = m
-            self.max_count = 1
-            self.samples = [_word_text(word_bits, self.n)]
-        elif m == self.max_m:
-            self.max_count += 1
-            if len(self.samples) < self.sample_limit:
-                self.samples.append(_word_text(word_bits, self.n))
-
-    def merge(self, other: "_DfsAccumulator") -> None:
-        for k, c in enumerate(other.counts):
-            self.counts[k] += c
-        if other.max_m > self.max_m:
-            self.max_m = other.max_m
-            self.max_count = other.max_count
-            self.samples = list(other.samples[: self.sample_limit])
-        elif other.max_m == self.max_m:
-            self.max_count += other.max_count
-            self.samples = (self.samples + other.samples)[: self.sample_limit]
-
-
-def _dfs_partition(n: int, prefix_bits: int, depth: int, sample_limit: int) -> _DfsAccumulator:
-    acc = _DfsAccumulator(n, sample_limit)
-    state = IncrementalState(capacity=n)
-    for t in range(depth):
-        state.push_symbol((prefix_bits >> t) & 1)
-
-    def explore(length: int, bits: int) -> None:
-        if length == n:
-            acc.record(state.current_m, bits)
-            return
-        for sym in (0, 1):  # 'a' branch first: depth-first order is lexicographic
-            state.push_symbol(sym)
-            explore(length + 1, bits | (sym << length))
-            state.pop_symbol()
-
-    explore(depth, prefix_bits)
-    return acc
-
-
-def dfs_scan(
-    n: int,
-    *,
-    threads: int = 1,
-    prefix_depth: int = 8,
-    sample_limit: int = 64,
-) -> LengthRow:
-    """Reference enumeration for a single length via prefix-tree DFS.
-
-    The space is split at ``prefix_depth`` into disjoint subtrees owned by
-    independent workers; partial results merge associatively in partition
-    order, so the outcome does not depend on ``threads``.
-    """
-    if n < 1:
-        raise ValueError(f"length must be positive, got {n}")
-    if threads < 1:
-        raise ValueError(f"threads must be positive, got {threads}")
-    depth = max(1, min(prefix_depth, n))
-    # Partition prefixes in lexicographic order, first letter pinned to 'a'.
-    ext_bits = depth - 1
-    prefixes = []
-    for key in range(1 << ext_bits):
-        bits = 0
-        for t in range(ext_bits):
-            bits |= ((key >> (ext_bits - 1 - t)) & 1) << (t + 1)
-        prefixes.append(bits)
-
-    def run(prefix_bits: int) -> _DfsAccumulator:
-        return _dfs_partition(n, prefix_bits, depth, sample_limit)
-
-    if threads == 1:
-        parts = [run(p) for p in prefixes]
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            parts = list(pool.map(run, prefixes))
-    total = parts[0]
-    for part in parts[1:]:
-        total.merge(part)
-    counts = {k: 2 * c for k, c in enumerate(total.counts) if c}
-    return LengthRow(
-        n=n,
-        counts=counts,
-        max_m=total.max_m,
-        max_count=2 * total.max_count,
-        sample_words=tuple(total.samples[:sample_limit]),
-    )
+def _rows_upto(n_max: int) -> dict[int, LengthRow]:
+    """Rows for at least 1..n_max, scanning only when the memo is too short."""
+    global _memo
+    if n_max not in _memo:
+        _memo = scan_lengths(n_max)
+    return _memo

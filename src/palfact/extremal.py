@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .enumeration import PACKED_LIMIT, LengthRow, dfs_scan, scan_lengths
+from .enumeration import LengthRow, _rows_upto
 from .words import orbit, parse_word, word_from_bits
 
 __all__ = [
@@ -25,6 +25,8 @@ __all__ = [
     "verify_theorem1",
 ]
 
+# Rows carry the 64 lexicographically least a-initial maximizers, 4x this cap,
+# which guarantees the cap least orbit representatives are all among them.
 SAMPLE_CAP = 16
 EXCEPTIONAL_LENGTH = 11
 EXCEPTIONAL_K = 5
@@ -65,64 +67,39 @@ class Orbit:
         return len(self.words)
 
 
-def _canonical_samples(sample_words: tuple[str, ...], cap: int) -> tuple[str, ...]:
+def _canonical_samples(sample_words: tuple[str, ...]) -> tuple[str, ...]:
     reps = {orbit(parse_word(w))[0].text for w in sample_words}
-    return tuple(sorted(reps)[:cap])
+    return tuple(sorted(reps)[:SAMPLE_CAP])
 
 
-def _row_from_scan(row: LengthRow, sample_cap: int) -> ExtremalRow:
+def _row_from_scan(row: LengthRow) -> ExtremalRow:
     return ExtremalRow(
         n=row.n,
         k=row.max_m,
         maximizer_count=row.max_count,
-        sample_maximizers=_canonical_samples(row.sample_words, sample_cap),
+        sample_maximizers=_canonical_samples(row.sample_words),
     )
 
 
-def _check_args(n: int, threads: int) -> None:
-    if not 1 <= n <= PACKED_LIMIT:
-        raise ValueError(f"length must be in 1..{PACKED_LIMIT}, got {n}")
-    if threads < 1:
-        raise ValueError(f"threads must be positive, got {threads}")
+def k_max(n: int) -> ExtremalRow:
+    """Exact K(n) by enumerating all 2^n words (letter-swap reduced)."""
+    return _row_from_scan(_rows_upto(n)[n])
 
 
-def k_max(n: int, threads: int = 1, *, backend: str = "vectorized", sample_cap: int = SAMPLE_CAP) -> ExtremalRow:
-    """Exact K(n) by enumerating all 2^n words (letter-swap reduced).
-
-    ``backend="dfs"`` runs the reference prefix-tree search instead; both
-    return identical rows and neither depends on ``threads``.
-    """
-    _check_args(n, threads)
-    # Covering 4x the sample cap below guarantees the cap lexicographically
-    # first orbit representatives are all present among the raw samples.
-    limit = 4 * sample_cap
-    if backend == "dfs":
-        row = dfs_scan(n, threads=threads, sample_limit=limit)
-    elif backend == "vectorized":
-        row = scan_lengths(n, sample_limit=limit)[n]
-    else:
-        raise ValueError(f"unknown backend {backend!r}")
-    return _row_from_scan(row, sample_cap)
-
-
-def k_max_rows(n_max: int, threads: int = 1, *, sample_cap: int = SAMPLE_CAP) -> list[ExtremalRow]:
+def k_max_rows(n_max: int) -> list[ExtremalRow]:
     """All rows K(1)..K(n_max) from a single enumeration pass."""
-    _check_args(n_max, threads)
-    rows = scan_lengths(n_max, sample_limit=4 * sample_cap)
-    return [_row_from_scan(rows[n], sample_cap) for n in range(1, n_max + 1)]
+    rows = _rows_upto(n_max)
+    return [_row_from_scan(rows[n]) for n in range(1, n_max + 1)]
 
 
-def worst_words(n: int, threads: int = 1) -> list[Orbit]:
+def worst_words(n: int) -> list[Orbit]:
     """Every word attaining K(n), grouped into symmetry orbits.
 
     Orbits are sorted by their representative (the lexicographically least
     member); orbit sizes are computed, never assumed.
     """
-    _check_args(n, threads)
-    row = scan_lengths(n, keep_max_words={n})[n]
-    assert row.max_words_bits is not None
     orbits: dict[str, Orbit] = {}
-    for bits in row.max_words_bits:
+    for bits in _rows_upto(n)[n].max_words_bits:
         images = orbit(word_from_bits(bits, n))
         rep = images[0].text
         if rep not in orbits:
@@ -147,11 +124,11 @@ class Theorem1Report:
         return len(self.rows)
 
 
-def verify_theorem1(n_max: int, threads: int = 1) -> Theorem1Report:
+def verify_theorem1(n_max: int) -> Theorem1Report:
     """Check k_formula against the enumerated maximum for all n <= n_max."""
     if n_max < 0:
         raise ValueError(f"n_max must be nonnegative, got {n_max}")
-    rows = tuple(k_max_rows(n_max, threads)) if n_max else ()
+    rows = tuple(k_max_rows(n_max)) if n_max else ()
     mismatches = tuple(
         (row.n, row.k, k_formula(row.n)) for row in rows if row.k != k_formula(row.n)
     )

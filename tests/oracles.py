@@ -1,13 +1,19 @@
 """Independent oracles for the test suite.
 
-Nothing here shares code with the package's dynamic programs: palindromes
-are recognized by string reversal, and minima are taken over explicitly
-enumerated cut patterns.
+The cut-pattern and reachability oracles share no code with the package's
+dynamic programs: palindromes are recognized by string reversal or bit
+comparison, and minima are taken over explicitly enumerated cut patterns.
+The depth-first oracle ``dfs_scan`` evaluates m by push/pop of the
+package's ``IncrementalState``, so it is independent of the layer DP in
+``palfact.enumeration`` but not of the single-word DP.
 """
 
 from __future__ import annotations
 
 import numpy as np
+
+from palfact.enumeration import LengthRow
+from palfact.factorization import IncrementalState
 
 
 def text_of(bits: int, length: int) -> str:
@@ -83,3 +89,74 @@ def reachable_k_bitsets(length: int) -> np.ndarray:
             acc |= np.where(block_pal, shifted, 0)
         reach[j] = acc
     return reach[length]
+
+
+class _DfsAccumulator:
+    """Counts and maximizers of one length over part of the prefix tree."""
+
+    def __init__(self, n: int) -> None:
+        self.counts = [0] * (n + 2)
+        self.max_m = 0
+        self.max_bits: list[int] = []
+
+    def record(self, m: int, bits: int) -> None:
+        self.counts[m] += 1
+        if m > self.max_m:
+            self.max_m, self.max_bits = m, []
+        if m == self.max_m:
+            self.max_bits.append(bits)
+
+    def merge(self, other: "_DfsAccumulator") -> None:
+        for k, c in enumerate(other.counts):
+            self.counts[k] += c
+        if other.max_m > self.max_m:
+            self.max_m, self.max_bits = other.max_m, []
+        if other.max_m == self.max_m:
+            self.max_bits.extend(other.max_bits)
+
+
+def _dfs_partition(n: int, prefix_bits: int, depth: int) -> _DfsAccumulator:
+    acc = _DfsAccumulator(n)
+    state = IncrementalState(capacity=n)
+    for t in range(depth):
+        state.push_symbol((prefix_bits >> t) & 1)
+
+    def explore(length: int, bits: int) -> None:
+        if length == n:
+            acc.record(state.current_m, bits)
+            return
+        for sym in (0, 1):  # 'a' branch first: depth-first order is lexicographic
+            state.push_symbol(sym)
+            explore(length + 1, bits | (sym << length))
+            state.pop_symbol()
+
+    explore(depth, prefix_bits)
+    return acc
+
+
+def dfs_scan(n: int, *, prefix_depth: int = 8, sample_limit: int = 64) -> LengthRow:
+    """The row of one length by depth-first search over the prefix tree.
+
+    The a-initial words are split at ``prefix_depth`` into disjoint
+    subtrees, searched one after another in lexicographic order of their
+    prefixes and merged, so the maximizers arrive in lexicographic order
+    and the result does not depend on the depth.
+    """
+    if n < 1:
+        raise ValueError(f"length must be positive, got {n}")
+    depth = max(1, min(prefix_depth, n))
+    ext_bits = depth - 1
+    total = _DfsAccumulator(n)
+    for key in range(1 << ext_bits):
+        bits = 0
+        for t in range(ext_bits):
+            bits |= ((key >> (ext_bits - 1 - t)) & 1) << (t + 1)
+        total.merge(_dfs_partition(n, bits, depth))
+    return LengthRow(
+        n=n,
+        counts={k: 2 * c for k, c in enumerate(total.counts) if c},
+        max_m=total.max_m,
+        max_count=2 * len(total.max_bits),
+        sample_words=tuple(text_of(b, n) for b in total.max_bits[:sample_limit]),
+        max_words_bits=tuple(sorted(total.max_bits)),
+    )

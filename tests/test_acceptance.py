@@ -14,10 +14,11 @@ import numpy as np
 import pytest
 
 from conftest import EXCEPTIONAL_WORD, K_TABLE, KBAR_TABLE
-from oracles import brute_force_m_table, reachable_k_bitsets
+from oracles import brute_force_m_table, dfs_scan, reachable_k_bitsets
 from palfact.asymptotics import bounds_report
 from palfact.cli import dispatch
-from palfact.distribution import counting_bound_check, histogram, k_bar_rows, subadditivity_check
+from palfact.distribution import counting_bound_check, k_bar_rows, subadditivity_check
+from palfact.enumeration import _scan_sharded, scan_lengths
 from palfact.extremal import k_formula, k_max, k_max_rows, worst_words
 from palfact.factorization import min_factorization
 from palfact.lemmas import all_reports
@@ -149,7 +150,7 @@ def test_criterion_7_counting_inequality():
     return f"{checked} squared-integer comparisons"
 
 
-@criterion("8", "property suite: oracle equivalence, symmetry invariance, subadditivity, parity, thread independence")
+@criterion("8", "property suite: oracle equivalence, symmetry invariance, subadditivity, parity, partition independence")
 def test_criterion_8_property_suite(m_tables_14):
     # oracle equivalence against enumerated cut patterns, all lengths <= 12
     for n in range(1, 13):
@@ -179,9 +180,10 @@ def test_criterion_8_property_suite(m_tables_14):
         masks = reachable_k_bitsets(n)
         low = (1 << ((n - 1) // 2 + 1)) - 1
         assert np.all(((masks & low) << 2) & ~masks == 0)
-    # thread-count independence of both enumeration surfaces
-    assert k_max(12, threads=1, backend="dfs") == k_max(12, threads=3, backend="dfs")
-    assert k_max(12, threads=1) == k_max(12, threads=3)
-    assert histogram(12, threads=1, backend="dfs") == histogram(12, threads=3, backend="dfs")
-    assert histogram(12, threads=1) == histogram(12, threads=3)
+    # results do not depend on how the search is partitioned: shard depth of
+    # the engine, prefix depth of the depth-first oracle
+    whole = scan_lengths(12)
+    for depth in range(1, 5):
+        assert _scan_sharded(12, depth, 64) == whole
+    assert dfs_scan(12, prefix_depth=3) == dfs_scan(12, prefix_depth=8) == whole[12]
     return "five property families"

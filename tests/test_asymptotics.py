@@ -102,8 +102,9 @@ class TestThetaPrime:
         assert 0 < root < 1 / 3
 
     def test_tolerance_validation(self):
-        with pytest.raises(ValueError):
-            theta_prime(0.0)
+        for tolerance in (0.0, -1.0, math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError):
+                theta_prime(tolerance)
 
     def test_tolerance_below_float_spacing_terminates(self):
         # Adjacent floats near theta' are ~1e-17 apart, so hi - lo can never

@@ -1,13 +1,17 @@
 from __future__ import annotations
 
 import json
+import tempfile
+import time
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from conftest import K_TABLE
-from palfact import lemmas
+from palfact import enumeration, lemmas
 from palfact.cache import SCHEMA_VERSION, CacheEntry, ResultCache, payload_checksum
-from palfact.cli import dispatch
+from palfact.cli import VERIFY_TARGETS, dispatch
 from palfact.lemmas import LemmaReport
 
 
@@ -88,11 +92,6 @@ class TestKmaxCommand:
         _, first, _ = run(capsys, "--format", "json", "kmax", "--max-n", "9")
         _, second, _ = run(capsys, "--format", "json", "kmax", "--max-n", "9")
         assert first == second
-
-    def test_thread_count_does_not_change_output(self, capsys):
-        _, one, _ = run(capsys, "--threads", "1", "--format", "csv", "kmax", "--max-n", "10")
-        _, four, _ = run(capsys, "--threads", "4", "--format", "csv", "kmax", "--max-n", "10")
-        assert one == four
 
     def test_options_accepted_after_subcommand(self, capsys):
         code, post, _ = run(capsys, "kmax", "--max-n", "15", "--format", "csv")
@@ -220,6 +219,27 @@ class TestInputContract:
         assert code == 0
         assert "theorem1: PASS (cases=5)" in out
 
+    @pytest.mark.parametrize("target", ["theorem1", "subadditivity", "all"])
+    @pytest.mark.parametrize("max_n", ["33", "40"])
+    def test_verify_max_n_above_packed_limit_is_usage_error(self, capsys, target, max_n):
+        code, out, err = run(capsys, "verify", target, "--max-n", max_n, "--trials", "10")
+        assert code == 2
+        assert f"--max-n must be in 1..32, got {max_n}" in err
+        assert out == ""
+
+    def test_huge_length_is_rejected_before_the_cache(self, capsys, tmp_path):
+        code, out, err = run(capsys, "--cache-dir", str(tmp_path), "kmax", "--max-n", "1000000000", "--allow-long")
+        assert code == 2
+        assert "must be in 1..32" in err
+        assert out == ""
+
+    @pytest.mark.parametrize("tolerance", ["nan", "inf"])
+    def test_non_finite_tolerance_is_usage_error(self, capsys, tolerance):
+        code, out, err = run(capsys, "--format", "json", "bounds", "--tolerance", tolerance)
+        assert code == 2
+        assert "tolerance must be positive and finite" in err
+        assert out == ""
+
     def test_tiny_tolerance_terminates(self, capsys):
         code, out, _ = run(capsys, "--format", "json", "bounds", "--tolerance", "1e-300")
         assert code == 0
@@ -289,6 +309,32 @@ class TestCache:
             stored = cache.store(CacheEntry(kind="kmax", n=1, payload={"n": 1}))
         assert stored is False
 
+    @pytest.mark.parametrize(
+        "kind,payload",
+        [
+            ("histogram", {"n": 4, "counts": {"1": 8, "2": 6}}),  # sums to 14, not 2^4
+            ("histogram", {"n": 4, "counts": {"0": 8, "2": 8}}),
+            ("histogram", {"n": 4, "counts": {"1": 8, "5": 8}}),
+            ("histogram", {"n": 3, "counts": {"1": 8, "2": 8}}),
+            ("kmax", {"n": 3, "K": 2, "maximizer_count": 12, "sample_maximizers": []}),
+            ("kmax", {"n": 4, "K": 0, "maximizer_count": 12, "sample_maximizers": []}),
+            ("kmax", {"n": 4, "K": 5, "maximizer_count": 12, "sample_maximizers": []}),
+            ("kmax", {"n": 4, "K": 2, "maximizer_count": 3, "sample_maximizers": []}),
+            ("kmax", {"n": 4, "K": 2, "maximizer_count": 0, "sample_maximizers": []}),
+        ],
+    )
+    def test_impossible_payload_is_rejected(self, tmp_path, kind, payload):
+        cache = ResultCache(tmp_path)
+        assert cache.store(CacheEntry(kind=kind, n=4, payload=payload))
+        with pytest.warns(UserWarning, match="stale or corrupt"):
+            assert cache.load(kind, 4) is None
+
+    def test_possible_histogram_is_served(self, tmp_path):
+        cache = ResultCache(tmp_path)
+        payload = {"n": 4, "counts": {"1": 4, "2": 8, "3": 4}}
+        cache.store(CacheEntry(kind="histogram", n=4, payload=payload))
+        assert cache.load("histogram", 4) == payload
+
     def test_checksum_is_canonical(self):
         a = payload_checksum({"x": 1, "y": 2})
         b = payload_checksum({"y": 2, "x": 1})
@@ -323,6 +369,20 @@ class TestCliCacheIntegration:
         assert code == 0
         assert out.strip().splitlines()[-1] == f"6,{K_TABLE[5]},12"
 
+    def test_histogram_off_by_two_is_recomputed(self, capsys, tmp_path):
+        argv = ("--cache-dir", str(tmp_path), "--format", "csv", "histogram", "--n", "8")
+        code, cold, _ = run(capsys, *argv)
+        assert code == 0
+        path = tmp_path / "histogram_8.json"
+        doc = json.loads(path.read_text())
+        doc["payload"]["counts"]["1"] += 2
+        doc["checksum"] = payload_checksum(doc["payload"])
+        path.write_text(json.dumps(doc))
+        with pytest.warns(UserWarning, match="stale or corrupt"):
+            code, rerun, _ = run(capsys, *argv)
+        assert code == 0
+        assert rerun == cold
+
     def test_env_var_overrides_flag(self, capsys, tmp_path, monkeypatch):
         env_dir = tmp_path / "from_env"
         flag_dir = tmp_path / "from_flag"
@@ -331,3 +391,79 @@ class TestCliCacheIntegration:
         assert code == 0
         assert (env_dir / "kmax_4.json").exists()
         assert not flag_dir.exists()
+
+
+class TestEnumerationPasses:
+    """Each command enumerates at most once, and later commands in the same
+    process reuse that pass."""
+
+    @pytest.fixture
+    def scans(self, monkeypatch):
+        calls = []
+        scan = enumeration.scan_lengths
+        monkeypatch.setattr(enumeration, "_memo", {})
+        monkeypatch.setattr(enumeration, "scan_lengths", lambda n_max: calls.append(n_max) or scan(n_max))
+        monkeypatch.delenv("PALIN_CACHE_DIR", raising=False)
+        return calls
+
+    @pytest.mark.parametrize(
+        "argv", [("verify", "all", "--max-n", "16", "--trials", "500"), ("worst", "--n", "12")]
+    )
+    def test_one_pass_per_command(self, capsys, scans, argv):
+        assert run(capsys, *argv)[0] == 0
+        assert len(scans) == 1
+
+    def test_later_command_reuses_the_pass(self, capsys, scans):
+        assert run(capsys, "kmax", "--max-n", "10")[0] == 0
+        assert run(capsys, "histogram", "--n", "8")[0] == 0
+        assert scans == [10]
+
+
+# A grammar of CLI invocations, good and bad.  Lengths stay at most 20 or
+# jump past the packed limit, so no example enumerates much.
+_LENGTHS = st.one_of(st.integers(-2, 20), st.sampled_from([33, 40, 10**9])).map(str)
+_WORDS = st.one_of(st.text("ab", min_size=1, max_size=40), st.sampled_from(["", "aXb", "0120", "ab ba", "-a"]))
+_TOLERANCES = st.sampled_from(["1e-10", "1e-3", "1e-300", "0", "-1", "nan", "inf"])
+_FLAG = st.sampled_from([(), ("--allow-long",)])
+
+
+@st.composite
+def _invocations(draw):
+    command = draw(st.sampled_from(["m", "factor", "kmax", "kbar", "histogram", "worst", "verify", "bounds"]))
+    if command in ("m", "factor"):
+        args = [draw(_WORDS)]
+    elif command in ("kmax", "kbar"):
+        args = ["--max-n", draw(_LENGTHS), *draw(_FLAG)]
+    elif command in ("histogram", "worst"):
+        args = ["--n", draw(_LENGTHS), *draw(_FLAG)]
+    elif command == "verify":
+        target = draw(st.sampled_from(VERIFY_TARGETS))
+        args = [target, "--max-n", draw(_LENGTHS), "--trials", str(draw(st.integers(-1, 50)))]
+    else:
+        args = draw(st.sampled_from([[], ["--tolerance"]]))
+        if args:
+            args.append(draw(_TOLERANCES))
+    shared = draw(st.sampled_from([[], ["--format", "json"], ["--format", "csv"], ["--seed", "7"]]))
+    return shared, [command, *args], draw(st.booleans())
+
+
+class TestContractFuzz:
+    @settings(
+        max_examples=60,
+        derandomize=True,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(_invocations())
+    def test_exit_status_and_time_are_bounded(self, capsys, monkeypatch, invocation):
+        shared, argv, shared_after = invocation
+        monkeypatch.delenv("PALIN_CACHE_DIR", raising=False)
+        with tempfile.TemporaryDirectory() as cache_dir:
+            shared = [*shared, "--cache-dir", cache_dir]
+            argv = [*argv, *shared] if shared_after else [*shared, *argv]
+            start = time.perf_counter()
+            code = dispatch(argv)
+            elapsed = time.perf_counter() - start
+        capsys.readouterr()
+        assert code in (0, 1, 2), argv
+        assert elapsed < 5, argv

@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import KBAR_TABLE
+from oracles import dfs_scan
 from palfact.asymptotics import a_bound_squared
 from palfact.distribution import (
     counting_bound_check,
@@ -39,15 +40,14 @@ class TestHistogram:
             assert hist.max_m == row.k
             assert hist.counts[hist.max_m] == row.maximizer_count
 
-    def test_backends_and_threads(self):
-        assert histogram(11, backend="dfs") == histogram(11, backend="vectorized")
-        assert histogram(11, threads=1, backend="dfs") == histogram(11, threads=3, backend="dfs")
+    def test_matches_dfs_oracle(self):
+        assert histogram(11).counts == dfs_scan(11).counts
 
     def test_validation(self):
         with pytest.raises(ValueError):
             histogram(0)
         with pytest.raises(ValueError):
-            histogram(4, backend="abacus")
+            histogram(33)
 
 
 class TestKBar:

@@ -3,12 +3,12 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from oracles import brute_force_m_table, text_of
+from oracles import brute_force_m_table, dfs_scan, text_of
 from palfact import enumeration
 from palfact.enumeration import (
     PACKED_LIMIT,
+    _rows_upto,
     _scan_sharded,
-    dfs_scan,
     extension_m,
     palindrome_values,
     scan_lengths,
@@ -91,9 +91,7 @@ class TestScanLengths:
             assert list(row.sample_words) == sorted(maximizers)[:4]
 
     def test_keep_max_words(self):
-        rows = scan_lengths(11, keep_max_words={11})
-        bits = rows[11].max_words_bits
-        assert bits is not None
+        bits = scan_lengths(11)[11].max_words_bits
         words = sorted(text_of(b, 11) for b in bits)
         assert words == ["aababbaabab", "ababbaababb"]
 
@@ -102,6 +100,18 @@ class TestScanLengths:
             scan_lengths(0)
         with pytest.raises(ValueError):
             scan_lengths(PACKED_LIMIT + 1)
+
+    def test_memo_answers_shorter_lengths_from_one_scan(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(enumeration, "_memo", {})
+        monkeypatch.setattr(enumeration, "scan_lengths", lambda n: calls.append(n) or scan_lengths(n))
+        assert _rows_upto(9)[5] == scan_lengths(5)[5]
+        assert _rows_upto(4)[4] == scan_lengths(4)[4]
+        assert calls == [9]
+        assert sorted(_rows_upto(12)) == list(range(1, 13))
+        assert calls == [9, 12]
+        with pytest.raises(ValueError):
+            _rows_upto(0)
 
 
 @pytest.fixture(scope="module")
@@ -116,22 +126,20 @@ class TestSharding:
     @pytest.mark.parametrize("n_max", [2, 7, 12, 18])
     @pytest.mark.parametrize("sample_limit", [3, 64])
     def test_rows_independent_of_shard_depth(self, n_max, sample_limit):
-        keep = frozenset(range(1, n_max + 1))
-        unsharded = _scan_sharded(n_max, 1, sample_limit, keep)
+        unsharded = _scan_sharded(n_max, 1, sample_limit)
         assert sorted(unsharded) == list(range(1, n_max + 1))
         for depth in range(2, 7):
-            assert _scan_sharded(n_max, depth, sample_limit, keep) == unsharded, depth
+            assert _scan_sharded(n_max, depth, sample_limit) == unsharded, depth
 
     @pytest.mark.parametrize("depth", [1, 3])
     def test_rows_independent_of_row_chunk(self, monkeypatch, depth):
-        keep = frozenset(range(1, 15))
-        whole = _scan_sharded(14, depth, 3, keep)
+        whole = _scan_sharded(14, depth, 3)
         monkeypatch.setattr(enumeration, "_ROW_CHUNK", 64)
-        assert _scan_sharded(14, depth, 3, keep) == whole
+        assert _scan_sharded(14, depth, 3) == whole
 
     @pytest.mark.parametrize("depth", range(1, 7))
     def test_sharded_rows_match_oracles(self, depth, oracles_14):
-        rows = _scan_sharded(14, depth, 8, frozenset(range(1, 15)))
+        rows = _scan_sharded(14, depth, 8)
         for n in range(1, 15):
             row, (table, dfs) = rows[n], oracles_14[n]
             expected = {int(k): int(c) for k, c in enumerate(np.bincount(table)) if c}
@@ -141,28 +149,13 @@ class TestSharding:
             assert list(row.max_words_bits) == a_initial
             assert row.max_count == 2 * len(a_initial)
             assert list(row.sample_words) == sorted(text_of(b, n) for b in a_initial)[:8]
-            assert (dfs.counts, dfs.max_m, dfs.max_count, dfs.sample_words) == (
-                row.counts,
-                row.max_m,
-                row.max_count,
-                row.sample_words,
-            )
+            assert dfs == row
 
 
 class TestDfsBackend:
     @pytest.mark.parametrize("n", [1, 2, 5, 9, 12])
     def test_matches_vectorized(self, n):
-        vec = scan_lengths(n, sample_limit=8)[n]
-        dfs = dfs_scan(n, sample_limit=8)
-        assert dfs.counts == vec.counts
-        assert dfs.max_m == vec.max_m
-        assert dfs.max_count == vec.max_count
-        assert dfs.sample_words == vec.sample_words
-
-    def test_thread_count_independent(self):
-        one = dfs_scan(11, threads=1)
-        three = dfs_scan(11, threads=3)
-        assert one == three
+        assert dfs_scan(n, sample_limit=8) == scan_lengths(n, sample_limit=8)[n]
 
     def test_prefix_depth_independent(self):
         assert dfs_scan(10, prefix_depth=3) == dfs_scan(10, prefix_depth=8)
@@ -170,5 +163,3 @@ class TestDfsBackend:
     def test_validation(self):
         with pytest.raises(ValueError):
             dfs_scan(0)
-        with pytest.raises(ValueError):
-            dfs_scan(5, threads=0)

@@ -3,6 +3,8 @@ from __future__ import annotations
 import pytest
 
 from conftest import EXCEPTIONAL_WORD, K_TABLE
+from oracles import dfs_scan
+from palfact import extremal
 from palfact.extremal import k_formula, k_max, k_max_rows, verify_theorem1, worst_words
 from palfact.factorization import min_factorization
 
@@ -56,19 +58,13 @@ class TestKMax:
 
     def test_backends_agree(self):
         for n in (3, 8, 13):
-            assert k_max(n, backend="dfs") == k_max(n, backend="vectorized")
-
-    def test_thread_invariance(self):
-        assert k_max(12, threads=1, backend="dfs") == k_max(12, threads=4, backend="dfs")
-        assert k_max(12, threads=1) == k_max(12, threads=4)
+            assert extremal._row_from_scan(dfs_scan(n)) == k_max(n)
 
     def test_validation(self):
         with pytest.raises(ValueError):
             k_max(0)
         with pytest.raises(ValueError):
-            k_max(5, threads=0)
-        with pytest.raises(ValueError):
-            k_max(5, backend="quantum")
+            k_max(33)
 
 
 class TestWorstWords:
