@@ -6,7 +6,7 @@ m = 1; the further a word is from any symmetric structure, the more
 blocks it needs.
 """
 
-from palfact import IncrementalState, min_factorization, parse_word, reachable_k
+from palfact import measure, min_factorization, parse_word, reachable_k
 
 # A palindrome needs one block, a non-palindrome at least two.
 for text in ["baab", "ab", "aabab", "aababbaabab"]:
@@ -18,10 +18,10 @@ for text in ["baab", "ab", "aabab", "aababbaabab"]:
 print()
 print("cuts for aababbaabab:", min_factorization("aababbaabab").cuts)
 
-# Incremental evaluation shares work across prefixes: pushing the letters
-# of a word one at a time yields m of every prefix in O(length) per step.
-state = IncrementalState()
-prefix_measures = [state.push_symbol(sym) for sym in "aababbaabab"]
+# Along the prefixes of a word m grows by at most one per letter (the new
+# letter can stand alone) but can fall when a long palindrome closes.
+text = "aababbaabab"
+prefix_measures = [measure(text[: i + 1]) for i in range(len(text))]
 print("m along prefixes:", prefix_measures)
 
 # m is the minimum of the set of realizable block counts; the whole set

@@ -41,7 +41,7 @@ from .extremal import (
     verify_theorem1,
     worst_words,
 )
-from .factorization import Factorization, IncrementalState, measure, min_factorization, reachable_k
+from .factorization import Factorization, longest_palindromic_factor, measure, min_factorization, reachable_k
 from .lemmas import (
     LemmaReport,
     M_CONSTANTS,
@@ -53,12 +53,10 @@ from .lemmas import (
     verify_lemma9,
 )
 from .words import (
-    PalTable,
     Word,
     WordError,
     family,
     is_palindrome,
-    longest_palindromic_factor,
     orbit,
     parse_word,
     symmetries,
@@ -74,12 +72,10 @@ __all__ = [
     "CountingBounds",
     "ExtremalRow",
     "Factorization",
-    "IncrementalState",
     "LemmaReport",
     "MHistogram",
     "M_CONSTANTS",
     "Orbit",
-    "PalTable",
     "SubadditivityReport",
     "Theorem1Report",
     "Word",

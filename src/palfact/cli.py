@@ -14,6 +14,7 @@ PALIN_CACHE_DIR overrides any --cache-dir.
 from __future__ import annotations
 
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass
@@ -89,6 +90,10 @@ def _echo_json(doc: object) -> None:
 
 
 def _parse_word_arg(text: str):
+    """Parse WORD; ``-`` reads it from stdin (argv caps one argument at
+    128 KiB on Linux), surrounding whitespace stripped."""
+    if text == "-":
+        text = sys.stdin.read().strip()
     try:
         return parse_word(text)
     except WordError as exc:
@@ -133,7 +138,7 @@ def cli(ctx: click.Context, fmt: str, cache_dir: str | None, seed: int) -> None:
 @_common_options
 @click.pass_obj
 def m_command(base: RunConfig, word: str, fmt, cache_dir, seed) -> None:
-    """Print the asymmetry measure m(WORD)."""
+    """Print the asymmetry measure m(WORD); WORD - reads it from stdin."""
     config = _resolve(base, fmt, cache_dir, seed)
     fact = _lib_call(min_factorization, _parse_word_arg(word))
     if config.format == "json":
@@ -150,7 +155,7 @@ def m_command(base: RunConfig, word: str, fmt, cache_dir, seed) -> None:
 @_common_options
 @click.pass_obj
 def factor_command(base: RunConfig, word: str, fmt, cache_dir, seed) -> None:
-    """Print a minimal palindromic factorization of WORD."""
+    """Print a minimal palindromic factorization of WORD; WORD - reads it from stdin."""
     config = _resolve(base, fmt, cache_dir, seed)
     fact = _lib_call(min_factorization, _parse_word_arg(word))
     if config.format == "json":
@@ -470,6 +475,9 @@ def verify_command(base: RunConfig, target: str, max_n: int, trials: int, fmt, c
 def bounds_command(base: RunConfig, tolerance: float, fmt, cache_dir, seed) -> None:
     """Both bound constants for the limit of kbar(n)/n."""
     config = _resolve(base, fmt, cache_dir, seed)
+    # Checked here so that a bad value exits before 21 histograms are read or computed.
+    if not 0 < tolerance < math.inf:
+        raise click.UsageError(f"--tolerance must be positive and finite, got {tolerance}")
     hists = _histograms_cached(config, 21)
     rows = [AverageRow(n=h.n, s=h.s) for h in hists]
     report = _lib_call(bounds_report, rows, tolerance)

@@ -34,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .factorization import IncrementalState
+from .factorization import _prefix_measures
 from .words import Word
 
 __all__ = [
@@ -73,16 +73,6 @@ def palindrome_values(length: int) -> np.ndarray:
         x |= bit << (length - 1 - t)
     x.sort()
     return x
-
-
-def _prefix_measures(prefix: Word) -> list[int]:
-    """[m(prefix[:i]) for i = 0..len], with the 0 convention at i = 0."""
-    vals = [0]
-    if prefix.length:
-        state = IncrementalState(capacity=prefix.length)
-        for t in range(prefix.length):
-            vals.append(state.push_symbol((prefix.bits >> t) & 1))
-    return vals
 
 
 def _crossing_matches(prefix_sym: list[int], start: int, ext_len: int) -> np.ndarray | None:

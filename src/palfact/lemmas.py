@@ -19,15 +19,8 @@ from typing import Any
 import numpy as np
 
 from .enumeration import extension_m
-from .factorization import measure
-from .words import (
-    FAMILY_BLOCK,
-    FAMILY_SEED,
-    family,
-    longest_palindromic_factor,
-    parse_word,
-    word_from_bits,
-)
+from .factorization import longest_palindromic_factor, measure
+from .words import FAMILY_BLOCK, FAMILY_SEED, family, parse_word, word_from_bits
 
 __all__ = [
     "M_CONSTANTS",

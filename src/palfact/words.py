@@ -16,19 +16,19 @@ __all__ = [
     "PACKED_MAX",
     "Word",
     "WordError",
-    "PalTable",
     "parse_word",
     "word_from_bits",
     "is_palindrome",
     "symmetries",
     "orbit",
     "family",
-    "longest_palindromic_factor",
 ]
 
 PACKED_MAX = 63
 
 _A, _B = "a", "b"
+_LETTERS_TO_DIGITS = str.maketrans("ab", "01")
+_DIGITS_TO_LETTERS = str.maketrans("01", "ab")
 
 FAMILY_SEED = "aabab"
 FAMILY_BLOCK = "bbaaba"
@@ -66,7 +66,10 @@ class Word:
 
     @property
     def text(self) -> str:
-        return "".join(_B if (self.bits >> t) & 1 else _A for t in range(self.length))
+        if not self.length:
+            return ""
+        # format writes the highest position first; position 0 is leftmost.
+        return format(self.bits, f"0{self.length}b")[::-1].translate(_DIGITS_TO_LETTERS)
 
     def __str__(self) -> str:
         return self.text
@@ -109,20 +112,15 @@ def parse_word(text: str, *, allow_empty: bool = False) -> Word:
         if allow_empty:
             return Word.empty()
         raise WordError("empty word (pass allow_empty=True to permit it)")
-    alphabet = None
-    bits = 0
-    for pos, ch in enumerate(text):
-        if ch in "ab":
-            kind, bit = "letters", (1 if ch == _B else 0)
-        elif ch in "01":
-            kind, bit = "digits", (1 if ch == "1" else 0)
-        else:
-            raise WordError(f"invalid character {ch!r} at position {pos + 1}")
-        if alphabet is None:
-            alphabet = kind
-        elif alphabet != kind:
-            raise WordError(f"mixed alphabets: {ch!r} at position {pos + 1}")
-        bits |= bit << pos
+    alphabet = "ab" if text[0] in "ab" else "01"
+    rest = text.lstrip(alphabet)
+    if rest:
+        pos = len(text) - len(rest) + 1
+        ch = rest[0]
+        if ch in "ab01":
+            raise WordError(f"mixed alphabets: {ch!r} at position {pos}")
+        raise WordError(f"invalid character {ch!r} at position {pos}")
+    bits = int(text[::-1].translate(_LETTERS_TO_DIGITS), 2)
     return Word(bits, len(text))
 
 
@@ -175,83 +173,3 @@ def family(kind: str, n: int) -> Word:
     if kind == "V":
         return parse_word(FAMILY_SEED + FAMILY_BLOCK * n + FAMILY_V_TAIL)
     raise WordError(f"unknown family kind {kind!r} (expected W, U or V)")
-
-
-def longest_palindromic_factor(w: Word) -> int:
-    """Length of the longest contiguous palindromic factor (>= 1)."""
-    if w.length == 0:
-        raise WordError("the empty word has no factors")
-    text = w.text
-    n = len(text)
-    best = 1
-    for center in range(n):
-        # odd-length factors centred at `center`
-        lo, hi = center - 1, center + 1
-        while lo >= 0 and hi < n and text[lo] == text[hi]:
-            lo -= 1
-            hi += 1
-        best = max(best, hi - lo - 1)
-        # even-length factors centred between `center` and `center + 1`
-        lo, hi = center, center + 1
-        while lo >= 0 and hi < n and text[lo] == text[hi]:
-            lo -= 1
-            hi += 1
-        best = max(best, hi - lo - 1)
-    return best
-
-
-class PalTable:
-    """Triangular palindrome table for a growing word, with exact rollback.
-
-    ``is_pal(i, j)`` tells whether the factor at positions ``i..j``
-    (inclusive) is a palindrome.  Appending a symbol computes one new
-    column from the previous diagonal in O(length); popping removes it,
-    restoring the prior state bit for bit.  Single-owner: not safe for
-    concurrent mutation.
-    """
-
-    def __init__(self) -> None:
-        self._symbols: list[int] = []
-        self._columns: list[list[bool]] = []
-
-    def __len__(self) -> int:
-        return len(self._symbols)
-
-    @property
-    def word(self) -> Word:
-        bits = 0
-        for t, s in enumerate(self._symbols):
-            bits |= s << t
-        return Word(bits, len(self._symbols))
-
-    def push(self, symbol: int | str) -> None:
-        if isinstance(symbol, str):
-            if symbol not in "ab":
-                raise WordError(f"invalid symbol {symbol!r}")
-            symbol = 1 if symbol == _B else 0
-        elif symbol not in (0, 1):
-            raise WordError(f"invalid symbol {symbol!r}")
-        j = len(self._symbols)
-        self._symbols.append(symbol)
-        column = [False] * (j + 1)
-        column[j] = True
-        for i in range(j - 1, -1, -1):
-            if self._symbols[i] == symbol and (i + 1 > j - 1 or self._columns[j - 1][i + 1]):
-                column[i] = True
-        self._columns.append(column)
-
-    def pop(self) -> None:
-        if not self._symbols:
-            raise WordError("pop from empty table")
-        self._symbols.pop()
-        self._columns.pop()
-
-    def is_pal(self, i: int, j: int) -> bool:
-        """Palindrome test for the inclusive factor ``word[i..j]``."""
-        if not 0 <= i <= j < len(self._symbols):
-            raise IndexError((i, j))
-        return self._columns[j][i]
-
-    def snapshot(self) -> tuple:
-        """Hashable copy of the full state, for rollback testing."""
-        return (tuple(self._symbols), tuple(tuple(c) for c in self._columns))

@@ -3,9 +3,16 @@
 The cut-pattern and reachability oracles share no code with the package's
 dynamic programs: palindromes are recognized by string reversal or bit
 comparison, and minima are taken over explicitly enumerated cut patterns.
-The depth-first oracle ``dfs_scan`` evaluates m by push/pop of the
-package's ``IncrementalState``, so it is independent of the layer DP in
-``palfact.enumeration`` but not of the single-word DP.
+
+The quadratic single-word dynamic programs live here as references for the
+package's palindromic-tree engine: ``PalTable`` (a push/pop triangular
+palindrome table), ``IncrementalState`` (the recurrence for m over it, with
+the same shortest-final-block witness), ``quadratic_reachable`` (the
+block-count bitsets by a full scan of suffix starts) and
+``longest_palindrome_by_centres``.  The depth-first oracle ``dfs_scan``
+evaluates m by push/pop of ``IncrementalState``, so it shares no code with
+either the layer DP in ``palfact.enumeration`` or the single-word engine in
+``palfact.factorization``.
 """
 
 from __future__ import annotations
@@ -13,7 +20,192 @@ from __future__ import annotations
 import numpy as np
 
 from palfact.enumeration import LengthRow
-from palfact.factorization import IncrementalState
+from palfact.words import PACKED_MAX, Word, WordError
+
+
+class PalTable:
+    """Triangular palindrome table for a growing word, with exact rollback.
+
+    ``is_pal(i, j)`` tells whether the factor at positions ``i..j``
+    (inclusive) is a palindrome.  Appending a symbol computes one new
+    column from the previous diagonal in O(length); popping removes it,
+    restoring the prior state bit for bit.
+    """
+
+    def __init__(self) -> None:
+        self._symbols: list[int] = []
+        self._columns: list[list[bool]] = []
+
+    def __len__(self) -> int:
+        return len(self._symbols)
+
+    @property
+    def word(self) -> Word:
+        bits = 0
+        for t, s in enumerate(self._symbols):
+            bits |= s << t
+        return Word(bits, len(self._symbols))
+
+    def push(self, symbol: int | str) -> None:
+        if isinstance(symbol, str):
+            if symbol not in "ab":
+                raise WordError(f"invalid symbol {symbol!r}")
+            symbol = 1 if symbol == "b" else 0
+        elif symbol not in (0, 1):
+            raise WordError(f"invalid symbol {symbol!r}")
+        j = len(self._symbols)
+        self._symbols.append(symbol)
+        column = [False] * (j + 1)
+        column[j] = True
+        for i in range(j - 1, -1, -1):
+            if self._symbols[i] == symbol and (i + 1 > j - 1 or self._columns[j - 1][i + 1]):
+                column[i] = True
+        self._columns.append(column)
+
+    def pop(self) -> None:
+        if not self._symbols:
+            raise WordError("pop from empty table")
+        self._symbols.pop()
+        self._columns.pop()
+
+    def is_pal(self, i: int, j: int) -> bool:
+        """Palindrome test for the inclusive factor ``word[i..j]``."""
+        if not 0 <= i <= j < len(self._symbols):
+            raise IndexError((i, j))
+        return self._columns[j][i]
+
+    def snapshot(self) -> tuple:
+        """Hashable copy of the full state, for rollback testing."""
+        return (tuple(self._symbols), tuple(tuple(c) for c in self._columns))
+
+
+class IncrementalState:
+    """The recurrence for m over a growing word, with push/pop.
+
+    Each :meth:`push_symbol` appends one symbol and updates the measure of
+    the current prefix in O(length); :meth:`pop_symbol` undoes exactly one
+    push.
+    """
+
+    def __init__(self, capacity: int = PACKED_MAX) -> None:
+        if capacity < 1:
+            raise ValueError(f"capacity must be positive, got {capacity}")
+        self.capacity = capacity
+        self._pal = PalTable()
+        # dp[j] = m(prefix of length j); choice[j] = start of the final block
+        # in the witness for that prefix (shortest minimizing suffix).
+        self._dp: list[int] = [0]
+        self._choice: list[int] = [0]
+
+    @property
+    def current_length(self) -> int:
+        return len(self._pal)
+
+    @property
+    def current_m(self) -> int:
+        if not len(self._pal):
+            raise WordError("m is undefined on the empty word")
+        return self._dp[-1]
+
+    @property
+    def current_word(self) -> Word:
+        return self._pal.word
+
+    def push_symbol(self, symbol: int | str) -> int:
+        """Append one symbol; returns the measure of the extended prefix."""
+        if len(self._pal) >= self.capacity:
+            raise WordError(f"capacity {self.capacity} exceeded")
+        self._pal.push(symbol)
+        j = len(self._pal)
+        best = j + 1
+        arg = j - 1
+        # Scan suffix starts from short suffixes to long ones; strict
+        # improvement keeps the shortest minimizing suffix.
+        for i in range(j - 1, -1, -1):
+            if self._pal.is_pal(i, j - 1):
+                cand = self._dp[i] + 1
+                if cand < best:
+                    best = cand
+                    arg = i
+        self._dp.append(best)
+        self._choice.append(arg)
+        return best
+
+    def pop_symbol(self) -> None:
+        if not len(self._pal):
+            raise WordError("pop from empty state")
+        self._pal.pop()
+        self._dp.pop()
+        self._choice.pop()
+
+    def witness_cuts(self) -> tuple[int, ...]:
+        """Block boundaries of the deterministic witness for the current prefix."""
+        cuts = [len(self._pal)]
+        while cuts[-1] > 0:
+            cuts.append(self._choice[cuts[-1]])
+        return tuple(reversed(cuts))
+
+
+def quadratic_dp(text: str, k_max: int) -> tuple[int, tuple[int, ...], set[int]]:
+    """m, the witness cuts and the block counts k <= k_max realizable by
+    exactly k palindromes, for a nonempty word, by scanning every suffix
+    start of every prefix (O(n^2) time, O(n) memory).
+
+    The witness takes the shortest minimizing final block, recursively.
+    """
+    n = len(text)
+    pal = [False] * n  # pal[i]: text[i..j] is a palindrome, for the current j
+    dp = [0] * (n + 1)
+    choice = [0] * (n + 1)
+    # bit k of reach[j]: the length-j prefix splits into exactly k palindromes
+    reach = [1] + [0] * n
+    for j in range(n):
+        for i in range(j + 1):
+            pal[i] = text[i] == text[j] and (j - i < 2 or pal[i + 1])
+        best, arg, acc = n + 1, j, 0
+        for i in range(j, -1, -1):
+            if pal[i]:
+                acc |= reach[i] << 1
+                if dp[i] + 1 < best:
+                    best, arg = dp[i] + 1, i
+        dp[j + 1], choice[j + 1], reach[j + 1] = best, arg, acc
+    cuts = [n]
+    while cuts[-1] > 0:
+        cuts.append(choice[cuts[-1]])
+    return dp[n], tuple(reversed(cuts)), {k for k in range(1, k_max + 1) if (reach[n] >> k) & 1}
+
+
+def longest_palindrome_by_centres(text: str) -> int:
+    """Length of the longest palindromic factor, by expanding every centre."""
+    n = len(text)
+    best = 1
+    for center in range(n):
+        for lo, hi in ((center - 1, center + 1), (center, center + 1)):
+            while lo >= 0 and hi < n and text[lo] == text[hi]:
+                lo -= 1
+                hi += 1
+            best = max(best, hi - lo - 1)
+    return best
+
+
+def parse_by_letters(text: str) -> tuple[int, int]:
+    """(bits, length) of nonempty ``a``/``b`` or ``0``/``1`` text, one letter
+    at a time; raises WordError with the position of the first bad letter."""
+    alphabet = None
+    bits = 0
+    for pos, ch in enumerate(text):
+        if ch in "ab":
+            kind, bit = "letters", (1 if ch == "b" else 0)
+        elif ch in "01":
+            kind, bit = "digits", (1 if ch == "1" else 0)
+        else:
+            raise WordError(f"invalid character {ch!r} at position {pos + 1}")
+        if alphabet is None:
+            alphabet = kind
+        elif alphabet != kind:
+            raise WordError(f"mixed alphabets: {ch!r} at position {pos + 1}")
+        bits |= bit << pos
+    return bits, len(text)
 
 
 def text_of(bits: int, length: int) -> str:

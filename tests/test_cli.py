@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import io
 import json
 import tempfile
 import time
@@ -234,16 +235,65 @@ class TestInputContract:
         assert out == ""
 
     @pytest.mark.parametrize("tolerance", ["nan", "inf"])
-    def test_non_finite_tolerance_is_usage_error(self, capsys, tolerance):
-        code, out, err = run(capsys, "--format", "json", "bounds", "--tolerance", tolerance)
+    def test_non_finite_tolerance_is_usage_error(self, capsys, tmp_path, monkeypatch, tolerance):
+        monkeypatch.delenv("PALIN_CACHE_DIR", raising=False)
+        code, out, err = run(
+            capsys, "--format", "json", "bounds", "--tolerance", tolerance, "--cache-dir", str(tmp_path)
+        )
         assert code == 2
         assert "tolerance must be positive and finite" in err
         assert out == ""
+        # rejected before any histogram is read, computed or stored
+        assert not any(tmp_path.iterdir())
 
     def test_tiny_tolerance_terminates(self, capsys):
         code, out, _ = run(capsys, "--format", "json", "bounds", "--tolerance", "1e-300")
         assert code == 0
         assert abs(json.loads(out)["theta_prime"] - 0.0948820786) < 1e-10
+
+
+class TestWordFromStdin:
+    LONG = "a" * 100_000 + "b" * 100_000  # m = 2, and the witness is unique
+
+    @pytest.fixture
+    def stdin(self, monkeypatch):
+        return lambda text: monkeypatch.setattr("sys.stdin", io.StringIO(text))
+
+    def test_long_word_for_m(self, capsys, stdin):
+        stdin(f"  {self.LONG}\n")
+        code, out, _ = run(capsys, "m", "-")
+        assert code == 0
+        assert out == "2\n"
+
+    def test_long_word_for_factor(self, capsys, stdin):
+        stdin(f"\n{self.LONG} \n\n")
+        code, out, _ = run(capsys, "--format", "json", "factor", "-")
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["word"] == self.LONG
+        assert doc["m"] == 2
+        assert doc["cuts"] == [0, 100_000, 200_000]
+
+    def test_matches_the_argument_form(self, capsys, stdin):
+        stdin("aababbaabab\n")
+        assert run(capsys, "factor", "-") == run(capsys, "factor", "aababbaabab")
+
+    @pytest.mark.parametrize(
+        "text,message",
+        [
+            ("", "empty word"),
+            (" \n\t", "empty word"),
+            ("ab1\n", "mixed alphabets: '1' at position 3"),
+            ("a b", "invalid character ' ' at position 2"),
+        ],
+    )
+    @pytest.mark.parametrize("command", ["m", "factor"])
+    def test_bad_text_is_usage_error(self, capsys, stdin, command, text, message):
+        stdin(text)
+        code, out, err = run(capsys, command, "-")
+        assert code == 2
+        assert message in err
+        assert out == ""
 
 
 class TestBoundsCommand:

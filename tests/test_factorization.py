@@ -1,10 +1,12 @@
 from __future__ import annotations
 
+import random
+
 import pytest
 
-from oracles import brute_force_m
-from palfact.factorization import IncrementalState, measure, min_factorization, reachable_k
-from palfact.words import Word, WordError, is_palindrome, parse_word
+from oracles import IncrementalState, brute_force_m, longest_palindrome_by_centres, quadratic_dp
+from palfact.factorization import longest_palindromic_factor, measure, min_factorization, reachable_k
+from palfact.words import Word, WordError, family, is_palindrome, parse_word
 
 
 class TestMinFactorization:
@@ -125,6 +127,85 @@ class TestReachableK:
         for n in range(1, 10):
             for bits in range(0, 1 << n, 7):
                 assert n in reachable_k(Word(bits, n), n)
+
+
+def _fibonacci(length: int) -> str:
+    word = "a"
+    while len(word) < length:
+        word = "".join("ab" if c == "a" else "a" for c in word)
+    return word[:length]
+
+
+def _seeded_words() -> list[str]:
+    """Uniform random and palindrome-rich words of up to 2000 letters."""
+    rng = random.Random(2014)
+
+    def uniform(length: int) -> str:
+        return "".join(rng.choice("ab") for _ in range(length))
+
+    def palindrome(length: int) -> str:
+        half = uniform(length // 2)
+        return half + uniform(length % 2) + half[::-1]
+
+    words = [uniform(n) for n in (15, 37, 200, 777, 2000)]
+    words += ["a" * 1500, "a" * 700 + "b" + "a" * 699]
+    words += [_fibonacci(2000), _fibonacci(1597)[::-1].translate(str.maketrans("ab", "ba"))]
+    words += ["".join(palindrome(rng.randint(1, 300)) for _ in range(k)) for k in (2, 5, 12)]
+    words += [palindrome(1201), palindrome(64) * 20 + uniform(30)]
+    words += [family("W", 150).text, family("U", 1234).text, family("V", 300).text]
+    return words
+
+
+class TestQuadraticOracle:
+    """The palindromic-tree engine against the quadratic DP in ``oracles``."""
+
+    @pytest.fixture(scope="class")
+    def small_words(self):
+        """Every word of length 1..14 with its oracle values: m, cuts, the
+        full set of reachable block counts and the longest palindrome."""
+        table = []
+        for n in range(1, 15):
+            for bits in range(1 << n):
+                w = Word(bits, n)
+                m, cuts, reach = quadratic_dp(w.text, n)
+                table.append((w, m, cuts, reach, longest_palindrome_by_centres(w.text)))
+        return table
+
+    def test_min_factorization_and_measure_to_14(self, small_words):
+        for w, m, cuts, _, _ in small_words:
+            fact = min_factorization(w)
+            assert (fact.m, fact.cuts) == (m, cuts), w.text
+            assert measure(w) == m, w.text
+
+    def test_reachable_k_to_14(self, small_words):
+        for w, _, _, reach, _ in small_words:
+            n = w.length
+            assert reachable_k(w, n) == reach, w.text
+            assert reachable_k(w, n // 2) == {k for k in reach if k <= n // 2}, w.text
+
+    def test_longest_palindromic_factor_to_14(self, small_words):
+        for w, _, _, _, longest in small_words:
+            assert longest_palindromic_factor(w) == longest, w.text
+
+    @pytest.mark.parametrize("text", _seeded_words(), ids=lambda t: f"{t[:6]}..{len(t)}")
+    def test_seeded_words_to_2000(self, text):
+        n = len(text)
+        m, cuts, reach = quadratic_dp(text, n)
+        fact = min_factorization(text)
+        assert (fact.m, fact.cuts) == (m, cuts)
+        assert measure(text) == m
+        assert reachable_k(text, n) == reach
+        assert reachable_k(text, n // 2) == {k for k in reach if k <= n // 2}
+        assert longest_palindromic_factor(parse_word(text)) == longest_palindrome_by_centres(text)
+
+    def test_factor_of_100k_letters_is_a_valid_witness(self):
+        rng = random.Random(5)
+        text = "".join(rng.choice("ab") for _ in range(60_000)) + "ab" * 10_000 + _fibonacci(20_000)
+        fact = min_factorization(text)
+        assert fact.cuts[0] == 0 and fact.cuts[-1] == len(text) == 100_000
+        assert len(fact.cuts) == fact.m + 1
+        assert all(block and block == block[::-1] for block in fact.blocks())
+        assert fact.m == measure(text)
 
 
 class TestMeasureInvariants:

@@ -1,16 +1,17 @@
 from __future__ import annotations
 
+import itertools
 import random
 
 import pytest
 
+from oracles import PalTable, parse_by_letters, text_of
+from palfact.factorization import longest_palindromic_factor
 from palfact.words import (
-    PalTable,
     Word,
     WordError,
     family,
     is_palindrome,
-    longest_palindromic_factor,
     orbit,
     parse_word,
     symmetries,
@@ -39,6 +40,30 @@ class TestParse:
         with pytest.raises(WordError):
             parse_word("")
         assert parse_word("", allow_empty=True) == Word.empty()
+
+    def test_matches_letter_by_letter_parse(self):
+        texts = ["".join(p) for n in range(1, 6) for p in itertools.product("ab01x", repeat=n)]
+        texts += ["ab" * 500 + "0", "1" * 999 + "b", "\u00e9ab", "a\nb", "bbbb "]
+        for text in texts:
+            try:
+                expected = parse_by_letters(text)
+            except WordError as exc:
+                with pytest.raises(WordError) as got:
+                    parse_word(text)
+                assert str(got.value) == str(exc), text
+            else:
+                w = parse_word(text)
+                assert (w.bits, w.length) == expected, text
+
+    def test_text_matches_letter_by_letter(self):
+        for n in range(0, 11):
+            for bits in range(1 << n):
+                assert Word(bits, n).text == text_of(bits, n)
+        rng = random.Random(11)
+        bits = rng.getrandbits(100_000) | 1 << 99_999
+        w = Word(bits, 100_000)
+        assert w.text == text_of(bits, 100_000)
+        assert parse_word(w.text) == w
 
     def test_bits_validation(self):
         with pytest.raises(WordError):
