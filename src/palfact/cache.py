@@ -1,11 +1,19 @@
-"""On-disk result cache for enumeration rows.
+"""On-disk cache of enumeration rows.
 
-One JSON document per (kind, n), named ``<kind>_<n>.json``, carrying a
-schema version and a payload checksum.  Anything that fails validation,
-including a payload impossible for its length, is ignored and recomputed;
-an unwritable directory degrades to in-memory operation with a warning,
-never a hard failure.  Writes go through a temporary file and an atomic
-rename.
+One JSON document per length, ``row_<n>.json``, carrying a schema version
+and a payload checksum.  The payload ``{"n", "counts", "sample_maximizers"}``
+holds the histogram of m over all 2^n words and the canonical orbit
+representatives of the maximizers; K(n) = max(counts) and the maximizer
+count counts[K] are derived on read, so they cannot disagree with the
+histogram.  This module alone knows the payload format.
+
+Anything that fails validation is ignored and recomputed: a file of another
+schema (files of schema 1, one per ``kmax`` or ``histogram`` row, are never
+read), a checksum mismatch, or a payload impossible for its length (counts
+not summing to 2^n, a key outside 1..n, a count that is not positive and
+even, or a sample that is not a word of n letters over a/b).  An unwritable
+directory degrades to in-memory operation with a warning, never a hard
+failure.  Writes go through a temporary file and an atomic rename.
 """
 
 from __future__ import annotations
@@ -19,9 +27,13 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any
 
+from .distribution import MHistogram
+from .extremal import ExtremalRow
+
 __all__ = ["SCHEMA_VERSION", "CacheEntry", "ResultCache", "payload_checksum"]
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
+_ROW_KIND = "row"
 
 
 def payload_checksum(payload: dict[str, Any]) -> str:
@@ -29,23 +41,23 @@ def payload_checksum(payload: dict[str, Any]) -> str:
     return hashlib.sha256(canonical.encode()).hexdigest()
 
 
-def _possible(kind: str, n: int, payload: dict[str, Any]) -> bool:
-    """Whether a payload can describe the words of length n: a histogram
-    counts all 2^n words at m in 1..n, and K(n) in 1..n is attained by an
-    even number of words (the letter swap pairs them)."""
-    if payload.get("n") != n:
-        return False
-    if kind == "histogram":
-        counts = payload.get("counts")
-        return (
-            isinstance(counts, dict)
-            and all(k.isdecimal() and 1 <= int(k) <= n and isinstance(c, int) and c > 0 for k, c in counts.items())
-            and sum(counts.values()) == 1 << n
+def _possible(n: int, payload: dict[str, Any]) -> bool:
+    """Whether a row payload can describe the words of length n: its counts
+    cover all 2^n words at m in 1..n, each count is even (the letter swap
+    pairs the words), and the samples are words of length n."""
+    counts, samples = payload.get("counts"), payload.get("sample_maximizers")
+    return (
+        payload.get("n") == n
+        and isinstance(counts, dict)
+        and all(
+            k.isdecimal() and 1 <= int(k) <= n and isinstance(c, int) and c > 0 and c % 2 == 0
+            for k, c in counts.items()
         )
-    if kind == "kmax":
-        k, count = payload.get("K"), payload.get("maximizer_count")
-        return isinstance(k, int) and 1 <= k <= n and isinstance(count, int) and count > 0 and count % 2 == 0
-    return False
+        and sum(counts.values()) == 1 << n
+        and isinstance(samples, list)
+        and bool(samples)
+        and all(isinstance(w, str) and len(w) == n and not w.strip("ab") for w in samples)
+    )
 
 
 @dataclass(frozen=True)
@@ -103,16 +115,35 @@ class ResultCache:
             return None
         payload = raw.get("payload")
         if (
-            raw.get("kind") != kind
+            kind != _ROW_KIND
+            or raw.get("kind") != kind
             or raw.get("n") != n
             or raw.get("schema_version") != SCHEMA_VERSION
             or not isinstance(payload, dict)
             or raw.get("checksum") != payload_checksum(payload)
-            or not _possible(kind, n, payload)
+            or not _possible(n, payload)
         ):
             warnings.warn(f"ignoring stale or corrupt cache file {path}", stacklevel=2)
             return None
         return payload
+
+    def load_row(self, n: int) -> tuple[MHistogram, ExtremalRow] | None:
+        """The cached row of length n as its histogram and its K-table row."""
+        payload = self.load(_ROW_KIND, n)
+        if payload is None:
+            return None
+        counts = dict(sorted((int(k), c) for k, c in payload["counts"].items()))
+        k = max(counts)
+        return MHistogram(n, counts), ExtremalRow(n, k, counts[k], tuple(payload["sample_maximizers"]))
+
+    def store_row(self, hist: MHistogram, row: ExtremalRow) -> bool:
+        """Persist the row of one length; K and its count are not stored."""
+        payload = {
+            "n": hist.n,
+            "counts": {str(k): c for k, c in hist.counts.items()},
+            "sample_maximizers": list(row.sample_maximizers),
+        }
+        return self.store(CacheEntry(kind=_ROW_KIND, n=hist.n, payload=payload))
 
     def store(self, entry: CacheEntry) -> bool:
         """Persist one entry; returns False (with a warning) when the

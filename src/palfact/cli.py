@@ -8,7 +8,11 @@ enumeration pass.
 
 The shared options (--format, --cache-dir, --seed) are accepted both
 before and after the subcommand; the subcommand position wins, and
-PALIN_CACHE_DIR overrides any --cache-dir.
+PALIN_CACHE_DIR overrides any --cache-dir.  kmax, kbar, histogram and
+bounds read the per-length rows they print (histogram and bounds one row,
+the tables every row up to --max-n) through one cache helper; a miss makes
+one enumeration pass that stores every row it made.  The cache format is
+known to ``cache`` alone.
 """
 
 from __future__ import annotations
@@ -24,7 +28,7 @@ import click
 
 from . import distribution, extremal, lemmas
 from .asymptotics import bounds_report
-from .cache import CacheEntry, ResultCache
+from .cache import ResultCache
 from .distribution import AverageRow, MHistogram
 from .enumeration import PACKED_LIMIT
 from .extremal import ExtremalRow
@@ -174,57 +178,19 @@ def factor_command(base: RunConfig, word: str, fmt, cache_dir, seed) -> None:
         click.echo(str(fact))
 
 
-def _kmax_rows_cached(config: RunConfig, n_max: int) -> list[ExtremalRow]:
+def _cached_rows(config: RunConfig, lengths: range) -> list[tuple[MHistogram, ExtremalRow]]:
+    """The rows of the given lengths from the cache.  If any is missing, one
+    enumeration pass up to the longest of them makes them all, and every row
+    of that pass is stored."""
     cache = config.cache
-    cached = [cache.load("kmax", n) for n in range(1, n_max + 1)]
-    if all(payload is not None for payload in cached):
-        return [
-            ExtremalRow(
-                n=payload["n"],
-                k=payload["K"],
-                maximizer_count=payload["maximizer_count"],
-                sample_maximizers=tuple(payload["sample_maximizers"]),
-            )
-            for payload in cached  # type: ignore[index]
-        ]
-    rows = _lib_call(extremal.k_max_rows, n_max)
-    for row in rows:
-        cache.store(
-            CacheEntry(
-                kind="kmax",
-                n=row.n,
-                payload={
-                    "n": row.n,
-                    "K": row.k,
-                    "maximizer_count": row.maximizer_count,
-                    "sample_maximizers": list(row.sample_maximizers),
-                },
-            )
-        )
-    return rows
-
-
-def _histograms_cached(config: RunConfig, n_max: int) -> list[MHistogram]:
-    cache = config.cache
-    cached = [cache.load("histogram", n) for n in range(1, n_max + 1)]
-    if all(payload is not None for payload in cached):
-        return [
-            MHistogram(
-                n=payload["n"],
-                counts={int(k): v for k, v in sorted(payload["counts"].items(), key=lambda kv: int(kv[0]))},
-            )
-            for payload in cached  # type: ignore[index]
-        ]
-    rows = _lib_call(distribution.histogram_rows, n_max)
-    for row in rows:
-        cache.store(
-            CacheEntry(
-                kind="histogram",
-                n=row.n,
-                payload={"n": row.n, "counts": {str(k): v for k, v in row.counts.items()}},
-            )
-        )
-    return rows
+    cached = [cache.load_row(n) for n in lengths]
+    if all(row is not None for row in cached):
+        return cached  # type: ignore[return-value]
+    n_max = lengths[-1]
+    rows = list(zip(_lib_call(distribution.histogram_rows, n_max), _lib_call(extremal.k_max_rows, n_max)))
+    for hist, row in rows:
+        cache.store_row(hist, row)
+    return [rows[n - 1] for n in lengths]
 
 
 def _orbit_json(representative: str) -> dict:
@@ -241,7 +207,7 @@ def kmax_command(base: RunConfig, max_n: int, allow_long: bool, fmt, cache_dir, 
     """Exact worst-case table K(1)..K(MAX_N) by full enumeration."""
     config = _resolve(base, fmt, cache_dir, seed)
     _guard_length("--max-n", max_n, allow_long)
-    rows = _kmax_rows_cached(config, max_n)
+    rows = [row for _, row in _cached_rows(config, range(1, max_n + 1))]
     if config.format == "csv":
         click.echo("n,K,maximizer_count")
         for row in rows:
@@ -274,8 +240,7 @@ def kbar_command(base: RunConfig, max_n: int, allow_long: bool, fmt, cache_dir, 
     """Exact average table kbar(1)..kbar(MAX_N)."""
     config = _resolve(base, fmt, cache_dir, seed)
     _guard_length("--max-n", max_n, allow_long)
-    hists = _histograms_cached(config, max_n)
-    rows = [AverageRow(n=h.n, s=h.s) for h in hists]
+    rows = [AverageRow(n=h.n, s=h.s) for h, _ in _cached_rows(config, range(1, max_n + 1))]
     if config.format == "csv":
         click.echo("n,S,kbar_decimal,kbar_num,kbar_den_pow2")
         for row in rows:
@@ -309,7 +274,7 @@ def histogram_command(base: RunConfig, n: int, allow_long: bool, fmt, cache_dir,
     """Exact counts x_k of words of length N with m = k."""
     config = _resolve(base, fmt, cache_dir, seed)
     _guard_length("--n", n, allow_long)
-    hist = _histograms_cached(config, n)[-1]
+    [(hist, _)] = _cached_rows(config, range(n, n + 1))
     if config.format == "csv":
         click.echo("n,k,x_k")
         for k, count in sorted(hist.counts.items()):
@@ -385,17 +350,7 @@ def _verify_reports(config: RunConfig, target: str, max_n: int, trials: int) -> 
             }
         )
 
-    lemma_runs = {
-        "lemma1": lambda: lemmas.verify_lemma1(8),
-        "lemma2": lambda: lemmas.verify_case_lemma(2),
-        "lemma3": lambda: lemmas.verify_case_lemma(3),
-        "lemma4": lambda: lemmas.verify_case_lemma(4),
-        "lemma7": lambda: lemmas.verify_lemma7(10),
-        "lemma8": lambda: lemmas.verify_lemma8(6),
-        "lemma9": lambda: lemmas.verify_lemma9(5),
-        "ksum": lambda: lemmas.ksum_property(trials, config.seed),
-    }
-    for name, run in lemma_runs.items():
+    for name, run in lemmas.standard_runs(trials, config.seed).items():
         if target in (name, "all"):
             rep = run()
             params = dict(rep.params)
@@ -475,12 +430,11 @@ def verify_command(base: RunConfig, target: str, max_n: int, trials: int, fmt, c
 def bounds_command(base: RunConfig, tolerance: float, fmt, cache_dir, seed) -> None:
     """Both bound constants for the limit of kbar(n)/n."""
     config = _resolve(base, fmt, cache_dir, seed)
-    # Checked here so that a bad value exits before 21 histograms are read or computed.
+    # Checked here so that a bad value exits before the n = 21 row is read or computed.
     if not 0 < tolerance < math.inf:
         raise click.UsageError(f"--tolerance must be positive and finite, got {tolerance}")
-    hists = _histograms_cached(config, 21)
-    rows = [AverageRow(n=h.n, s=h.s) for h in hists]
-    report = _lib_call(bounds_report, rows, tolerance)
+    [(hist, _)] = _cached_rows(config, range(21, 22))
+    report = _lib_call(bounds_report, [AverageRow(n=21, s=hist.s)], tolerance)
     den = report.upper_bound.denominator
     exp2 = (den & -den).bit_length() - 1
     odd = den >> exp2

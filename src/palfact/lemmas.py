@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Any
+from typing import Any, Callable
 
 import numpy as np
 
@@ -31,6 +31,7 @@ __all__ = [
     "verify_lemma8",
     "verify_lemma9",
     "ksum_property",
+    "standard_runs",
     "all_reports",
 ]
 
@@ -334,23 +335,21 @@ def ksum_property(trials: int, seed: int) -> LemmaReport:
     return LemmaReport("ksum", {"trials": trials, "seed": seed}, trials, tuple(bad))
 
 
-def all_reports(
-    *,
-    lemma1_n_max: int = 8,
-    lemma7_n_max: int = 10,
-    lemma8_t_max: int = 6,
-    lemma9_n_max: int = 5,
-    ksum_trials: int = 10_000,
-    seed: int = 42,
-) -> list[LemmaReport]:
+def standard_runs(ksum_trials: int = 10_000, seed: int = 42) -> dict[str, Callable[[], LemmaReport]]:
+    """The claim suite with its standard parameters, in report order, keyed
+    by ``verify`` target; each run starts only when called."""
+    return {
+        "lemma1": lambda: verify_lemma1(8),
+        "lemma2": lambda: verify_case_lemma(2),
+        "lemma3": lambda: verify_case_lemma(3),
+        "lemma4": lambda: verify_case_lemma(4),
+        "lemma7": lambda: verify_lemma7(10),
+        "lemma8": lambda: verify_lemma8(6),
+        "lemma9": lambda: verify_lemma9(5),
+        "ksum": lambda: ksum_property(ksum_trials, seed),
+    }
+
+
+def all_reports(*, ksum_trials: int = 10_000, seed: int = 42) -> list[LemmaReport]:
     """Run the full suite with its standard parameters."""
-    return [
-        verify_lemma1(lemma1_n_max),
-        verify_case_lemma(2),
-        verify_case_lemma(3),
-        verify_case_lemma(4),
-        verify_lemma7(lemma7_n_max),
-        verify_lemma8(lemma8_t_max),
-        verify_lemma9(lemma9_n_max),
-        ksum_property(ksum_trials, seed),
-    ]
+    return [run() for run in standard_runs(ksum_trials, seed).values()]

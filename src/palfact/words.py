@@ -40,11 +40,8 @@ class WordError(ValueError):
 
 
 def _reverse_bits(bits: int, length: int) -> int:
-    out = 0
-    for _ in range(length):
-        out = (out << 1) | (bits & 1)
-        bits >>= 1
-    return out
+    # Linear: one string of the bits, reversed and parsed back.
+    return int(format(bits, f"0{length}b")[::-1], 2) if length else 0
 
 
 @dataclass(frozen=True)
@@ -142,7 +139,8 @@ class Symmetries(NamedTuple):
 
 def symmetries(w: Word) -> Symmetries:
     """The three nontrivial images of ``w`` under letter swap and reversal."""
-    return Symmetries(w.reversed(), w.complement(), w.reversed_complement())
+    reversal = w.reversed()
+    return Symmetries(reversal, w.complement(), reversal.complement())
 
 
 def orbit(w: Word) -> tuple[Word, ...]:

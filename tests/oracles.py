@@ -9,7 +9,8 @@ package's palindromic-tree engine: ``PalTable`` (a push/pop triangular
 palindrome table), ``IncrementalState`` (the recurrence for m over it, with
 the same shortest-final-block witness), ``quadratic_reachable`` (the
 block-count bitsets by a full scan of suffix starts) and
-``longest_palindrome_by_centres``.  The depth-first oracle ``dfs_scan``
+``longest_palindrome_by_centres``; ``reverse_bits_per_letter`` is the
+per-letter reversal that ``palfact.words`` replaced.  The depth-first oracle ``dfs_scan``
 evaluates m by push/pop of ``IncrementalState``, so it shares no code with
 either the layer DP in ``palfact.enumeration`` or the single-word engine in
 ``palfact.factorization``.
@@ -206,6 +207,15 @@ def parse_by_letters(text: str) -> tuple[int, int]:
             raise WordError(f"mixed alphabets: {ch!r} at position {pos + 1}")
         bits |= bit << pos
     return bits, len(text)
+
+
+def reverse_bits_per_letter(bits: int, length: int) -> int:
+    """The packed word read backwards, one bit shifted per letter."""
+    out = 0
+    for _ in range(length):
+        out = (out << 1) | (bits & 1)
+        bits >>= 1
+    return out
 
 
 def text_of(bits: int, length: int) -> str:

@@ -123,16 +123,16 @@ def test_criterion_5_bounds(avg21):
 @criterion("6", "claim suite: seed witnesses, three case analyses, block powers, both families, tuple inequality")
 def test_criterion_6_lemma_suite():
     start = time.perf_counter()
-    reports = all_reports(
-        lemma1_n_max=8,
-        lemma7_n_max=10,
-        lemma8_t_max=6,
-        lemma9_n_max=5,
-        ksum_trials=10_000,
-        seed=42,
-    )
+    reports = all_reports(ksum_trials=10_000, seed=42)
     elapsed = time.perf_counter() - start
     assert elapsed < 300
+    params = {report.lemma_id: report.params for report in reports}
+    assert [params[name] for name in ("lemma1", "lemma7", "lemma8", "lemma9")] == [
+        {"n_max": 8},
+        {"n_max": 10},
+        {"t_max": 6},
+        {"n_max": 5},
+    ]
     for report in reports:
         assert report.passed, f"{report.lemma_id}: {report.counterexamples[:3]}"
     total = sum(report.cases for report in reports)

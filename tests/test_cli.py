@@ -171,6 +171,20 @@ class TestVerifyCommand:
         _, out2, _ = run(capsys, "--seed", "1", "--format", "json", "verify", "ksum", "--trials", "200")
         assert out1 == out2
 
+    def test_json_lemma_entries_equal_all_reports(self, capsys):
+        code, out, _ = run(
+            capsys, "--format", "json", "verify", "all", "--max-n", "9", "--seed", "3", "--trials", "300"
+        )
+        assert code == 0
+        entries = json.loads(out)
+        reports = lemmas.all_reports(ksum_trials=300, seed=3)
+        assert [e["lemma"] for e in entries[: len(reports)]] == [r.lemma_id for r in reports]
+        assert [e["lemma"] for e in entries[len(reports) :]] == ["theorem1", "subadditivity", "counting"]
+        for entry, rep in zip(entries, reports):
+            assert entry["params"] == json.loads(json.dumps({**rep.params, "cases": rep.cases}))
+            assert entry["verdict"] == rep.verdict
+            assert entry["counterexamples"] == json.loads(json.dumps(list(rep.counterexamples)))
+
     def test_verify_rejects_bad_target(self, capsys):
         code, _, _ = run(capsys, "verify", "lemma6")
         assert code == 2
@@ -314,76 +328,106 @@ class TestBoundsCommand:
         assert "0.2030" in out
 
 
+def _row_payload(n=4, counts=None, samples=None):
+    """A possible row payload for length 4 (or the given parts)."""
+    return {
+        "n": n,
+        "counts": {"1": 4, "2": 8, "3": 4} if counts is None else counts,
+        "sample_maximizers": ["aaba"] if samples is None else samples,
+    }
+
+
 class TestCache:
     def test_roundtrip(self, tmp_path):
         cache = ResultCache(tmp_path)
-        entry = CacheEntry(kind="kmax", n=20, payload={"n": 20, "K": 8, "maximizer_count": 8, "sample_maximizers": []})
+        entry = CacheEntry(kind="row", n=4, payload=_row_payload())
         assert cache.store(entry)
-        assert cache.load("kmax", 20) == entry.payload
+        assert (tmp_path / "row_4.json").exists()
+        assert cache.load("row", 4) == entry.payload
+        hist, row = cache.load_row(4)
+        assert hist.counts == {1: 4, 2: 8, 3: 4}
+        assert (row.n, row.k, row.maximizer_count, row.sample_maximizers) == (4, 3, 4, ("aaba",))
 
     def test_checksum_guards_payload(self, tmp_path):
         cache = ResultCache(tmp_path)
-        entry = CacheEntry(kind="kmax", n=5, payload={"n": 5, "K": 2})
-        cache.store(entry)
-        path = tmp_path / "kmax_5.json"
+        cache.store(CacheEntry(kind="row", n=4, payload=_row_payload()))
+        path = tmp_path / "row_4.json"
         doc = json.loads(path.read_text())
-        doc["payload"]["K"] = 99
+        doc["payload"]["counts"]["3"] = 2
+        doc["payload"]["counts"]["2"] = 10
         path.write_text(json.dumps(doc))
         with pytest.warns(UserWarning):
-            assert cache.load("kmax", 5) is None
+            assert cache.load_row(4) is None
 
     def test_truncated_file_recomputes(self, tmp_path):
         cache = ResultCache(tmp_path)
-        cache.store(CacheEntry(kind="histogram", n=4, payload={"n": 4, "counts": {"1": 4}}))
-        path = tmp_path / "histogram_4.json"
+        cache.store(CacheEntry(kind="row", n=4, payload=_row_payload()))
+        path = tmp_path / "row_4.json"
         path.write_text(path.read_text()[: len(path.read_text()) // 2])
         with pytest.warns(UserWarning):
-            assert cache.load("histogram", 4) is None
+            assert cache.load_row(4) is None
 
     def test_version_bump_recomputes(self, tmp_path):
         cache = ResultCache(tmp_path)
-        cache.store(CacheEntry(kind="kmax", n=3, payload={"n": 3, "K": 2}))
-        path = tmp_path / "kmax_3.json"
+        cache.store(CacheEntry(kind="row", n=4, payload=_row_payload()))
+        path = tmp_path / "row_4.json"
         doc = json.loads(path.read_text())
-        assert doc["schema_version"] == SCHEMA_VERSION
-        doc["schema_version"] = SCHEMA_VERSION + 1
-        path.write_text(json.dumps(doc))
-        with pytest.warns(UserWarning):
-            assert cache.load("kmax", 3) is None
+        assert doc["schema_version"] == SCHEMA_VERSION == 2
+        for stale in (SCHEMA_VERSION - 1, SCHEMA_VERSION + 1):
+            doc["schema_version"] = stale
+            path.write_text(json.dumps(doc))
+            with pytest.warns(UserWarning):
+                assert cache.load_row(4) is None
 
     def test_unwritable_directory_warns_not_fails(self, tmp_path):
         blocker = tmp_path / "blocker"
         blocker.write_text("file, not a directory")
         cache = ResultCache(blocker / "sub")
         with pytest.warns(UserWarning):
-            stored = cache.store(CacheEntry(kind="kmax", n=1, payload={"n": 1}))
+            stored = cache.store(CacheEntry(kind="row", n=4, payload=_row_payload()))
         assert stored is False
 
+    # The first parameter names the view of the row a payload makes
+    # impossible: the histogram (counts) or the K table (the maximum, its
+    # count and the sample maximizers derived from or stored with it).
     @pytest.mark.parametrize(
-        "kind,payload",
+        "view,payload",
         [
-            ("histogram", {"n": 4, "counts": {"1": 8, "2": 6}}),  # sums to 14, not 2^4
-            ("histogram", {"n": 4, "counts": {"0": 8, "2": 8}}),
-            ("histogram", {"n": 4, "counts": {"1": 8, "5": 8}}),
-            ("histogram", {"n": 3, "counts": {"1": 8, "2": 8}}),
-            ("kmax", {"n": 3, "K": 2, "maximizer_count": 12, "sample_maximizers": []}),
-            ("kmax", {"n": 4, "K": 0, "maximizer_count": 12, "sample_maximizers": []}),
-            ("kmax", {"n": 4, "K": 5, "maximizer_count": 12, "sample_maximizers": []}),
-            ("kmax", {"n": 4, "K": 2, "maximizer_count": 3, "sample_maximizers": []}),
-            ("kmax", {"n": 4, "K": 2, "maximizer_count": 0, "sample_maximizers": []}),
+            ("histogram", _row_payload(counts={"1": 8, "2": 6})),  # sums to 14, not 2^4
+            ("histogram", _row_payload(counts={"0": 8, "2": 8})),
+            ("histogram", _row_payload(counts={"1": 8, "5": 8})),
+            ("histogram", _row_payload(n=3, counts={"1": 8, "2": 8})),
+            ("kmax", _row_payload(n=3)),
+            ("kmax", _row_payload(counts={"0": 4, "1": 12})),  # K = 0
+            ("kmax", _row_payload(counts={"1": 12, "5": 4})),  # K above n
+            ("kmax", _row_payload(counts={"1": 6, "2": 7, "3": 3})),  # odd counts
+            ("kmax", _row_payload(counts={"1": 8, "2": 8, "3": 0})),  # K attained by no word
+            ("kmax", _row_payload(samples=["aab"])),  # a sample of the wrong length
+            ("kmax", _row_payload(samples=["aaba", "0010"])),  # a sample over the wrong alphabet
+            ("kmax", _row_payload(samples=[])),
+            ("kmax", {"n": 4, "counts": {"1": 4, "2": 8, "3": 4}}),  # schema 1 histogram shape
         ],
     )
-    def test_impossible_payload_is_rejected(self, tmp_path, kind, payload):
+    def test_impossible_payload_is_rejected(self, tmp_path, view, payload):
         cache = ResultCache(tmp_path)
-        assert cache.store(CacheEntry(kind=kind, n=4, payload=payload))
+        assert cache.store(CacheEntry(kind="row", n=4, payload=payload))
         with pytest.warns(UserWarning, match="stale or corrupt"):
-            assert cache.load(kind, 4) is None
+            assert cache.load_row(4) is None
 
     def test_possible_histogram_is_served(self, tmp_path):
         cache = ResultCache(tmp_path)
-        payload = {"n": 4, "counts": {"1": 4, "2": 8, "3": 4}}
-        cache.store(CacheEntry(kind="histogram", n=4, payload=payload))
-        assert cache.load("histogram", 4) == payload
+        payload = _row_payload(counts={"1": 4, "2": 8, "3": 2, "4": 2}, samples=["abab", "aabb"])
+        cache.store(CacheEntry(kind="row", n=4, payload=payload))
+        assert cache.load("row", 4) == payload
+        hist, row = cache.load_row(4)
+        assert list(hist.counts) == [1, 2, 3, 4]
+        assert (row.k, row.maximizer_count, row.sample_maximizers) == (4, 2, ("abab", "aabb"))
+
+    def test_other_kinds_are_not_served(self, tmp_path):
+        cache = ResultCache(tmp_path)
+        assert cache.store(CacheEntry(kind="histogram", n=4, payload=_row_payload()))
+        with pytest.warns(UserWarning, match="stale or corrupt"):
+            assert cache.load("histogram", 4) is None
 
     def test_checksum_is_canonical(self):
         a = payload_checksum({"x": 1, "y": 2})
@@ -392,38 +436,44 @@ class TestCache:
 
     def test_disabled_cache(self):
         cache = ResultCache(None)
-        assert cache.load("kmax", 1) is None
-        assert not cache.store(CacheEntry(kind="kmax", n=1, payload={}))
+        assert cache.load("row", 1) is None
+        assert cache.load_row(1) is None
+        assert not cache.store(CacheEntry(kind="row", n=1, payload={}))
+
+
+def _cache_state(directory):
+    return {p.name: (p.stat().st_ino, p.stat().st_mtime_ns) for p in directory.iterdir()}
 
 
 class TestCliCacheIntegration:
     def test_cached_rows_equal_fresh(self, capsys, tmp_path):
         code, fresh, _ = run(capsys, "--cache-dir", str(tmp_path), "--format", "csv", "kmax", "--max-n", "10")
         assert code == 0
-        assert (tmp_path / "kmax_10.json").exists()
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(f"row_{n}.json" for n in range(1, 11))
         code, cached, _ = run(capsys, "--cache-dir", str(tmp_path), "--format", "csv", "kmax", "--max-n", "10")
         assert code == 0
         assert cached == fresh
 
     def test_histogram_cache_reused_by_kbar(self, capsys, tmp_path):
         run(capsys, "--cache-dir", str(tmp_path), "--format", "csv", "kbar", "--max-n", "8")
-        assert (tmp_path / "histogram_8.json").exists()
+        assert (tmp_path / "row_8.json").exists()
         code, out, _ = run(capsys, "--cache-dir", str(tmp_path), "--format", "csv", "histogram", "--n", "8")
         assert code == 0
 
     def test_corrupt_cache_recomputed(self, capsys, tmp_path):
         run(capsys, "--cache-dir", str(tmp_path), "--format", "csv", "kmax", "--max-n", "6")
-        (tmp_path / "kmax_6.json").write_text("{not json")
+        (tmp_path / "row_6.json").write_text("{not json")
         with pytest.warns(UserWarning):
             code, out, _ = run(capsys, "--cache-dir", str(tmp_path), "--format", "csv", "kmax", "--max-n", "6")
         assert code == 0
         assert out.strip().splitlines()[-1] == f"6,{K_TABLE[5]},12"
+        assert json.loads((tmp_path / "row_6.json").read_text())["schema_version"] == SCHEMA_VERSION
 
     def test_histogram_off_by_two_is_recomputed(self, capsys, tmp_path):
         argv = ("--cache-dir", str(tmp_path), "--format", "csv", "histogram", "--n", "8")
         code, cold, _ = run(capsys, *argv)
         assert code == 0
-        path = tmp_path / "histogram_8.json"
+        path = tmp_path / "row_8.json"
         doc = json.loads(path.read_text())
         doc["payload"]["counts"]["1"] += 2
         doc["checksum"] = payload_checksum(doc["payload"])
@@ -433,13 +483,25 @@ class TestCliCacheIntegration:
         assert code == 0
         assert rerun == cold
 
+    def test_schema_one_files_are_never_read(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.delenv("PALIN_CACHE_DIR", raising=False)
+        argv = ("--format", "csv", "kmax", "--max-n", "4")
+        _, expected, _ = run(capsys, *argv)
+        wrong = {"n": 4, "K": 4, "maximizer_count": 2, "sample_maximizers": ["abab"]}
+        old = CacheEntry(kind="kmax", n=4, payload=wrong, version=1)
+        (tmp_path / "kmax_4.json").write_text(old.to_json())
+        code, out, _ = run(capsys, "--cache-dir", str(tmp_path), *argv)
+        assert code == 0
+        assert out == expected
+        assert (tmp_path / "kmax_4.json").read_text() == old.to_json()
+
     def test_env_var_overrides_flag(self, capsys, tmp_path, monkeypatch):
         env_dir = tmp_path / "from_env"
         flag_dir = tmp_path / "from_flag"
         monkeypatch.setenv("PALIN_CACHE_DIR", str(env_dir))
         code, _, _ = run(capsys, "--cache-dir", str(flag_dir), "--format", "csv", "kmax", "--max-n", "4")
         assert code == 0
-        assert (env_dir / "kmax_4.json").exists()
+        assert (env_dir / "row_4.json").exists()
         assert not flag_dir.exists()
 
 
@@ -467,6 +529,38 @@ class TestEnumerationPasses:
         assert run(capsys, "kmax", "--max-n", "10")[0] == 0
         assert run(capsys, "histogram", "--n", "8")[0] == 0
         assert scans == [10]
+
+    @pytest.mark.parametrize(
+        "argv,loaded",
+        [
+            (("kmax", "--max-n", "21"), list(range(1, 22))),
+            (("--format", "json", "kmax", "--max-n", "21"), list(range(1, 22))),
+            (("histogram", "--n", "21"), [21]),
+            (("--format", "json", "histogram", "--n", "21"), [21]),
+            (("bounds",), [21]),
+        ],
+    )
+    def test_rows_stored_by_kbar_serve_every_table(self, capsys, scans, tmp_path, monkeypatch, argv, loaded):
+        cache_dir = tmp_path / "cache"
+        expected = run(capsys, *argv)
+        assert expected[0] == 0
+        assert run(capsys, "--cache-dir", str(cache_dir), "kbar", "--max-n", "21")[0] == 0
+        assert sorted(p.name for p in cache_dir.iterdir()) == sorted(f"row_{n}.json" for n in range(1, 22))
+        before = _cache_state(cache_dir)
+        monkeypatch.setattr(enumeration, "_memo", {})
+        scans.clear()
+        loads = []
+        load = ResultCache.load
+        monkeypatch.setattr(ResultCache, "load", lambda self, kind, n: loads.append(n) or load(self, kind, n))
+        assert run(capsys, "--cache-dir", str(cache_dir), *argv) == expected
+        assert scans == []
+        assert loads == loaded
+        assert _cache_state(cache_dir) == before
+
+    def test_single_row_miss_stores_every_row_of_its_pass(self, capsys, scans, tmp_path):
+        assert run(capsys, "--cache-dir", str(tmp_path), "histogram", "--n", "9")[0] == 0
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(f"row_{n}.json" for n in range(1, 10))
+        assert scans == [9]
 
 
 # A grammar of CLI invocations, good and bad.  Lengths stay at most 20 or

@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from oracles import PalTable, parse_by_letters, text_of
+from oracles import PalTable, parse_by_letters, reverse_bits_per_letter, text_of
 from palfact.factorization import longest_palindromic_factor
 from palfact.words import (
     Word,
@@ -132,6 +132,18 @@ class TestSymmetries:
     def test_orbit_sorted_and_minimal_rep(self):
         words = orbit(parse_word("ba"))
         assert [w.text for w in words] == ["ab", "ba"]
+
+    def test_reversal_matches_per_letter_oracle(self):
+        words = [Word(bits, n) for n in range(13) for bits in range(1 << n)]
+        half = Word(random.Random(5).getrandbits(50_000), 50_000)
+        words += [half + half.complement(), half + half.reversed()]  # 10^5 letters each
+        for w in words:
+            rev = reverse_bits_per_letter(w.bits, w.length)
+            assert w.reversed() == Word(rev, w.length)
+            assert w.reversed_complement() == Word(rev, w.length).complement()
+            assert symmetries(w) == (w.reversed(), w.complement(), w.reversed_complement())
+            assert is_palindrome(w) == (rev == w.bits)
+        assert is_palindrome(words[-1]) and not is_palindrome(words[-2])
 
 
 class TestFamily:
