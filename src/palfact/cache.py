@@ -1,19 +1,21 @@
 """On-disk cache of enumeration rows.
 
 One JSON document per length, ``row_<n>.json``, carrying a schema version
-and a payload checksum.  The payload ``{"n", "counts", "sample_maximizers"}``
-holds the histogram of m over all 2^n words and the canonical orbit
-representatives of the maximizers; K(n) = max(counts) and the maximizer
-count counts[K] are derived on read, so they cannot disagree with the
-histogram.  This module alone knows the payload format.
+and a payload checksum.  The payload ``{"n", "counts", "maximizers"}`` holds
+the histogram of m over all 2^n words and every a-initial maximizer as a
+packed word, ascending; K(n) = max(counts), the maximizer count counts[K]
+and the sample orbit representatives are derived on read, so they cannot
+disagree with what is stored.  This module alone knows the payload format.
 
 Anything that fails validation is ignored and recomputed: a file of another
-schema (files of schema 1, one per ``kmax`` or ``histogram`` row, are never
-read), a checksum mismatch, or a payload impossible for its length (counts
-not summing to 2^n, a key outside 1..n, a count that is not positive and
-even, or a sample that is not a word of n letters over a/b).  An unwritable
-directory degrades to in-memory operation with a warning, never a hard
-failure.  Writes go through a temporary file and an atomic rename.
+schema (schema 1 wrote ``kmax_<n>.json`` and ``histogram_<n>.json``,
+schema 2 stored sample words in place of the maximizers; neither is ever
+read), a checksum mismatch, or a payload impossible for its length: counts
+not summing to 2^n, a key other than one of 1..n in decimal, a count that
+is not positive and even, or maximizers that are not strictly ascending
+even integers in [0, 2^n), one for each pair of words counted at K.  An
+unwritable directory degrades to in-memory operation with a warning, never
+a hard failure.  Writes go through a temporary file and an atomic rename.
 """
 
 from __future__ import annotations
@@ -27,12 +29,11 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any
 
-from .distribution import MHistogram
-from .extremal import ExtremalRow
+from .enumeration import LengthRow
 
 __all__ = ["SCHEMA_VERSION", "CacheEntry", "ResultCache", "payload_checksum"]
 
-SCHEMA_VERSION = 2
+SCHEMA_VERSION = 3
 _ROW_KIND = "row"
 
 
@@ -44,20 +45,22 @@ def payload_checksum(payload: dict[str, Any]) -> str:
 def _possible(n: int, payload: dict[str, Any]) -> bool:
     """Whether a row payload can describe the words of length n: its counts
     cover all 2^n words at m in 1..n, each count is even (the letter swap
-    pairs the words), and the samples are words of length n."""
-    counts, samples = payload.get("counts"), payload.get("sample_maximizers")
-    return (
+    pairs the words), and its maximizers are distinct a-initial (even)
+    words of length n, ascending, half of the counts[K] words at the
+    maximum K."""
+    counts, maximizers = payload.get("counts"), payload.get("maximizers")
+    keys = {str(k) for k in range(1, n + 1)}
+    if not (
         payload.get("n") == n
         and isinstance(counts, dict)
-        and all(
-            k.isdecimal() and 1 <= int(k) <= n and isinstance(c, int) and c > 0 and c % 2 == 0
-            for k, c in counts.items()
-        )
+        and all(k in keys and isinstance(c, int) and c > 0 and c % 2 == 0 for k, c in counts.items())
         and sum(counts.values()) == 1 << n
-        and isinstance(samples, list)
-        and bool(samples)
-        and all(isinstance(w, str) and len(w) == n and not w.strip("ab") for w in samples)
-    )
+        and isinstance(maximizers, list)
+        and all(type(b) is int and b % 2 == 0 and 0 <= b < 1 << n for b in maximizers)
+    ):
+        return False
+    top = max(counts, key=int)
+    return 2 * len(maximizers) == counts[top] and all(a < b for a, b in zip(maximizers, maximizers[1:]))
 
 
 @dataclass(frozen=True)
@@ -127,23 +130,22 @@ class ResultCache:
             return None
         return payload
 
-    def load_row(self, n: int) -> tuple[MHistogram, ExtremalRow] | None:
-        """The cached row of length n as its histogram and its K-table row."""
+    def load_row(self, n: int) -> LengthRow | None:
+        """The cached row of length n."""
         payload = self.load(_ROW_KIND, n)
         if payload is None:
             return None
         counts = dict(sorted((int(k), c) for k, c in payload["counts"].items()))
-        k = max(counts)
-        return MHistogram(n, counts), ExtremalRow(n, k, counts[k], tuple(payload["sample_maximizers"]))
+        return LengthRow(n, counts, tuple(payload["maximizers"]))
 
-    def store_row(self, hist: MHistogram, row: ExtremalRow) -> bool:
-        """Persist the row of one length; K and its count are not stored."""
+    def store_row(self, row: LengthRow) -> bool:
+        """Persist the row of one length; nothing derivable is stored."""
         payload = {
-            "n": hist.n,
-            "counts": {str(k): c for k, c in hist.counts.items()},
-            "sample_maximizers": list(row.sample_maximizers),
+            "n": row.n,
+            "counts": {str(k): c for k, c in row.counts.items()},
+            "maximizers": list(row.maximizers),
         }
-        return self.store(CacheEntry(kind=_ROW_KIND, n=hist.n, payload=payload))
+        return self.store(CacheEntry(kind=_ROW_KIND, n=row.n, payload=payload))
 
     def store(self, entry: CacheEntry) -> bool:
         """Persist one entry; returns False (with a warning) when the

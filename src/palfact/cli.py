@@ -6,13 +6,16 @@ counterexamples are printed), 2 on usage errors.  Output is byte-stable
 for a fixed configuration and seed, and each command makes at most one
 enumeration pass.
 
-The shared options (--format, --cache-dir, --seed) are accepted both
-before and after the subcommand; the subcommand position wins, and
+The global options --format, --cache-dir and --seed go before the
+subcommand.  A subcommand also accepts those of them it uses: --format
+every one, --cache-dir every one but m and factor, and --seed only verify,
+the one command with randomized checks.  The subcommand position wins, and
 PALIN_CACHE_DIR overrides any --cache-dir.  kmax, kbar, histogram and
 bounds read the per-length rows they print (histogram and bounds one row,
 the tables every row up to --max-n) through one cache helper; a miss makes
-one enumeration pass that stores every row it made.  The cache format is
-known to ``cache`` alone.
+one enumeration pass that stores every row it made.  A row holds the
+histogram and the maximizers, and the cache format is known to ``cache``
+alone.
 """
 
 from __future__ import annotations
@@ -29,9 +32,8 @@ import click
 from . import distribution, extremal, lemmas
 from .asymptotics import bounds_report
 from .cache import ResultCache
-from .distribution import AverageRow, MHistogram
-from .enumeration import PACKED_LIMIT
-from .extremal import ExtremalRow
+from .distribution import AverageRow
+from .enumeration import PACKED_LIMIT, LengthRow
 from .factorization import min_factorization
 from .words import WordError, orbit, parse_word
 
@@ -58,25 +60,24 @@ class RunConfig:
         return ResultCache(self.cache_dir)
 
 
-def _common_options(fn):
-    fn = click.option("--seed", type=int, default=None, help="Seed for randomized checks.")(fn)
-    fn = click.option(
-        "--cache-dir",
-        type=click.Path(file_okay=False),
-        default=None,
-        help="Directory for persisted rows (PALIN_CACHE_DIR overrides).",
-    )(fn)
-    fn = click.option(
-        "--format", "-f", "fmt", type=click.Choice(FORMATS), default=None, help="Output format."
-    )(fn)
-    return fn
+# Subcommand-level copies of the global options; unset, the global value holds.
+_format_option = click.option(
+    "--format", "-f", "fmt", type=click.Choice(FORMATS), default=None, help="Output format."
+)
+_cache_dir_option = click.option(
+    "--cache-dir",
+    type=click.Path(file_okay=False),
+    default=None,
+    help="Directory for persisted rows (PALIN_CACHE_DIR overrides).",
+)
+_seed_option = click.option("--seed", type=int, default=None, help="Seed for randomized checks.")
 
 
 def _resolve(
     base: RunConfig,
     fmt: str | None,
-    cache_dir: str | None,
-    seed: int | None,
+    cache_dir: str | None = None,
+    seed: int | None = None,
 ) -> RunConfig:
     merged_cache = os.environ.get("PALIN_CACHE_DIR") or (cache_dir if cache_dir is not None else base.cache_dir)
     try:
@@ -139,11 +140,11 @@ def cli(ctx: click.Context, fmt: str, cache_dir: str | None, seed: int) -> None:
 
 @cli.command("m")
 @click.argument("word")
-@_common_options
+@_format_option
 @click.pass_obj
-def m_command(base: RunConfig, word: str, fmt, cache_dir, seed) -> None:
+def m_command(base: RunConfig, word: str, fmt) -> None:
     """Print the asymmetry measure m(WORD); WORD - reads it from stdin."""
-    config = _resolve(base, fmt, cache_dir, seed)
+    config = _resolve(base, fmt)
     fact = _lib_call(min_factorization, _parse_word_arg(word))
     if config.format == "json":
         _echo_json({"word": fact.word.text, "m": fact.m})
@@ -156,11 +157,11 @@ def m_command(base: RunConfig, word: str, fmt, cache_dir, seed) -> None:
 
 @cli.command("factor")
 @click.argument("word")
-@_common_options
+@_format_option
 @click.pass_obj
-def factor_command(base: RunConfig, word: str, fmt, cache_dir, seed) -> None:
+def factor_command(base: RunConfig, word: str, fmt) -> None:
     """Print a minimal palindromic factorization of WORD; WORD - reads it from stdin."""
-    config = _resolve(base, fmt, cache_dir, seed)
+    config = _resolve(base, fmt)
     fact = _lib_call(min_factorization, _parse_word_arg(word))
     if config.format == "json":
         _echo_json(
@@ -178,7 +179,7 @@ def factor_command(base: RunConfig, word: str, fmt, cache_dir, seed) -> None:
         click.echo(str(fact))
 
 
-def _cached_rows(config: RunConfig, lengths: range) -> list[tuple[MHistogram, ExtremalRow]]:
+def _cached_rows(config: RunConfig, lengths: range) -> list[LengthRow]:
     """The rows of the given lengths from the cache.  If any is missing, one
     enumeration pass up to the longest of them makes them all, and every row
     of that pass is stored."""
@@ -186,10 +187,9 @@ def _cached_rows(config: RunConfig, lengths: range) -> list[tuple[MHistogram, Ex
     cached = [cache.load_row(n) for n in lengths]
     if all(row is not None for row in cached):
         return cached  # type: ignore[return-value]
-    n_max = lengths[-1]
-    rows = list(zip(_lib_call(distribution.histogram_rows, n_max), _lib_call(extremal.k_max_rows, n_max)))
-    for hist, row in rows:
-        cache.store_row(hist, row)
+    rows = _lib_call(extremal.k_max_rows, lengths[-1])
+    for row in rows:
+        cache.store_row(row)
     return [rows[n - 1] for n in lengths]
 
 
@@ -201,13 +201,14 @@ def _orbit_json(representative: str) -> dict:
 @cli.command("kmax")
 @click.option("--max-n", type=int, required=True, help="Compute K(n) for every n up to this length.")
 @click.option("--allow-long", is_flag=True, help="Permit lengths above 26.")
-@_common_options
+@_format_option
+@_cache_dir_option
 @click.pass_obj
-def kmax_command(base: RunConfig, max_n: int, allow_long: bool, fmt, cache_dir, seed) -> None:
+def kmax_command(base: RunConfig, max_n: int, allow_long: bool, fmt, cache_dir) -> None:
     """Exact worst-case table K(1)..K(MAX_N) by full enumeration."""
-    config = _resolve(base, fmt, cache_dir, seed)
+    config = _resolve(base, fmt, cache_dir)
     _guard_length("--max-n", max_n, allow_long)
-    rows = [row for _, row in _cached_rows(config, range(1, max_n + 1))]
+    rows = _cached_rows(config, range(1, max_n + 1))
     if config.format == "csv":
         click.echo("n,K,maximizer_count")
         for row in rows:
@@ -227,20 +228,20 @@ def kmax_command(base: RunConfig, max_n: int, allow_long: bool, fmt, cache_dir, 
     else:
         click.echo(f"{'n':>3} {'K':>3} {'maximizers':>11}  sample")
         for row in rows:
-            sample = row.sample_maximizers[0] if row.sample_maximizers else ""
-            click.echo(f"{row.n:>3} {row.k:>3} {row.maximizer_count:>11}  {sample}")
+            click.echo(f"{row.n:>3} {row.k:>3} {row.maximizer_count:>11}  {row.sample_maximizers[0]}")
 
 
 @cli.command("kbar")
 @click.option("--max-n", type=int, required=True, help="Exact averages for every n up to this length.")
 @click.option("--allow-long", is_flag=True, help="Permit lengths above 26.")
-@_common_options
+@_format_option
+@_cache_dir_option
 @click.pass_obj
-def kbar_command(base: RunConfig, max_n: int, allow_long: bool, fmt, cache_dir, seed) -> None:
+def kbar_command(base: RunConfig, max_n: int, allow_long: bool, fmt, cache_dir) -> None:
     """Exact average table kbar(1)..kbar(MAX_N)."""
-    config = _resolve(base, fmt, cache_dir, seed)
+    config = _resolve(base, fmt, cache_dir)
     _guard_length("--max-n", max_n, allow_long)
-    rows = [AverageRow(n=h.n, s=h.s) for h, _ in _cached_rows(config, range(1, max_n + 1))]
+    rows = [AverageRow(n=row.n, s=row.s) for row in _cached_rows(config, range(1, max_n + 1))]
     if config.format == "csv":
         click.echo("n,S,kbar_decimal,kbar_num,kbar_den_pow2")
         for row in rows:
@@ -268,13 +269,14 @@ def kbar_command(base: RunConfig, max_n: int, allow_long: bool, fmt, cache_dir, 
 @cli.command("histogram")
 @click.option("--n", "n", type=int, required=True, help="Word length.")
 @click.option("--allow-long", is_flag=True, help="Permit lengths above 26.")
-@_common_options
+@_format_option
+@_cache_dir_option
 @click.pass_obj
-def histogram_command(base: RunConfig, n: int, allow_long: bool, fmt, cache_dir, seed) -> None:
+def histogram_command(base: RunConfig, n: int, allow_long: bool, fmt, cache_dir) -> None:
     """Exact counts x_k of words of length N with m = k."""
-    config = _resolve(base, fmt, cache_dir, seed)
+    config = _resolve(base, fmt, cache_dir)
     _guard_length("--n", n, allow_long)
-    [(hist, _)] = _cached_rows(config, range(n, n + 1))
+    [hist] = _cached_rows(config, range(n, n + 1))
     if config.format == "csv":
         click.echo("n,k,x_k")
         for k, count in sorted(hist.counts.items()):
@@ -290,11 +292,12 @@ def histogram_command(base: RunConfig, n: int, allow_long: bool, fmt, cache_dir,
 @cli.command("worst")
 @click.option("--n", "n", type=int, required=True, help="Word length.")
 @click.option("--allow-long", is_flag=True, help="Permit lengths above 26.")
-@_common_options
+@_format_option
+@_cache_dir_option
 @click.pass_obj
-def worst_command(base: RunConfig, n: int, allow_long: bool, fmt, cache_dir, seed) -> None:
+def worst_command(base: RunConfig, n: int, allow_long: bool, fmt, cache_dir) -> None:
     """All words attaining K(N), grouped into symmetry orbits."""
-    config = _resolve(base, fmt, cache_dir, seed)
+    config = _resolve(base, fmt, cache_dir)
     _guard_length("--n", n, allow_long)
     orbits = _lib_call(extremal.worst_words, n)
     k = _lib_call(extremal.k_max, n).k
@@ -393,7 +396,9 @@ def _verify_reports(config: RunConfig, target: str, max_n: int, trials: int) -> 
 @click.argument("target", type=click.Choice(VERIFY_TARGETS))
 @click.option("--max-n", type=int, default=20, help="Length ceiling for the table-driven checks.")
 @click.option("--trials", type=int, default=10_000, help="Trials for the randomized tuple check.")
-@_common_options
+@_format_option
+@_cache_dir_option
+@_seed_option
 @click.pass_obj
 def verify_command(base: RunConfig, target: str, max_n: int, trials: int, fmt, cache_dir, seed) -> int:
     """Replay the machine-checkable claims; exit 1 on any failure."""
@@ -425,16 +430,17 @@ def verify_command(base: RunConfig, target: str, max_n: int, trials: int, fmt, c
 
 @cli.command("bounds")
 @click.option("--tolerance", type=float, default=1e-10, help="Bisection tolerance for the root of f.")
-@_common_options
+@_format_option
+@_cache_dir_option
 @click.pass_obj
-def bounds_command(base: RunConfig, tolerance: float, fmt, cache_dir, seed) -> None:
+def bounds_command(base: RunConfig, tolerance: float, fmt, cache_dir) -> None:
     """Both bound constants for the limit of kbar(n)/n."""
-    config = _resolve(base, fmt, cache_dir, seed)
+    config = _resolve(base, fmt, cache_dir)
     # Checked here so that a bad value exits before the n = 21 row is read or computed.
     if not 0 < tolerance < math.inf:
         raise click.UsageError(f"--tolerance must be positive and finite, got {tolerance}")
-    [(hist, _)] = _cached_rows(config, range(21, 22))
-    report = _lib_call(bounds_report, [AverageRow(n=21, s=hist.s)], tolerance)
+    [row] = _cached_rows(config, range(21, 22))
+    report = _lib_call(bounds_report, [AverageRow(n=21, s=row.s)], tolerance)
     den = report.upper_bound.denominator
     exp2 = (den & -den).bit_length() - 1
     odd = den >> exp2

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .asymptotics import a_bound_squared
-from .enumeration import PACKED_LIMIT, _rows_upto
+from .enumeration import PACKED_LIMIT, LengthRow, _rows_upto
 
 __all__ = [
     "MHistogram",
@@ -33,25 +33,8 @@ __all__ = [
 COUNTING_MIN_N = 9
 
 
-@dataclass(frozen=True)
-class MHistogram:
-    """Exact counts x_k = #{w : len(w) = n, m(w) = k}."""
-
-    n: int
-    counts: dict[int, int]
-
-    @property
-    def total(self) -> int:
-        return sum(self.counts.values())
-
-    @property
-    def s(self) -> int:
-        """S(n) = sum of m over all words of length n."""
-        return sum(k * c for k, c in self.counts.items())
-
-    @property
-    def max_m(self) -> int:
-        return max(self.counts)
+# A histogram x_k = #{w : len(w) = n, m(w) = k} is the counts of its length's row.
+MHistogram = LengthRow
 
 
 @dataclass(frozen=True)
@@ -92,13 +75,13 @@ class AverageRow:
 
 def histogram(n: int) -> MHistogram:
     """Exact histogram of m over all 2^n words of length n."""
-    return MHistogram(n=n, counts=dict(sorted(_rows_upto(n)[n].counts.items())))
+    return _rows_upto(n)[n]
 
 
 def histogram_rows(n_max: int) -> list[MHistogram]:
     """Histograms for every length 1..n_max from one enumeration pass."""
     rows = _rows_upto(n_max)
-    return [MHistogram(n=n, counts=dict(sorted(rows[n].counts.items()))) for n in range(1, n_max + 1)]
+    return [rows[n] for n in range(1, n_max + 1)]
 
 
 def k_bar(n: int) -> AverageRow:
@@ -180,7 +163,7 @@ def counting_bound_check(n: int) -> CountingBoundReport:
         raise ValueError(f"the counting bound is asserted only for n >= {COUNTING_MIN_N}, got {n}")
     hist = histogram(n)
     entries = []
-    for k in range(1, hist.max_m + 1):
+    for k in range(1, hist.k + 1):
         cumulative = sum(hist.counts.get(j, 0) for j in range(k, 0, -2))
         holds = cumulative * cumulative <= a_bound_squared(n, k)
         entries.append(CountingBoundEntry(k=k, cumulative=cumulative, holds=holds))

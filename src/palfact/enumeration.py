@@ -17,15 +17,16 @@ layers (plus 2^(n_max-d-1) bytes of scratch).  Lengths up to d come from
 one unsharded scan.  Each layer is turned into row data in cache-sized
 chunks (compare-and-count per value, maximizer indices only where a chunk
 reaches the running maximum), and shards merge associatively: counts add
-and maximizer words concatenate, then the lexicographically least samples
-are selected from the merged set.  Everything is exact integer
-arithmetic, so results do not depend on the shard depth.
+and maximizer words concatenate.  Everything is exact integer arithmetic,
+so results do not depend on the shard depth.
 
-Rows depend on n alone, so the row consumers in ``extremal`` and
-``distribution`` share one memo: it keeps the rows of the longest scan made
-so far in the process, answers every request up to that length from them,
-and is replaced when a longer scan is needed.  A command therefore makes at
-most one enumeration pass.
+A length's row is its histogram of m and its a-initial maximizers; K(n),
+the maximizer count, S(n) and the sample orbit representatives of the K
+table are derived from those two fields.  Rows depend on n alone, so
+``extremal`` and ``distribution`` serve the rows of one memo: it keeps the
+rows of the longest scan made so far in the process, answers every request
+up to that length from them, and is replaced when a longer scan is needed.
+A command therefore makes at most one enumeration pass.
 """
 
 from __future__ import annotations
@@ -35,10 +36,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .factorization import _prefix_measures
-from .words import Word
+from .words import Word, orbit
 
 __all__ = [
     "PACKED_LIMIT",
+    "SAMPLE_CAP",
     "LengthRow",
     "palindrome_values",
     "extension_m",
@@ -48,6 +50,9 @@ __all__ = [
 # Vectorised layers index words by int64 values; 32 keeps every layer and
 # temporary comfortably addressable.
 PACKED_LIMIT = 32
+
+# Orbit representatives a row lists as the K table's sample maximizers.
+SAMPLE_CAP = 16
 
 # Largest temporary (rows x columns elements) allowed for a fancy-indexed
 # row-block minimum; beyond it, rows are updated one slice at a time.
@@ -156,34 +161,29 @@ def extension_m(prefix: Word, ext_len: int) -> list[np.ndarray]:
     return ext
 
 
-def _lex_keys(words: np.ndarray, length: int) -> np.ndarray:
-    """Keys whose integer order equals lexicographic order of the words."""
-    keys = np.zeros_like(words)
-    for t in range(length):
-        keys = (keys << 1) | ((words >> t) & 1)
-    return keys
-
-
-def _word_text(bits: int, length: int) -> str:
-    return "".join("ab"[(bits >> t) & 1] for t in range(length))
-
-
 @dataclass(frozen=True)
 class LengthRow:
     """Exact enumeration results for one word length.
 
-    Counts cover all 2^n words; sample_words lists the lexicographically
-    least maximizers that start with 'a' (their complements are the
-    b-initial maximizers), and max_words_bits every one of them as packed
-    words in ascending order.
+    ``counts`` maps each value k of m to the number of the 2^n words with
+    m = k, in ascending k; ``maximizers`` lists every maximizer that starts
+    with 'a' (the b-initial ones are their complements) as packed words in
+    ascending order.  Everything else is derived from these two fields.
     """
 
     n: int
     counts: dict[int, int]
-    max_m: int
-    max_count: int
-    sample_words: tuple[str, ...]
-    max_words_bits: tuple[int, ...]
+    maximizers: tuple[int, ...]
+
+    @property
+    def k(self) -> int:
+        """K(n), the largest m over the words of length n."""
+        return max(self.counts)
+
+    @property
+    def maximizer_count(self) -> int:
+        """Words of length n attaining K(n), both initial letters."""
+        return self.counts[self.k]
 
     @property
     def total(self) -> int:
@@ -191,7 +191,24 @@ class LengthRow:
 
     @property
     def s(self) -> int:
+        """S(n) = sum of m over all words of length n."""
         return sum(k * c for k, c in self.counts.items())
+
+    @property
+    def sample_maximizers(self) -> tuple[str, ...]:
+        """The SAMPLE_CAP lexicographically least orbit representatives.
+
+        An orbit's least member starts with 'a', so the a-initial maximizers
+        walked in text order meet the representatives in order, and the walk
+        stops at the last one needed.
+        """
+        samples: list[str] = []
+        for word in sorted((Word(bits, self.n) for bits in self.maximizers), key=lambda w: w.text):
+            if orbit(word)[0] == word:
+                samples.append(word.text)
+                if len(samples) == SAMPLE_CAP:
+                    break
+        return tuple(samples)
 
 
 class _RowBuilder:
@@ -200,7 +217,7 @@ class _RowBuilder:
     def __init__(self, n: int) -> None:
         self.n = n
         self.counts = [0] * 256
-        self.max_m = 0
+        self.k = 0
         self.max_bits: list[np.ndarray] = []
 
     def add_layer(self, layer: np.ndarray, prefix_bits: int, depth: int, hit: np.ndarray) -> None:
@@ -216,38 +233,27 @@ class _RowBuilder:
                 self.counts[k] += seen
                 rest -= seen
             self.counts[top] += rest
-            if top > self.max_m:
-                self.max_m, self.max_bits = top, []
-            if top == self.max_m:
+            if top > self.k:
+                self.k, self.max_bits = top, []
+            if top == self.k:
                 idx = np.flatnonzero(chunk == top) + start
                 self.max_bits.append(prefix_bits | (idx << depth))
 
-    def row(self, sample_limit: int) -> LengthRow:
-        n = self.n
-        bits = np.sort(np.concatenate(self.max_bits))
-        if bits.size > sample_limit:
-            keys = _lex_keys(bits, n)
-            part = np.argpartition(keys, sample_limit)[:sample_limit]
-            chosen = bits[part[np.argsort(keys[part], kind="stable")]]
-        else:
-            chosen = bits[np.argsort(_lex_keys(bits, n), kind="stable")]
+    def row(self) -> LengthRow:
         return LengthRow(
-            n=n,
+            n=self.n,
             counts={k: 2 * c for k, c in enumerate(self.counts) if c},
-            max_m=self.max_m,
-            max_count=2 * int(bits.size),
-            sample_words=tuple(_word_text(int(b), n) for b in chosen),
-            max_words_bits=tuple(int(b) for b in bits),
+            maximizers=tuple(np.sort(np.concatenate(self.max_bits)).tolist()),
         )
 
 
-def _scan_sharded(n_max: int, depth: int, sample_limit: int) -> dict[int, LengthRow]:
+def _scan_sharded(n_max: int, depth: int) -> dict[int, LengthRow]:
     """Rows 1..n_max with lengths above ``depth`` built one prefix shard at a time."""
     depth = min(depth, n_max)
     if depth > 1:
-        rows = _scan_sharded(depth, 1, sample_limit)
+        rows = _scan_sharded(depth, 1)
     else:
-        rows = {1: LengthRow(1, {1: 2}, 1, 2, ("a",), (0,))}
+        rows = {1: LengthRow(1, {1: 2}, (0,))}
     ext_len = n_max - depth
     if not ext_len:
         return rows
@@ -259,11 +265,11 @@ def _scan_sharded(n_max: int, depth: int, sample_limit: int) -> dict[int, Length
             builders[e].add_layer(ext[e], prefix_bits, depth, hit)
             ext[e] = None  # type: ignore[call-overload]
     for builder in builders.values():
-        rows[builder.n] = builder.row(sample_limit)
+        rows[builder.n] = builder.row()
     return rows
 
 
-def scan_lengths(n_max: int, *, sample_limit: int = 64) -> dict[int, LengthRow]:
+def scan_lengths(n_max: int) -> dict[int, LengthRow]:
     """Exact per-length statistics of m for every length 1..n_max.
 
     Enumerates only words starting with 'a'; the letter-swap involution is
@@ -272,7 +278,7 @@ def scan_lengths(n_max: int, *, sample_limit: int = 64) -> dict[int, LengthRow]:
     """
     if not 1 <= n_max <= PACKED_LIMIT:
         raise ValueError(f"length must be in 1..{PACKED_LIMIT}, got {n_max}")
-    return _scan_sharded(n_max, max(1, n_max - _SHARD_BITS), sample_limit)
+    return _scan_sharded(n_max, max(1, n_max - _SHARD_BITS))
 
 
 # Rows of the longest scan made so far in this process, keyed 1..n.  Shared

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .enumeration import LengthRow, _rows_upto
-from .words import orbit, parse_word, word_from_bits
+from .words import orbit, word_from_bits
 
 __all__ = [
     "ExtremalRow",
@@ -25,9 +25,6 @@ __all__ = [
     "verify_theorem1",
 ]
 
-# Rows carry the 64 lexicographically least a-initial maximizers, 4x this cap,
-# which guarantees the cap least orbit representatives are all among them.
-SAMPLE_CAP = 16
 EXCEPTIONAL_LENGTH = 11
 EXCEPTIONAL_K = 5
 
@@ -41,15 +38,9 @@ def k_formula(n: int) -> int:
     return n // 6 + (n + 4) // 6 + 1
 
 
-@dataclass(frozen=True)
-class ExtremalRow:
-    """One row of the K table: the maximum, how many words attain it, and
-    the lexicographically first orbit representatives among them."""
-
-    n: int
-    k: int
-    maximizer_count: int
-    sample_maximizers: tuple[str, ...]
+# One row of the K table, k with its maximizer count and sample orbit
+# representatives, is its length's enumeration row.
+ExtremalRow = LengthRow
 
 
 @dataclass(frozen=True)
@@ -67,29 +58,15 @@ class Orbit:
         return len(self.words)
 
 
-def _canonical_samples(sample_words: tuple[str, ...]) -> tuple[str, ...]:
-    reps = {orbit(parse_word(w))[0].text for w in sample_words}
-    return tuple(sorted(reps)[:SAMPLE_CAP])
-
-
-def _row_from_scan(row: LengthRow) -> ExtremalRow:
-    return ExtremalRow(
-        n=row.n,
-        k=row.max_m,
-        maximizer_count=row.max_count,
-        sample_maximizers=_canonical_samples(row.sample_words),
-    )
-
-
 def k_max(n: int) -> ExtremalRow:
     """Exact K(n) by enumerating all 2^n words (letter-swap reduced)."""
-    return _row_from_scan(_rows_upto(n)[n])
+    return _rows_upto(n)[n]
 
 
 def k_max_rows(n_max: int) -> list[ExtremalRow]:
     """All rows K(1)..K(n_max) from a single enumeration pass."""
     rows = _rows_upto(n_max)
-    return [_row_from_scan(rows[n]) for n in range(1, n_max + 1)]
+    return [rows[n] for n in range(1, n_max + 1)]
 
 
 def worst_words(n: int) -> list[Orbit]:
@@ -99,7 +76,7 @@ def worst_words(n: int) -> list[Orbit]:
     member); orbit sizes are computed, never assumed.
     """
     orbits: dict[str, Orbit] = {}
-    for bits in _rows_upto(n)[n].max_words_bits:
+    for bits in _rows_upto(n)[n].maximizers:
         images = orbit(word_from_bits(bits, n))
         rep = images[0].text
         if rep not in orbits:

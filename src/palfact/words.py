@@ -3,8 +3,7 @@ standard word families used by the extremal constructions.
 
 Words are stored bit-packed: bit ``t`` of ``bits`` is the symbol at
 position ``t`` (a=0, b=1), position 0 being the leftmost letter.  Python
-integers are unbounded, so there is no hard length cap; enumeration code
-elsewhere assumes lengths up to :data:`PACKED_MAX`.
+integers are unbounded, so there is no length cap.
 """
 
 from __future__ import annotations
@@ -13,7 +12,6 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 __all__ = [
-    "PACKED_MAX",
     "Word",
     "WordError",
     "parse_word",
@@ -23,8 +21,6 @@ __all__ = [
     "orbit",
     "family",
 ]
-
-PACKED_MAX = 63
 
 _A, _B = "a", "b"
 _LETTERS_TO_DIGITS = str.maketrans("ab", "01")
@@ -46,7 +42,7 @@ def _reverse_bits(bits: int, length: int) -> int:
 
 @dataclass(frozen=True)
 class Word:
-    """An immutable binary word; safe to share between threads."""
+    """An immutable binary word."""
 
     bits: int
     length: int

@@ -21,7 +21,7 @@ from __future__ import annotations
 import numpy as np
 
 from palfact.enumeration import LengthRow
-from palfact.words import PACKED_MAX, Word, WordError
+from palfact.words import Word, WordError
 
 
 class PalTable:
@@ -88,7 +88,7 @@ class IncrementalState:
     push.
     """
 
-    def __init__(self, capacity: int = PACKED_MAX) -> None:
+    def __init__(self, capacity: int = 64) -> None:
         if capacity < 1:
             raise ValueError(f"capacity must be positive, got {capacity}")
         self.capacity = capacity
@@ -336,7 +336,7 @@ def _dfs_partition(n: int, prefix_bits: int, depth: int) -> _DfsAccumulator:
     return acc
 
 
-def dfs_scan(n: int, *, prefix_depth: int = 8, sample_limit: int = 64) -> LengthRow:
+def dfs_scan(n: int, *, prefix_depth: int = 8) -> LengthRow:
     """The row of one length by depth-first search over the prefix tree.
 
     The a-initial words are split at ``prefix_depth`` into disjoint
@@ -357,8 +357,5 @@ def dfs_scan(n: int, *, prefix_depth: int = 8, sample_limit: int = 64) -> Length
     return LengthRow(
         n=n,
         counts={k: 2 * c for k, c in enumerate(total.counts) if c},
-        max_m=total.max_m,
-        max_count=2 * len(total.max_bits),
-        sample_words=tuple(text_of(b, n) for b in total.max_bits[:sample_limit]),
-        max_words_bits=tuple(sorted(total.max_bits)),
+        maximizers=tuple(sorted(total.max_bits)),
     )

@@ -14,13 +14,13 @@ import numpy as np
 import pytest
 
 from conftest import EXCEPTIONAL_WORD, K_TABLE, KBAR_TABLE
-from oracles import brute_force_m_table, dfs_scan, reachable_k_bitsets
+from oracles import brute_force_m_table, dfs_scan, reachable_k_bitsets, text_of
 from palfact.asymptotics import bounds_report
 from palfact.cli import dispatch
 from palfact.distribution import counting_bound_check, k_bar_rows, subadditivity_check
-from palfact.enumeration import _scan_sharded, scan_lengths
+from palfact.enumeration import SAMPLE_CAP, _rows_upto, _scan_sharded, scan_lengths
 from palfact.extremal import k_formula, k_max, k_max_rows, worst_words
-from palfact.factorization import min_factorization
+from palfact.factorization import measure, min_factorization
 from palfact.lemmas import all_reports
 from palfact.words import Word
 
@@ -184,6 +184,30 @@ def test_criterion_8_property_suite(m_tables_14):
     # the engine, prefix depth of the depth-first oracle
     whole = scan_lengths(12)
     for depth in range(1, 5):
-        assert _scan_sharded(12, depth, 64) == whole
+        assert _scan_sharded(12, depth) == whole
     assert dfs_scan(12, prefix_depth=3) == dfs_scan(12, prefix_depth=8) == whole[12]
     return "five property families"
+
+
+_SWAP = str.maketrans("ab", "ba")
+
+
+@criterion("9", "every maximizer row for n = 1..30 re-measured: a-initial, ascending, m = K, orbits and samples agree")
+def test_criterion_9_maximizers_certified():
+    rows = _rows_upto(30)  # the pass criterion 1 made, unless run alone
+    checked = 0
+    for n in range(1, 31):
+        row = rows[n]
+        bits = row.maximizers
+        assert all(b % 2 == 0 for b in bits), n
+        assert all(a < b for a, b in zip(bits, bits[1:])), n
+        assert all(measure(Word(b, n)) == row.k for b in bits), n
+        assert 2 * len(bits) == row.maximizer_count, n
+        assert sum(orb.size for orb in worst_words(n)) == row.maximizer_count, n
+        # Brute force: the least member of every orbit, over every maximizer.
+        texts = [text_of(b, n) for b in bits]
+        texts += [t.translate(_SWAP) for t in texts]
+        reps = sorted({min(t, t[::-1], t.translate(_SWAP), t[::-1].translate(_SWAP)) for t in texts})
+        assert row.sample_maximizers == tuple(reps[:SAMPLE_CAP]), n
+        checked += len(bits)
+    return f"{checked} a-initial maximizers"

@@ -190,6 +190,49 @@ class TestVerifyCommand:
         assert code == 2
 
 
+class TestSubcommandOptions:
+    """A subcommand accepts only the global options it uses; all stay
+    accepted before the subcommand."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("m", "aabab"),
+            ("factor", "aabab"),
+            ("kmax", "--max-n", "3"),
+            ("kbar", "--max-n", "3"),
+            ("histogram", "--n", "3"),
+            ("worst", "--n", "3"),
+            ("bounds",),
+        ],
+    )
+    def test_seed_only_after_verify(self, capsys, argv):
+        code, out, err = run(capsys, *argv, "--seed", "5")
+        assert code == 2
+        assert "No such option" in err and "--seed" in err
+        assert "Usage:" in err
+        assert out == ""
+        assert run(capsys, "--seed", "5", *argv)[0] == 0
+
+    @pytest.mark.parametrize("command", ["m", "factor"])
+    def test_no_cache_dir_after_single_word_commands(self, capsys, tmp_path, monkeypatch, command):
+        monkeypatch.delenv("PALIN_CACHE_DIR", raising=False)
+        cache_dir = tmp_path / "D"
+        code, out, err = run(capsys, command, "aabab", "--cache-dir", str(cache_dir))
+        assert code == 2
+        assert "No such option" in err and "--cache-dir" in err
+        assert "Usage:" in err
+        assert out == ""
+        assert not cache_dir.exists()
+        assert run(capsys, "--cache-dir", str(cache_dir), command, "aabab")[0] == 0
+        assert not cache_dir.exists()
+
+    def test_verify_seed_in_either_position(self, capsys):
+        after = run(capsys, "verify", "all", "--max-n", "9", "--seed", "3")
+        assert after[0] == 0
+        assert run(capsys, "--seed", "3", "verify", "all", "--max-n", "9") == after
+
+
 class TestInputContract:
     @pytest.mark.parametrize(
         "argv",
@@ -328,12 +371,13 @@ class TestBoundsCommand:
         assert "0.2030" in out
 
 
-def _row_payload(n=4, counts=None, samples=None):
-    """A possible row payload for length 4 (or the given parts)."""
+def _row_payload(n=4, counts=None, maximizers=None):
+    """A possible row payload for length 4 (or the given parts); the
+    maximizers 4 and 10 are the words aaba and abab."""
     return {
         "n": n,
         "counts": {"1": 4, "2": 8, "3": 4} if counts is None else counts,
-        "sample_maximizers": ["aaba"] if samples is None else samples,
+        "maximizers": [4, 10] if maximizers is None else maximizers,
     }
 
 
@@ -344,9 +388,12 @@ class TestCache:
         assert cache.store(entry)
         assert (tmp_path / "row_4.json").exists()
         assert cache.load("row", 4) == entry.payload
-        hist, row = cache.load_row(4)
-        assert hist.counts == {1: 4, 2: 8, 3: 4}
-        assert (row.n, row.k, row.maximizer_count, row.sample_maximizers) == (4, 3, 4, ("aaba",))
+        row = cache.load_row(4)
+        assert row.counts == {1: 4, 2: 8, 3: 4}
+        assert row.maximizers == (4, 10)
+        assert (row.n, row.k, row.maximizer_count, row.sample_maximizers) == (4, 3, 4, ("aaba", "abab"))
+        assert cache.store_row(row)
+        assert cache.load("row", 4) == entry.payload
 
     def test_checksum_guards_payload(self, tmp_path):
         cache = ResultCache(tmp_path)
@@ -372,8 +419,8 @@ class TestCache:
         cache.store(CacheEntry(kind="row", n=4, payload=_row_payload()))
         path = tmp_path / "row_4.json"
         doc = json.loads(path.read_text())
-        assert doc["schema_version"] == SCHEMA_VERSION == 2
-        for stale in (SCHEMA_VERSION - 1, SCHEMA_VERSION + 1):
+        assert doc["schema_version"] == SCHEMA_VERSION == 3
+        for stale in (1, SCHEMA_VERSION - 1, SCHEMA_VERSION + 1):
             doc["schema_version"] = stale
             path.write_text(json.dumps(doc))
             with pytest.warns(UserWarning):
@@ -389,7 +436,7 @@ class TestCache:
 
     # The first parameter names the view of the row a payload makes
     # impossible: the histogram (counts) or the K table (the maximum, its
-    # count and the sample maximizers derived from or stored with it).
+    # count, and the maximizers that must agree with that count).
     @pytest.mark.parametrize(
         "view,payload",
         [
@@ -402,10 +449,24 @@ class TestCache:
             ("kmax", _row_payload(counts={"1": 12, "5": 4})),  # K above n
             ("kmax", _row_payload(counts={"1": 6, "2": 7, "3": 3})),  # odd counts
             ("kmax", _row_payload(counts={"1": 8, "2": 8, "3": 0})),  # K attained by no word
-            ("kmax", _row_payload(samples=["aab"])),  # a sample of the wrong length
-            ("kmax", _row_payload(samples=["aaba", "0010"])),  # a sample over the wrong alphabet
-            ("kmax", _row_payload(samples=[])),
+            ("kmax", _row_payload(maximizers=[4, 16])),  # a word longer than n
+            ("kmax", _row_payload(maximizers=[4, 10.0])),  # not an int
+            ("kmax", _row_payload(maximizers=[])),
             ("kmax", {"n": 4, "counts": {"1": 4, "2": 8, "3": 4}}),  # schema 1 histogram shape
+            ("kmax", _row_payload(maximizers=[4, "abab"])),  # not an int
+            ("kmax", _row_payload(maximizers=[False, 4])),  # a bool, not an int
+            ("kmax", _row_payload(maximizers=[4, 11])),  # b-initial
+            ("kmax", _row_payload(maximizers=[-2, 4])),
+            ("kmax", _row_payload(maximizers=[10, 4])),  # unsorted
+            ("kmax", _row_payload(maximizers=[4, 4])),  # a duplicate
+            ("kmax", _row_payload(maximizers=[4, 6, 10])),  # 6 words, but counts[K] is 4
+            ("kmax", _row_payload(maximizers=[4])),  # 2 words, but counts[K] is 4
+            ("kmax", _row_payload(maximizers="4,10")),
+            # schema 2 shape: samples in place of the maximizers
+            ("kmax", {"n": 4, "counts": {"1": 4, "2": 8, "3": 4}, "sample_maximizers": ["aaba"]}),
+            # keys that int() reads as 2 but that are not its decimal form
+            ("histogram", _row_payload(counts={"1": 4, "2": 8, "\u0662": 4}, maximizers=[4, 10, 12, 14])),
+            ("histogram", _row_payload(counts={"1": 4, "2": 8, "02": 4}, maximizers=[4, 10, 12, 14])),
         ],
     )
     def test_impossible_payload_is_rejected(self, tmp_path, view, payload):
@@ -416,12 +477,12 @@ class TestCache:
 
     def test_possible_histogram_is_served(self, tmp_path):
         cache = ResultCache(tmp_path)
-        payload = _row_payload(counts={"1": 4, "2": 8, "3": 2, "4": 2}, samples=["abab", "aabb"])
+        payload = _row_payload(counts={"1": 4, "2": 8, "3": 2, "4": 2}, maximizers=[12])
         cache.store(CacheEntry(kind="row", n=4, payload=payload))
         assert cache.load("row", 4) == payload
-        hist, row = cache.load_row(4)
-        assert list(hist.counts) == [1, 2, 3, 4]
-        assert (row.k, row.maximizer_count, row.sample_maximizers) == (4, 2, ("abab", "aabb"))
+        row = cache.load_row(4)
+        assert list(row.counts) == [1, 2, 3, 4]
+        assert (row.k, row.maximizer_count, row.sample_maximizers) == (4, 2, ("aabb",))
 
     def test_other_kinds_are_not_served(self, tmp_path):
         cache = ResultCache(tmp_path)
@@ -494,6 +555,20 @@ class TestCliCacheIntegration:
         assert code == 0
         assert out == expected
         assert (tmp_path / "kmax_4.json").read_text() == old.to_json()
+
+    def test_schema_two_files_are_never_read(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.delenv("PALIN_CACHE_DIR", raising=False)
+        argv = ("--format", "json", "kmax", "--max-n", "4")
+        _, expected, _ = run(capsys, *argv)
+        wrong = {"n": 4, "counts": {"1": 4, "2": 8, "3": 4}, "sample_maximizers": ["abab"]}
+        (tmp_path / "row_4.json").write_text(CacheEntry(kind="row", n=4, payload=wrong, version=2).to_json())
+        with pytest.warns(UserWarning, match="stale or corrupt"):
+            code, out, _ = run(capsys, "--cache-dir", str(tmp_path), *argv)
+        assert code == 0
+        assert out == expected
+        doc = json.loads((tmp_path / "row_4.json").read_text())
+        assert doc["schema_version"] == SCHEMA_VERSION == 3
+        assert doc["payload"] == {"n": 4, "counts": {"1": 4, "2": 12}, "maximizers": [2, 4, 8, 10, 12, 14]}
 
     def test_env_var_overrides_flag(self, capsys, tmp_path, monkeypatch):
         env_dir = tmp_path / "from_env"

@@ -37,8 +37,8 @@ class TestHistogram:
         for n in (6, 10, 13):
             hist = histogram(n)
             row = k_max(n)
-            assert hist.max_m == row.k
-            assert hist.counts[hist.max_m] == row.maximizer_count
+            assert hist is row
+            assert hist.counts[hist.k] == row.maximizer_count
 
     def test_matches_dfs_oracle(self):
         assert histogram(11).counts == dfs_scan(11).counts

@@ -71,7 +71,7 @@ class TestScanLengths:
             table = m_tables_14[n]
             expected = {int(k): int(c) for k, c in enumerate(np.bincount(table)) if c}
             assert rows[n].counts == expected
-            assert rows[n].max_m == int(table.max())
+            assert rows[n].k == int(table.max())
 
     def test_totals(self):
         rows = scan_lengths(14)
@@ -79,19 +79,8 @@ class TestScanLengths:
             assert row.total == 1 << n
             assert all(c % 2 == 0 for c in row.counts.values())
 
-    def test_sample_words_are_lex_least_maximizers(self):
-        rows = scan_lengths(9, sample_limit=4)
-        for n in range(2, 10):
-            row = rows[n]
-            maximizers = [
-                text_of(bits << 1, n)
-                for bits in range(1 << (n - 1))
-                if measure(Word(bits << 1, n)) == row.max_m
-            ]
-            assert list(row.sample_words) == sorted(maximizers)[:4]
-
     def test_keep_max_words(self):
-        bits = scan_lengths(11)[11].max_words_bits
+        bits = scan_lengths(11)[11].maximizers
         words = sorted(text_of(b, 11) for b in bits)
         assert words == ["aababbaabab", "ababbaababb"]
 
@@ -117,45 +106,44 @@ class TestScanLengths:
 @pytest.fixture(scope="module")
 def oracles_14():
     """Per length 1..14: m of every word from the cut-pattern oracle, and the DFS row."""
-    return {n: (brute_force_m_table(n), dfs_scan(n, sample_limit=8)) for n in range(1, 15)}
+    return {n: (brute_force_m_table(n), dfs_scan(n)) for n in range(1, 15)}
 
 
 class TestSharding:
     """Rows must not depend on the prefix depth the scan is sharded at."""
 
     @pytest.mark.parametrize("n_max", [2, 7, 12, 18])
-    @pytest.mark.parametrize("sample_limit", [3, 64])
-    def test_rows_independent_of_shard_depth(self, n_max, sample_limit):
-        unsharded = _scan_sharded(n_max, 1, sample_limit)
+    def test_rows_independent_of_shard_depth(self, n_max):
+        unsharded = _scan_sharded(n_max, 1)
         assert sorted(unsharded) == list(range(1, n_max + 1))
         for depth in range(2, 7):
-            assert _scan_sharded(n_max, depth, sample_limit) == unsharded, depth
+            assert _scan_sharded(n_max, depth) == unsharded, depth
 
     @pytest.mark.parametrize("depth", [1, 3])
     def test_rows_independent_of_row_chunk(self, monkeypatch, depth):
-        whole = _scan_sharded(14, depth, 3)
+        whole = _scan_sharded(14, depth)
         monkeypatch.setattr(enumeration, "_ROW_CHUNK", 64)
-        assert _scan_sharded(14, depth, 3) == whole
+        assert _scan_sharded(14, depth) == whole
 
     @pytest.mark.parametrize("depth", range(1, 7))
     def test_sharded_rows_match_oracles(self, depth, oracles_14):
-        rows = _scan_sharded(14, depth, 8)
+        rows = _scan_sharded(14, depth)
         for n in range(1, 15):
             row, (table, dfs) = rows[n], oracles_14[n]
             expected = {int(k): int(c) for k, c in enumerate(np.bincount(table)) if c}
             assert row.counts == expected, (depth, n)
-            assert row.max_m == int(table.max())
-            a_initial = [int(b) for b in np.flatnonzero(table == row.max_m) if b % 2 == 0]
-            assert list(row.max_words_bits) == a_initial
-            assert row.max_count == 2 * len(a_initial)
-            assert list(row.sample_words) == sorted(text_of(b, n) for b in a_initial)[:8]
+            assert list(row.counts) == sorted(row.counts)
+            assert row.k == int(table.max())
+            a_initial = [int(b) for b in np.flatnonzero(table == row.k) if b % 2 == 0]
+            assert list(row.maximizers) == a_initial
+            assert row.maximizer_count == 2 * len(a_initial)
             assert dfs == row
 
 
 class TestDfsBackend:
     @pytest.mark.parametrize("n", [1, 2, 5, 9, 12])
     def test_matches_vectorized(self, n):
-        assert dfs_scan(n, sample_limit=8) == scan_lengths(n, sample_limit=8)[n]
+        assert dfs_scan(n) == scan_lengths(n)[n]
 
     def test_prefix_depth_independent(self):
         assert dfs_scan(10, prefix_depth=3) == dfs_scan(10, prefix_depth=8)

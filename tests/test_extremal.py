@@ -4,7 +4,8 @@ import pytest
 
 from conftest import EXCEPTIONAL_WORD, K_TABLE
 from oracles import dfs_scan
-from palfact import extremal
+import palfact
+from palfact.enumeration import LengthRow
 from palfact.extremal import k_formula, k_max, k_max_rows, verify_theorem1, worst_words
 from palfact.factorization import min_factorization
 
@@ -44,7 +45,12 @@ class TestKMax:
         row = k_max(2)
         assert row.k == 2
         assert row.maximizer_count == 2
+        assert row.maximizers == (2,)  # ab; its complement ba is not listed
         assert row.sample_maximizers == ("ab",)  # orbit representative of {ab, ba}
+
+    def test_one_row_type(self):
+        assert palfact.ExtremalRow is palfact.MHistogram is LengthRow
+        assert isinstance(k_max(7), LengthRow)
 
     def test_counts_are_even(self):
         for row in k_max_rows(12):
@@ -58,7 +64,7 @@ class TestKMax:
 
     def test_backends_agree(self):
         for n in (3, 8, 13):
-            assert extremal._row_from_scan(dfs_scan(n)) == k_max(n)
+            assert dfs_scan(n) == k_max(n)
 
     def test_validation(self):
         with pytest.raises(ValueError):
