@@ -113,10 +113,12 @@ class TestSharding:
     """Rows must not depend on the prefix depth the scan is sharded at."""
 
     @pytest.mark.parametrize("n_max", [2, 7, 12, 18])
-    def test_rows_independent_of_shard_depth(self, n_max):
+    @pytest.mark.parametrize("row_chunk", [3, 64])
+    def test_rows_independent_of_shard_depth(self, monkeypatch, n_max, row_chunk):
         unsharded = _scan_sharded(n_max, 1)
         assert sorted(unsharded) == list(range(1, n_max + 1))
-        for depth in range(2, 7):
+        monkeypatch.setattr(enumeration, "_ROW_CHUNK", row_chunk)
+        for depth in range(1, 7):
             assert _scan_sharded(n_max, depth) == unsharded, depth
 
     @pytest.mark.parametrize("depth", [1, 3])
