@@ -16,6 +16,8 @@ is not positive and even, or maximizers that are not strictly ascending
 even integers in [0, 2^n), one for each pair of words counted at K.  An
 unwritable directory degrades to in-memory operation with a warning, never
 a hard failure.  Writes go through a temporary file and an atomic rename.
+Files are written compact (no indentation, no spaces); the checksum covers
+the canonical payload, so an indented file of the same schema reads alike.
 """
 
 from __future__ import annotations
@@ -84,7 +86,7 @@ class CacheEntry:
                 "payload": self.payload,
             },
             sort_keys=True,
-            indent=2,
+            separators=(",", ":"),
         )
 
 

@@ -9,16 +9,20 @@ the layer for length j is obtained from the shorter layers by minimising
 over palindromic suffixes.  A suffix of length L occupies the top L bits,
 so after reshaping the layer to (2^L, columns) each palindromic suffix
 value selects one row and the update is a vectorised elementwise minimum.
+Layers are built in cache-sized chunks of consecutive entries, each taken
+through every palindromic suffix before the next one starts.
 
 A scan up to n_max is sharded by prefix: with depth d = max(1, n_max - 26)
 every a-initial prefix of d letters, in ascending order, is extended by
-n_max - d symbols, so no shard holds more than 2^(n_max-d+1) bytes of
-layers (plus 2^(n_max-d-1) bytes of scratch).  Lengths up to d come from
-one unsharded scan.  Each layer is turned into row data in cache-sized
-chunks (compare-and-count per value, maximizer indices only where a chunk
-reaches the running maximum), and shards merge associatively: counts add
-and maximizer words concatenate.  Everything is exact integer arithmetic,
-so results do not depend on the shard depth.
+n_max - d symbols.  Only the lengths below a shard's top one are kept,
+2^(n_max-d) bytes at most: the top layer feeds nothing but its own row, so
+each of its chunks is counted as soon as it is built and then overwritten.
+Lengths up to d come from one unsharded scan.  Each layer is turned into
+row data in cache-sized chunks (compare-and-count per value, maximizer
+indices only where a chunk reaches the running maximum), and shards merge
+associatively: counts add and maximizer words concatenate.  Everything is
+exact integer arithmetic, so results do not depend on the shard depth or
+the chunk sizes.
 
 A length's row is its histogram of m and its a-initial maximizers; K(n),
 the maximizer count, S(n) and the sample orbit representatives of the K
@@ -54,13 +58,14 @@ PACKED_LIMIT = 32
 # Orbit representatives a row lists as the K table's sample maximizers.
 SAMPLE_CAP = 16
 
-# Largest temporary (rows x columns elements) allowed for a fancy-indexed
-# row-block minimum; beyond it, rows are updated one slice at a time.
-_FANCY_LIMIT = 1 << 22
-
-# Shards extend their prefix by at most this many symbols, so a shard's top
-# layer is at most 64 MiB.
+# Shards extend their prefix by at most this many symbols, so the layers a
+# shard holds (every length but the top one) total at most 64 MiB.
 _SHARD_BITS = 26
+
+# Layers are built this many entries at a time: a chunk (1 MiB) stays in L2
+# across the passes over its palindromic suffixes.  The top layer of a shard
+# is never held whole: each chunk is counted into its row as soon as built.
+_LAYER_CHUNK = 1 << 20
 
 # Row extraction works on slices of this many layer entries: a slice and its
 # bool mask (512 KiB together) stay in L2 across the per-value compare passes.
@@ -68,7 +73,8 @@ _ROW_CHUNK = 1 << 18
 
 
 def palindrome_values(length: int) -> np.ndarray:
-    """Sorted array of all palindromic words of the given length."""
+    """Sorted array of all palindromic words of the given length (the empty
+    word, 0, at length 0)."""
     half = (length + 1) // 2
     h = np.arange(1 << half, dtype=np.int64)
     x = np.zeros(1 << half, dtype=np.int64)
@@ -120,43 +126,79 @@ def _crossing_matches(prefix_sym: list[int], start: int, ext_len: int) -> np.nda
     return vals
 
 
-def extension_m(prefix: Word, ext_len: int) -> list[np.ndarray]:
-    """m over every extension of ``prefix`` by 1..ext_len symbols.
+def _covering_factors(prefix: Word, e: int, pal: list[np.ndarray]) -> list[tuple[np.ndarray, int]]:
+    """Palindromic last factors that contain all e extension symbols.
 
-    Returns ``ext`` with ``ext[e][v] = m(prefix + word(v, e))`` for
-    e = 1..ext_len (index 0 unused).  Memory is dominated by the layers
-    themselves: 2^(ext_len+1) bytes in total.
+    One entry per start of such a factor in the prefix, the prefix's end
+    included (there the factor is the whole extension): the sorted
+    extensions that make it a palindrome, and m of the prefix before it.
     """
     p = prefix.length
     prefix_sym = [(prefix.bits >> t) & 1 for t in range(p)]
     base = _prefix_measures(prefix)
-    pal = [None] + [palindrome_values(L) for L in range(1, ext_len + 1)]
+    factors = [(pal[e], base[p])]
+    for start in range(p):
+        matches = _crossing_matches(prefix_sym, start, e)
+        if matches is not None:
+            factors.append((matches, base[start]))
+    return factors
+
+
+def _fill_chunk(
+    out: np.ndarray,
+    lo: int,
+    e: int,
+    covering: list[tuple[np.ndarray, int]],
+    pal: list[np.ndarray],
+    ext: list[np.ndarray],
+) -> None:
+    """Write m of the extensions lo .. lo + out.size - 1 of length e into ``out``.
+
+    ``covering`` is ``_covering_factors`` for e, ``ext[s]`` the layer of
+    length s for every s < e, and ``out.size`` a power of two dividing lo.
+    Every candidate is a shorter measure plus one last factor, so the
+    minimum is taken over the shorter measures and the one is added once.
+    """
+    size = out.size
+    hi = lo + size
+    out.fill(254)
+    for values, before in covering:
+        i, j = np.searchsorted(values, (lo, hi))
+        sel = values[i:j] - lo
+        out[sel] = np.minimum(out[sel], before)
+    # Palindromic factor starting at extension offset s: the top e-s bits
+    # (the row, the suffix value) are a palindrome, the low s bits index ext[s].
+    for s in range(1, e):
+        cols = 1 << s
+        first = lo >> s
+        i, j = np.searchsorted(pal[e - s], (first, ((hi - 1) >> s) + 1))
+        if i == j:
+            continue
+        if cols >= size:
+            # the chunk lies inside one row, whose suffix is a palindrome
+            off = lo - (first << s)
+            np.minimum(out, ext[s][off : off + size], out=out)
+        else:
+            sel = pal[e - s][i:j] - first
+            view = out.reshape(size >> s, cols)
+            view[sel] = np.minimum(view[sel], ext[s])
+    out += 1
+
+
+def extension_m(prefix: Word, ext_len: int) -> list[np.ndarray]:
+    """m over every extension of ``prefix`` by 1..ext_len symbols.
+
+    Returns ``ext`` with ``ext[e][v] = m(prefix + word(v, e))`` for
+    e = 1..ext_len (index 0 unused).  Memory is the layers themselves,
+    2^(ext_len+1) bytes in total.
+    """
+    pal = [palindrome_values(L) for L in range(ext_len + 1)]
     ext: list[np.ndarray] = [None] * (ext_len + 1)  # type: ignore[list-item]
-    scratch = np.empty(1 << max(ext_len - 1, 0), dtype=np.uint8)
     for e in range(1, ext_len + 1):
-        cur = np.full(1 << e, 255, dtype=np.uint8)
-        # Palindromic factor starting inside the prefix: it absorbs every
-        # extension symbol, so only the matching extensions are touched.
-        for start in range(p):
-            matches = _crossing_matches(prefix_sym, start, e)
-            if matches is not None:
-                cur[matches] = np.minimum(cur[matches], base[start] + 1)
-        # Palindromic factor starting at extension offset s: top e-s bits.
-        for s in range(e):
-            rows = pal[e - s]
-            if s == 0:
-                # factor is the entire extension, preceded by the whole prefix
-                cur[rows] = np.minimum(cur[rows], base[p] + 1)
-                continue
-            cols = 1 << s
-            prev = scratch[:cols]
-            np.add(ext[s], 1, out=prev)
-            view = cur.reshape(1 << (e - s), cols)
-            if rows.size * cols <= _FANCY_LIMIT:
-                view[rows] = np.minimum(view[rows], prev[None, :])
-            else:
-                for r in rows:
-                    np.minimum(view[r], prev, out=view[r])
+        covering = _covering_factors(prefix, e, pal)
+        cur = np.empty(1 << e, dtype=np.uint8)
+        for lo in range(0, cur.size, _LAYER_CHUNK):
+            _fill_chunk(cur[lo : lo + _LAYER_CHUNK], lo, e, covering, pal, ext)
         ext[e] = cur
     return ext
 
@@ -220,8 +262,9 @@ class _RowBuilder:
         self.k = 0
         self.max_bits: list[np.ndarray] = []
 
-    def add_layer(self, layer: np.ndarray, prefix_bits: int, depth: int, hit: np.ndarray) -> None:
-        """Fold in the layer of one shard; ``hit`` is a bool scratch buffer."""
+    def add_layer(self, layer: np.ndarray, prefix_bits: int, depth: int, hit: np.ndarray, first: int = 0) -> None:
+        """Fold in the layer of one shard, or its entries from ``first`` on;
+        ``hit`` is a bool scratch buffer."""
         for start in range(0, layer.size, _ROW_CHUNK):
             chunk = layer[start : start + _ROW_CHUNK]
             mask = hit[: chunk.size]
@@ -236,7 +279,7 @@ class _RowBuilder:
             if top > self.k:
                 self.k, self.max_bits = top, []
             if top == self.k:
-                idx = np.flatnonzero(chunk == top) + start
+                idx = np.flatnonzero(chunk == top) + (first + start)
                 self.max_bits.append(prefix_bits | (idx << depth))
 
     def row(self) -> LengthRow:
@@ -259,9 +302,17 @@ def _scan_sharded(n_max: int, depth: int) -> dict[int, LengthRow]:
         return rows
     builders = {e: _RowBuilder(depth + e) for e in range(1, ext_len + 1)}
     hit = np.empty(_ROW_CHUNK, dtype=bool)
+    # The top layer is only ever one chunk: built, counted, overwritten.
+    top = np.empty(min(_LAYER_CHUNK, 1 << ext_len), dtype=np.uint8)
+    pal = [palindrome_values(L) for L in range(ext_len + 1)]
     for prefix_bits in range(0, 1 << depth, 2):  # bit 0 clear: the prefix starts with 'a'
-        ext = extension_m(Word(prefix_bits, depth), ext_len)
-        for e in range(1, ext_len + 1):
+        prefix = Word(prefix_bits, depth)
+        ext = extension_m(prefix, ext_len - 1)
+        covering = _covering_factors(prefix, ext_len, pal)
+        for lo in range(0, 1 << ext_len, top.size):
+            _fill_chunk(top, lo, ext_len, covering, pal, ext)
+            builders[ext_len].add_layer(top, prefix_bits, depth, hit, first=lo)
+        for e in range(1, ext_len):
             builders[e].add_layer(ext[e], prefix_bits, depth, hit)
             ext[e] = None  # type: ignore[call-overload]
     for builder in builders.values():
@@ -273,8 +324,8 @@ def scan_lengths(n_max: int) -> dict[int, LengthRow]:
     """Exact per-length statistics of m for every length 1..n_max.
 
     Enumerates only words starting with 'a'; the letter-swap involution is
-    fixed-point free, so all counts double exactly.  Peak memory is about
-    2^(min(n_max, 27)) bytes of layers, whatever n_max is.
+    fixed-point free, so all counts double exactly.  A shard holds
+    2^min(n_max-1, 26) bytes of layers plus one chunk, whatever n_max is.
     """
     if not 1 <= n_max <= PACKED_LIMIT:
         raise ValueError(f"length must be in 1..{PACKED_LIMIT}, got {n_max}")

@@ -395,6 +395,13 @@ class TestCache:
         assert cache.store_row(row)
         assert cache.load("row", 4) == entry.payload
 
+    def test_indented_file_is_served(self, tmp_path):
+        entry = CacheEntry(kind="row", n=4, payload=_row_payload())
+        doc = json.loads(entry.to_json())
+        (tmp_path / "row_4.json").write_text(json.dumps(doc, sort_keys=True, indent=2))
+        row = ResultCache(tmp_path).load_row(4)
+        assert (row.counts, row.maximizers) == ({1: 4, 2: 8, 3: 4}, (4, 10))
+
     def test_checksum_guards_payload(self, tmp_path):
         cache = ResultCache(tmp_path)
         cache.store(CacheEntry(kind="row", n=4, payload=_row_payload()))
@@ -569,6 +576,18 @@ class TestCliCacheIntegration:
         doc = json.loads((tmp_path / "row_4.json").read_text())
         assert doc["schema_version"] == SCHEMA_VERSION == 3
         assert doc["payload"] == {"n": 4, "counts": {"1": 4, "2": 12}, "maximizers": [2, 4, 8, 10, 12, 14]}
+
+    def test_cold_kbar_writes_compact_rows(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.delenv("PALIN_CACHE_DIR", raising=False)
+        code, _, _ = run(capsys, "--cache-dir", str(tmp_path), "--format", "csv", "kbar", "--max-n", "26")
+        assert code == 0
+        files = sorted(tmp_path.iterdir())
+        assert len(files) == 26
+        for path in files:
+            text = path.read_text()
+            assert text == json.dumps(json.loads(text), sort_keys=True, separators=(",", ":"))
+        indented = sum(len(json.dumps(json.loads(p.read_text()), sort_keys=True, indent=2)) for p in files)
+        assert (sum(p.stat().st_size for p in files), indented) == (31_509, 58_530)
 
     def test_env_var_overrides_flag(self, capsys, tmp_path, monkeypatch):
         env_dir = tmp_path / "from_env"

@@ -1,5 +1,11 @@
 from __future__ import annotations
 
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -15,6 +21,8 @@ from palfact.enumeration import (
 )
 from palfact.factorization import measure
 from palfact.words import Word, parse_word
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 class TestPalindromeValues:
@@ -50,6 +58,15 @@ class TestExtensionM:
         for e in range(1, 8):
             for bits in range(1 << e):
                 assert layers[e][bits] == measure(base + Word(bits, e)), (prefix, e, bits)
+
+    @pytest.mark.parametrize("prefix", ["", "a", "bbaab"])
+    def test_layers_independent_of_layer_chunk(self, monkeypatch, prefix):
+        base = parse_word(prefix) if prefix else Word.empty()
+        whole = extension_m(base, 12)
+        monkeypatch.setattr(enumeration, "_LAYER_CHUNK", 8)
+        chunked = extension_m(base, 12)
+        for e in range(1, 13):
+            assert np.array_equal(chunked[e], whole[e]), e
 
     def test_layer_sizes_and_dtype(self):
         layers = extension_m(parse_word("ab"), 5)
@@ -121,6 +138,16 @@ class TestSharding:
         for depth in range(1, 7):
             assert _scan_sharded(n_max, depth) == unsharded, depth
 
+    # Many layer chunks per shard: chunks holding several palindromic suffix
+    # rows, chunks inside one suffix row (s >= log2 chunk), and covering
+    # factors cut at chunk bounds, in the kept layers and the streamed top one.
+    @pytest.mark.parametrize(("n_max", "layer_chunk"), [(7, 1 << 3), (12, 1 << 3), (18, 1 << 8)])
+    def test_rows_independent_of_layer_chunk(self, monkeypatch, n_max, layer_chunk):
+        unsharded = _scan_sharded(n_max, 1)
+        monkeypatch.setattr(enumeration, "_LAYER_CHUNK", layer_chunk)
+        for depth in range(1, 7):
+            assert _scan_sharded(n_max, depth) == unsharded, depth
+
     @pytest.mark.parametrize("depth", [1, 3])
     def test_rows_independent_of_row_chunk(self, monkeypatch, depth):
         whole = _scan_sharded(14, depth)
@@ -140,6 +167,50 @@ class TestSharding:
             assert list(row.maximizers) == a_initial
             assert row.maximizer_count == 2 * len(a_initial)
             assert dfs == row
+
+
+def _check_golden(rows, lengths):
+    """Rows against ``tests/data/rows_27_32.json``: the histogram and
+    maximizer count of n = 27..32, generated once with ``scan_lengths(32)``
+    while every shard still held its top layer whole."""
+    golden = json.loads((ROOT / "tests" / "data" / "rows_27_32.json").read_text())
+    for n in lengths:
+        counts = {int(k): c for k, c in golden[str(n)]["counts"].items()}
+        assert sum(counts.values()) == 1 << n
+        assert rows[n].counts == counts, n
+        assert rows[n].maximizer_count == golden[str(n)]["maximizer_count"] == 2 * len(rows[n].maximizers), n
+
+
+class TestGoldenRows:
+    def test_rows_27_to_30(self):
+        # the n = 30 pass of test_acceptance's criterion 1, unless run alone
+        _check_golden(_rows_upto(30), range(27, 31))
+
+    @pytest.mark.skipif(not os.environ.get("PALFACT_LONG_TESTS"), reason="~12 s; set PALFACT_LONG_TESTS=1")
+    def test_rows_31_and_32(self):
+        _check_golden(scan_lengths(32), (31, 32))
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs VmHWM from procfs")
+def test_scan_never_holds_the_top_layer():
+    """A scan to 27 is one shard: it keeps layers 1..25 (2^26 bytes) and
+    builds the 64 MiB top layer one chunk at a time, so peak RSS grows by
+    2^26 bytes plus slack.  VmHWM is this process's own peak; ru_maxrss
+    would start from the peak of the test process that spawned it."""
+    code = (
+        "import re\n"
+        "from palfact.enumeration import scan_lengths\n"
+        "def peak():\n"
+        "    with open('/proc/self/status') as f:\n"
+        "        return int(re.search(r'VmHWM:\\s+(\\d+) kB', f.read()).group(1)) * 1024\n"
+        "before = peak()\n"
+        "scan_lengths(27)\n"
+        "print(peak() - before)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert int(proc.stdout) < 1.25 * 2**26
 
 
 class TestDfsBackend:
