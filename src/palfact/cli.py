@@ -2,9 +2,11 @@
 
 Subcommands: m, factor, kmax, kbar, histogram, worst, verify, bounds.
 Exit status is 0 on success, 1 when a verification ran and failed (the
-counterexamples are printed), 2 on usage errors.  Output is byte-stable
-for a fixed configuration and seed, and each command makes at most one
-enumeration pass.
+counterexamples are printed), 2 on usage errors, and 3 when a worker
+process of a multi-process enumeration died (killed by a signal, say, or
+by the out-of-memory killer; one line on stderr says so, and no row of
+that pass is cached).  Output is byte-stable for a fixed configuration
+and seed, and each command makes at most one enumeration pass.
 
 The global options --format, --cache-dir and --seed go before the
 subcommand.  A subcommand also accepts those of them it uses: --format
@@ -33,7 +35,7 @@ from . import distribution, extremal, lemmas
 from .asymptotics import bounds_report
 from .cache import ResultCache
 from .distribution import AverageRow
-from .enumeration import PACKED_LIMIT, LengthRow
+from .enumeration import PACKED_LIMIT, LengthRow, WorkerDied
 from .factorization import min_factorization
 from .words import WordError, orbit, parse_word
 
@@ -43,6 +45,9 @@ FORMATS = ("table", "csv", "json")
 
 # Each letter beyond this length doubles the enumeration time; ask first.
 LONG_RUN_THRESHOLD = 26
+
+# Exit status when a worker process of a sharded enumeration died.
+WORKER_DIED = 3
 
 
 @dataclass
@@ -473,7 +478,7 @@ def bounds_command(base: RunConfig, tolerance: float, fmt, cache_dir) -> None:
 
 
 def dispatch(argv: Sequence[str]) -> int:
-    """Run one CLI invocation and return its exit status (0/1/2)."""
+    """Run one CLI invocation and return its exit status (0/1/2/3)."""
     try:
         result = cli.main(args=list(argv), prog_name="palfact", standalone_mode=False)
     except click.exceptions.Exit as exc:
@@ -481,6 +486,9 @@ def dispatch(argv: Sequence[str]) -> int:
     except click.ClickException as exc:
         exc.show()
         return exc.exit_code
+    except WorkerDied as exc:
+        click.echo(f"Error: {exc}", err=True)
+        return WORKER_DIED
     return result if isinstance(result, int) else 0
 
 

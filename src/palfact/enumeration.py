@@ -12,17 +12,25 @@ value selects one row and the update is a vectorised elementwise minimum.
 Layers are built in cache-sized chunks of consecutive entries, each taken
 through every palindromic suffix before the next one starts.
 
-A scan up to n_max is sharded by prefix: with depth d = max(1, n_max - 26)
-every a-initial prefix of d letters, in ascending order, is extended by
-n_max - d symbols.  Only the lengths below a shard's top one are kept,
-2^(n_max-d) bytes at most: the top layer feeds nothing but its own row, so
-each of its chunks is counted as soon as it is built and then overwritten.
-Lengths up to d come from one unsharded scan.  Each layer is turned into
-row data in cache-sized chunks (compare-and-count per value, maximizer
-indices only where a chunk reaches the running maximum), and shards merge
-associatively: counts add and maximizer words concatenate.  Everything is
-exact integer arithmetic, so results do not depend on the shard depth or
-the chunk sizes.
+A scan up to n_max is sharded by prefix: with W workers and depth
+d = max(1, n_max - 26 + ceil(log2 W)) every a-initial prefix of d letters
+is extended by n_max - d symbols.  Only the lengths below a shard's top one
+are kept, 2^(n_max-d) bytes at most: the top layer feeds nothing but its
+own row, so each of its chunks is counted as soon as it is built and then
+overwritten.  Lengths up to d come from one unsharded scan.  Each layer is
+turned into row data in cache-sized chunks (compare-and-count per value,
+maximizer indices only where a chunk reaches the running maximum), and
+shards merge associatively: counts add, and the larger maximum keeps its
+maximizer words (equal maxima concatenate them).  Everything is exact
+integer arithmetic, so results do not depend on the shard depth, the
+chunk sizes or the number of workers.
+
+Shards are independent, so a scan with more than one shard runs them on W
+forked worker processes, W = min(usable CPUs, shard count), and merges
+their rows in ascending prefix order.  The 64 MiB of layers one process
+held is split between the workers: each holds at most 2^26 / W bytes, so
+the layers held at once total 2^26 bytes at most, as with one process.
+With one usable CPU, or one shard, the scan runs in-process.
 
 A length's row is its histogram of m and its a-initial maximizers; K(n),
 the maximizer count, S(n) and the sample orbit representatives of the K
@@ -35,7 +43,10 @@ A command therefore makes at most one enumeration pass.
 
 from __future__ import annotations
 
+import os
+from collections.abc import Iterator
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -46,6 +57,7 @@ __all__ = [
     "PACKED_LIMIT",
     "SAMPLE_CAP",
     "LengthRow",
+    "WorkerDied",
     "palindrome_values",
     "extension_m",
     "scan_lengths",
@@ -58,8 +70,10 @@ PACKED_LIMIT = 32
 # Orbit representatives a row lists as the K table's sample maximizers.
 SAMPLE_CAP = 16
 
-# Shards extend their prefix by at most this many symbols, so the layers a
-# shard holds (every length but the top one) total at most 64 MiB.
+# A scan on one process extends each prefix by at most this many symbols,
+# so the layers a shard holds (every length but the top one) total at most
+# 64 MiB.  W workers extend by ceil(log2 W) fewer, so the layers the W
+# shards in flight hold still total at most 64 MiB.
 _SHARD_BITS = 26
 
 # Layers are built this many entries at a time: a chunk (1 MiB) stays in L2
@@ -253,6 +267,10 @@ class LengthRow:
         return tuple(samples)
 
 
+class WorkerDied(RuntimeError):
+    """A worker process of a sharded scan ended without its result."""
+
+
 class _RowBuilder:
     """Row statistics for one length, merged over the layers of every shard."""
 
@@ -282,6 +300,14 @@ class _RowBuilder:
                 idx = np.flatnonzero(chunk == top) + (first + start)
                 self.max_bits.append(prefix_bits | (idx << depth))
 
+    def merge(self, other: _RowBuilder) -> None:
+        """Fold in the statistics of other shards of the same length."""
+        self.counts = [a + b for a, b in zip(self.counts, other.counts)]
+        if other.k > self.k:
+            self.k, self.max_bits = other.k, []
+        if other.k == self.k:
+            self.max_bits += other.max_bits
+
     def row(self) -> LengthRow:
         return LengthRow(
             n=self.n,
@@ -290,8 +316,41 @@ class _RowBuilder:
         )
 
 
-def _scan_sharded(n_max: int, depth: int) -> dict[int, LengthRow]:
-    """Rows 1..n_max with lengths above ``depth`` built one prefix shard at a time."""
+def _scan_shard(prefix_bits: int, depth: int, ext_len: int) -> dict[int, _RowBuilder]:
+    """Row statistics of lengths depth+1 .. depth+ext_len over the words
+    that start with the ``depth``-letter prefix ``prefix_bits``."""
+    prefix = Word(prefix_bits, depth)
+    builders = {depth + e: _RowBuilder(depth + e) for e in range(1, ext_len + 1)}
+    hit = np.empty(_ROW_CHUNK, dtype=bool)
+    pal = [palindrome_values(L) for L in range(ext_len + 1)]
+    ext = extension_m(prefix, ext_len - 1)
+    covering = _covering_factors(prefix, ext_len, pal)
+    # The top layer is only ever one chunk: built, counted, overwritten.
+    top = np.empty(min(_LAYER_CHUNK, 1 << ext_len), dtype=np.uint8)
+    for lo in range(0, 1 << ext_len, top.size):
+        _fill_chunk(top, lo, ext_len, covering, pal, ext)
+        builders[depth + ext_len].add_layer(top, prefix_bits, depth, hit, first=lo)
+    for e in range(1, ext_len):
+        builders[depth + e].add_layer(ext[e], prefix_bits, depth, hit)
+        ext[e] = None  # type: ignore[call-overload]
+    return builders
+
+
+def _merge_shards(shards: Iterator[dict[int, _RowBuilder]]) -> dict[int, LengthRow]:
+    """Rows from the per-shard statistics, merged in the order given."""
+    builders = next(shards)
+    for other in shards:
+        for n, builder in builders.items():
+            builder.merge(other[n])
+    return {n: builder.row() for n, builder in builders.items()}
+
+
+def _scan_sharded(n_max: int, depth: int, workers: int = 1) -> dict[int, LengthRow]:
+    """Rows 1..n_max with lengths above ``depth`` built one prefix shard at a
+    time, on ``workers`` forked processes when that is more than one.
+
+    Raises ``WorkerDied`` when a worker process ends without its result.
+    """
     depth = min(depth, n_max)
     if depth > 1:
         rows = _scan_sharded(depth, 1)
@@ -300,36 +359,65 @@ def _scan_sharded(n_max: int, depth: int) -> dict[int, LengthRow]:
     ext_len = n_max - depth
     if not ext_len:
         return rows
-    builders = {e: _RowBuilder(depth + e) for e in range(1, ext_len + 1)}
-    hit = np.empty(_ROW_CHUNK, dtype=bool)
-    # The top layer is only ever one chunk: built, counted, overwritten.
-    top = np.empty(min(_LAYER_CHUNK, 1 << ext_len), dtype=np.uint8)
-    pal = [palindrome_values(L) for L in range(ext_len + 1)]
-    for prefix_bits in range(0, 1 << depth, 2):  # bit 0 clear: the prefix starts with 'a'
-        prefix = Word(prefix_bits, depth)
-        ext = extension_m(prefix, ext_len - 1)
-        covering = _covering_factors(prefix, ext_len, pal)
-        for lo in range(0, 1 << ext_len, top.size):
-            _fill_chunk(top, lo, ext_len, covering, pal, ext)
-            builders[ext_len].add_layer(top, prefix_bits, depth, hit, first=lo)
-        for e in range(1, ext_len):
-            builders[e].add_layer(ext[e], prefix_bits, depth, hit)
-            ext[e] = None  # type: ignore[call-overload]
-    for builder in builders.values():
-        rows[builder.n] = builder.row()
+    shard = partial(_scan_shard, depth=depth, ext_len=ext_len)
+    prefixes = range(0, 1 << depth, 2)  # bit 0 clear: the prefix starts with 'a'
+    if workers > 1:
+        # Imported here: a process that never runs two shards at once does
+        # not pay for them.
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+        from concurrent.futures.process import BrokenProcessPool
+
+        # Forked workers inherit the imported modules, so a shard starts at
+        # once.  Forking after numpy started its BLAS thread pool is safe
+        # here: the kernel is elementwise ufuncs, searchsorted and sort,
+        # and never calls BLAS, so no child waits on a lock a thread held.
+        # The executor forks every worker before it starts its own threads.
+        try:
+            with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork")) as pool:
+                rows.update(_merge_shards(pool.map(shard, prefixes)))
+        except BrokenProcessPool as exc:
+            raise WorkerDied("an enumeration worker process died (killed by a signal, e.g. out of memory)") from exc
+    else:
+        rows.update(_merge_shards(map(shard, prefixes)))
     return rows
+
+
+def _usable_cpus() -> int:
+    """CPUs this process may run on (1 where the platform cannot say)."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return 1
+
+
+def _plan(n_max: int) -> tuple[int, int]:
+    """Shard depth and worker count of a scan up to n_max.
+
+    W workers each hold at most 2^(_SHARD_BITS - ceil(log2 W)) bytes of
+    layers, and W never exceeds the shard count that depth gives.
+    """
+    workers = _usable_cpus()
+    while True:
+        depth = max(1, n_max - _SHARD_BITS + (workers - 1).bit_length())
+        shards = 1 << (depth - 1)
+        if workers <= shards:
+            return depth, workers
+        workers = shards
 
 
 def scan_lengths(n_max: int) -> dict[int, LengthRow]:
     """Exact per-length statistics of m for every length 1..n_max.
 
     Enumerates only words starting with 'a'; the letter-swap involution is
-    fixed-point free, so all counts double exactly.  A shard holds
-    2^min(n_max-1, 26) bytes of layers plus one chunk, whatever n_max is.
+    fixed-point free, so all counts double exactly.  The shards run on W =
+    min(usable CPUs, shard count) processes; each holds 2^min(n_max-1,
+    26-ceil(log2 W)) bytes of layers plus one chunk, so the layers held at
+    once total at most 2^26 bytes whatever n_max and W are.
     """
     if not 1 <= n_max <= PACKED_LIMIT:
         raise ValueError(f"length must be in 1..{PACKED_LIMIT}, got {n_max}")
-    return _scan_sharded(n_max, max(1, n_max - _SHARD_BITS))
+    return _scan_sharded(n_max, *_plan(n_max))
 
 
 # Rows of the longest scan made so far in this process, keyed 1..n.  Shared

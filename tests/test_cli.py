@@ -2,8 +2,12 @@ from __future__ import annotations
 
 import io
 import json
+import os
+import subprocess
+import sys
 import tempfile
 import time
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -307,6 +311,35 @@ class TestInputContract:
         code, out, _ = run(capsys, "--format", "json", "bounds", "--tolerance", "1e-300")
         assert code == 0
         assert abs(json.loads(out)["theta_prime"] - 0.0948820786) < 1e-10
+
+
+class TestWorkerFailure:
+    def test_killed_worker_is_a_one_line_error(self, tmp_path):
+        """A worker that dies (here SIGKILL, as the OOM killer sends) ends
+        the command with status 3 and one line on stderr, stores no row and
+        leaves no process behind."""
+        code = (
+            "import os, signal, sys\n"
+            "from palfact import cli, enumeration\n"
+            "enumeration._usable_cpus = lambda: 2\n"
+            "enumeration._SHARD_BITS = 8\n"
+            "parent = os.getpid()\n"
+            "scan_shard = enumeration._scan_shard\n"
+            "def die(*args, **kwargs):\n"
+            "    if os.getpid() != parent:\n"
+            "        os.kill(os.getpid(), signal.SIGKILL)\n"
+            "    return scan_shard(*args, **kwargs)\n"
+            "enumeration._scan_shard = die\n"
+            f"sys.exit(cli.dispatch(['--cache-dir', {str(tmp_path)!r}, 'kmax', '--max-n', '12']))\n"
+        )
+        env = {k: v for k, v in os.environ.items() if k != "PALIN_CACHE_DIR"}
+        env["PYTHONPATH"] = str(Path(__file__).resolve().parent.parent / "src")
+        proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 3
+        assert proc.stdout == ""
+        assert proc.stderr.count("\n") == 1
+        assert proc.stderr.startswith("Error: an enumeration worker process died")
+        assert not tmp_path.exists() or not any(tmp_path.iterdir())
 
 
 class TestWordFromStdin:

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -13,7 +14,9 @@ from oracles import brute_force_m_table, dfs_scan, text_of
 from palfact import enumeration
 from palfact.enumeration import (
     PACKED_LIMIT,
+    _plan,
     _rows_upto,
+    _scan_shard,
     _scan_sharded,
     extension_m,
     palindrome_values,
@@ -67,6 +70,18 @@ class TestExtensionM:
         chunked = extension_m(base, 12)
         for e in range(1, 13):
             assert np.array_equal(chunked[e], whole[e]), e
+
+    def test_full_size_shard_matches_eertree(self):
+        """A production-size shard (an a-initial 4-letter prefix extended by
+        26, as at n = 30) against the palindromic tree, an independent
+        algorithm, on seeded entries of its longest layers."""
+        prefix = parse_word("abba")
+        layers = extension_m(prefix, 26)
+        rng = random.Random(2010)
+        for _ in range(5000):
+            e = rng.randrange(20, 27)
+            v = rng.randrange(1 << e)
+            assert layers[e][v] == measure(prefix + Word(v, e)), (e, v)
 
     def test_layer_sizes_and_dtype(self):
         layers = extension_m(parse_word("ab"), 5)
@@ -169,6 +184,46 @@ class TestSharding:
             assert dfs == row
 
 
+class TestWorkers:
+    """Shards on two forked workers give the rows of one process."""
+
+    @pytest.fixture
+    def two_cpus(self, monkeypatch):
+        monkeypatch.setattr(enumeration, "_usable_cpus", lambda: 2)
+
+    # _SHARD_BITS = n_max - 4: two workers extend by n_max - 5, so the scan
+    # runs 16 shards, and one CPU runs 8 in-process.
+    @pytest.mark.parametrize("n_max", [12, 15, 18])
+    def test_rows_equal_in_process_scan(self, monkeypatch, n_max):
+        monkeypatch.setattr(enumeration, "_SHARD_BITS", n_max - 4)
+        monkeypatch.setattr(enumeration, "_usable_cpus", lambda: 1)
+        assert _plan(n_max) == (4, 1)
+        in_process = scan_lengths(n_max)
+        monkeypatch.setattr(enumeration, "_usable_cpus", lambda: 2)
+        assert _plan(n_max) == (5, 2)
+        assert scan_lengths(n_max) == in_process == _scan_sharded(n_max, 1)
+
+    def test_shards_reach_different_maxima(self, monkeypatch, two_cpus):
+        # Only the shards aab and aba hold a-initial maximizers of length 11,
+        # aababbaabab and ababbaababb: the merge must keep the larger maximum.
+        monkeypatch.setattr(enumeration, "_SHARD_BITS", 9)
+        assert _plan(11) == (3, 2)
+        tops = [_scan_shard(prefix, 3, 8)[11].k for prefix in range(0, 8, 2)]
+        assert tops == [4, 5, 5, 4]
+        rows = scan_lengths(11)
+        assert rows == _scan_sharded(11, 1)
+        assert [text_of(b, 11) for b in rows[11].maximizers] == ["aababbaabab", "ababbaababb"]
+
+    @pytest.mark.parametrize(("n_max", "plan"), [(26, (1, 1)), (27, (2, 2)), (30, (5, 2)), (32, (7, 2))])
+    def test_two_cpus_split_the_layer_budget(self, two_cpus, n_max, plan):
+        assert _plan(n_max) == plan
+
+    @pytest.mark.parametrize(("cpus", "plan"), [(1, (4, 1)), (3, (6, 3)), (4, (6, 4)), (64, (10, 64))])
+    def test_plan_at_n30(self, monkeypatch, cpus, plan):
+        monkeypatch.setattr(enumeration, "_usable_cpus", lambda: cpus)
+        assert _plan(30) == plan
+
+
 def _check_golden(rows, lengths):
     """Rows against ``tests/data/rows_27_32.json``: the histogram and
     maximizer count of n = 27..32, generated once with ``scan_lengths(32)``
@@ -193,24 +248,38 @@ class TestGoldenRows:
 
 @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs VmHWM from procfs")
 def test_scan_never_holds_the_top_layer():
-    """A scan to 27 is one shard: it keeps layers 1..25 (2^26 bytes) and
-    builds the 64 MiB top layer one chunk at a time, so peak RSS grows by
-    2^26 bytes plus slack.  VmHWM is this process's own peak; ru_maxrss
-    would start from the peak of the test process that spawned it."""
+    """A scan to 27 holds 2^26 bytes of layers in all: one process keeps
+    layers 1..25 of its one shard, and W workers keep 2^26 / W bytes each.
+    The top layer of a shard is built one chunk at a time.  Every process
+    that runs a shard reports how far its peak RSS grew (VmHWM, its own
+    peak: ru_maxrss would start from the peak of the test process that
+    spawned it), and the growth summed over them stays below 2^26 bytes
+    plus slack.  Forked workers inherit the wrapper that reports it."""
     code = (
-        "import re\n"
-        "from palfact.enumeration import scan_lengths\n"
+        "import os, re\n"
+        "from palfact import enumeration\n"
         "def peak():\n"
         "    with open('/proc/self/status') as f:\n"
         "        return int(re.search(r'VmHWM:\\s+(\\d+) kB', f.read()).group(1)) * 1024\n"
-        "before = peak()\n"
-        "scan_lengths(27)\n"
-        "print(peak() - before)\n"
+        "before = {}\n"
+        "scan_shard = enumeration._scan_shard\n"
+        "def measured(*args, **kwargs):\n"
+        "    before.setdefault(os.getpid(), peak())\n"
+        "    builders = scan_shard(*args, **kwargs)\n"
+        "    os.write(1, f'{os.getpid()} {peak() - before[os.getpid()]}\\n'.encode())\n"
+        "    return builders\n"
+        "enumeration._scan_shard = measured\n"
+        "enumeration.scan_lengths(27)\n"
     )
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert int(proc.stdout) < 1.25 * 2**26
+    growth = {}
+    for line in proc.stdout.splitlines():
+        pid, grown = map(int, line.split())
+        growth[pid] = max(growth.get(pid, 0), grown)
+    assert growth
+    assert sum(growth.values()) < 1.25 * 2**26
 
 
 class TestDfsBackend:
