@@ -21,7 +21,7 @@ print("uniform branch at n=11:", 11 // 6 + (11 + 4) // 6 + 1, "  enumerated:", r
 for orbit in worst_words(11):
     print("extremal orbit at n=11:", orbit.words, "size", orbit.size)
 
-# The formula check as a single report:
+# The formula check as a single claim report:
 report = verify_theorem1(18)
 print()
-print(f"formula vs enumeration up to 18: {'ok' if report.ok else report.mismatches}")
+print(f"formula vs enumeration up to 18 ({report.cases} lengths): {'ok' if report.passed else report.counterexamples}")

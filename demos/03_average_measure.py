@@ -6,6 +6,8 @@ kbar makes kbar(n)/n converge to its infimum, so the smallest computed
 ratio is already a valid upper bound for the limit.
 """
 
+from fractions import Fraction
+
 from palfact import histogram, k_bar_rows, subadditivity_check
 
 # The histogram underneath the average: x_k = number of words with m = k.
@@ -23,7 +25,9 @@ row21 = rows[20]
 print()
 print(f"kbar(21) = {row21.kbar_num}/2^{row21.kbar_den_pow2} exactly")
 
-# Pairwise subadditivity over the computed range, in exact arithmetic:
+# Pairwise subadditivity over the computed range, in exact arithmetic, as a
+# claim report; its params carry the least ratio kbar(n)/n as "num/den".
 report = subadditivity_check(21)
-print(f"subadditive over {report.pairs_checked} pairs: {report.ok}")
-print(f"min ratio at n={report.min_ratio_n}: {report.min_ratio} = {float(report.min_ratio):.6f}")
+print(f"subadditive over {report.cases} pairs: {report.passed}")
+min_ratio = Fraction(report.params["min_ratio"])
+print(f"min ratio at n={report.params['min_ratio_n']}: {min_ratio} = {float(min_ratio):.6f}")

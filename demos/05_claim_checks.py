@@ -3,8 +3,10 @@
 Each report replays one machine-checkable claim: explicit factorization
 witnesses, exhaustive case analyses over bounded suffix spaces, the
 absence of long palindromes in block powers, exact measures along two
-word families, and a randomized tuple inequality.  A failing report
-would carry concrete counterexamples.
+word families, a randomized tuple inequality, and, against the exhaustive
+enumeration, Theorem 1's closed form, subadditivity of the exact averages
+and the counting bound.  These are the reports ``palfact verify all``
+prints.  A failing report would carry concrete counterexamples.
 """
 
 import time
@@ -13,7 +15,7 @@ from palfact.lemmas import all_reports
 
 start = time.perf_counter()
 for report in all_reports(seed=42):
-    print(f"{report.lemma_id:<8} {report.verdict:<4} cases={report.cases:>7}  params={report.params}")
+    print(f"{report.lemma_id:<13} {report.verdict:<4} cases={report.cases:>7}  params={report.params}")
     for bad in report.counterexamples[:3]:
         print("   counterexample:", bad)
 print(f"\ntotal {time.perf_counter() - start:.2f}s")

@@ -23,22 +23,18 @@ from .distribution import (
     AverageRow,
     CountingBoundReport,
     MHistogram,
-    SubadditivityReport,
     counting_bound_check,
     histogram,
     histogram_rows,
     k_bar,
     k_bar_rows,
-    subadditivity_check,
 )
 from .extremal import (
     ExtremalRow,
     Orbit,
-    Theorem1Report,
     k_formula,
     k_max,
     k_max_rows,
-    verify_theorem1,
     worst_words,
 )
 from .factorization import Factorization, longest_palindromic_factor, measure, min_factorization, reachable_k
@@ -46,11 +42,14 @@ from .lemmas import (
     LemmaReport,
     M_CONSTANTS,
     ksum_property,
+    subadditivity_check,
     verify_case_lemma,
+    verify_counting_bound,
     verify_lemma1,
     verify_lemma7,
     verify_lemma8,
     verify_lemma9,
+    verify_theorem1,
 )
 from .words import (
     Word,
@@ -76,8 +75,6 @@ __all__ = [
     "MHistogram",
     "M_CONSTANTS",
     "Orbit",
-    "SubadditivityReport",
-    "Theorem1Report",
     "Word",
     "WordError",
     "bounds_report",
@@ -106,6 +103,7 @@ __all__ = [
     "symmetries",
     "theta_prime",
     "verify_case_lemma",
+    "verify_counting_bound",
     "verify_lemma1",
     "verify_lemma7",
     "verify_lemma8",

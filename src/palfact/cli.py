@@ -2,7 +2,8 @@
 
 Subcommands: m, factor, kmax, kbar, histogram, worst, verify, bounds.
 Exit status is 0 on success, 1 when a verification ran and failed (the
-counterexamples are printed), 2 on usage errors, and 3 when a worker
+counterexamples are printed), 2 on usage errors (and on a cached n = 21
+row that contradicts the pinned upper bound), and 3 when a worker
 process of a multi-process enumeration died (killed by a signal, say, or
 by the out-of-memory killer; one line on stderr says so, and no row of
 that pass is cached).  Output is byte-stable for a fixed configuration
@@ -31,10 +32,10 @@ from typing import Sequence
 
 import click
 
-from . import distribution, extremal, lemmas
+from . import extremal, lemmas
 from .asymptotics import bounds_report
 from .cache import ResultCache
-from .distribution import AverageRow
+from .distribution import COUNTING_MIN_N, AverageRow
 from .enumeration import PACKED_LIMIT, LengthRow, WorkerDied
 from .factorization import min_factorization
 from .words import WordError, orbit, parse_word
@@ -327,73 +328,26 @@ def worst_command(base: RunConfig, n: int, allow_long: bool, fmt, cache_dir) -> 
             click.echo(f"  {orb.representative}  (orbit size {orb.size}: {', '.join(orb.words)})")
 
 
-VERIFY_TARGETS = (
-    "all",
-    "lemma1",
-    "lemma2",
-    "lemma3",
-    "lemma4",
-    "lemma7",
-    "lemma8",
-    "lemma9",
-    "ksum",
-    "theorem1",
-    "subadditivity",
-    "counting",
-)
+VERIFY_TARGETS = ("all", *lemmas.standard_runs())
 
 _COUNTEREXAMPLE_PRINT_LIMIT = 10
 
 
 def _verify_reports(config: RunConfig, target: str, max_n: int, trials: int) -> list[dict]:
+    """The reports of the claims ``target`` names, in suite order, as JSON
+    entries; the case count rides in the params."""
     reports: list[dict] = []
-
-    def add(lemma_id: str, params: dict, passed: bool, counterexamples: list) -> None:
-        reports.append(
-            {
-                "lemma": lemma_id,
-                "params": params,
-                "verdict": "pass" if passed else "fail",
-                "counterexamples": counterexamples,
-            }
-        )
-
-    for name, run in lemmas.standard_runs(trials, config.seed).items():
+    for name, run in lemmas.standard_runs(trials, config.seed, max_n).items():
         if target in (name, "all"):
             rep = run()
-            params = dict(rep.params)
-            params["cases"] = rep.cases
-            add(rep.lemma_id, params, rep.passed, list(rep.counterexamples))
-    if target in ("theorem1", "all"):
-        rep = extremal.verify_theorem1(max_n)
-        add(
-            "theorem1",
-            {"n_max": max_n, "cases": rep.checked},
-            rep.ok,
-            [{"n": n, "enumerated": e, "formula": f} for n, e, f in rep.mismatches],
-        )
-    if target in ("subadditivity", "all"):
-        rep = distribution.subadditivity_check(max(2, max_n))
-        add(
-            "subadditivity",
-            {
-                "n_max": rep.n_max,
-                "cases": rep.pairs_checked,
-                "min_ratio_n": rep.min_ratio_n,
-                "min_ratio": f"{rep.min_ratio.numerator}/{rep.min_ratio.denominator}",
-            },
-            rep.ok,
-            [{"i": i, "j": j} for i, j in rep.violations],
-        )
-    if target in ("counting", "all"):
-        top = min(16, max_n)
-        bad = []
-        cases = 0
-        for n in range(distribution.COUNTING_MIN_N, top + 1):
-            rep = distribution.counting_bound_check(n)
-            cases += len(rep.entries)
-            bad.extend({"n": n, "k": e.k} for e in rep.entries if not e.holds)
-        add("counting", {"n_range": f"{distribution.COUNTING_MIN_N}..{top}", "cases": cases}, not bad, bad)
+            reports.append(
+                {
+                    "lemma": rep.lemma_id,
+                    "params": {**rep.params, "cases": rep.cases},
+                    "verdict": rep.verdict,
+                    "counterexamples": list(rep.counterexamples),
+                }
+            )
     return reports
 
 
@@ -410,9 +364,9 @@ def verify_command(base: RunConfig, target: str, max_n: int, trials: int, fmt, c
     config = _resolve(base, fmt, cache_dir, seed)
     _guard_length("--max-n", max_n, allow_long=True)
     # Below the counting bound's first length the claim would check nothing.
-    if target in ("counting", "all") and max_n < distribution.COUNTING_MIN_N:
+    if target in ("counting", "all") and max_n < COUNTING_MIN_N:
         raise click.UsageError(
-            f"verify {target} needs --max-n >= {distribution.COUNTING_MIN_N} (the counting bound starts there), got {max_n}"
+            f"verify {target} needs --max-n >= {COUNTING_MIN_N} (the counting bound starts there), got {max_n}"
         )
     if trials < 1:
         raise click.UsageError(f"--trials must be positive, got {trials}")
@@ -445,7 +399,11 @@ def bounds_command(base: RunConfig, tolerance: float, fmt, cache_dir) -> None:
     if not 0 < tolerance < math.inf:
         raise click.UsageError(f"--tolerance must be positive and finite, got {tolerance}")
     [row] = _cached_rows(config, range(21, 22))
-    report = _lib_call(bounds_report, [AverageRow(n=21, s=row.s)], tolerance)
+    try:
+        report = _lib_call(bounds_report, [AverageRow(n=21, s=row.s)], tolerance)
+    except ArithmeticError as exc:
+        # A cached row can be possible for its length and still wrong.
+        raise click.UsageError(f"{exc}; the row for n = 21 is wrong (delete a cached row_21.json)") from exc
     den = report.upper_bound.denominator
     exp2 = (den & -den).bit_length() - 1
     odd = den >> exp2

@@ -12,18 +12,16 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .asymptotics import a_bound_squared
-from .enumeration import PACKED_LIMIT, LengthRow, _rows_upto
+from .enumeration import LengthRow, _rows_upto
 
 __all__ = [
     "MHistogram",
     "AverageRow",
-    "SubadditivityReport",
     "CountingBoundReport",
     "histogram",
     "histogram_rows",
     "k_bar",
     "k_bar_rows",
-    "subadditivity_check",
     "counting_bound_check",
     "COUNTING_MIN_N",
 ]
@@ -92,45 +90,6 @@ def k_bar(n: int) -> AverageRow:
 def k_bar_rows(n_max: int) -> list[AverageRow]:
     rows = _rows_upto(n_max)
     return [AverageRow(n=n, s=rows[n].s) for n in range(1, n_max + 1)]
-
-
-@dataclass(frozen=True)
-class SubadditivityReport:
-    """Pairwise subadditivity of the exact averages, plus the infimum ratio
-    over the computed range (an upper bound for the limit of kbar(n)/n)."""
-
-    n_max: int
-    violations: tuple[tuple[int, int], ...]
-    min_ratio: Fraction
-    min_ratio_n: int
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-    @property
-    def pairs_checked(self) -> int:
-        return sum(total // 2 for total in range(2, self.n_max + 1))
-
-
-def subadditivity_check(n_max: int) -> SubadditivityReport:
-    """Verify kbar(i+j) <= kbar(i) + kbar(j) for all i+j <= n_max, exactly."""
-    if not 2 <= n_max <= PACKED_LIMIT:
-        raise ValueError(f"n_max must be in 2..{PACKED_LIMIT}, got {n_max}")
-    rows = k_bar_rows(n_max)
-    kbar = {row.n: row.kbar for row in rows}
-    violations = []
-    for total in range(2, n_max + 1):
-        for i in range(1, total // 2 + 1):
-            if kbar[total] > kbar[i] + kbar[total - i]:
-                violations.append((i, total - i))
-    best = min(rows, key=lambda row: (row.ratio, row.n))
-    return SubadditivityReport(
-        n_max=n_max,
-        violations=tuple(violations),
-        min_ratio=best.ratio,
-        min_ratio_n=best.n,
-    )
 
 
 @dataclass(frozen=True)

@@ -86,20 +86,6 @@ _LAYER_CHUNK = 1 << 20
 _ROW_CHUNK = 1 << 18
 
 
-def palindrome_values(length: int) -> np.ndarray:
-    """Sorted array of all palindromic words of the given length (the empty
-    word, 0, at length 0)."""
-    half = (length + 1) // 2
-    h = np.arange(1 << half, dtype=np.int64)
-    x = np.zeros(1 << half, dtype=np.int64)
-    for t in range(half):
-        bit = (h >> t) & 1
-        x |= bit << t
-        x |= bit << (length - 1 - t)
-    x.sort()
-    return x
-
-
 def _crossing_matches(prefix_sym: list[int], start: int, ext_len: int) -> np.ndarray | None:
     """Extensions v (of ext_len symbols) for which the factor running from
     ``start`` through the end of prefix+v is a palindrome.
@@ -140,7 +126,13 @@ def _crossing_matches(prefix_sym: list[int], start: int, ext_len: int) -> np.nda
     return vals
 
 
-def _covering_factors(prefix: Word, e: int, pal: list[np.ndarray]) -> list[tuple[np.ndarray, int]]:
+def palindrome_values(length: int) -> np.ndarray:
+    """Sorted array of all palindromic words of the given length (the empty
+    word, 0, at length 0)."""
+    return _crossing_matches([], 0, length)
+
+
+def _covering_factors(prefix: Word, e: int) -> list[tuple[np.ndarray, int]]:
     """Palindromic last factors that contain all e extension symbols.
 
     One entry per start of such a factor in the prefix, the prefix's end
@@ -150,8 +142,8 @@ def _covering_factors(prefix: Word, e: int, pal: list[np.ndarray]) -> list[tuple
     p = prefix.length
     prefix_sym = [(prefix.bits >> t) & 1 for t in range(p)]
     base = _prefix_measures(prefix)
-    factors = [(pal[e], base[p])]
-    for start in range(p):
+    factors = []
+    for start in range(p + 1):
         matches = _crossing_matches(prefix_sym, start, e)
         if matches is not None:
             factors.append((matches, base[start]))
@@ -209,7 +201,7 @@ def extension_m(prefix: Word, ext_len: int) -> list[np.ndarray]:
     pal = [palindrome_values(L) for L in range(ext_len + 1)]
     ext: list[np.ndarray] = [None] * (ext_len + 1)  # type: ignore[list-item]
     for e in range(1, ext_len + 1):
-        covering = _covering_factors(prefix, e, pal)
+        covering = _covering_factors(prefix, e)
         cur = np.empty(1 << e, dtype=np.uint8)
         for lo in range(0, cur.size, _LAYER_CHUNK):
             _fill_chunk(cur[lo : lo + _LAYER_CHUNK], lo, e, covering, pal, ext)
@@ -324,7 +316,7 @@ def _scan_shard(prefix_bits: int, depth: int, ext_len: int) -> dict[int, _RowBui
     hit = np.empty(_ROW_CHUNK, dtype=bool)
     pal = [palindrome_values(L) for L in range(ext_len + 1)]
     ext = extension_m(prefix, ext_len - 1)
-    covering = _covering_factors(prefix, ext_len, pal)
+    covering = _covering_factors(prefix, ext_len)
     # The top layer is only ever one chunk: built, counted, overwritten.
     top = np.empty(min(_LAYER_CHUNK, 1 << ext_len), dtype=np.uint8)
     for lo in range(0, 1 << ext_len, top.size):

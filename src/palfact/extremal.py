@@ -2,9 +2,9 @@
 
 The closed form floor(n/6) + floor((n+4)/6) + 1 holds for every length
 except 11, where the single exceptional orbit of aababbaabab pushes the
-maximum to 5.  This module enumerates K(n) exactly, lists the maximizers
-grouped into symmetry orbits, and checks the closed form against the
-enumeration.
+maximum to 5.  This module enumerates K(n) exactly and lists the
+maximizers grouped into symmetry orbits; ``lemmas.verify_theorem1`` checks
+the closed form against the enumeration.
 """
 
 from __future__ import annotations
@@ -17,12 +17,10 @@ from .words import orbit, word_from_bits
 __all__ = [
     "ExtremalRow",
     "Orbit",
-    "Theorem1Report",
     "k_formula",
     "k_max",
     "k_max_rows",
     "worst_words",
-    "verify_theorem1",
 ]
 
 EXCEPTIONAL_LENGTH = 11
@@ -82,31 +80,3 @@ def worst_words(n: int) -> list[Orbit]:
         if rep not in orbits:
             orbits[rep] = Orbit(tuple(im.text for im in images))
     return [orbits[rep] for rep in sorted(orbits)]
-
-
-@dataclass(frozen=True)
-class Theorem1Report:
-    """Closed form versus enumeration, for every length up to n_max."""
-
-    n_max: int
-    rows: tuple[ExtremalRow, ...]
-    mismatches: tuple[tuple[int, int, int], ...]  # (n, enumerated, formula)
-
-    @property
-    def ok(self) -> bool:
-        return not self.mismatches
-
-    @property
-    def checked(self) -> int:
-        return len(self.rows)
-
-
-def verify_theorem1(n_max: int) -> Theorem1Report:
-    """Check k_formula against the enumerated maximum for all n <= n_max."""
-    if n_max < 0:
-        raise ValueError(f"n_max must be nonnegative, got {n_max}")
-    rows = tuple(k_max_rows(n_max)) if n_max else ()
-    mismatches = tuple(
-        (row.n, row.k, k_formula(row.n)) for row in rows if row.k != k_formula(row.n)
-    )
-    return Theorem1Report(n_max=n_max, rows=rows, mismatches=mismatches)

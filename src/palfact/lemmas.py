@@ -5,9 +5,12 @@ are finite computations: explicit factorization witnesses for the seed
 family, three exhaustive case analyses over bounded suffix spaces, the
 absence of long palindromes in (bbaaba)^n, exact measures along the
 prefix family u_n and the capped family V(n), and a rearrangement
-inequality on histogram-style tuples.  Each checker replays its claim
-from scratch and returns a report carrying concrete counterexamples when
-(and only when) it fails.
+inequality on histogram-style tuples.  Three more are checked against the
+enumeration: Theorem 1's closed form, subadditivity of the exact averages,
+and the counting bound.  Each checker replays its claim from scratch and
+returns a report carrying concrete counterexamples when (and only when) it
+fails; ``standard_runs`` is the whole suite, in the order ``verify all``
+prints it.
 """
 
 from __future__ import annotations
@@ -18,7 +21,9 @@ from typing import Any, Callable
 
 import numpy as np
 
-from .enumeration import extension_m
+from .distribution import COUNTING_MIN_N, counting_bound_check, k_bar_rows
+from .enumeration import PACKED_LIMIT, extension_m
+from .extremal import k_formula, k_max_rows
 from .factorization import longest_palindromic_factor, measure
 from .words import FAMILY_BLOCK, FAMILY_SEED, family, parse_word, word_from_bits
 
@@ -31,6 +36,9 @@ __all__ = [
     "verify_lemma8",
     "verify_lemma9",
     "ksum_property",
+    "verify_theorem1",
+    "subadditivity_check",
+    "verify_counting_bound",
     "standard_runs",
     "all_reports",
 ]
@@ -335,9 +343,64 @@ def ksum_property(trials: int, seed: int) -> LemmaReport:
     return LemmaReport("ksum", {"trials": trials, "seed": seed}, trials, tuple(bad))
 
 
-def standard_runs(ksum_trials: int = 10_000, seed: int = 42) -> dict[str, Callable[[], LemmaReport]]:
-    """The claim suite with its standard parameters, in report order, keyed
-    by ``verify`` target; each run starts only when called."""
+def verify_theorem1(n_max: int) -> LemmaReport:
+    """Theorem 1: the closed form k_formula equals the enumerated K(n) for
+    every n <= n_max."""
+    if n_max < 0:
+        raise ValueError(f"n_max must be nonnegative, got {n_max}")
+    rows = k_max_rows(n_max) if n_max else []
+    bad = [
+        {"n": row.n, "enumerated": row.k, "formula": k_formula(row.n)}
+        for row in rows
+        if row.k != k_formula(row.n)
+    ]
+    return LemmaReport("theorem1", {"n_max": n_max}, len(rows), tuple(bad))
+
+
+def subadditivity_check(n_max: int) -> LemmaReport:
+    """kbar(i+j) <= kbar(i) + kbar(j) for all i+j <= n_max, exactly.
+
+    The params also carry the least ratio kbar(n)/n over the computed range
+    (an upper bound for its limit) as "num/den", and the n attaining it.
+    """
+    if not 2 <= n_max <= PACKED_LIMIT:
+        raise ValueError(f"n_max must be in 2..{PACKED_LIMIT}, got {n_max}")
+    rows = k_bar_rows(n_max)
+    kbar = {row.n: row.kbar for row in rows}
+    pairs = [(i, total - i) for total in range(2, n_max + 1) for i in range(1, total // 2 + 1)]
+    bad = [{"i": i, "j": j} for i, j in pairs if kbar[i + j] > kbar[i] + kbar[j]]
+    best = min(rows, key=lambda row: (row.ratio, row.n))
+    params = {
+        "n_max": n_max,
+        "min_ratio_n": best.n,
+        "min_ratio": f"{best.ratio.numerator}/{best.ratio.denominator}",
+    }
+    return LemmaReport("subadditivity", params, len(pairs), tuple(bad))
+
+
+def verify_counting_bound(n_max: int) -> LemmaReport:
+    """The counting bound (``distribution.counting_bound_check``) for every
+    length from COUNTING_MIN_N through min(16, n_max); one case per length
+    and k."""
+    if n_max < COUNTING_MIN_N:
+        raise ValueError(f"the counting bound starts at n = {COUNTING_MIN_N}, got n_max = {n_max}")
+    top = min(16, n_max)
+    bad = []
+    cases = 0
+    for n in range(COUNTING_MIN_N, top + 1):
+        entries = counting_bound_check(n).entries
+        cases += len(entries)
+        bad.extend({"n": n, "k": e.k} for e in entries if not e.holds)
+    return LemmaReport("counting", {"n_range": f"{COUNTING_MIN_N}..{top}"}, cases, tuple(bad))
+
+
+def standard_runs(
+    ksum_trials: int = 10_000, seed: int = 42, max_n: int = 20
+) -> dict[str, Callable[[], LemmaReport]]:
+    """The claim suite in report order, keyed by ``verify`` target: the
+    lemmas at their standard parameters, then the claims checked against
+    the enumeration up to length max_n (subadditivity from 2 on).  Each run
+    starts only when called, and looks its checker up then."""
     return {
         "lemma1": lambda: verify_lemma1(8),
         "lemma2": lambda: verify_case_lemma(2),
@@ -347,9 +410,12 @@ def standard_runs(ksum_trials: int = 10_000, seed: int = 42) -> dict[str, Callab
         "lemma8": lambda: verify_lemma8(6),
         "lemma9": lambda: verify_lemma9(5),
         "ksum": lambda: ksum_property(ksum_trials, seed),
+        "theorem1": lambda: verify_theorem1(max_n),
+        "subadditivity": lambda: subadditivity_check(max(2, max_n)),
+        "counting": lambda: verify_counting_bound(max_n),
     }
 
 
-def all_reports(*, ksum_trials: int = 10_000, seed: int = 42) -> list[LemmaReport]:
-    """Run the full suite with its standard parameters."""
-    return [run() for run in standard_runs(ksum_trials, seed).values()]
+def all_reports(*, ksum_trials: int = 10_000, seed: int = 42, max_n: int = 20) -> list[LemmaReport]:
+    """Run the whole suite: the reports ``verify all`` prints."""
+    return [run() for run in standard_runs(ksum_trials, seed, max_n).values()]

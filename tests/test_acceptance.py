@@ -17,11 +17,11 @@ from conftest import EXCEPTIONAL_WORD, K_TABLE, KBAR_TABLE
 from oracles import brute_force_m_table, dfs_scan, reachable_k_bitsets, text_of
 from palfact.asymptotics import bounds_report
 from palfact.cli import dispatch
-from palfact.distribution import counting_bound_check, k_bar_rows, subadditivity_check
+from palfact.distribution import counting_bound_check, k_bar_rows
 from palfact.enumeration import SAMPLE_CAP, _rows_upto, _scan_sharded, scan_lengths
 from palfact.extremal import k_formula, k_max, k_max_rows, worst_words
 from palfact.factorization import measure, min_factorization
-from palfact.lemmas import all_reports
+from palfact.lemmas import all_reports, subadditivity_check
 from palfact.words import Word
 
 
@@ -120,13 +120,21 @@ def test_criterion_5_bounds(avg21):
     return f"theta'={report.theta_prime:.6f}, lower={report.g_at_theta_prime:.6f}"
 
 
-@criterion("6", "claim suite: seed witnesses, three case analyses, block powers, both families, tuple inequality")
+@criterion(
+    "6",
+    "claim suite: seed witnesses, three case analyses, block powers, both families, tuple inequality, "
+    "closed form, subadditivity, counting bound",
+)
 def test_criterion_6_lemma_suite():
     start = time.perf_counter()
     reports = all_reports(ksum_trials=10_000, seed=42)
     elapsed = time.perf_counter() - start
     assert elapsed < 300
     params = {report.lemma_id: report.params for report in reports}
+    assert list(params) == [
+        "lemma1", "lemma2", "lemma3", "lemma4", "lemma7", "lemma8", "lemma9",
+        "ksum", "theorem1", "subadditivity", "counting",
+    ]
     assert [params[name] for name in ("lemma1", "lemma7", "lemma8", "lemma9")] == [
         {"n_max": 8},
         {"n_max": 10},
@@ -136,7 +144,7 @@ def test_criterion_6_lemma_suite():
     for report in reports:
         assert report.passed, f"{report.lemma_id}: {report.counterexamples[:3]}"
     total = sum(report.cases for report in reports)
-    return f"8 reports, {total} cases"
+    return f"{len(reports)} reports, {total} cases"
 
 
 @criterion("7", "parity-cumulated histogram never exceeds the palindrome-product bound for n = 9..16")
@@ -174,7 +182,7 @@ def test_criterion_8_property_suite(m_tables_14):
             outer = m_tables_14[lv].astype(np.int16)[:, None] + m_tables_14[lu].astype(np.int16)[None, :]
             assert np.all(concat <= outer)
     # subadditivity of the exact averages over the computed range
-    assert subadditivity_check(21).ok
+    assert subadditivity_check(21).passed
     # parity reachability: 2k < l makes k+2 reachable, all lengths <= 14
     for n in range(1, 15):
         masks = reachable_k_bitsets(n)

@@ -176,18 +176,41 @@ class TestVerifyCommand:
         assert out1 == out2
 
     def test_json_lemma_entries_equal_all_reports(self, capsys):
-        code, out, _ = run(
-            capsys, "--format", "json", "verify", "all", "--max-n", "9", "--seed", "3", "--trials", "300"
+        for max_n in (9, 20):
+            code, out, _ = run(
+                capsys, "--format", "json", "verify", "all", "--max-n", str(max_n), "--seed", "3", "--trials", "300"
+            )
+            assert code == 0
+            entries = json.loads(out)
+            reports = lemmas.all_reports(ksum_trials=300, seed=3, max_n=max_n)
+            assert len(entries) == len(reports) == 11
+            for entry, rep in zip(entries, reports):
+                assert entry["lemma"] == rep.lemma_id
+                assert entry["params"] == json.loads(json.dumps({**rep.params, "cases": rep.cases}))
+                assert entry["verdict"] == rep.verdict
+                assert entry["counterexamples"] == json.loads(json.dumps(list(rep.counterexamples)))
+
+    def test_table_output_is_pinned(self, capsys):
+        # JSON sorts its keys; only the table shows the order of each report's params.
+        code, out, err = run(capsys, "--seed", "3", "verify", "all", "--max-n", "9", "--trials", "300")
+        assert (code, err) == (0, "")
+        assert out == (
+            "lemma1: PASS (cases=60) {'n_max': 8}\n"
+            "lemma2: PASS (cases=192) {'stems': 3, 'suffix_length': 6}\n"
+            "lemma3: PASS (cases=774144) {'stems': 3, 'suffix_lengths': '12..17'}\n"
+            "lemma4: PASS (cases=131072) {'length': 18}\n"
+            "lemma7: PASS (cases=25) {'n_max': 10}\n"
+            "lemma8: PASS (cases=75) {'t_max': 6}\n"
+            "lemma9: PASS (cases=6) {'n_max': 5}\n"
+            "ksum: PASS (cases=300) {'trials': 300, 'seed': 3}\n"
+            "theorem1: PASS (cases=9) {'n_max': 9}\n"
+            "subadditivity: PASS (cases=20) {'n_max': 9, 'min_ratio_n': 9, 'min_ratio': '35/128'}\n"
+            "counting: PASS (cases=4) {'n_range': '9..9'}\n"
         )
-        assert code == 0
-        entries = json.loads(out)
-        reports = lemmas.all_reports(ksum_trials=300, seed=3)
-        assert [e["lemma"] for e in entries[: len(reports)]] == [r.lemma_id for r in reports]
-        assert [e["lemma"] for e in entries[len(reports) :]] == ["theorem1", "subadditivity", "counting"]
-        for entry, rep in zip(entries, reports):
-            assert entry["params"] == json.loads(json.dumps({**rep.params, "cases": rep.cases}))
-            assert entry["verdict"] == rep.verdict
-            assert entry["counterexamples"] == json.loads(json.dumps(list(rep.counterexamples)))
+
+    def test_targets_are_the_suite(self):
+        assert VERIFY_TARGETS == ("all", *lemmas.standard_runs())
+        assert len(VERIFY_TARGETS) == 12
 
     def test_verify_rejects_bad_target(self, capsys):
         code, _, _ = run(capsys, "verify", "lemma6")
@@ -402,6 +425,30 @@ class TestBoundsCommand:
         assert code == 0
         assert "0.08781" in out
         assert "0.2030" in out
+
+    def test_forged_row_21_is_a_usage_error(self, capsys, tmp_path, monkeypatch):
+        # Two words moved between the two lowest counts: the row stays
+        # possible for its length, so the cache serves it, but S(21) is off by 2.
+        monkeypatch.delenv("PALIN_CACHE_DIR", raising=False)
+        code, _, _ = run(capsys, "--cache-dir", str(tmp_path), "kbar", "--max-n", "21")
+        assert code == 0
+        path = tmp_path / "row_21.json"
+        doc = json.loads(path.read_text())
+        doc["payload"]["counts"]["1"] += 2
+        doc["payload"]["counts"]["2"] -= 2
+        doc["checksum"] = payload_checksum(doc["payload"])
+        path.write_text(json.dumps(doc))
+        assert ResultCache(tmp_path).load_row(21).s == 8939688 - 2
+        env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+        env.pop("PALIN_CACHE_DIR", None)
+        proc = subprocess.run(
+            [sys.executable, "-m", "palfact.cli", "--cache-dir", str(tmp_path), "bounds"],
+            env=env, capture_output=True, text=True, timeout=60,
+        )
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert "Traceback" not in proc.stderr
+        assert "372487/1835008" in proc.stderr and "row_21.json" in proc.stderr
 
 
 def _row_payload(n=4, counts=None, maximizers=None):

@@ -13,9 +13,9 @@ from palfact.distribution import (
     histogram_rows,
     k_bar,
     k_bar_rows,
-    subadditivity_check,
 )
 from palfact.extremal import k_max
+from palfact.lemmas import subadditivity_check
 
 
 class TestHistogram:
@@ -78,8 +78,8 @@ class TestKBar:
 class TestSubadditivity:
     def test_small_range_passes(self):
         report = subadditivity_check(10)
-        assert report.ok
-        assert report.pairs_checked == sum(t // 2 for t in range(2, 11))
+        assert report.passed
+        assert report.cases == sum(t // 2 for t in range(2, 11))
 
     def test_base_pair(self):
         rows = {row.n: row for row in k_bar_rows(2)}
@@ -88,14 +88,14 @@ class TestSubadditivity:
     def test_min_ratio_location(self):
         report = subadditivity_check(12)
         rows = k_bar_rows(12)
-        assert report.min_ratio == min(row.ratio for row in rows)
-        assert report.min_ratio_n == 12
+        assert Fraction(report.params["min_ratio"]) == min(row.ratio for row in rows)
+        assert report.params["min_ratio_n"] == 12
 
     def test_min_ratio_through_21_is_the_upper_bound(self):
         report = subadditivity_check(21)
-        assert report.ok
-        assert report.min_ratio_n == 21
-        assert report.min_ratio == Fraction(372487, 7 * 2**18)
+        assert report.passed
+        assert report.params == {"n_max": 21, "min_ratio_n": 21, "min_ratio": "372487/1835008"}
+        assert Fraction(report.params["min_ratio"]) == Fraction(372487, 7 * 2**18)
 
     def test_validation(self):
         with pytest.raises(ValueError):

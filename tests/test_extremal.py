@@ -6,7 +6,9 @@ from conftest import EXCEPTIONAL_WORD, K_TABLE
 from oracles import dfs_scan
 import palfact
 from palfact.enumeration import LengthRow
-from palfact.extremal import k_formula, k_max, k_max_rows, verify_theorem1, worst_words
+from palfact import lemmas
+from palfact.extremal import k_formula, k_max, k_max_rows, worst_words
+from palfact.lemmas import verify_theorem1
 from palfact.factorization import min_factorization
 
 
@@ -112,16 +114,21 @@ class TestWorstWords:
 class TestTheorem1:
     def test_matches_through_15(self):
         report = verify_theorem1(15)
-        assert report.ok
-        assert report.checked == 15
+        assert report.passed
+        assert report.cases == 15
+        assert (report.lemma_id, report.params) == ("theorem1", {"n_max": 15})
 
-    def test_exception_row_included(self):
+    def test_exception_row_included(self, monkeypatch):
         report = verify_theorem1(11)
-        assert report.ok
-        assert report.rows[10].n == 11
-        assert report.rows[10].k == 5 == k_formula(11)
+        assert report.passed
+        assert report.cases == 11
+        assert k_max(11).k == 5 == k_formula(11)
+        # Without its n = 11 exception the closed form fails exactly there.
+        monkeypatch.setattr(lemmas, "k_formula", lambda n: n // 6 + (n + 4) // 6 + 1)
+        report = verify_theorem1(11)
+        assert report.counterexamples == ({"n": 11, "enumerated": 5, "formula": 4},)
 
     def test_vacuous(self):
         report = verify_theorem1(0)
-        assert report.ok
-        assert report.checked == 0
+        assert report.passed
+        assert report.cases == 0

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import pytest
 
+from palfact import distribution, lemmas
 from palfact.extremal import k_formula
 from palfact.factorization import measure
 from palfact.lemmas import (
@@ -9,6 +10,7 @@ from palfact.lemmas import (
     M_CONSTANTS,
     ksum_property,
     verify_case_lemma,
+    verify_counting_bound,
     verify_lemma1,
     verify_lemma7,
     verify_lemma8,
@@ -140,6 +142,50 @@ class TestKsum:
     def test_rejects_zero_trials(self):
         with pytest.raises(ValueError):
             ksum_property(0, seed=1)
+
+
+class TestCountingBound:
+    def test_lengths_9_through_12(self):
+        report = verify_counting_bound(12)
+        assert report.passed
+        assert report.params == {"n_range": "9..12"}
+        assert report.cases == sum(len(distribution.counting_bound_check(n).entries) for n in range(9, 13))
+
+    def test_stops_at_16(self):
+        assert verify_counting_bound(30).params == {"n_range": "9..16"}
+
+    def test_failing_entries_are_counterexamples(self, monkeypatch):
+        real = distribution.counting_bound_check
+
+        def broken(n):
+            rep = real(n)
+            entries = tuple(type(e)(e.k, e.cumulative, e.holds and (n, e.k) != (10, 2)) for e in rep.entries)
+            return type(rep)(n, entries)
+
+        monkeypatch.setattr(lemmas, "counting_bound_check", broken)
+        assert verify_counting_bound(11).counterexamples == ({"n": 10, "k": 2},)
+
+    def test_rejects_below_9(self):
+        with pytest.raises(ValueError):
+            verify_counting_bound(8)
+
+
+class TestSuite:
+    def test_order_and_parameters(self):
+        runs = lemmas.standard_runs(ksum_trials=50, seed=7, max_n=1)
+        assert list(runs) == [
+            "lemma1", "lemma2", "lemma3", "lemma4", "lemma7", "lemma8", "lemma9",
+            "ksum", "theorem1", "subadditivity", "counting",
+        ]
+        assert runs["ksum"]().params == {"trials": 50, "seed": 7}
+        assert runs["theorem1"]().params == {"n_max": 1}
+        assert runs["subadditivity"]().params["n_max"] == 2  # never below 2
+
+    def test_runs_look_their_checker_up_when_called(self, monkeypatch):
+        runs = lemmas.standard_runs(max_n=12)
+        fake = LemmaReport("theorem1", {"n_max": 12}, 12, ({"n": 1, "enumerated": 1, "formula": 2},))
+        monkeypatch.setattr(lemmas, "verify_theorem1", lambda n_max: fake)
+        assert runs["theorem1"]() is fake
 
 
 class TestReportShape:
