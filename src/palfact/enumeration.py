@@ -17,7 +17,9 @@ d = max(1, n_max - 26 + ceil(log2 W)) every a-initial prefix of d letters
 is extended by n_max - d symbols.  Only the lengths below a shard's top one
 are kept, 2^(n_max-d) bytes at most: the top layer feeds nothing but its
 own row, so each of its chunks is counted as soon as it is built and then
-overwritten.  Lengths up to d come from one unsharded scan.  Each layer is
+overwritten.  A process builds the layers of every shard it runs in one
+buffer, allocated by its first shard.  Lengths up to d come from one
+unsharded scan.  Each layer is
 turned into row data in cache-sized chunks (compare-and-count per value,
 maximizer indices only where a chunk reaches the running maximum), and
 shards merge associatively: counts add, and the larger maximum keeps its
@@ -191,18 +193,21 @@ def _fill_chunk(
     out += 1
 
 
-def extension_m(prefix: Word, ext_len: int) -> list[np.ndarray]:
+def extension_m(prefix: Word, ext_len: int, out: np.ndarray | None = None) -> list[np.ndarray]:
     """m over every extension of ``prefix`` by 1..ext_len symbols.
 
     Returns ``ext`` with ``ext[e][v] = m(prefix + word(v, e))`` for
-    e = 1..ext_len (index 0 unused).  Memory is the layers themselves,
-    2^(ext_len+1) bytes in total.
+    e = 1..ext_len (index 0 unused).  Layer e is the view
+    ``out[2^e : 2^(e+1)]`` of one uint8 buffer of at least 2^(ext_len+1)
+    bytes, ``out`` when given and a new one otherwise.
     """
+    if out is None:
+        out = np.empty(2 << ext_len, dtype=np.uint8)
     pal = [palindrome_values(L) for L in range(ext_len + 1)]
     ext: list[np.ndarray] = [None] * (ext_len + 1)  # type: ignore[list-item]
     for e in range(1, ext_len + 1):
         covering = _covering_factors(prefix, e)
-        cur = np.empty(1 << e, dtype=np.uint8)
+        cur = out[1 << e : 2 << e]
         for lo in range(0, cur.size, _LAYER_CHUNK):
             _fill_chunk(cur[lo : lo + _LAYER_CHUNK], lo, e, covering, pal, ext)
         ext[e] = cur
@@ -308,23 +313,47 @@ class _RowBuilder:
         )
 
 
+# The buffer the shards of this process build their layers in (see
+# _shard_buffer), or None between scans.
+_buffer: list[np.ndarray | None] = [None]
+
+
+def _shard_buffer(ext_len: int) -> np.ndarray:
+    """Storage for one shard: its kept layers at [2, 2^ext_len), then one
+    chunk of the top layer, then the bool scratch of row extraction.
+
+    The first shard a process runs allocates it and every later one of the
+    same scan reuses it, so the process writes its layer memory once and
+    then holds the same pages throughout the scan.  Layers allocated and
+    freed per shard went back to the heap instead, and how much of it stayed
+    resident depended on which shards the process happened to run.
+    """
+    nbytes = (1 << ext_len) + min(_LAYER_CHUNK, 1 << ext_len) + _ROW_CHUNK
+    buf = _buffer[0]
+    if buf is None or buf.size != nbytes:
+        _buffer[0] = buf = None  # free the old buffer before the new one
+        _buffer[0] = buf = np.empty(nbytes, dtype=np.uint8)
+    return buf
+
+
 def _scan_shard(prefix_bits: int, depth: int, ext_len: int) -> dict[int, _RowBuilder]:
     """Row statistics of lengths depth+1 .. depth+ext_len over the words
     that start with the ``depth``-letter prefix ``prefix_bits``."""
     prefix = Word(prefix_bits, depth)
     builders = {depth + e: _RowBuilder(depth + e) for e in range(1, ext_len + 1)}
-    hit = np.empty(_ROW_CHUNK, dtype=bool)
+    buf = _shard_buffer(ext_len)
     pal = [palindrome_values(L) for L in range(ext_len + 1)]
-    ext = extension_m(prefix, ext_len - 1)
+    ext = extension_m(prefix, ext_len - 1, buf)
     covering = _covering_factors(prefix, ext_len)
     # The top layer is only ever one chunk: built, counted, overwritten.
-    top = np.empty(min(_LAYER_CHUNK, 1 << ext_len), dtype=np.uint8)
+    end = 1 << ext_len
+    top = buf[end : end + min(_LAYER_CHUNK, 1 << ext_len)]
+    hit = buf[end + top.size :].view(bool)
     for lo in range(0, 1 << ext_len, top.size):
         _fill_chunk(top, lo, ext_len, covering, pal, ext)
         builders[depth + ext_len].add_layer(top, prefix_bits, depth, hit, first=lo)
     for e in range(1, ext_len):
         builders[depth + e].add_layer(ext[e], prefix_bits, depth, hit)
-        ext[e] = None  # type: ignore[call-overload]
     return builders
 
 
@@ -371,7 +400,10 @@ def _scan_sharded(n_max: int, depth: int, workers: int = 1) -> dict[int, LengthR
         except BrokenProcessPool as exc:
             raise WorkerDied("an enumeration worker process died (killed by a signal, e.g. out of memory)") from exc
     else:
-        rows.update(_merge_shards(map(shard, prefixes)))
+        try:
+            rows.update(_merge_shards(map(shard, prefixes)))
+        finally:
+            _buffer[0] = None
     return rows
 
 

@@ -83,6 +83,15 @@ class TestExtensionM:
             v = rng.randrange(1 << e)
             assert layers[e][v] == measure(prefix + Word(v, e)), (e, v)
 
+    def test_layers_are_views_of_a_given_buffer(self):
+        base = parse_word("bbaab")
+        out = np.zeros(2 << 9, dtype=np.uint8)
+        layers = extension_m(base, 9, out)
+        fresh = extension_m(base, 9)
+        for e in range(1, 10):
+            assert layers[e].base is out
+            assert np.array_equal(out[1 << e : 2 << e], fresh[e]), e
+
     def test_layer_sizes_and_dtype(self):
         layers = extension_m(parse_word("ab"), 5)
         for e in range(1, 6):
@@ -168,6 +177,11 @@ class TestSharding:
         whole = _scan_sharded(14, depth)
         monkeypatch.setattr(enumeration, "_ROW_CHUNK", 64)
         assert _scan_sharded(14, depth) == whole
+
+    def test_shards_share_one_buffer_until_the_scan_ends(self):
+        assert enumeration._shard_buffer(8) is enumeration._shard_buffer(8)
+        _scan_sharded(14, 3)
+        assert enumeration._buffer[0] is None
 
     @pytest.mark.parametrize("depth", range(1, 7))
     def test_sharded_rows_match_oracles(self, depth, oracles_14):
