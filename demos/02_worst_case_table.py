@@ -5,9 +5,9 @@ exact table; the closed form floor(n/6) + floor((n+4)/6) + 1 matches it
 everywhere except n = 11, where a single orbit reaches 5 instead of 4.
 """
 
-from palfact import k_formula, k_max_rows, verify_theorem1, worst_words
+from palfact import k_formula, length_rows, verify_theorem1, worst_words
 
-rows = k_max_rows(20)
+rows = length_rows(20)
 print(" n  K(n)  formula  maximizers")
 for row in rows:
     print(f"{row.n:>2}  {row.k:>4}  {k_formula(row.n):>7}  {row.maximizer_count}")

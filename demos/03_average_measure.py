@@ -8,13 +8,14 @@ ratio is already a valid upper bound for the limit.
 
 from fractions import Fraction
 
-from palfact import histogram, k_bar_rows, subadditivity_check
+from palfact import length_row, length_rows, subadditivity_check
 
 # The histogram underneath the average: x_k = number of words with m = k.
-hist = histogram(10)
+hist = length_row(10)
 print("x_k at n=10:", hist.counts, " total", hist.total, "= 2^10")
 
-rows = k_bar_rows(21)
+# The exact average is a property of the same row.
+rows = length_rows(21)
 print()
 print(" n         S(n)   kbar   kbar/n")
 for row in rows:

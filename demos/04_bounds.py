@@ -7,7 +7,7 @@ root theta' of an entropy-style function f; the value g(theta') bounds
 the limit from below.
 """
 
-from palfact import bounds_report, counting_bounds, f_theta, g_theta, k_bar_rows, theta_prime
+from palfact import bounds_report, counting_bounds, f_theta, g_theta, length_row, theta_prime
 
 # The counting skeleton at n = 9: cumulative a_k passes 2^9 = 512 at p = 2.
 cb = counting_bounds(9)
@@ -19,8 +19,8 @@ print(f"f(0) = {f_theta(0.0):+.6f}   f(1/3) = {f_theta(1/3):+.6f}")
 root = theta_prime(1e-12)
 print(f"unique root theta' = {root:.8f},  g(theta') = {g_theta(root):.8f}")
 
-# Both bounds assembled from the exact enumeration through n = 21:
-report = bounds_report(k_bar_rows(21))
+# Both bounds, the upper one from the exact row of length 21:
+report = bounds_report([length_row(21)])
 print()
 print(f"{report.lower_text} < lim kbar(n)/n <= {report.upper_text}")
 print(f"upper bound exactly {report.upper_bound} = {report.upper_float:.8f}")

@@ -19,28 +19,12 @@ from .asymptotics import (
     g_theta,
     theta_prime,
 )
-from .distribution import (
-    AverageRow,
-    CountingBoundReport,
-    MHistogram,
-    counting_bound_check,
-    histogram,
-    histogram_rows,
-    k_bar,
-    k_bar_rows,
-)
-from .extremal import (
-    ExtremalRow,
-    Orbit,
-    k_formula,
-    k_max,
-    k_max_rows,
-    worst_words,
-)
+from .enumeration import LengthRow, Orbit, length_row, length_rows, worst_words
 from .factorization import Factorization, longest_palindromic_factor, measure, min_factorization, reachable_k
 from .lemmas import (
     LemmaReport,
     M_CONSTANTS,
+    k_formula,
     ksum_property,
     subadditivity_check,
     verify_case_lemma,
@@ -59,40 +43,31 @@ from .words import (
     orbit,
     parse_word,
     symmetries,
-    word_from_bits,
 )
 
 __version__ = "0.1.0"
 
 __all__ = [
     "AsymptoticsReport",
-    "AverageRow",
-    "CountingBoundReport",
     "CountingBounds",
-    "ExtremalRow",
     "Factorization",
     "LemmaReport",
-    "MHistogram",
+    "LengthRow",
     "M_CONSTANTS",
     "Orbit",
     "Word",
     "WordError",
     "bounds_report",
-    "counting_bound_check",
     "counting_bounds",
     "f_theta",
     "family",
     "g_prime_roots",
     "g_theta",
-    "histogram",
-    "histogram_rows",
     "is_palindrome",
-    "k_bar",
-    "k_bar_rows",
     "k_formula",
-    "k_max",
-    "k_max_rows",
     "ksum_property",
+    "length_row",
+    "length_rows",
     "longest_palindromic_factor",
     "measure",
     "min_factorization",
@@ -109,6 +84,5 @@ __all__ = [
     "verify_lemma8",
     "verify_lemma9",
     "verify_theorem1",
-    "word_from_bits",
     "worst_words",
 ]

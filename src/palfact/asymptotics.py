@@ -223,10 +223,10 @@ class AsymptoticsReport:
 def bounds_report(avg_rows: Sequence, tolerance: float = 1e-10) -> AsymptoticsReport:
     """Assemble both bounds from enumeration data through length 21.
 
-    ``avg_rows`` must contain the n=21 average row (any object with ``n``
-    and exact ``kbar``); the derived upper bound has to reproduce the
-    pinned fraction exactly, otherwise the enumeration is broken and an
-    ArithmeticError is raised.
+    ``avg_rows`` must contain the n=21 row (a ``LengthRow``, or any
+    object with ``n`` and exact ``kbar``); the derived upper bound has to
+    reproduce the pinned fraction exactly, otherwise the enumeration is
+    broken and an ArithmeticError is raised.
     """
     row21 = next((row for row in avg_rows if row.n == 21), None)
     if row21 is None:

@@ -7,8 +7,9 @@ packed word, ascending; K(n) = max(counts), the maximizer count counts[K]
 and the sample orbit representatives are derived on read, so they cannot
 disagree with what is stored.  This module alone knows the payload format.
 
-Anything that fails validation is ignored and recomputed: a file of another
-schema (schema 1 wrote ``kmax_<n>.json`` and ``histogram_<n>.json``,
+Anything that fails validation is ignored and recomputed: bytes that do
+not parse as JSON (undecodable or nested too deep included), a file of
+another schema (schema 1 wrote ``kmax_<n>.json`` and ``histogram_<n>.json``,
 schema 2 stored sample words in place of the maximizers; neither is ever
 read), a checksum mismatch, or a payload impossible for its length: counts
 not summing to 2^n, a key other than one of 1..n in decimal, a count that
@@ -107,12 +108,12 @@ class ResultCache:
             return None
         path = self._path(kind, n)
         try:
-            text = path.read_text()
+            data = path.read_bytes()
         except OSError:
             return None
         try:
-            raw = json.loads(text)
-        except ValueError:
+            raw = json.loads(data)
+        except (ValueError, RecursionError):  # bad bytes or JSON, or nesting too deep
             warnings.warn(f"ignoring unparseable cache file {path}", stacklevel=2)
             return None
         if not isinstance(raw, dict):

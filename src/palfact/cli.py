@@ -10,15 +10,17 @@ that pass is cached).  Output is byte-stable for a fixed configuration
 and seed, and each command makes at most one enumeration pass.
 
 The global options --format, --cache-dir and --seed go before the
-subcommand.  A subcommand also accepts those of them it uses: --format
-every one, --cache-dir every one but m and factor, and --seed only verify,
-the one command with randomized checks.  The subcommand position wins, and
-PALIN_CACHE_DIR overrides any --cache-dir.  kmax, kbar, histogram and
-bounds read the per-length rows they print (histogram and bounds one row,
-the tables every row up to --max-n) through one cache helper; a miss makes
-one enumeration pass that stores every row it made.  A row holds the
-histogram and the maximizers, and the cache format is known to ``cache``
-alone.
+subcommand.  A subcommand also accepts some of them after its name:
+--format every one, --cache-dir every one but m and factor, and --seed
+only verify, the one command with randomized checks.  The subcommand
+position wins, and PALIN_CACHE_DIR overrides any --cache-dir.  Only kmax,
+kbar, histogram and bounds use the cache: they read the per-length rows
+they print (histogram and bounds one row, the tables every row up to
+--max-n) through one cache helper, and a miss makes one enumeration pass
+that stores every row it made.  worst and verify accept --cache-dir but
+neither read nor write it.  A row is an ``enumeration.LengthRow``, which
+holds the histogram and the maximizers, and the cache format is known to
+``cache`` alone.
 """
 
 from __future__ import annotations
@@ -32,12 +34,12 @@ from typing import Sequence
 
 import click
 
-from . import extremal, lemmas
+from . import enumeration, lemmas
 from .asymptotics import bounds_report
 from .cache import ResultCache
-from .distribution import COUNTING_MIN_N, AverageRow
 from .enumeration import PACKED_LIMIT, LengthRow, WorkerDied
 from .factorization import min_factorization
+from .lemmas import COUNTING_MIN_N
 from .words import WordError, orbit, parse_word
 
 __all__ = ["RunConfig", "cli", "dispatch", "main"]
@@ -193,7 +195,7 @@ def _cached_rows(config: RunConfig, lengths: range) -> list[LengthRow]:
     cached = [cache.load_row(n) for n in lengths]
     if all(row is not None for row in cached):
         return cached  # type: ignore[return-value]
-    rows = _lib_call(extremal.k_max_rows, lengths[-1])
+    rows = _lib_call(enumeration.length_rows, lengths[-1])
     for row in rows:
         cache.store_row(row)
     return [rows[n - 1] for n in lengths]
@@ -247,7 +249,7 @@ def kbar_command(base: RunConfig, max_n: int, allow_long: bool, fmt, cache_dir) 
     """Exact average table kbar(1)..kbar(MAX_N)."""
     config = _resolve(base, fmt, cache_dir)
     _guard_length("--max-n", max_n, allow_long)
-    rows = [AverageRow(n=row.n, s=row.s) for row in _cached_rows(config, range(1, max_n + 1))]
+    rows = _cached_rows(config, range(1, max_n + 1))
     if config.format == "csv":
         click.echo("n,S,kbar_decimal,kbar_num,kbar_den_pow2")
         for row in rows:
@@ -305,8 +307,8 @@ def worst_command(base: RunConfig, n: int, allow_long: bool, fmt, cache_dir) -> 
     """All words attaining K(N), grouped into symmetry orbits."""
     config = _resolve(base, fmt, cache_dir)
     _guard_length("--n", n, allow_long)
-    orbits = _lib_call(extremal.worst_words, n)
-    k = _lib_call(extremal.k_max, n).k
+    orbits = _lib_call(enumeration.worst_words, n)
+    k = _lib_call(enumeration.length_row, n).k
     if config.format == "csv":
         click.echo("n,representative,orbit_size")
         for orb in orbits:
@@ -400,7 +402,7 @@ def bounds_command(base: RunConfig, tolerance: float, fmt, cache_dir) -> None:
         raise click.UsageError(f"--tolerance must be positive and finite, got {tolerance}")
     [row] = _cached_rows(config, range(21, 22))
     try:
-        report = _lib_call(bounds_report, [AverageRow(n=21, s=row.s)], tolerance)
+        report = _lib_call(bounds_report, [row], tolerance)
     except ArithmeticError as exc:
         # A cached row can be possible for its length and still wrong.
         raise click.UsageError(f"{exc}; the row for n = 21 is wrong (delete a cached row_21.json)") from exc

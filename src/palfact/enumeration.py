@@ -35,12 +35,13 @@ the layers held at once total 2^26 bytes at most, as with one process.
 With one usable CPU, or one shard, the scan runs in-process.
 
 A length's row is its histogram of m and its a-initial maximizers; K(n),
-the maximizer count, S(n) and the sample orbit representatives of the K
-table are derived from those two fields.  Rows depend on n alone, so
-``extremal`` and ``distribution`` serve the rows of one memo: it keeps the
-rows of the longest scan made so far in the process, answers every request
-up to that length from them, and is replaced when a longer scan is needed.
-A command therefore makes at most one enumeration pass.
+the maximizer count, S(n), the exact average kbar(n) and the symmetry
+orbits of the maximizers are derived from those two fields.  Rows depend
+on n alone, so ``length_row`` and ``length_rows`` serve the rows of one
+memo: it keeps the rows of the longest scan made so far in the process,
+answers every request up to that length from them, and is replaced when a
+longer scan is needed.  A command therefore makes at most one enumeration
+pass.
 """
 
 from __future__ import annotations
@@ -48,7 +49,9 @@ from __future__ import annotations
 import os
 from collections.abc import Iterator
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import partial
+from itertools import islice
 
 import numpy as np
 
@@ -59,10 +62,14 @@ __all__ = [
     "PACKED_LIMIT",
     "SAMPLE_CAP",
     "LengthRow",
+    "Orbit",
     "WorkerDied",
     "palindrome_values",
     "extension_m",
     "scan_lengths",
+    "length_row",
+    "length_rows",
+    "worst_words",
 ]
 
 # Vectorised layers index words by int64 values; 32 keeps every layer and
@@ -215,6 +222,21 @@ def extension_m(prefix: Word, ext_len: int, out: np.ndarray | None = None) -> li
 
 
 @dataclass(frozen=True)
+class Orbit:
+    """A symmetry orbit (letter swap and reversal), sorted by text."""
+
+    words: tuple[str, ...]
+
+    @property
+    def representative(self) -> str:
+        return self.words[0]
+
+    @property
+    def size(self) -> int:
+        return len(self.words)
+
+
+@dataclass(frozen=True)
 class LengthRow:
     """Exact enumeration results for one word length.
 
@@ -248,20 +270,50 @@ class LengthRow:
         return sum(k * c for k, c in self.counts.items())
 
     @property
-    def sample_maximizers(self) -> tuple[str, ...]:
-        """The SAMPLE_CAP lexicographically least orbit representatives.
+    def kbar(self) -> Fraction:
+        """The exact average S(n)/2^n."""
+        return Fraction(self.s, 1 << self.n)
+
+    @property
+    def kbar_num(self) -> int:
+        return self.kbar.numerator
+
+    @property
+    def kbar_den_pow2(self) -> int:
+        return self.kbar.denominator.bit_length() - 1
+
+    @property
+    def kbar_text(self) -> str:
+        """Two decimals, round half to even."""
+        cents = round(self.kbar * 100)
+        return f"{cents // 100}.{cents % 100:02d}"
+
+    @property
+    def ratio(self) -> Fraction:
+        return self.kbar / self.n
+
+    @property
+    def ratio_text(self) -> str:
+        """Four decimals, round half to even."""
+        units = round(self.ratio * 10_000)
+        return f"{units // 10_000}.{units % 10_000:04d}"
+
+    def _orbits(self) -> Iterator[Orbit]:
+        """The maximizers grouped into symmetry orbits, by representative.
 
         An orbit's least member starts with 'a', so the a-initial maximizers
-        walked in text order meet the representatives in order, and the walk
-        stops at the last one needed.
+        walked in text order meet every orbit once, at its representative,
+        and in order; the walk goes only as far as it is consumed.
         """
-        samples: list[str] = []
         for word in sorted((Word(bits, self.n) for bits in self.maximizers), key=lambda w: w.text):
-            if orbit(word)[0] == word:
-                samples.append(word.text)
-                if len(samples) == SAMPLE_CAP:
-                    break
-        return tuple(samples)
+            images = orbit(word)
+            if images[0] == word:
+                yield Orbit(tuple(im.text for im in images))
+
+    @property
+    def sample_maximizers(self) -> tuple[str, ...]:
+        """The SAMPLE_CAP lexicographically least orbit representatives."""
+        return tuple(orb.representative for orb in islice(self._orbits(), SAMPLE_CAP))
 
 
 class WorkerDied(RuntimeError):
@@ -456,3 +508,20 @@ def _rows_upto(n_max: int) -> dict[int, LengthRow]:
     if n_max not in _memo:
         _memo = scan_lengths(n_max)
     return _memo
+
+
+def length_row(n: int) -> LengthRow:
+    """The exact row of length n."""
+    return _rows_upto(n)[n]
+
+
+def length_rows(n_max: int) -> list[LengthRow]:
+    """The rows of every length 1..n_max, from one enumeration pass."""
+    rows = _rows_upto(n_max)
+    return [rows[n] for n in range(1, n_max + 1)]
+
+
+def worst_words(n: int) -> list[Orbit]:
+    """Every word attaining K(n), grouped into symmetry orbits sorted by
+    representative; orbit sizes are computed, never assumed."""
+    return list(length_row(n)._orbits())

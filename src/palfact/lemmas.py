@@ -6,11 +6,11 @@ family, three exhaustive case analyses over bounded suffix spaces, the
 absence of long palindromes in (bbaaba)^n, exact measures along the
 prefix family u_n and the capped family V(n), and a rearrangement
 inequality on histogram-style tuples.  Three more are checked against the
-enumeration: Theorem 1's closed form, subadditivity of the exact averages,
-and the counting bound.  Each checker replays its claim from scratch and
-returns a report carrying concrete counterexamples when (and only when) it
-fails; ``standard_runs`` is the whole suite, in the order ``verify all``
-prints it.
+enumeration rows: Theorem 1's closed form ``k_formula``, subadditivity of
+the exact averages, and the counting bound.  Each checker replays its claim
+from scratch and returns a report carrying concrete counterexamples when
+(and only when) it fails; ``standard_runs`` is the whole suite, in the
+order ``verify all`` prints it.
 """
 
 from __future__ import annotations
@@ -21,15 +21,16 @@ from typing import Any, Callable
 
 import numpy as np
 
-from .distribution import COUNTING_MIN_N, counting_bound_check, k_bar_rows
-from .enumeration import PACKED_LIMIT, extension_m
-from .extremal import k_formula, k_max_rows
+from .asymptotics import a_bound_squared
+from .enumeration import PACKED_LIMIT, extension_m, length_rows
 from .factorization import longest_palindromic_factor, measure
-from .words import FAMILY_BLOCK, FAMILY_SEED, family, parse_word, word_from_bits
+from .words import FAMILY_BLOCK, FAMILY_SEED, Word, family, parse_word
 
 __all__ = [
+    "COUNTING_MIN_N",
     "M_CONSTANTS",
     "LemmaReport",
+    "k_formula",
     "verify_lemma1",
     "verify_case_lemma",
     "verify_lemma7",
@@ -46,6 +47,13 @@ __all__ = [
 # The additive constants m_0..m_5 paired with suffix lengths 0..5 of the
 # block bbaaba; they drive every bound in the induction.
 M_CONSTANTS = (2, 3, 3, 3, 4, 4)
+
+EXCEPTIONAL_LENGTH = 11
+EXCEPTIONAL_K = 5
+
+# Shortest length for which the counting bound is asserted (see
+# verify_counting_bound).
+COUNTING_MIN_N = 9
 
 _BLOCK_PREFIXES = ("", "b", "bb", "bba", "bbaa", "bbaab")
 
@@ -81,6 +89,17 @@ class LemmaReport:
     @property
     def verdict(self) -> str:
         return "pass" if self.passed else "fail"
+
+
+def k_formula(n: int) -> int:
+    """Closed form for K(n), floor(n/6) + floor((n+4)/6) + 1, except at
+    length 11, where the single exceptional orbit of aababbaabab pushes the
+    maximum to 5."""
+    if n < 1:
+        raise ValueError(f"length must be positive, got {n}")
+    if n == EXCEPTIONAL_LENGTH:
+        return EXCEPTIONAL_K
+    return n // 6 + (n + 4) // 6 + 1
 
 
 def verify_lemma1(n_max: int) -> LemmaReport:
@@ -137,7 +156,7 @@ _LEMMA4_EXCEPTIONS_FOR_18 = (
 
 
 def _ext_text(v: int, length: int) -> str:
-    return word_from_bits(v, length).text
+    return Word(v, length).text
 
 
 def _verify_lemma2() -> LemmaReport:
@@ -348,7 +367,7 @@ def verify_theorem1(n_max: int) -> LemmaReport:
     every n <= n_max."""
     if n_max < 0:
         raise ValueError(f"n_max must be nonnegative, got {n_max}")
-    rows = k_max_rows(n_max) if n_max else []
+    rows = length_rows(n_max) if n_max else []
     bad = [
         {"n": row.n, "enumerated": row.k, "formula": k_formula(row.n)}
         for row in rows
@@ -365,7 +384,7 @@ def subadditivity_check(n_max: int) -> LemmaReport:
     """
     if not 2 <= n_max <= PACKED_LIMIT:
         raise ValueError(f"n_max must be in 2..{PACKED_LIMIT}, got {n_max}")
-    rows = k_bar_rows(n_max)
+    rows = length_rows(n_max)
     kbar = {row.n: row.kbar for row in rows}
     pairs = [(i, total - i) for total in range(2, n_max + 1) for i in range(1, total // 2 + 1)]
     bad = [{"i": i, "j": j} for i, j in pairs if kbar[i + j] > kbar[i] + kbar[j]]
@@ -379,18 +398,26 @@ def subadditivity_check(n_max: int) -> LemmaReport:
 
 
 def verify_counting_bound(n_max: int) -> LemmaReport:
-    """The counting bound (``distribution.counting_bound_check``) for every
-    length from COUNTING_MIN_N through min(16, n_max); one case per length
-    and k."""
+    """x_k + x_{k-2} + ... <= a_k = C(n-1, k-1) 2^((n+k)/2) for every
+    length n from COUNTING_MIN_N through min(16, n_max) and every k up to
+    K(n); one case per length and k, a counterexample names both.
+
+    The parity-cumulated sum counts words splittable into exactly k
+    palindromes (a short block can always be re-split into three), so it
+    is the quantity the product bound a_k actually dominates; this needs
+    the maximum below n/2, hence n >= 9.  Compared via squared integers.
+    """
     if n_max < COUNTING_MIN_N:
         raise ValueError(f"the counting bound starts at n = {COUNTING_MIN_N}, got n_max = {n_max}")
     top = min(16, n_max)
     bad = []
     cases = 0
-    for n in range(COUNTING_MIN_N, top + 1):
-        entries = counting_bound_check(n).entries
-        cases += len(entries)
-        bad.extend({"n": n, "k": e.k} for e in entries if not e.holds)
+    for row in length_rows(top)[COUNTING_MIN_N - 1 :]:
+        for k in range(1, row.k + 1):
+            cases += 1
+            cumulative = sum(row.counts.get(j, 0) for j in range(k, 0, -2))
+            if cumulative * cumulative > a_bound_squared(row.n, k):
+                bad.append({"n": row.n, "k": k})
     return LemmaReport("counting", {"n_range": f"{COUNTING_MIN_N}..{top}"}, cases, tuple(bad))
 
 

@@ -15,7 +15,6 @@ __all__ = [
     "Word",
     "WordError",
     "parse_word",
-    "word_from_bits",
     "is_palindrome",
     "symmetries",
     "orbit",
@@ -115,11 +114,6 @@ def parse_word(text: str, *, allow_empty: bool = False) -> Word:
         raise WordError(f"invalid character {ch!r} at position {pos}")
     bits = int(text[::-1].translate(_LETTERS_TO_DIGITS), 2)
     return Word(bits, len(text))
-
-
-def word_from_bits(bits: int, length: int) -> Word:
-    """Wrap a packed integer as a word of the given length."""
-    return Word(bits, length)
 
 
 def is_palindrome(w: Word) -> bool:

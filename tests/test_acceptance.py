@@ -17,11 +17,17 @@ from conftest import EXCEPTIONAL_WORD, K_TABLE, KBAR_TABLE
 from oracles import brute_force_m_table, dfs_scan, reachable_k_bitsets, text_of
 from palfact.asymptotics import bounds_report
 from palfact.cli import dispatch
-from palfact.distribution import counting_bound_check, k_bar_rows
-from palfact.enumeration import SAMPLE_CAP, _rows_upto, _scan_sharded, scan_lengths
-from palfact.extremal import k_formula, k_max, k_max_rows, worst_words
+from palfact.enumeration import (
+    SAMPLE_CAP,
+    _rows_upto,
+    _scan_sharded,
+    length_row,
+    length_rows,
+    scan_lengths,
+    worst_words,
+)
 from palfact.factorization import measure, min_factorization
-from palfact.lemmas import all_reports, subadditivity_check
+from palfact.lemmas import all_reports, k_formula, subadditivity_check, verify_counting_bound
 from palfact.words import Word
 
 
@@ -46,12 +52,12 @@ def criterion(cid: str, description: str):
 
 @pytest.fixture(scope="module")
 def rows25():
-    return k_max_rows(25)
+    return length_rows(25)
 
 
 @pytest.fixture(scope="module")
 def avg21():
-    return k_bar_rows(21)
+    return length_rows(21)
 
 
 @criterion("1", "worst-case table reproduced exactly for n = 1..25, and 26..30 under --allow-long")
@@ -94,7 +100,7 @@ def test_criterion_3_uniqueness():
 @criterion("4", "average table reproduced to two decimals for n = 1..21 with the exact length-21 identity")
 def test_criterion_4_kbar_table():
     start = time.perf_counter()
-    rows = k_bar_rows(21)
+    rows = length_rows(21)
     elapsed = time.perf_counter() - start
     assert elapsed < 60
     for row in rows:
@@ -149,13 +155,11 @@ def test_criterion_6_lemma_suite():
 
 @criterion("7", "parity-cumulated histogram never exceeds the palindrome-product bound for n = 9..16")
 def test_criterion_7_counting_inequality():
-    checked = 0
-    for n in range(9, 17):
-        report = counting_bound_check(n)
-        assert report.ok, f"n={n}"
-        assert len(report.entries) == k_max(n).k
-        checked += len(report.entries)
-    return f"{checked} squared-integer comparisons"
+    report = verify_counting_bound(16)
+    assert report.passed, report.counterexamples
+    assert report.params == {"n_range": "9..16"}
+    assert report.cases == sum(length_row(n).k for n in range(9, 17))
+    return f"{report.cases} squared-integer comparisons"
 
 
 @criterion("8", "property suite: oracle equivalence, symmetry invariance, subadditivity, parity, partition independence")

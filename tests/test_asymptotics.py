@@ -19,10 +19,9 @@ from palfact.asymptotics import (
     g_theta,
     theta_prime,
 )
-from palfact.distribution import k_bar_rows
-from palfact.enumeration import palindrome_values
-from palfact.extremal import k_formula
+from palfact.enumeration import length_rows, palindrome_values
 from palfact.factorization import reachable_k
+from palfact.lemmas import k_formula
 from palfact.words import Word
 
 
@@ -198,7 +197,7 @@ class TestProductsOfKPalindromes:
 
 @pytest.fixture(scope="module")
 def rows():
-    return k_bar_rows(21)
+    return length_rows(21)
 
 
 class TestBoundsReport:

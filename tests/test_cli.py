@@ -217,6 +217,17 @@ class TestVerifyCommand:
         assert code == 2
 
 
+PINNED_STDOUT = json.loads((Path(__file__).resolve().parent / "data" / "cli_stdout.json").read_text())
+
+
+class TestPinnedOutput:
+    @pytest.mark.parametrize("pinned", PINNED_STDOUT, ids=lambda pinned: " ".join(pinned["argv"][1:]))
+    def test_stdout_is_pinned(self, capsys, monkeypatch, pinned):
+        # Every rendering of the row tables, orbits and bounds, byte for byte.
+        monkeypatch.delenv("PALIN_CACHE_DIR", raising=False)
+        assert run(capsys, *pinned["argv"]) == (0, pinned["stdout"], "")
+
+
 class TestSubcommandOptions:
     """A subcommand accepts only the global options it uses; all stay
     accepted before the subcommand."""
@@ -609,13 +620,18 @@ class TestCliCacheIntegration:
         assert code == 0
 
     def test_corrupt_cache_recomputed(self, capsys, tmp_path):
-        run(capsys, "--cache-dir", str(tmp_path), "--format", "csv", "kmax", "--max-n", "6")
-        (tmp_path / "row_6.json").write_text("{not json")
-        with pytest.warns(UserWarning):
-            code, out, _ = run(capsys, "--cache-dir", str(tmp_path), "--format", "csv", "kmax", "--max-n", "6")
+        argv = ("--cache-dir", str(tmp_path), "--format", "csv", "kmax", "--max-n", "6")
+        code, cold, _ = run(capsys, *argv)
         assert code == 0
-        assert out.strip().splitlines()[-1] == f"6,{K_TABLE[5]},12"
-        assert json.loads((tmp_path / "row_6.json").read_text())["schema_version"] == SCHEMA_VERSION
+        assert cold.strip().splitlines()[-1] == f"6,{K_TABLE[5]},12"
+        # Broken JSON, bytes that are neither UTF-16 (after its byte order
+        # mark) nor UTF-8, and nesting deeper than the parser recurses.
+        for junk in (b"{not json", b"\xff\xfe\x00", b'{"n": "\xe9"}', b"[" * 200_000):
+            (tmp_path / "row_6.json").write_bytes(junk)
+            with pytest.warns(UserWarning, match="unparseable"):
+                code, out, _ = run(capsys, *argv)
+            assert (code, out) == (0, cold)
+            assert json.loads((tmp_path / "row_6.json").read_text())["schema_version"] == SCHEMA_VERSION
 
     def test_histogram_off_by_two_is_recomputed(self, capsys, tmp_path):
         argv = ("--cache-dir", str(tmp_path), "--format", "csv", "histogram", "--n", "8")

@@ -5,10 +5,9 @@ import pytest
 from conftest import EXCEPTIONAL_WORD, K_TABLE
 from oracles import dfs_scan
 import palfact
-from palfact.enumeration import LengthRow
+from palfact.enumeration import LengthRow, length_row, length_rows, worst_words
 from palfact import lemmas
-from palfact.extremal import k_formula, k_max, k_max_rows, worst_words
-from palfact.lemmas import verify_theorem1
+from palfact.lemmas import k_formula, verify_theorem1
 from palfact.factorization import min_factorization
 
 
@@ -36,43 +35,43 @@ class TestKFormula:
 
 class TestKMax:
     def test_first_table_rows(self):
-        rows = k_max_rows(16)
+        rows = length_rows(16)
         assert [row.k for row in rows] == K_TABLE[:16]
 
     def test_single_rows(self):
-        assert k_max(1).k == 1
-        assert k_max(20).k == 8
+        assert length_row(1).k == 1
+        assert length_row(20).k == 8
 
     def test_n2_maximizers(self):
-        row = k_max(2)
+        row = length_row(2)
         assert row.k == 2
         assert row.maximizer_count == 2
         assert row.maximizers == (2,)  # ab; its complement ba is not listed
         assert row.sample_maximizers == ("ab",)  # orbit representative of {ab, ba}
 
     def test_one_row_type(self):
-        assert palfact.ExtremalRow is palfact.MHistogram is LengthRow
-        assert isinstance(k_max(7), LengthRow)
+        assert palfact.LengthRow is LengthRow
+        assert isinstance(length_row(7), LengthRow)
 
     def test_counts_are_even(self):
-        for row in k_max_rows(12):
+        for row in length_rows(12):
             assert row.maximizer_count % 2 == 0
             assert row.maximizer_count >= 1
 
     def test_monotone_steps(self):
-        rows = k_max_rows(18)
+        rows = length_rows(18)
         for a, b in zip(rows, rows[1:]):
             assert a.k <= b.k <= a.k + 1
 
     def test_backends_agree(self):
         for n in (3, 8, 13):
-            assert dfs_scan(n) == k_max(n)
+            assert dfs_scan(n) == length_row(n)
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            k_max(0)
+            length_row(0)
         with pytest.raises(ValueError):
-            k_max(33)
+            length_row(33)
 
 
 class TestWorstWords:
@@ -97,14 +96,14 @@ class TestWorstWords:
 
     def test_every_member_attains_the_maximum(self):
         for n in (5, 9, 12):
-            k = k_max(n).k
+            k = length_row(n).k
             total = 0
             for orb in worst_words(n):
                 total += orb.size
                 assert orb.representative == orb.words[0] == min(orb.words)
                 for word in orb.words:
                     assert min_factorization(word).m == k
-            assert total == k_max(n).maximizer_count
+            assert total == length_row(n).maximizer_count
 
     def test_orbits_sorted(self):
         reps = [orb.representative for orb in worst_words(10)]
@@ -122,7 +121,7 @@ class TestTheorem1:
         report = verify_theorem1(11)
         assert report.passed
         assert report.cases == 11
-        assert k_max(11).k == 5 == k_formula(11)
+        assert length_row(11).k == 5 == k_formula(11)
         # Without its n = 11 exception the closed form fails exactly there.
         monkeypatch.setattr(lemmas, "k_formula", lambda n: n // 6 + (n + 4) // 6 + 1)
         report = verify_theorem1(11)

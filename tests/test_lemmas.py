@@ -2,12 +2,13 @@ from __future__ import annotations
 
 import pytest
 
-from palfact import distribution, lemmas
-from palfact.extremal import k_formula
+from palfact import lemmas
+from palfact.enumeration import length_row
 from palfact.factorization import measure
 from palfact.lemmas import (
     LemmaReport,
     M_CONSTANTS,
+    k_formula,
     ksum_property,
     verify_case_lemma,
     verify_counting_bound,
@@ -149,20 +150,14 @@ class TestCountingBound:
         report = verify_counting_bound(12)
         assert report.passed
         assert report.params == {"n_range": "9..12"}
-        assert report.cases == sum(len(distribution.counting_bound_check(n).entries) for n in range(9, 13))
+        assert report.cases == sum(length_row(n).k for n in range(9, 13))
 
     def test_stops_at_16(self):
         assert verify_counting_bound(30).params == {"n_range": "9..16"}
 
     def test_failing_entries_are_counterexamples(self, monkeypatch):
-        real = distribution.counting_bound_check
-
-        def broken(n):
-            rep = real(n)
-            entries = tuple(type(e)(e.k, e.cumulative, e.holds and (n, e.k) != (10, 2)) for e in rep.entries)
-            return type(rep)(n, entries)
-
-        monkeypatch.setattr(lemmas, "counting_bound_check", broken)
+        real = lemmas.a_bound_squared
+        monkeypatch.setattr(lemmas, "a_bound_squared", lambda n, k: 0 if (n, k) == (10, 2) else real(n, k))
         assert verify_counting_bound(11).counterexamples == ({"n": 10, "k": 2},)
 
     def test_rejects_below_9(self):

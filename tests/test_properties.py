@@ -5,8 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from oracles import brute_force_m_table, reachable_k_bitsets
-from palfact.distribution import histogram_rows, k_bar_rows
-from palfact.extremal import k_max
+from palfact.enumeration import length_row, length_rows
 from palfact.factorization import min_factorization, reachable_k
 from palfact.words import Word
 
@@ -59,7 +58,7 @@ class TestSubadditivity:
                 assert np.all(concat <= outer), (lu, lv)
 
     def test_average_subadditivity_to_16(self):
-        rows = {row.n: row.kbar for row in k_bar_rows(16)}
+        rows = {row.n: row.kbar for row in length_rows(16)}
         for total in range(2, 17):
             for i in range(1, total):
                 assert rows[total] <= rows[i] + rows[total - i]
@@ -91,14 +90,14 @@ class TestParityReachability:
 
 class TestEnumerationConsistency:
     def test_histograms_match_tables(self, m_tables_14):
-        for hist in histogram_rows(14):
+        for hist in length_rows(14):
             table = m_tables_14[hist.n]
             expected = {int(k): int(c) for k, c in enumerate(np.bincount(table)) if c}
             assert hist.counts == expected
 
     def test_extremal_rows_match_tables(self, m_tables_14):
         for n in range(1, 15):
-            row = k_max(n)
+            row = length_row(n)
             table = m_tables_14[n]
             assert row.k == int(table.max())
             assert row.maximizer_count == int((table == table.max()).sum())
