@@ -9,18 +9,19 @@ by the out-of-memory killer; one line on stderr says so, and no row of
 that pass is cached).  Output is byte-stable for a fixed configuration
 and seed, and each command makes at most one enumeration pass.
 
-The global options --format, --cache-dir and --seed go before the
-subcommand.  A subcommand also accepts some of them after its name:
---format every one, --cache-dir every one but m and factor, and --seed
-only verify, the one command with randomized checks.  The subcommand
-position wins, and PALIN_CACHE_DIR overrides any --cache-dir.  Only kmax,
-kbar, histogram and bounds use the cache: they read the per-length rows
-they print (histogram and bounds one row, the tables every row up to
---max-n) through one cache helper, and a miss makes one enumeration pass
-that stores every row it made.  worst and verify accept --cache-dir but
-neither read nor write it.  A row is an ``enumeration.LengthRow``, which
-holds the histogram and the maximizers, and the cache format is known to
-``cache`` alone.
+The global options --format, --cache-dir and --seed are each declared
+once and fill the invocation's one ``RunConfig``.  All three go before the
+subcommand; a subcommand also accepts after its name the ones it uses:
+--format every one, --cache-dir kmax, kbar, histogram and bounds, and
+--seed only verify, the one command with randomized checks.  A value
+given after the subcommand wins over one given before it, and
+PALIN_CACHE_DIR wins over both; an empty --cache-dir is a usage error.
+Only kmax, kbar, histogram and bounds use the cache: they read the
+per-length rows they print (histogram and bounds one row, the tables
+every row up to --max-n) through one cache helper, and a miss makes one
+enumeration pass that stores every row it made.  A row is an
+``enumeration.LengthRow``, which holds the histogram and the maximizers,
+and the cache format is known to ``cache`` alone.
 """
 
 from __future__ import annotations
@@ -37,10 +38,10 @@ import click
 from . import enumeration, lemmas
 from .asymptotics import bounds_report
 from .cache import ResultCache
-from .enumeration import PACKED_LIMIT, LengthRow, WorkerDied
+from .enumeration import PACKED_LIMIT, LengthRow, Orbit, WorkerDied
 from .factorization import min_factorization
 from .lemmas import COUNTING_MIN_N
-from .words import WordError, orbit, parse_word
+from .words import WordError, parse_word
 
 __all__ = ["RunConfig", "cli", "dispatch", "main"]
 
@@ -55,6 +56,8 @@ WORKER_DIED = 3
 
 @dataclass
 class RunConfig:
+    """The settings of one invocation; PALIN_CACHE_DIR wins over cache_dir."""
+
     format: str = "table"
     cache_dir: str | None = None
     seed: int = 42
@@ -65,37 +68,35 @@ class RunConfig:
 
     @property
     def cache(self) -> ResultCache:
-        return ResultCache(self.cache_dir)
+        return ResultCache(os.environ.get("PALIN_CACHE_DIR") or self.cache_dir)
 
 
-# Subcommand-level copies of the global options; unset, the global value holds.
+def _override(ctx: click.Context, param: click.Parameter, value) -> None:
+    """Set the option's field of the invocation's one RunConfig, if given.
+    Click processes the group's options before the subcommand's, so a value
+    after the subcommand overwrites one before it."""
+    config = ctx.ensure_object(RunConfig)
+    if value == "":  # Path("") is the working directory
+        raise click.BadParameter("must not be empty", ctx, param)
+    if value is not None:
+        setattr(config, param.name, value)
+
+
+# The global options, each declared once: the group applies all three, and
+# each subcommand the ones it uses.
 _format_option = click.option(
-    "--format", "-f", "fmt", type=click.Choice(FORMATS), default=None, help="Output format."
+    "--format", "-f", type=click.Choice(FORMATS), expose_value=False, callback=_override, help="Output format."
 )
 _cache_dir_option = click.option(
     "--cache-dir",
     type=click.Path(file_okay=False),
-    default=None,
+    expose_value=False,
+    callback=_override,
     help="Directory for persisted rows (PALIN_CACHE_DIR overrides).",
 )
-_seed_option = click.option("--seed", type=int, default=None, help="Seed for randomized checks.")
-
-
-def _resolve(
-    base: RunConfig,
-    fmt: str | None,
-    cache_dir: str | None = None,
-    seed: int | None = None,
-) -> RunConfig:
-    merged_cache = os.environ.get("PALIN_CACHE_DIR") or (cache_dir if cache_dir is not None else base.cache_dir)
-    try:
-        return RunConfig(
-            format=fmt if fmt is not None else base.format,
-            cache_dir=merged_cache,
-            seed=seed if seed is not None else base.seed,
-        )
-    except ValueError as exc:
-        raise click.UsageError(str(exc)) from exc
+_seed_option = click.option(
+    "--seed", type=int, expose_value=False, callback=_override, help="Seed for randomized checks."
+)
 
 
 def _echo_json(doc: object) -> None:
@@ -125,35 +126,21 @@ def _guard_length(option: str, n: int, allow_long: bool) -> None:
         )
 
 
-def _lib_call(fn, *args, **kwargs):
-    try:
-        return fn(*args, **kwargs)
-    except ValueError as exc:
-        raise click.UsageError(str(exc)) from exc
-
-
 @click.group()
-@click.option("--format", "-f", "fmt", type=click.Choice(FORMATS), default="table", help="Output format.")
-@click.option("--cache-dir", type=click.Path(file_okay=False), default=None,
-              help="Directory for persisted rows (PALIN_CACHE_DIR overrides).")
-@click.option("--seed", type=int, default=42, help="Seed for randomized checks.")
-@click.pass_context
-def cli(ctx: click.Context, fmt: str, cache_dir: str | None, seed: int) -> None:
+@_format_option
+@_cache_dir_option
+@_seed_option
+def cli() -> None:
     """Minimal palindromic factorizations: worst cases, averages, bounds."""
-    try:
-        ctx.obj = RunConfig(format=fmt, cache_dir=cache_dir, seed=seed)
-    except ValueError as exc:
-        raise click.UsageError(str(exc)) from exc
 
 
 @cli.command("m")
 @click.argument("word")
 @_format_option
 @click.pass_obj
-def m_command(base: RunConfig, word: str, fmt) -> None:
+def m_command(config: RunConfig, word: str) -> None:
     """Print the asymmetry measure m(WORD); WORD - reads it from stdin."""
-    config = _resolve(base, fmt)
-    fact = _lib_call(min_factorization, _parse_word_arg(word))
+    fact = min_factorization(_parse_word_arg(word))
     if config.format == "json":
         _echo_json({"word": fact.word.text, "m": fact.m})
     elif config.format == "csv":
@@ -167,10 +154,9 @@ def m_command(base: RunConfig, word: str, fmt) -> None:
 @click.argument("word")
 @_format_option
 @click.pass_obj
-def factor_command(base: RunConfig, word: str, fmt) -> None:
+def factor_command(config: RunConfig, word: str) -> None:
     """Print a minimal palindromic factorization of WORD; WORD - reads it from stdin."""
-    config = _resolve(base, fmt)
-    fact = _lib_call(min_factorization, _parse_word_arg(word))
+    fact = min_factorization(_parse_word_arg(word))
     if config.format == "json":
         _echo_json(
             {
@@ -195,15 +181,14 @@ def _cached_rows(config: RunConfig, lengths: range) -> list[LengthRow]:
     cached = [cache.load_row(n) for n in lengths]
     if all(row is not None for row in cached):
         return cached  # type: ignore[return-value]
-    rows = _lib_call(enumeration.length_rows, lengths[-1])
+    rows = enumeration.length_rows(lengths[-1])
     for row in rows:
         cache.store_row(row)
     return [rows[n - 1] for n in lengths]
 
 
-def _orbit_json(representative: str) -> dict:
-    words = [w.text for w in orbit(parse_word(representative))]
-    return {"representative": representative, "size": len(words), "words": words}
+def _orbit_json(orb: Orbit) -> dict:
+    return {"representative": orb.representative, "size": orb.size, "words": list(orb.words)}
 
 
 @cli.command("kmax")
@@ -212,9 +197,8 @@ def _orbit_json(representative: str) -> dict:
 @_format_option
 @_cache_dir_option
 @click.pass_obj
-def kmax_command(base: RunConfig, max_n: int, allow_long: bool, fmt, cache_dir) -> None:
+def kmax_command(config: RunConfig, max_n: int, allow_long: bool) -> None:
     """Exact worst-case table K(1)..K(MAX_N) by full enumeration."""
-    config = _resolve(base, fmt, cache_dir)
     _guard_length("--max-n", max_n, allow_long)
     rows = _cached_rows(config, range(1, max_n + 1))
     if config.format == "csv":
@@ -228,7 +212,7 @@ def kmax_command(base: RunConfig, max_n: int, allow_long: bool, fmt, cache_dir) 
                     "n": row.n,
                     "K": row.k,
                     "maximizer_count": row.maximizer_count,
-                    "orbits": [_orbit_json(rep) for rep in row.sample_maximizers],
+                    "orbits": [_orbit_json(orb) for orb in row.sample_orbits],
                 }
                 for row in rows
             ]
@@ -245,9 +229,8 @@ def kmax_command(base: RunConfig, max_n: int, allow_long: bool, fmt, cache_dir) 
 @_format_option
 @_cache_dir_option
 @click.pass_obj
-def kbar_command(base: RunConfig, max_n: int, allow_long: bool, fmt, cache_dir) -> None:
+def kbar_command(config: RunConfig, max_n: int, allow_long: bool) -> None:
     """Exact average table kbar(1)..kbar(MAX_N)."""
-    config = _resolve(base, fmt, cache_dir)
     _guard_length("--max-n", max_n, allow_long)
     rows = _cached_rows(config, range(1, max_n + 1))
     if config.format == "csv":
@@ -280,9 +263,8 @@ def kbar_command(base: RunConfig, max_n: int, allow_long: bool, fmt, cache_dir) 
 @_format_option
 @_cache_dir_option
 @click.pass_obj
-def histogram_command(base: RunConfig, n: int, allow_long: bool, fmt, cache_dir) -> None:
+def histogram_command(config: RunConfig, n: int, allow_long: bool) -> None:
     """Exact counts x_k of words of length N with m = k."""
-    config = _resolve(base, fmt, cache_dir)
     _guard_length("--n", n, allow_long)
     [hist] = _cached_rows(config, range(n, n + 1))
     if config.format == "csv":
@@ -301,14 +283,12 @@ def histogram_command(base: RunConfig, n: int, allow_long: bool, fmt, cache_dir)
 @click.option("--n", "n", type=int, required=True, help="Word length.")
 @click.option("--allow-long", is_flag=True, help="Permit lengths above 26.")
 @_format_option
-@_cache_dir_option
 @click.pass_obj
-def worst_command(base: RunConfig, n: int, allow_long: bool, fmt, cache_dir) -> None:
+def worst_command(config: RunConfig, n: int, allow_long: bool) -> None:
     """All words attaining K(N), grouped into symmetry orbits."""
-    config = _resolve(base, fmt, cache_dir)
     _guard_length("--n", n, allow_long)
-    orbits = _lib_call(enumeration.worst_words, n)
-    k = _lib_call(enumeration.length_row, n).k
+    row = enumeration.length_row(n)
+    orbits = list(row.orbits())
     if config.format == "csv":
         click.echo("n,representative,orbit_size")
         for orb in orbits:
@@ -317,15 +297,12 @@ def worst_command(base: RunConfig, n: int, allow_long: bool, fmt, cache_dir) -> 
         _echo_json(
             {
                 "n": n,
-                "K": k,
-                "orbits": [
-                    {"representative": orb.representative, "size": orb.size, "words": list(orb.words)}
-                    for orb in orbits
-                ],
+                "K": row.k,
+                "orbits": [_orbit_json(orb) for orb in orbits],
             }
         )
     else:
-        click.echo(f"K({n}) = {k}, {len(orbits)} orbit(s)")
+        click.echo(f"K({n}) = {row.k}, {len(orbits)} orbit(s)")
         for orb in orbits:
             click.echo(f"  {orb.representative}  (orbit size {orb.size}: {', '.join(orb.words)})")
 
@@ -358,12 +335,10 @@ def _verify_reports(config: RunConfig, target: str, max_n: int, trials: int) -> 
 @click.option("--max-n", type=int, default=20, help="Length ceiling for the table-driven checks.")
 @click.option("--trials", type=int, default=10_000, help="Trials for the randomized tuple check.")
 @_format_option
-@_cache_dir_option
 @_seed_option
 @click.pass_obj
-def verify_command(base: RunConfig, target: str, max_n: int, trials: int, fmt, cache_dir, seed) -> int:
+def verify_command(config: RunConfig, target: str, max_n: int, trials: int) -> int:
     """Replay the machine-checkable claims; exit 1 on any failure."""
-    config = _resolve(base, fmt, cache_dir, seed)
     _guard_length("--max-n", max_n, allow_long=True)
     # Below the counting bound's first length the claim would check nothing.
     if target in ("counting", "all") and max_n < COUNTING_MIN_N:
@@ -394,15 +369,14 @@ def verify_command(base: RunConfig, target: str, max_n: int, trials: int, fmt, c
 @_format_option
 @_cache_dir_option
 @click.pass_obj
-def bounds_command(base: RunConfig, tolerance: float, fmt, cache_dir) -> None:
+def bounds_command(config: RunConfig, tolerance: float) -> None:
     """Both bound constants for the limit of kbar(n)/n."""
-    config = _resolve(base, fmt, cache_dir)
     # Checked here so that a bad value exits before the n = 21 row is read or computed.
     if not 0 < tolerance < math.inf:
         raise click.UsageError(f"--tolerance must be positive and finite, got {tolerance}")
     [row] = _cached_rows(config, range(21, 22))
     try:
-        report = _lib_call(bounds_report, [row], tolerance)
+        report = bounds_report([row], tolerance)
     except ArithmeticError as exc:
         # A cached row can be possible for its length and still wrong.
         raise click.UsageError(f"{exc}; the row for n = 21 is wrong (delete a cached row_21.json)") from exc

@@ -298,7 +298,7 @@ class LengthRow:
         units = round(self.ratio * 10_000)
         return f"{units // 10_000}.{units % 10_000:04d}"
 
-    def _orbits(self) -> Iterator[Orbit]:
+    def orbits(self) -> Iterator[Orbit]:
         """The maximizers grouped into symmetry orbits, by representative.
 
         An orbit's least member starts with 'a', so the a-initial maximizers
@@ -311,9 +311,14 @@ class LengthRow:
                 yield Orbit(tuple(im.text for im in images))
 
     @property
+    def sample_orbits(self) -> tuple[Orbit, ...]:
+        """The SAMPLE_CAP orbits with the least representatives."""
+        return tuple(islice(self.orbits(), SAMPLE_CAP))
+
+    @property
     def sample_maximizers(self) -> tuple[str, ...]:
         """The SAMPLE_CAP lexicographically least orbit representatives."""
-        return tuple(orb.representative for orb in islice(self._orbits(), SAMPLE_CAP))
+        return tuple(orb.representative for orb in self.sample_orbits)
 
 
 class WorkerDied(RuntimeError):
@@ -524,4 +529,4 @@ def length_rows(n_max: int) -> list[LengthRow]:
 def worst_words(n: int) -> list[Orbit]:
     """Every word attaining K(n), grouped into symmetry orbits sorted by
     representative; orbit sizes are computed, never assumed."""
-    return list(length_row(n)._orbits())
+    return list(length_row(n).orbits())

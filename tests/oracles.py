@@ -13,10 +13,14 @@ block-count bitsets by a full scan of suffix starts) and
 per-letter reversal that ``palfact.words`` replaced.  The depth-first oracle ``dfs_scan``
 evaluates m by push/pop of ``IncrementalState``, so it shares no code with
 either the layer DP in ``palfact.enumeration`` or the single-word engine in
-``palfact.factorization``.
+``palfact.factorization``.  ``decimal_bound_constants`` finds the bound
+constants by bisection in 50-digit ``decimal`` arithmetic, with no float
+and no polynomial solver.
 """
 
 from __future__ import annotations
+
+from decimal import Decimal, localcontext
 
 import numpy as np
 
@@ -359,3 +363,47 @@ def dfs_scan(n: int, *, prefix_depth: int = 8) -> LengthRow:
         counts={k: 2 * c for k, c in enumerate(total.counts) if c},
         maximizers=tuple(sorted(total.max_bits)),
     )
+
+
+def _bisect(fn, lo: Decimal, hi: Decimal, tolerance: Decimal) -> Decimal:
+    """A root of fn in [lo, hi], where fn changes sign."""
+    lo_negative = fn(lo) < 0
+    if lo_negative == (fn(hi) < 0):
+        raise ArithmeticError(f"no sign change on [{lo}, {hi}]")
+    while hi - lo > tolerance:
+        mid = (lo + hi) / 2
+        if (fn(mid) < 0) == lo_negative:
+            lo = mid
+        else:
+            hi = mid
+    return (lo + hi) / 2
+
+
+def decimal_bound_constants(digits: int = 50) -> tuple[Decimal, Decimal, tuple[Decimal, Decimal]]:
+    """theta' (the root of f on (0, 1/3]), g(theta') and the two real roots
+    of g', each by bisection to 10^(5 - digits) at ``digits`` digits.  g' is
+    the quotient rule applied to g, not the quartic ``g_prime_roots`` solves;
+    its roots are bracketed away from the poles of g at 2 - sqrt(2) and
+    2 + sqrt(2)."""
+    with localcontext() as ctx:
+        ctx.prec = digits
+        ln2, sqrt2 = Decimal(2).ln(), Decimal(2).sqrt()
+        tolerance = Decimal(10) ** (5 - digits)
+
+        def f(t: Decimal) -> Decimal:
+            return (t - 1) / 2 * ln2 - t * t.ln() - (1 - t) * (1 - t).ln()
+
+        def g(x: Decimal) -> Decimal:
+            return x - sqrt2 * x * x * (1 - x) / (x * x - 4 * x + 2)
+
+        def g_prime(x: Decimal) -> Decimal:
+            num, num_d = x * x - x * x * x, 2 * x - 3 * x * x
+            den, den_d = x * x - 4 * x + 2, 2 * x - 4
+            return 1 - sqrt2 * (num_d * den - num * den_d) / (den * den)
+
+        theta = _bisect(f, Decimal("1e-30"), Decimal(1) / 3, tolerance)
+        roots = (
+            _bisect(g_prime, Decimal("0.2"), Decimal("0.5"), tolerance),
+            _bisect(g_prime, Decimal(4), Decimal(8), tolerance),
+        )
+        return theta, g(theta), roots

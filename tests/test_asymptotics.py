@@ -1,9 +1,11 @@
 from __future__ import annotations
 
 import math
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
+from oracles import decimal_bound_constants
 
 from palfact.asymptotics import (
     F_AT_ZERO,
@@ -127,6 +129,22 @@ class TestGPrimeRoots:
     def test_minimum_on_bracket_is_at_theta_prime(self):
         tp = theta_prime(1e-10)
         assert g_theta(tp) == min(g_theta(tp), g_theta(1 / 3))
+
+
+class TestDecimalOracle:
+    """The bound constants against bisection at 50 decimal digits."""
+
+    def test_theta_prime_and_lower_bound(self):
+        theta, lower, _ = decimal_bound_constants()
+        tolerance = 1e-10
+        tp = theta_prime(tolerance)
+        assert abs(Decimal(tp) - theta) <= Decimal(tolerance)
+        assert abs(Decimal(g_theta(tp)) - lower) <= Decimal(tolerance)
+
+    def test_g_prime_roots(self):
+        _, _, roots = decimal_bound_constants()
+        for got, want in zip(g_prime_roots(), roots):
+            assert abs(Decimal(got) - want) <= Decimal("1e-12")
 
 
 class TestCountingBounds:

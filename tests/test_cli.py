@@ -3,6 +3,7 @@ from __future__ import annotations
 import io
 import json
 import os
+import shutil
 import subprocess
 import sys
 import tempfile
@@ -105,9 +106,19 @@ class TestKmaxCommand:
         assert post == pre
 
     def test_subcommand_option_wins(self, capsys):
-        code, out, _ = run(capsys, "--format", "json", "m", "ab", "--format", "csv")
-        assert code == 0
-        assert out.strip().splitlines()[0] == "word,m"
+        # Given before the subcommand, after it, or both (the value after it
+        # wins), in either spelling; repeated, the last value wins.
+        for argv in (
+            ("--format", "csv", "m", "ab"),
+            ("m", "ab", "--format", "csv"),
+            ("--format", "json", "m", "ab", "--format", "csv"),
+            ("-f", "csv", "m", "ab"),
+            ("m", "ab", "-f", "csv"),
+            ("-f", "json", "m", "ab", "-f", "csv"),
+            ("--format", "json", "--format", "csv", "m", "ab"),
+            ("m", "ab", "-f", "json", "--format", "csv"),
+        ):
+            assert run(capsys, *argv) == (0, "word,m\nab,2\n", ""), argv
 
 
 class TestKbarAndHistogram:
@@ -252,23 +263,45 @@ class TestSubcommandOptions:
         assert out == ""
         assert run(capsys, "--seed", "5", *argv)[0] == 0
 
-    @pytest.mark.parametrize("command", ["m", "factor"])
+    @pytest.mark.parametrize("command", ["m", "factor", "worst", "verify"])
     def test_no_cache_dir_after_single_word_commands(self, capsys, tmp_path, monkeypatch, command):
+        # None of these reads or writes the cache.
         monkeypatch.delenv("PALIN_CACHE_DIR", raising=False)
+        args = {"worst": ("--n", "5"), "verify": ("lemma9",)}.get(command, ("aabab",))
         cache_dir = tmp_path / "D"
-        code, out, err = run(capsys, command, "aabab", "--cache-dir", str(cache_dir))
+        code, out, err = run(capsys, command, *args, "--cache-dir", str(cache_dir))
         assert code == 2
         assert "No such option" in err and "--cache-dir" in err
         assert "Usage:" in err
         assert out == ""
         assert not cache_dir.exists()
-        assert run(capsys, "--cache-dir", str(cache_dir), command, "aabab")[0] == 0
+        assert run(capsys, "--cache-dir", str(cache_dir), command, *args)[0] == 0
         assert not cache_dir.exists()
 
     def test_verify_seed_in_either_position(self, capsys):
         after = run(capsys, "verify", "all", "--max-n", "9", "--seed", "3")
         assert after[0] == 0
         assert run(capsys, "--seed", "3", "verify", "all", "--max-n", "9") == after
+        expected = "ksum: PASS (cases=5) {'trials': 5, 'seed': 3}\n"
+        for argv in (
+            ("--seed", "3", "verify", "ksum", "--trials", "5"),
+            ("verify", "ksum", "--trials", "5", "--seed", "3"),
+            ("--seed", "7", "verify", "ksum", "--trials", "5", "--seed", "3"),
+            ("--seed", "7", "--seed", "3", "verify", "ksum", "--trials", "5"),
+            ("verify", "ksum", "--seed", "7", "--trials", "5", "--seed", "3"),
+        ):
+            assert run(capsys, *argv) == (0, expected, ""), argv
+
+    def test_dispatch_calls_share_no_config(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.delenv("PALIN_CACHE_DIR", raising=False)
+        cache_dir = tmp_path / "D"
+        code, out, _ = run(capsys, "-f", "json", "--seed", "3", "--cache-dir", str(cache_dir), "factor", "ab")
+        assert (code, json.loads(out)["blocks"]) == (0, ["a", "b"])
+        assert run(capsys, "factor", "ab") == (0, "(a)(b)\n", "")
+        _, out, _ = run(capsys, "verify", "ksum", "--trials", "5")
+        assert out == "ksum: PASS (cases=5) {'trials': 5, 'seed': 42}\n"
+        assert run(capsys, "kmax", "--max-n", "2")[0] == 0
+        assert not cache_dir.exists()
 
 
 class TestInputContract:
@@ -289,6 +322,22 @@ class TestInputContract:
         assert "must be positive" in err
         assert out == ""
         assert not tmp_path.exists() or not any(tmp_path.iterdir())
+
+    def test_empty_cache_dir_is_usage_error(self, capsys, tmp_path, monkeypatch):
+        # Path("") is the working directory, which must not fill with rows.
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.delenv("PALIN_CACHE_DIR", raising=False)
+        for argv in (("--cache-dir", "", "kbar", "--max-n", "3"), ("kbar", "--max-n", "3", "--cache-dir", "")):
+            code, out, err = run(capsys, *argv)
+            assert (code, out) == (2, "")
+            assert err.splitlines()[-1] == "Error: Invalid value for '--cache-dir': must not be empty"
+            assert list(tmp_path.iterdir()) == []
+        # An empty PALIN_CACHE_DIR means unset.
+        monkeypatch.setenv("PALIN_CACHE_DIR", "")
+        assert run(capsys, "kbar", "--max-n", "3")[0] == 0
+        assert list(tmp_path.iterdir()) == []
+        assert run(capsys, "--cache-dir", "D", "kbar", "--max-n", "3")[0] == 0
+        assert sorted(p.name for p in tmp_path.rglob("*")) == ["D", "row_1.json", "row_2.json", "row_3.json"]
 
     def test_zero_trials_is_usage_error(self, capsys):
         code, out, err = run(capsys, "verify", "ksum", "--trials", "0")
@@ -685,14 +734,34 @@ class TestCliCacheIntegration:
         indented = sum(len(json.dumps(json.loads(p.read_text()), sort_keys=True, indent=2)) for p in files)
         assert (sum(p.stat().st_size for p in files), indented) == (31_509, 58_530)
 
+    def test_subcommand_cache_dir_wins(self, capsys, tmp_path, monkeypatch):
+        # Before the subcommand, after it, or both (the value after it wins);
+        # repeated, the last value wins.
+        monkeypatch.delenv("PALIN_CACHE_DIR", raising=False)
+        cases = [(["G"], [], "G"), ([], ["S"], "S"), (["G"], ["S"], "S"), (["F", "G"], [], "G"), ([], ["F", "S"], "S")]
+
+        def flags(root, names):
+            return [arg for name in names for arg in ("--cache-dir", str(root / name))]
+
+        for i, (before, after, used) in enumerate(cases):
+            root = tmp_path / str(i)
+            assert run(capsys, *flags(root, before), "kmax", "--max-n", "2", *flags(root, after))[0] == 0
+            assert [p.name for p in root.iterdir()] == [used]
+            assert sorted(p.name for p in (root / used).iterdir()) == ["row_1.json", "row_2.json"]
+
     def test_env_var_overrides_flag(self, capsys, tmp_path, monkeypatch):
         env_dir = tmp_path / "from_env"
         flag_dir = tmp_path / "from_flag"
         monkeypatch.setenv("PALIN_CACHE_DIR", str(env_dir))
-        code, _, _ = run(capsys, "--cache-dir", str(flag_dir), "--format", "csv", "kmax", "--max-n", "4")
-        assert code == 0
-        assert (env_dir / "row_4.json").exists()
-        assert not flag_dir.exists()
+        for argv in (
+            ("--cache-dir", str(flag_dir), "--format", "csv", "kmax", "--max-n", "4"),
+            ("--format", "csv", "kmax", "--max-n", "4", "--cache-dir", str(flag_dir)),
+        ):
+            shutil.rmtree(env_dir, ignore_errors=True)
+            code, _, _ = run(capsys, *argv)
+            assert code == 0
+            assert (env_dir / "row_4.json").exists()
+            assert not flag_dir.exists()
 
 
 class TestEnumerationPasses:
