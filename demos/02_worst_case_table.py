@@ -5,7 +5,7 @@ exact table; the closed form floor(n/6) + floor((n+4)/6) + 1 matches it
 everywhere except n = 11, where a single orbit reaches 5 instead of 4.
 """
 
-from palfact import k_formula, length_rows, verify_theorem1, worst_words
+from palfact import k_formula, length_row, length_rows, verify_theorem1
 
 rows = length_rows(20)
 print(" n  K(n)  formula  maximizers")
@@ -18,7 +18,7 @@ print("uniform branch at n=11:", 11 // 6 + (11 + 4) // 6 + 1, "  enumerated:", r
 
 # The words responsible, grouped by the symmetry group (letter swap and
 # reversal, under which m is invariant):
-for orbit in worst_words(11):
+for orbit in length_row(11).orbits():
     print("extremal orbit at n=11:", orbit.words, "size", orbit.size)
 
 # The formula check as a single claim report:

@@ -12,7 +12,7 @@ from palfact import length_row, length_rows, subadditivity_check
 
 # The histogram underneath the average: x_k = number of words with m = k.
 hist = length_row(10)
-print("x_k at n=10:", hist.counts, " total", hist.total, "= 2^10")
+print("x_k at n=10:", hist.counts, " total", sum(hist.counts.values()), "= 2^10")
 
 # The exact average is a property of the same row.
 rows = length_rows(21)
@@ -22,9 +22,9 @@ for row in rows:
     print(f"{row.n:>2} {row.s:>12}   {row.kbar_text}   {row.ratio_text}")
 
 # Exact rational identity at n=21 (reduced to a power-of-two denominator):
-row21 = rows[20]
+kbar21 = rows[20].kbar
 print()
-print(f"kbar(21) = {row21.kbar_num}/2^{row21.kbar_den_pow2} exactly")
+print(f"kbar(21) = {kbar21.numerator}/2^{kbar21.denominator.bit_length() - 1} exactly")
 
 # Pairwise subadditivity over the computed range, in exact arithmetic, as a
 # claim report; its params carry the least ratio kbar(n)/n as "num/den".

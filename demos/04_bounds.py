@@ -23,5 +23,5 @@ print(f"unique root theta' = {root:.8f},  g(theta') = {g_theta(root):.8f}")
 report = bounds_report([length_row(21)])
 print()
 print(f"{report.lower_text} < lim kbar(n)/n <= {report.upper_text}")
-print(f"upper bound exactly {report.upper_bound} = {report.upper_float:.8f}")
+print(f"upper bound exactly {report.upper_bound} = {float(report.upper_bound):.8f}")
 print(f"critical points of g: {report.g_prime_roots}")

@@ -19,7 +19,7 @@ from .asymptotics import (
     g_theta,
     theta_prime,
 )
-from .enumeration import LengthRow, Orbit, length_row, length_rows, worst_words
+from .enumeration import LengthRow, length_row, length_rows
 from .factorization import Factorization, longest_palindromic_factor, measure, min_factorization, reachable_k
 from .lemmas import (
     LemmaReport,
@@ -36,13 +36,13 @@ from .lemmas import (
     verify_theorem1,
 )
 from .words import (
+    Orbit,
     Word,
     WordError,
     family,
     is_palindrome,
     orbit,
     parse_word,
-    symmetries,
 )
 
 __version__ = "0.1.0"
@@ -75,7 +75,6 @@ __all__ = [
     "parse_word",
     "reachable_k",
     "subadditivity_check",
-    "symmetries",
     "theta_prime",
     "verify_case_lemma",
     "verify_counting_bound",
@@ -84,5 +83,4 @@ __all__ = [
     "verify_lemma8",
     "verify_lemma9",
     "verify_theorem1",
-    "worst_words",
 ]

@@ -208,16 +208,12 @@ class AsymptoticsReport:
     tolerance: float
 
     @property
-    def upper_float(self) -> float:
-        return float(self.upper_bound)
-
-    @property
     def lower_text(self) -> str:
         return f"{self.g_at_theta_prime:.5f}"
 
     @property
     def upper_text(self) -> str:
-        return f"{self.upper_float:.4f}"
+        return f"{float(self.upper_bound):.4f}"
 
 
 def bounds_report(avg_rows: Sequence, tolerance: float = 1e-10) -> AsymptoticsReport:

@@ -92,9 +92,12 @@ class CacheEntry:
 
 
 class ResultCache:
-    """Load/store cache entries under one directory; None disables caching."""
+    """Load/store cache entries under one directory; None disables caching.
+    An empty path is a ValueError: ``Path("")`` is the working directory."""
 
     def __init__(self, directory: str | os.PathLike | None) -> None:
+        if directory is not None and not os.fspath(directory):
+            raise ValueError("cache directory must not be empty")
         self.directory = Path(directory) if directory is not None else None
         self._writable: bool | None = None
 

@@ -20,8 +20,9 @@ Only kmax, kbar, histogram and bounds use the cache: they read the
 per-length rows they print (histogram and bounds one row, the tables
 every row up to --max-n) through one cache helper, and a miss makes one
 enumeration pass that stores every row it made.  A row is an
-``enumeration.LengthRow``, which holds the histogram and the maximizers,
-and the cache format is known to ``cache`` alone.
+``enumeration.LengthRow`` (the histogram and the maximizers; every field
+printed is derived from those two), and the cache format is known to
+``cache`` alone.
 """
 
 from __future__ import annotations
@@ -38,10 +39,10 @@ import click
 from . import enumeration, lemmas
 from .asymptotics import bounds_report
 from .cache import ResultCache
-from .enumeration import PACKED_LIMIT, LengthRow, Orbit, WorkerDied
+from .enumeration import PACKED_LIMIT, LengthRow, WorkerDied
 from .factorization import min_factorization
 from .lemmas import COUNTING_MIN_N
-from .words import WordError, parse_word
+from .words import Orbit, WordError, parse_word
 
 __all__ = ["RunConfig", "cli", "dispatch", "main"]
 
@@ -220,7 +221,7 @@ def kmax_command(config: RunConfig, max_n: int, allow_long: bool) -> None:
     else:
         click.echo(f"{'n':>3} {'K':>3} {'maximizers':>11}  sample")
         for row in rows:
-            click.echo(f"{row.n:>3} {row.k:>3} {row.maximizer_count:>11}  {row.sample_maximizers[0]}")
+            click.echo(f"{row.n:>3} {row.k:>3} {row.maximizer_count:>11}  {row.sample_orbits[0].representative}")
 
 
 @cli.command("kbar")
@@ -233,24 +234,24 @@ def kbar_command(config: RunConfig, max_n: int, allow_long: bool) -> None:
     """Exact average table kbar(1)..kbar(MAX_N)."""
     _guard_length("--max-n", max_n, allow_long)
     rows = _cached_rows(config, range(1, max_n + 1))
+    # kbar = S/2^n in lowest terms: an odd numerator over a power of two.
+    docs = [
+        {
+            "n": row.n,
+            "S": row.s,
+            "kbar_decimal": row.kbar_text,
+            "kbar_num": row.kbar.numerator,
+            "kbar_den_pow2": row.kbar.denominator.bit_length() - 1,
+            "ratio_decimal": row.ratio_text,
+        }
+        for row in rows
+    ]
     if config.format == "csv":
         click.echo("n,S,kbar_decimal,kbar_num,kbar_den_pow2")
-        for row in rows:
-            click.echo(f"{row.n},{row.s},{row.kbar_text},{row.kbar_num},{row.kbar_den_pow2}")
+        for doc in docs:
+            click.echo("{n},{S},{kbar_decimal},{kbar_num},{kbar_den_pow2}".format(**doc))
     elif config.format == "json":
-        _echo_json(
-            [
-                {
-                    "n": row.n,
-                    "S": row.s,
-                    "kbar_decimal": row.kbar_text,
-                    "kbar_num": row.kbar_num,
-                    "kbar_den_pow2": row.kbar_den_pow2,
-                    "ratio_decimal": row.ratio_text,
-                }
-                for row in rows
-            ]
-        )
+        _echo_json(docs)
     else:
         click.echo(f"{'n':>3} {'S':>12} {'kbar':>8} {'kbar/n':>8}")
         for row in rows:
@@ -390,7 +391,7 @@ def bounds_command(config: RunConfig, tolerance: float) -> None:
                 "theta_prime": report.theta_prime,
                 "lower": report.g_at_theta_prime,
                 "upper_exact": {"num": report.upper_bound.numerator, "den": den_text},
-                "upper": report.upper_float,
+                "upper": float(report.upper_bound),
                 "g_prime_roots": list(report.g_prime_roots),
                 "f0": report.f0,
                 "tolerance": report.tolerance,
@@ -400,7 +401,7 @@ def bounds_command(config: RunConfig, tolerance: float) -> None:
         click.echo("quantity,value")
         click.echo(f"theta_prime,{report.theta_prime!r}")
         click.echo(f"lower,{report.g_at_theta_prime!r}")
-        click.echo(f"upper,{report.upper_float!r}")
+        click.echo(f"upper,{float(report.upper_bound)!r}")
         click.echo(f"upper_exact,{report.upper_bound.numerator}/{den_text}")
         click.echo(f"g_prime_root_1,{report.g_prime_roots[0]!r}")
         click.echo(f"g_prime_root_2,{report.g_prime_roots[1]!r}")

@@ -36,12 +36,12 @@ With one usable CPU, or one shard, the scan runs in-process.
 
 A length's row is its histogram of m and its a-initial maximizers; K(n),
 the maximizer count, S(n), the exact average kbar(n) and the symmetry
-orbits of the maximizers are derived from those two fields.  Rows depend
-on n alone, so ``length_row`` and ``length_rows`` serve the rows of one
-memo: it keeps the rows of the longest scan made so far in the process,
-answers every request up to that length from them, and is replaced when a
-longer scan is needed.  A command therefore makes at most one enumeration
-pass.
+orbits (``words.Orbit``) of the maximizers are derived from those two
+fields.  Rows depend on n alone, so ``length_row`` and ``length_rows``
+serve the rows of one memo: it keeps the rows of the longest scan made so
+far in the process, answers every request up to that length from them,
+and is replaced when a longer scan is needed.  A command therefore makes
+at most one enumeration pass.
 """
 
 from __future__ import annotations
@@ -56,27 +56,26 @@ from itertools import islice
 import numpy as np
 
 from .factorization import _prefix_measures
-from .words import Word, orbit
+from .words import Orbit, Word, orbit
 
 __all__ = [
     "PACKED_LIMIT",
     "SAMPLE_CAP",
     "LengthRow",
-    "Orbit",
     "WorkerDied",
     "palindrome_values",
     "extension_m",
     "scan_lengths",
     "length_row",
     "length_rows",
-    "worst_words",
 ]
 
 # Vectorised layers index words by int64 values; 32 keeps every layer and
 # temporary comfortably addressable.
 PACKED_LIMIT = 32
 
-# Orbit representatives a row lists as the K table's sample maximizers.
+# Orbits a row lists as its samples; the K table prints the first one's
+# representative.
 SAMPLE_CAP = 16
 
 # A scan on one process extends each prefix by at most this many symbols,
@@ -222,21 +221,6 @@ def extension_m(prefix: Word, ext_len: int, out: np.ndarray | None = None) -> li
 
 
 @dataclass(frozen=True)
-class Orbit:
-    """A symmetry orbit (letter swap and reversal), sorted by text."""
-
-    words: tuple[str, ...]
-
-    @property
-    def representative(self) -> str:
-        return self.words[0]
-
-    @property
-    def size(self) -> int:
-        return len(self.words)
-
-
-@dataclass(frozen=True)
 class LengthRow:
     """Exact enumeration results for one word length.
 
@@ -261,10 +245,6 @@ class LengthRow:
         return self.counts[self.k]
 
     @property
-    def total(self) -> int:
-        return sum(self.counts.values())
-
-    @property
     def s(self) -> int:
         """S(n) = sum of m over all words of length n."""
         return sum(k * c for k, c in self.counts.items())
@@ -273,14 +253,6 @@ class LengthRow:
     def kbar(self) -> Fraction:
         """The exact average S(n)/2^n."""
         return Fraction(self.s, 1 << self.n)
-
-    @property
-    def kbar_num(self) -> int:
-        return self.kbar.numerator
-
-    @property
-    def kbar_den_pow2(self) -> int:
-        return self.kbar.denominator.bit_length() - 1
 
     @property
     def kbar_text(self) -> str:
@@ -306,19 +278,14 @@ class LengthRow:
         and in order; the walk goes only as far as it is consumed.
         """
         for word in sorted((Word(bits, self.n) for bits in self.maximizers), key=lambda w: w.text):
-            images = orbit(word)
-            if images[0] == word:
-                yield Orbit(tuple(im.text for im in images))
+            orb = orbit(word)
+            if orb.representative == word.text:
+                yield orb
 
     @property
     def sample_orbits(self) -> tuple[Orbit, ...]:
         """The SAMPLE_CAP orbits with the least representatives."""
         return tuple(islice(self.orbits(), SAMPLE_CAP))
-
-    @property
-    def sample_maximizers(self) -> tuple[str, ...]:
-        """The SAMPLE_CAP lexicographically least orbit representatives."""
-        return tuple(orb.representative for orb in self.sample_orbits)
 
 
 class WorkerDied(RuntimeError):
@@ -524,9 +491,3 @@ def length_rows(n_max: int) -> list[LengthRow]:
     """The rows of every length 1..n_max, from one enumeration pass."""
     rows = _rows_upto(n_max)
     return [rows[n] for n in range(1, n_max + 1)]
-
-
-def worst_words(n: int) -> list[Orbit]:
-    """Every word attaining K(n), grouped into symmetry orbits sorted by
-    representative; orbit sizes are computed, never assumed."""
-    return list(length_row(n).orbits())

@@ -1,22 +1,23 @@
-"""Binary words over {a, b}: parsing, symmetries, palindromes, and the
-standard word families used by the extremal constructions.
+"""Binary words over {a, b}: parsing, symmetry orbits, palindromes, and
+the standard word families used by the extremal constructions.
 
 Words are stored bit-packed: bit ``t`` of ``bits`` is the symbol at
 position ``t`` (a=0, b=1), position 0 being the leftmost letter.  Python
-integers are unbounded, so there is no length cap.
+integers are unbounded, so there is no length cap.  The symmetry group is
+generated by reversal and the letter swap (complement); a word's orbit is
+the set of its four images, which this module alone builds.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
 
 __all__ = [
     "Word",
     "WordError",
     "parse_word",
     "is_palindrome",
-    "symmetries",
+    "Orbit",
     "orbit",
     "family",
 ]
@@ -90,20 +91,16 @@ class Word:
     def complement(self) -> "Word":
         return Word(self.bits ^ ((1 << self.length) - 1), self.length)
 
-    def reversed_complement(self) -> "Word":
-        return self.reversed().complement()
 
-
-def parse_word(text: str, *, allow_empty: bool = False) -> Word:
-    """Parse ``a``/``b`` text (or its ``0``/``1`` alias) into a :class:`Word`.
+def parse_word(text: str) -> Word:
+    """Parse nonempty ``a``/``b`` text (or its ``0``/``1`` alias) into a
+    :class:`Word`; ``Word.empty()`` is the empty word.
 
     The two alphabets may not be mixed; the first offending character is
     reported by its 1-based position.
     """
     if not text:
-        if allow_empty:
-            return Word.empty()
-        raise WordError("empty word (pass allow_empty=True to permit it)")
+        raise WordError("empty word")
     alphabet = "ab" if text[0] in "ab" else "01"
     rest = text.lstrip(alphabet)
     if rest:
@@ -121,25 +118,26 @@ def is_palindrome(w: Word) -> bool:
     return w.bits == _reverse_bits(w.bits, w.length)
 
 
-class Symmetries(NamedTuple):
-    reversal: Word
-    complement: Word
-    reversed_complement: Word
+@dataclass(frozen=True)
+class Orbit:
+    """A symmetry orbit (letter swap and reversal) as its texts, sorted."""
+
+    words: tuple[str, ...]
+
+    @property
+    def representative(self) -> str:
+        return self.words[0]
+
+    @property
+    def size(self) -> int:
+        return len(self.words)
 
 
-def symmetries(w: Word) -> Symmetries:
-    """The three nontrivial images of ``w`` under letter swap and reversal."""
+def orbit(w: Word) -> Orbit:
+    """The orbit of ``w``: the distinct texts of its four images."""
     reversal = w.reversed()
-    return Symmetries(reversal, w.complement(), reversal.complement())
-
-
-def orbit(w: Word) -> tuple[Word, ...]:
-    """The distinct images of ``w`` under the four-element symmetry group,
-    sorted by text."""
-    images = {w.text: w}
-    for im in symmetries(w):
-        images.setdefault(im.text, im)
-    return tuple(images[t] for t in sorted(images))
+    images = (w, reversal, w.complement(), reversal.complement())
+    return Orbit(tuple(sorted({im.text for im in images})))
 
 
 def family(kind: str, n: int) -> Word:

@@ -222,6 +222,14 @@ def reverse_bits_per_letter(bits: int, length: int) -> int:
     return out
 
 
+def complement_bits_per_letter(bits: int, length: int) -> int:
+    """The packed word with every letter swapped, one bit at a time."""
+    out = 0
+    for t in range(length):
+        out |= (((bits >> t) & 1) ^ 1) << t
+    return out
+
+
 def text_of(bits: int, length: int) -> str:
     return "".join("ab"[(bits >> t) & 1] for t in range(length))
 

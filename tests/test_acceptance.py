@@ -24,7 +24,6 @@ from palfact.enumeration import (
     length_row,
     length_rows,
     scan_lengths,
-    worst_words,
 )
 from palfact.factorization import measure, min_factorization
 from palfact.lemmas import all_reports, k_formula, subadditivity_check, verify_counting_bound
@@ -87,7 +86,7 @@ def test_criterion_2_formula(rows25):
 
 @criterion("3", "length 11 has exactly one extremal orbit, containing aababbaabab, all members at m=5")
 def test_criterion_3_uniqueness():
-    orbits = worst_words(11)
+    orbits = list(length_row(11).orbits())
     assert len(orbits) == 1
     orb = orbits[0]
     assert EXCEPTIONAL_WORD in orb.words
@@ -215,11 +214,11 @@ def test_criterion_9_maximizers_certified():
         assert all(a < b for a, b in zip(bits, bits[1:])), n
         assert all(measure(Word(b, n)) == row.k for b in bits), n
         assert 2 * len(bits) == row.maximizer_count, n
-        assert sum(orb.size for orb in worst_words(n)) == row.maximizer_count, n
+        assert sum(orb.size for orb in length_row(n).orbits()) == row.maximizer_count, n
         # Brute force: the least member of every orbit, over every maximizer.
         texts = [text_of(b, n) for b in bits]
         texts += [t.translate(_SWAP) for t in texts]
         reps = sorted({min(t, t[::-1], t.translate(_SWAP), t[::-1].translate(_SWAP)) for t in texts})
-        assert row.sample_maximizers == tuple(reps[:SAMPLE_CAP]), n
+        assert tuple(orb.representative for orb in row.sample_orbits) == tuple(reps[:SAMPLE_CAP]), n
         checked += len(bits)
     return f"{checked} a-initial maximizers"

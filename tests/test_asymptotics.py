@@ -228,7 +228,7 @@ class TestBoundsReport:
         report = bounds_report(rows)
         assert abs(report.g_at_theta_prime - 0.08781) < 1e-4
         assert report.lower_text == "0.08781"
-        assert report.g_at_theta_prime < report.upper_float
+        assert report.g_at_theta_prime < float(report.upper_bound)
 
     def test_f0_reported(self, rows):
         assert bounds_report(rows).f0 == F_AT_ZERO

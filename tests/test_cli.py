@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 from conftest import K_TABLE
 from palfact import enumeration, lemmas
 from palfact.cache import SCHEMA_VERSION, CacheEntry, ResultCache, payload_checksum
-from palfact.cli import VERIFY_TARGETS, dispatch
+from palfact.cli import VERIFY_TARGETS, RunConfig, dispatch
 from palfact.lemmas import LemmaReport
 
 
@@ -339,6 +339,19 @@ class TestInputContract:
         assert run(capsys, "--cache-dir", "D", "kbar", "--max-n", "3")[0] == 0
         assert sorted(p.name for p in tmp_path.rglob("*")) == ["D", "row_1.json", "row_2.json", "row_3.json"]
 
+    def test_empty_cache_dir_rejected_for_library_callers(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.delenv("PALIN_CACHE_DIR", raising=False)
+        with pytest.raises(ValueError, match="must not be empty"):
+            ResultCache("")
+        with pytest.raises(ValueError, match="must not be empty"):
+            RunConfig(cache_dir="").cache
+        # An empty PALIN_CACHE_DIR means unset, whatever the config says.
+        monkeypatch.setenv("PALIN_CACHE_DIR", "")
+        assert RunConfig().cache.directory is None
+        assert RunConfig(cache_dir="D").cache.directory == Path("D")
+        assert list(tmp_path.iterdir()) == []
+
     def test_zero_trials_is_usage_error(self, capsys):
         code, out, err = run(capsys, "verify", "ksum", "--trials", "0")
         assert code == 2
@@ -468,6 +481,13 @@ class TestWordFromStdin:
         assert message in err
         assert out == ""
 
+    @pytest.mark.parametrize("argv,text", [(("factor", ""), ""), (("m", "-"), " \n")])
+    def test_empty_word_message(self, capsys, stdin, argv, text):
+        stdin(text)
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err.splitlines()[-1] == "Error: empty word"
+
 
 class TestBoundsCommand:
     def test_json_schema(self, capsys):
@@ -531,7 +551,8 @@ class TestCache:
         row = cache.load_row(4)
         assert row.counts == {1: 4, 2: 8, 3: 4}
         assert row.maximizers == (4, 10)
-        assert (row.n, row.k, row.maximizer_count, row.sample_maximizers) == (4, 3, 4, ("aaba", "abab"))
+        assert (row.n, row.k, row.maximizer_count) == (4, 3, 4)
+        assert [orb.representative for orb in row.sample_orbits] == ["aaba", "abab"]
         assert cache.store_row(row)
         assert cache.load("row", 4) == entry.payload
 
@@ -629,7 +650,8 @@ class TestCache:
         assert cache.load("row", 4) == payload
         row = cache.load_row(4)
         assert list(row.counts) == [1, 2, 3, 4]
-        assert (row.k, row.maximizer_count, row.sample_maximizers) == (4, 2, ("aabb",))
+        assert (row.k, row.maximizer_count) == (4, 2)
+        assert [orb.representative for orb in row.sample_orbits] == ["aabb"]
 
     def test_other_kinds_are_not_served(self, tmp_path):
         cache = ResultCache(tmp_path)

@@ -19,7 +19,7 @@ class TestHistogram:
 
     def test_partition_of_all_words(self):
         for hist in length_rows(14):
-            assert hist.total == 1 << hist.n
+            assert sum(hist.counts.values()) == 1 << hist.n
             assert all(c % 2 == 0 for c in hist.counts.values())
 
     def test_palindrome_count_formula(self):
@@ -58,7 +58,9 @@ class TestKBar:
 
     def test_reduced_power_of_two_denominator(self):
         row = length_row(12)
-        assert row.kbar == Fraction(row.kbar_num, 1 << row.kbar_den_pow2)
+        num, den = row.kbar.numerator, row.kbar.denominator
+        assert den == 1 << 11 and num % 2 == 1  # the CLI's kbar_num and kbar_den_pow2
+        assert row.kbar == Fraction(row.s, 1 << 12)
 
     def test_length_21_exact_fraction(self):
         row = length_row(21)

@@ -5,7 +5,7 @@ import pytest
 from conftest import EXCEPTIONAL_WORD, K_TABLE
 from oracles import dfs_scan
 import palfact
-from palfact.enumeration import LengthRow, length_row, length_rows, worst_words
+from palfact.enumeration import LengthRow, length_row, length_rows
 from palfact import lemmas
 from palfact.lemmas import k_formula, verify_theorem1
 from palfact.factorization import min_factorization
@@ -47,7 +47,7 @@ class TestKMax:
         assert row.k == 2
         assert row.maximizer_count == 2
         assert row.maximizers == (2,)  # ab; its complement ba is not listed
-        assert row.sample_maximizers == ("ab",)  # orbit representative of {ab, ba}
+        assert [orb.representative for orb in row.sample_orbits] == ["ab"]  # of the orbit {ab, ba}
 
     def test_one_row_type(self):
         assert palfact.LengthRow is LengthRow
@@ -76,7 +76,7 @@ class TestKMax:
 
 class TestWorstWords:
     def test_exceptional_length(self):
-        orbits = worst_words(11)
+        orbits = list(length_row(11).orbits())
         assert len(orbits) == 1
         orb = orbits[0]
         assert orb.representative == EXCEPTIONAL_WORD
@@ -85,12 +85,12 @@ class TestWorstWords:
             assert min_factorization(word).m == 5
 
     def test_length_one(self):
-        orbits = worst_words(1)
+        orbits = list(length_row(1).orbits())
         assert len(orbits) == 1
         assert orbits[0].words == ("a", "b")
 
     def test_length_two(self):
-        orbits = worst_words(2)
+        orbits = list(length_row(2).orbits())
         assert len(orbits) == 1
         assert orbits[0].words == ("ab", "ba")
 
@@ -98,7 +98,7 @@ class TestWorstWords:
         for n in (5, 9, 12):
             k = length_row(n).k
             total = 0
-            for orb in worst_words(n):
+            for orb in length_row(n).orbits():
                 total += orb.size
                 assert orb.representative == orb.words[0] == min(orb.words)
                 for word in orb.words:
@@ -106,8 +106,14 @@ class TestWorstWords:
             assert total == length_row(n).maximizer_count
 
     def test_orbits_sorted(self):
-        reps = [orb.representative for orb in worst_words(10)]
+        reps = [orb.representative for orb in length_row(10).orbits()]
         assert reps == sorted(reps)
+
+    def test_one_orbit_type(self):
+        # a row's orbits are the ones words.orbit builds, not a conversion
+        [orb] = length_row(11).orbits()
+        assert type(orb) is palfact.Orbit is palfact.words.Orbit
+        assert orb == palfact.orbit(palfact.parse_word(EXCEPTIONAL_WORD))
 
 
 class TestTheorem1:

@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from oracles import PalTable, parse_by_letters, reverse_bits_per_letter, text_of
+from oracles import PalTable, complement_bits_per_letter, parse_by_letters, reverse_bits_per_letter, text_of
 from palfact.factorization import longest_palindromic_factor
 from palfact.words import (
     Word,
@@ -14,7 +14,6 @@ from palfact.words import (
     is_palindrome,
     orbit,
     parse_word,
-    symmetries,
 )
 
 
@@ -37,9 +36,9 @@ class TestParse:
             parse_word("ab1")
 
     def test_empty_needs_opt_in(self):
-        with pytest.raises(WordError):
+        with pytest.raises(WordError, match="^empty word$"):
             parse_word("")
-        assert parse_word("", allow_empty=True) == Word.empty()
+        assert Word.empty().text == ""
 
     def test_matches_letter_by_letter_parse(self):
         texts = ["".join(p) for n in range(1, 6) for p in itertools.product("ab01x", repeat=n)]
@@ -107,14 +106,16 @@ class TestPalindrome:
 
 class TestSymmetries:
     def test_aabab(self):
-        rev, comp, revcomp = symmetries(parse_word("aabab"))
-        assert rev.text == "babaa"
-        assert comp.text == "bbaba"
-        assert revcomp.text == "ababb"
+        w = parse_word("aabab")
+        assert w.reversed().text == "babaa"
+        assert w.complement().text == "bbaba"
+        assert w.reversed().complement().text == "ababb"
+        assert orbit(w).words == ("aabab", "ababb", "babaa", "bbaba")
 
     def test_fixed_point(self):
-        rev, _, _ = symmetries(parse_word("aba"))
-        assert rev.text == "aba"
+        w = parse_word("aba")
+        assert w.reversed() == w
+        assert orbit(w).words == ("aba", "bab")
 
     def test_involutions(self):
         for bits in range(1 << 7):
@@ -125,13 +126,14 @@ class TestSymmetries:
     def test_exceptional_orbit_has_four_elements(self):
         # enumerate the images explicitly and deduplicate
         w = parse_word("aababbaabab")
-        images = {w.text} | {im.text for im in symmetries(w)}
+        images = {w.text, w.reversed().text, w.complement().text, w.reversed().complement().text}
         assert len(images) == 4
-        assert len(orbit(w)) == 4
+        assert orbit(w).size == 4
 
     def test_orbit_sorted_and_minimal_rep(self):
-        words = orbit(parse_word("ba"))
-        assert [w.text for w in words] == ["ab", "ba"]
+        orb = orbit(parse_word("ba"))
+        assert orb.words == ("ab", "ba")
+        assert orb.representative == "ab"
 
     def test_reversal_matches_per_letter_oracle(self):
         words = [Word(bits, n) for n in range(13) for bits in range(1 << n)]
@@ -140,10 +142,18 @@ class TestSymmetries:
         for w in words:
             rev = reverse_bits_per_letter(w.bits, w.length)
             assert w.reversed() == Word(rev, w.length)
-            assert w.reversed_complement() == Word(rev, w.length).complement()
-            assert symmetries(w) == (w.reversed(), w.complement(), w.reversed_complement())
+            assert w.complement() == Word(complement_bits_per_letter(w.bits, w.length), w.length)
             assert is_palindrome(w) == (rev == w.bits)
         assert is_palindrome(words[-1]) and not is_palindrome(words[-2])
+
+    def test_orbit_matches_per_letter_images(self):
+        # the sorted distinct texts of w, its reversal, complement and both
+        for n in range(13):
+            for bits in range(1 << n):
+                rev = reverse_bits_per_letter(bits, n)
+                images = (bits, rev, complement_bits_per_letter(bits, n), complement_bits_per_letter(rev, n))
+                expected = tuple(sorted({text_of(b, n) for b in images}))
+                assert orbit(Word(bits, n)).words == expected
 
 
 class TestFamily:
