@@ -82,12 +82,13 @@ def g_prime(theta: float) -> float:
 
 
 def theta_prime(tolerance: float = 1e-10) -> float:
-    """The unique root of f on (0, 1/3], by bisection.
+    """The unique root of f on (0, 1/3], by bisection: the result lies at or
+    below the root and within ``tolerance`` of it.
 
     Monotonicity (f' > 0) is spot-checked on a sample grid so the
     bracketing argument actually applies.  Bisection also stops once the
     bracket is two adjacent floats, so a tolerance below their spacing
-    cannot loop forever.
+    cannot loop forever; the result is then the float just below the root.
     """
     if not 0 < tolerance < math.inf:
         raise ValueError(f"tolerance must be positive and finite, got {tolerance}")
@@ -105,7 +106,8 @@ def theta_prime(tolerance: float = 1e-10) -> float:
             lo = mid
         else:
             hi = mid
-    return (lo + hi) / 2
+    mid = (lo + hi) / 2
+    return mid if f_theta(mid) < 0 else lo
 
 
 def g_prime_roots() -> tuple[float, float]:

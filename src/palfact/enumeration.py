@@ -14,25 +14,25 @@ through every palindromic suffix before the next one starts.
 
 A scan up to n_max is sharded by prefix: with W workers and depth
 d = max(1, n_max - 26 + ceil(log2 W)) every a-initial prefix of d letters
-is extended by n_max - d symbols.  Only the lengths below a shard's top one
-are kept, 2^(n_max-d) bytes at most: the top layer feeds nothing but its
-own row, so each of its chunks is counted as soon as it is built and then
-overwritten.  A process builds the layers of every shard it runs in one
-buffer, allocated by its first shard.  Lengths up to d come from one
-unsharded scan.  Each layer is
-turned into row data in cache-sized chunks (compare-and-count per value,
-maximizer indices only where a chunk reaches the running maximum), and
-shards merge associatively: counts add, and the larger maximum keeps its
-maximizer words (equal maxima concatenate them).  Everything is exact
-integer arithmetic, so results do not depend on the shard depth, the
-chunk sizes or the number of workers.
+is extended by n_max - d symbols, and lengths 2..d come from the prefix a
+extended by d - 1.  Only the lengths below a shard's top one are kept,
+2^(n_max-d) bytes at most: the top layer feeds nothing but its own row,
+so each of its chunks is counted as soon as it is built and then
+overwritten.  Each layer is turned into row data in cache-sized chunks
+(compare-and-count per value, maximizer indices only where a chunk
+reaches the running maximum), and row data merge associatively: counts
+add, and the larger maximum keeps its maximizer words (equal maxima
+concatenate them).  Everything is exact integer arithmetic, so results do
+not depend on the shard depth, the chunk sizes or the number of workers.
 
-Shards are independent, so a scan with more than one shard runs them on W
-forked worker processes, W = min(usable CPUs, shard count), and merges
-their rows in ascending prefix order.  The 64 MiB of layers one process
-held is split between the workers: each holds at most 2^26 / W bytes, so
-the layers held at once total 2^26 bytes at most, as with one process.
-With one usable CPU, or one shard, the scan runs in-process.
+A process runs its shards as one batch, which builds their layers in one
+buffer and folds them into one set of row data.  With one usable CPU, or
+one shard, the batch runs in-process.  Otherwise W = min(usable CPUs,
+shard count) forked workers each run the batch of prefixes w, w + W,
+w + 2W, ... (interleaved, so that the workers stay level when the cost of
+a shard depends on its prefix), and the W results merge.  Each worker
+holds at most 2^26 / W bytes of layers, so the layers held at once total
+2^26 bytes at most, as with one process.
 
 A length's row is its histogram of m and its a-initial maximizers; K(n),
 the maximizer count, S(n), the exact average kbar(n) and the symmetry
@@ -47,7 +47,7 @@ at most one enumeration pass.
 from __future__ import annotations
 
 import os
-from collections.abc import Iterator
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
@@ -337,97 +337,70 @@ class _RowBuilder:
         )
 
 
-# The buffer the shards of this process build their layers in (see
-# _shard_buffer), or None between scans.
-_buffer: list[np.ndarray | None] = [None]
-
-
-def _shard_buffer(ext_len: int) -> np.ndarray:
-    """Storage for one shard: its kept layers at [2, 2^ext_len), then one
-    chunk of the top layer, then the bool scratch of row extraction.
-
-    The first shard a process runs allocates it and every later one of the
-    same scan reuses it, so the process writes its layer memory once and
-    then holds the same pages throughout the scan.  Layers allocated and
-    freed per shard went back to the heap instead, and how much of it stayed
-    resident depended on which shards the process happened to run.
-    """
-    nbytes = (1 << ext_len) + min(_LAYER_CHUNK, 1 << ext_len) + _ROW_CHUNK
-    buf = _buffer[0]
-    if buf is None or buf.size != nbytes:
-        _buffer[0] = buf = None  # free the old buffer before the new one
-        _buffer[0] = buf = np.empty(nbytes, dtype=np.uint8)
-    return buf
-
-
-def _scan_shard(prefix_bits: int, depth: int, ext_len: int) -> dict[int, _RowBuilder]:
+def _scan_shards(prefixes: Iterable[int], depth: int, ext_len: int) -> dict[int, _RowBuilder]:
     """Row statistics of lengths depth+1 .. depth+ext_len over the words
-    that start with the ``depth``-letter prefix ``prefix_bits``."""
-    prefix = Word(prefix_bits, depth)
+    that start with any of the ``depth``-letter ``prefixes``.
+
+    All shards build their layers in one buffer, so the process writes its
+    layer memory once and then holds the same pages throughout the scan.
+    Layers allocated and freed per shard went back to the heap instead, and
+    how much of it stayed resident depended on which shards it happened to run.
+    """
     builders = {depth + e: _RowBuilder(depth + e) for e in range(1, ext_len + 1)}
-    buf = _shard_buffer(ext_len)
-    pal = [palindrome_values(L) for L in range(ext_len + 1)]
-    ext = extension_m(prefix, ext_len - 1, buf)
-    covering = _covering_factors(prefix, ext_len)
-    # The top layer is only ever one chunk: built, counted, overwritten.
     end = 1 << ext_len
-    top = buf[end : end + min(_LAYER_CHUNK, 1 << ext_len)]
-    hit = buf[end + top.size :].view(bool)
-    for lo in range(0, 1 << ext_len, top.size):
-        _fill_chunk(top, lo, ext_len, covering, pal, ext)
-        builders[depth + ext_len].add_layer(top, prefix_bits, depth, hit, first=lo)
-    for e in range(1, ext_len):
-        builders[depth + e].add_layer(ext[e], prefix_bits, depth, hit)
+    buf = np.empty(end + min(_LAYER_CHUNK, end), dtype=np.uint8)
+    # The top layer is only ever one chunk: built, counted, overwritten.
+    top = buf[end:]
+    hit = np.empty(_ROW_CHUNK, dtype=bool)
+    pal = [palindrome_values(L) for L in range(ext_len + 1)]
+    for prefix_bits in prefixes:
+        prefix = Word(prefix_bits, depth)
+        ext = extension_m(prefix, ext_len - 1, buf)
+        covering = _covering_factors(prefix, ext_len)
+        for lo in range(0, end, top.size):
+            _fill_chunk(top, lo, ext_len, covering, pal, ext)
+            builders[depth + ext_len].add_layer(top, prefix_bits, depth, hit, first=lo)
+        for e in range(1, ext_len):
+            builders[depth + e].add_layer(ext[e], prefix_bits, depth, hit)
     return builders
 
 
-def _merge_shards(shards: Iterator[dict[int, _RowBuilder]]) -> dict[int, LengthRow]:
-    """Rows from the per-shard statistics, merged in the order given."""
-    builders = next(shards)
-    for other in shards:
-        for n, builder in builders.items():
-            builder.merge(other[n])
-    return {n: builder.row() for n, builder in builders.items()}
-
-
 def _scan_sharded(n_max: int, depth: int, workers: int = 1) -> dict[int, LengthRow]:
-    """Rows 1..n_max with lengths above ``depth`` built one prefix shard at a
-    time, on ``workers`` forked processes when that is more than one.
-
-    Raises ``WorkerDied`` when a worker process ends without its result.
-    """
+    """Rows 1..n_max, the lengths above ``depth`` from ``workers`` batches of
+    prefix shards, run on forked processes when there are several; raises
+    ``WorkerDied`` when a worker process ends without its result."""
     depth = min(depth, n_max)
+    rows = {1: LengthRow(1, {1: 2}, (0,))}
     if depth > 1:
-        rows = _scan_sharded(depth, 1)
-    else:
-        rows = {1: LengthRow(1, {1: 2}, (0,))}
+        rows.update((n, b.row()) for n, b in _scan_shards((0,), 1, depth - 1).items())
     ext_len = n_max - depth
     if not ext_len:
         return rows
-    shard = partial(_scan_shard, depth=depth, ext_len=ext_len)
+    batch = partial(_scan_shards, depth=depth, ext_len=ext_len)
     prefixes = range(0, 1 << depth, 2)  # bit 0 clear: the prefix starts with 'a'
     if workers > 1:
-        # Imported here: a process that never runs two shards at once does
+        # Imported here: a process that never runs two batches at once does
         # not pay for them.
         import multiprocessing
         from concurrent.futures import ProcessPoolExecutor
         from concurrent.futures.process import BrokenProcessPool
 
-        # Forked workers inherit the imported modules, so a shard starts at
+        # Forked workers inherit the imported modules, so a batch starts at
         # once.  Forking after numpy started its BLAS thread pool is safe
         # here: the kernel is elementwise ufuncs, searchsorted and sort,
         # and never calls BLAS, so no child waits on a lock a thread held.
         # The executor forks every worker before it starts its own threads.
         try:
             with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork")) as pool:
-                rows.update(_merge_shards(pool.map(shard, prefixes)))
+                merged, *others = pool.map(batch, [prefixes[w::workers] for w in range(workers)])
         except BrokenProcessPool as exc:
             raise WorkerDied("an enumeration worker process died (killed by a signal, e.g. out of memory)") from exc
     else:
-        try:
-            rows.update(_merge_shards(map(shard, prefixes)))
-        finally:
-            _buffer[0] = None
+        merged, others = batch(prefixes), []
+    for other in others:
+        for n, builder in merged.items():
+            builder.merge(other[n])
+    rows.update((n, builder.row()) for n, builder in merged.items())
     return rows
 
 

@@ -141,6 +141,15 @@ class TestDecimalOracle:
         assert abs(Decimal(tp) - theta) <= Decimal(tolerance)
         assert abs(Decimal(g_theta(tp)) - lower) <= Decimal(tolerance)
 
+    @pytest.mark.parametrize("tolerance", [1e-6, 1e-3, 0.01, 0.05, 0.1, 0.5])
+    def test_coarse_tolerance_stays_below_the_root(self, tolerance):
+        # g increases on (0, 0.3125), so a theta above the root would print
+        # a lower bound above the paper's g(theta')
+        theta, lower, _ = decimal_bound_constants()
+        tp = theta_prime(tolerance)
+        assert theta - Decimal(tolerance) <= Decimal(tp) <= theta
+        assert Decimal(g_theta(tp)) <= lower
+
     def test_g_prime_roots(self):
         _, _, roots = decimal_bound_constants()
         for got, want in zip(g_prime_roots(), roots):

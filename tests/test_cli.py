@@ -420,12 +420,12 @@ class TestWorkerFailure:
             "enumeration._usable_cpus = lambda: 2\n"
             "enumeration._SHARD_BITS = 8\n"
             "parent = os.getpid()\n"
-            "scan_shard = enumeration._scan_shard\n"
+            "scan_shards = enumeration._scan_shards\n"
             "def die(*args, **kwargs):\n"
             "    if os.getpid() != parent:\n"
             "        os.kill(os.getpid(), signal.SIGKILL)\n"
-            "    return scan_shard(*args, **kwargs)\n"
-            "enumeration._scan_shard = die\n"
+            "    return scan_shards(*args, **kwargs)\n"
+            "enumeration._scan_shards = die\n"
             f"sys.exit(cli.dispatch(['--cache-dir', {str(tmp_path)!r}, 'kmax', '--max-n', '12']))\n"
         )
         env = {k: v for k, v in os.environ.items() if k != "PALIN_CACHE_DIR"}

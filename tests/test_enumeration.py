@@ -5,6 +5,7 @@ import os
 import random
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -16,8 +17,8 @@ from palfact.enumeration import (
     PACKED_LIMIT,
     _plan,
     _rows_upto,
-    _scan_shard,
     _scan_sharded,
+    _scan_shards,
     extension_m,
     palindrome_values,
     scan_lengths,
@@ -178,10 +179,35 @@ class TestSharding:
         monkeypatch.setattr(enumeration, "_ROW_CHUNK", 64)
         assert _scan_sharded(14, depth) == whole
 
-    def test_shards_share_one_buffer_until_the_scan_ends(self):
-        assert enumeration._shard_buffer(8) is enumeration._shard_buffer(8)
-        _scan_sharded(14, 3)
-        assert enumeration._buffer[0] is None
+    def test_shards_share_one_buffer_until_the_batch_ends(self, monkeypatch):
+        buffers = []
+
+        def recorded(prefix, ext_len, out=None):
+            buffers.append(out)
+            return extension_m(prefix, ext_len, out)
+
+        monkeypatch.setattr(enumeration, "extension_m", recorded)
+        _scan_shards(range(0, 8, 2), 3, 8)
+        assert len(buffers) == 4
+        assert buffers[0] is not None
+        assert all(out is buffers[0] for out in buffers)
+        # nothing outlives the batch: the buffer goes with the last reference
+        freed = weakref.ref(buffers[0])
+        buffers.clear()
+        assert freed() is None
+
+    def test_batch_equals_merged_single_prefix_batches(self):
+        prefixes = range(0, 16, 2)
+        batch = _scan_shards(prefixes, 4, 10)
+        singles = [_scan_shards((prefix,), 4, 10) for prefix in prefixes]
+        assert sorted(batch) == list(range(5, 15))
+        for n, builder in batch.items():
+            merged = singles[0][n]
+            for other in singles[1:]:
+                merged.merge(other[n])
+            assert builder.counts == merged.counts, n
+            assert builder.k == merged.k, n
+            assert np.array_equal(np.concatenate(builder.max_bits), np.concatenate(merged.max_bits)), n
 
     @pytest.mark.parametrize("depth", range(1, 7))
     def test_sharded_rows_match_oracles(self, depth, oracles_14):
@@ -199,7 +225,7 @@ class TestSharding:
 
 
 class TestWorkers:
-    """Shards on two forked workers give the rows of one process."""
+    """Shards on forked workers give the rows of one process."""
 
     @pytest.fixture
     def two_cpus(self, monkeypatch):
@@ -222,11 +248,21 @@ class TestWorkers:
         # aababbaabab and ababbaababb: the merge must keep the larger maximum.
         monkeypatch.setattr(enumeration, "_SHARD_BITS", 9)
         assert _plan(11) == (3, 2)
-        tops = [_scan_shard(prefix, 3, 8)[11].k for prefix in range(0, 8, 2)]
+        tops = [_scan_shards((prefix,), 3, 8)[11].k for prefix in range(0, 8, 2)]
         assert tops == [4, 5, 5, 4]
         rows = scan_lengths(11)
         assert rows == _scan_sharded(11, 1)
         assert [text_of(b, 11) for b in rows[11].maximizers] == ["aababbaabab", "ababbaababb"]
+
+    # _SHARD_BITS = n_max - 3: W workers shard at depth 3 + ceil(log2 W), so
+    # three workers split 16 shards 6, 5, 5.
+    @pytest.mark.parametrize(("cpus", "depth"), [(1, 3), (2, 4), (3, 5)])
+    def test_rows_independent_of_worker_count(self, monkeypatch, cpus, depth):
+        n_max = 15
+        monkeypatch.setattr(enumeration, "_SHARD_BITS", n_max - 3)
+        monkeypatch.setattr(enumeration, "_usable_cpus", lambda: cpus)
+        assert _plan(n_max) == (depth, cpus)
+        assert scan_lengths(n_max) == _scan_sharded(n_max, 1)
 
     @pytest.mark.parametrize(("n_max", "plan"), [(26, (1, 1)), (27, (2, 2)), (30, (5, 2)), (32, (7, 2))])
     def test_two_cpus_split_the_layer_budget(self, two_cpus, n_max, plan):
@@ -265,7 +301,7 @@ def test_scan_never_holds_the_top_layer():
     """A scan to 27 holds 2^26 bytes of layers in all: one process keeps
     layers 1..25 of its one shard, and W workers keep 2^26 / W bytes each.
     The top layer of a shard is built one chunk at a time.  Every process
-    that runs a shard reports how far its peak RSS grew (VmHWM, its own
+    that runs a batch reports how far its peak RSS grew (VmHWM, its own
     peak: ru_maxrss would start from the peak of the test process that
     spawned it), and the growth summed over them stays below 2^26 bytes
     plus slack.  Forked workers inherit the wrapper that reports it."""
@@ -276,13 +312,13 @@ def test_scan_never_holds_the_top_layer():
         "    with open('/proc/self/status') as f:\n"
         "        return int(re.search(r'VmHWM:\\s+(\\d+) kB', f.read()).group(1)) * 1024\n"
         "before = {}\n"
-        "scan_shard = enumeration._scan_shard\n"
+        "scan_shards = enumeration._scan_shards\n"
         "def measured(*args, **kwargs):\n"
         "    before.setdefault(os.getpid(), peak())\n"
-        "    builders = scan_shard(*args, **kwargs)\n"
+        "    builders = scan_shards(*args, **kwargs)\n"
         "    os.write(1, f'{os.getpid()} {peak() - before[os.getpid()]}\\n'.encode())\n"
         "    return builders\n"
-        "enumeration._scan_shard = measured\n"
+        "enumeration._scan_shards = measured\n"
         "enumeration.scan_lengths(27)\n"
     )
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
