@@ -25,6 +25,17 @@ add, and the larger maximum keeps its maximizer words (equal maxima
 concatenate them).  Everything is exact integer arithmetic, so results do
 not depend on the shard depth, the chunk sizes or the number of workers.
 
+Reversal preserves m, so a shard's layers of length n >= 2d are counted one
+block per reversal pair.  A block is the 2^(n-2d) contiguous entries whose
+words share their last d letters; ``words.reversal_image`` maps it onto the
+block named by the image of its 2d-letter ends.  Of two partner blocks, the
+one whose ends pack to the lesser integer counts twice and the other not at
+all (this keeps power-of-two worker batches level); a block that is its own
+partner counts once.  The top layer skips a block unbuilt where blocks hold
+whole layer chunks, a kept layer skips counting it where they hold whole row
+chunks, and depth-1 scans have no two partner blocks.  ``_RowBuilder.row``
+adds the skipped blocks' maximizers: the reversal images of those found.
+
 A process runs its shards as one batch, which builds their layers in one
 buffer and folds them into one set of row data.  With one usable CPU, or
 one shard, the batch runs in-process.  Otherwise W = min(usable CPUs,
@@ -56,7 +67,7 @@ from itertools import islice
 import numpy as np
 
 from .factorization import _prefix_measures
-from .words import Orbit, Word, orbit
+from .words import Orbit, Word, orbit, reversal_image
 
 __all__ = [
     "PACKED_LIMIT",
@@ -300,10 +311,16 @@ class _RowBuilder:
         self.counts = [0] * 256
         self.k = 0
         self.max_bits: list[np.ndarray] = []
+        # Whether some block counted for its skipped partner, whose
+        # maximizers are then the reversal images of the block's.
+        self.skipped = False
 
-    def add_layer(self, layer: np.ndarray, prefix_bits: int, depth: int, hit: np.ndarray, first: int = 0) -> None:
-        """Fold in the layer of one shard, or its entries from ``first`` on;
-        ``hit`` is a bool scratch buffer."""
+    def add_layer(
+        self, layer: np.ndarray, prefix_bits: int, depth: int, hit: np.ndarray, first: int = 0, weight: int = 1
+    ) -> None:
+        """Fold in the layer of one shard, or its entries from ``first`` on,
+        each counted ``weight`` times; ``hit`` is a bool scratch buffer."""
+        self.skipped |= weight > 1
         for start in range(0, layer.size, _ROW_CHUNK):
             chunk = layer[start : start + _ROW_CHUNK]
             mask = hit[: chunk.size]
@@ -312,9 +329,9 @@ class _RowBuilder:
             for k in range(low, top):
                 np.equal(chunk, k, out=mask)
                 seen = int(np.count_nonzero(mask))
-                self.counts[k] += seen
+                self.counts[k] += weight * seen
                 rest -= seen
-            self.counts[top] += rest
+            self.counts[top] += weight * rest
             if top > self.k:
                 self.k, self.max_bits = top, []
             if top == self.k:
@@ -324,17 +341,44 @@ class _RowBuilder:
     def merge(self, other: _RowBuilder) -> None:
         """Fold in the statistics of other shards of the same length."""
         self.counts = [a + b for a, b in zip(self.counts, other.counts)]
+        self.skipped |= other.skipped
         if other.k > self.k:
             self.k, self.max_bits = other.k, []
         if other.k == self.k:
             self.max_bits += other.max_bits
 
     def row(self) -> LengthRow:
+        found = set(np.concatenate(self.max_bits).tolist())
+        if self.skipped:
+            found.update([reversal_image(Word(bits, self.n)).bits for bits in found])
         return LengthRow(
             n=self.n,
             counts={k: 2 * c for k, c in enumerate(self.counts) if c},
-            maximizers=tuple(np.sort(np.concatenate(self.max_bits)).tolist()),
+            maximizers=tuple(sorted(found)),
         )
+
+
+def _block_weights(prefix_bits: int, depth: int) -> list[int]:
+    """How often each block of a shard's layers of length >= 2 * depth
+    counts, by the block's last ``depth`` letters: 1 if it is its own
+    partner, else 2 if its ends pack to the lesser integer and 0 if not."""
+    weights = []
+    for last in range(1 << depth):
+        ends = prefix_bits | last << depth
+        image = reversal_image(Word(ends, 2 * depth)).bits
+        weights.append(1 if image == ends else 2 * (ends < image))
+    return weights
+
+
+def _counted_spans(size: int, span: int, depth: int, weights: list[int]) -> Iterator[tuple[int, int]]:
+    """Start and weight of each ``span``-entry span of a shard's layer of
+    ``size`` entries that is counted.  Where the layer's 2^depth blocks hold
+    whole spans, a span has its block's weight; otherwise each counts once."""
+    block = size >> depth
+    for start in range(0, size, span):
+        weight = weights[start // block] if block >= span else 1
+        if weight:
+            yield start, weight
 
 
 def _scan_shards(prefixes: Iterable[int], depth: int, ext_len: int) -> dict[int, _RowBuilder]:
@@ -357,11 +401,16 @@ def _scan_shards(prefixes: Iterable[int], depth: int, ext_len: int) -> dict[int,
         prefix = Word(prefix_bits, depth)
         ext = extension_m(prefix, ext_len - 1, buf)
         covering = _covering_factors(prefix, ext_len)
-        for lo in range(0, end, top.size):
+        weights = _block_weights(prefix_bits, depth)
+        for lo, weight in _counted_spans(end, top.size, depth, weights):
             _fill_chunk(top, lo, ext_len, covering, pal, ext)
-            builders[depth + ext_len].add_layer(top, prefix_bits, depth, hit, first=lo)
+            builders[depth + ext_len].add_layer(top, prefix_bits, depth, hit, first=lo, weight=weight)
+        # The kept layers are all built; only their counting skips blocks.
         for e in range(1, ext_len):
-            builders[depth + e].add_layer(ext[e], prefix_bits, depth, hit)
+            block = (1 << e) >> depth
+            span = block if block >= _ROW_CHUNK else 1 << e
+            for lo, weight in _counted_spans(1 << e, span, depth, weights):
+                builders[depth + e].add_layer(ext[e][lo : lo + span], prefix_bits, depth, hit, first=lo, weight=weight)
     return builders
 
 

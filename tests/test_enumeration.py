@@ -6,16 +6,25 @@ import random
 import subprocess
 import sys
 import weakref
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from oracles import brute_force_m_table, dfs_scan, text_of
+from oracles import (
+    brute_force_m_table,
+    complement_bits_per_letter,
+    dfs_scan,
+    reverse_bits_per_letter,
+    text_of,
+)
 from palfact import enumeration
 from palfact.enumeration import (
     PACKED_LIMIT,
+    _block_weights,
     _plan,
+    _RowBuilder,
     _rows_upto,
     _scan_sharded,
     _scan_shards,
@@ -154,6 +163,7 @@ def oracles_14():
 class TestSharding:
     """Rows must not depend on the prefix depth the scan is sharded at."""
 
+    # Row chunks of 3 and 64 entries also let kept layers skip blocks.
     @pytest.mark.parametrize("n_max", [2, 7, 12, 18])
     @pytest.mark.parametrize("row_chunk", [3, 64])
     def test_rows_independent_of_shard_depth(self, monkeypatch, n_max, row_chunk):
@@ -166,7 +176,16 @@ class TestSharding:
     # Many layer chunks per shard: chunks holding several palindromic suffix
     # rows, chunks inside one suffix row (s >= log2 chunk), and covering
     # factors cut at chunk bounds, in the kept layers and the streamed top one.
-    @pytest.mark.parametrize(("n_max", "layer_chunk"), [(7, 1 << 3), (12, 1 << 3), (18, 1 << 8)])
+    # For depths 3..6 at chunk 2^3, and depth 4 at chunk 2^8: n = 2d - 1 and
+    # n = 2d + log2(chunk) - 1 build every top-layer chunk, and n = 2d +
+    # log2(chunk) is the first length that builds one block per reversal pair.
+    @pytest.mark.parametrize(
+        ("n_max", "layer_chunk"),
+        sorted(
+            {(7, 1 << 3), (12, 1 << 3), (18, 1 << 8), (7, 1 << 8), (15, 1 << 8), (16, 1 << 8)}
+            | {(n, 1 << 3) for d in range(3, 7) for n in (2 * d - 1, 2 * d + 2, 2 * d + 3)}
+        ),
+    )
     def test_rows_independent_of_layer_chunk(self, monkeypatch, n_max, layer_chunk):
         unsharded = _scan_sharded(n_max, 1)
         monkeypatch.setattr(enumeration, "_LAYER_CHUNK", layer_chunk)
@@ -224,6 +243,78 @@ class TestSharding:
             assert dfs == row
 
 
+def _reversal_partner(bits: int, length: int) -> int:
+    """The a-initial one of the reversal and its letter swap, by the
+    per-letter oracles."""
+    image = reverse_bits_per_letter(bits, length)
+    return complement_bits_per_letter(image, length) if image & 1 else image
+
+
+class TestReversalBlocks:
+    """A shard's layers of length >= 2d split by the word's last d letters
+    into 2^d blocks; of each pair of blocks that are each other's reversal
+    images, one is counted twice and the other skipped."""
+
+    @pytest.mark.parametrize("depth", range(1, 8))
+    def test_each_pair_is_built_once(self, depth):
+        weights = {prefix: _block_weights(prefix, depth) for prefix in range(0, 1 << depth, 2)}
+        assert sum(map(sum, weights.values())) == 1 << (2 * depth - 1)
+        built, partners_of_skipped = set(), Counter()
+        for prefix, row in weights.items():
+            assert len(row) == 1 << depth
+            for last, weight in enumerate(row):
+                ends = prefix | last << depth
+                image = _reversal_partner(ends, 2 * depth)
+                partner = image & ((1 << depth) - 1), image >> depth
+                if image == ends:
+                    assert weight == 1, (prefix, last)
+                elif weight:
+                    assert weight == 2, (prefix, last)
+                    built.add((prefix, last))
+                else:
+                    partners_of_skipped[partner] += 1
+        assert set(partners_of_skipped) == built
+        assert set(partners_of_skipped.values()) <= {1}
+
+    # The interleaved batch w holds the prefixes w, w + W, ... of the list.
+    @pytest.mark.parametrize(
+        ("depth", "workers"), [(5, 2), (2, 2), (3, 2), (4, 2), (6, 2), (7, 2), (3, 4), (5, 4), (7, 4), (5, 8)]
+    )
+    def test_interleaved_batches_build_equal_block_counts(self, depth, workers):
+        prefixes = range(0, 1 << depth, 2)
+        built = [
+            sum(weight > 0 for prefix in prefixes[w::workers] for weight in _block_weights(prefix, depth))
+            for w in range(workers)
+        ]
+        assert len(set(built)) == 1, built
+        if (depth, workers) == (5, 2):
+            assert built == [136, 136]
+
+    def test_top_layer_builds_only_counted_blocks(self, monkeypatch):
+        # n = 2d + log2(chunk): one chunk per block, built only if it counts
+        monkeypatch.setattr(enumeration, "_LAYER_CHUNK", 1 << 3)
+        fill, built = enumeration._fill_chunk, Counter()
+
+        def recorded(out, lo, e, *args):
+            built[e] += 1
+            fill(out, lo, e, *args)
+
+        monkeypatch.setattr(enumeration, "_fill_chunk", recorded)
+        prefixes = range(0, 1 << 4, 2)
+        _scan_shards(prefixes, 4, 7)
+        assert built[7] == sum(weight > 0 for prefix in prefixes for weight in _block_weights(prefix, 4)) == 72
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 11, 20, 32])
+    def test_row_closes_maximizers_under_reversal(self, n):
+        rng = random.Random(n)
+        found = [rng.randrange(0, 1 << n, 2) for _ in range(12)]
+        builder = _RowBuilder(n)
+        builder.counts[3], builder.k, builder.skipped = 1, 3, True
+        builder.max_bits = [np.array(found[:5]), np.array(found[5:])]
+        closed = set(found) | {_reversal_partner(bits, n) for bits in found}
+        assert builder.row().maximizers == tuple(sorted(closed))
+
+
 class TestWorkers:
     """Shards on forked workers give the rows of one process."""
 
@@ -244,15 +335,21 @@ class TestWorkers:
         assert scan_lengths(n_max) == in_process == _scan_sharded(n_max, 1)
 
     def test_shards_reach_different_maxima(self, monkeypatch, two_cpus):
-        # Only the shards aab and aba hold a-initial maximizers of length 11,
-        # aababbaabab and ababbaababb: the merge must keep the larger maximum.
+        # The a-initial maximizers of length 11, aababbaabab and ababbaababb,
+        # are each other's reversal images, in the blocks whose first and last
+        # three letters are (aab, bab) and (aba, abb).  With blocks of one 32-entry chunk only shard aab
+        # builds the pair's block, and its row lists both words; the merge
+        # must keep the larger maximum.
         monkeypatch.setattr(enumeration, "_SHARD_BITS", 9)
+        monkeypatch.setattr(enumeration, "_LAYER_CHUNK", 1 << 5)
         assert _plan(11) == (3, 2)
-        tops = [_scan_shards((prefix,), 3, 8)[11].k for prefix in range(0, 8, 2)]
-        assert tops == [4, 5, 5, 4]
+        shards = {text_of(prefix, 3): _scan_shards((prefix,), 3, 8)[11] for prefix in range(0, 8, 2)}
+        assert {text: shard.k for text, shard in shards.items()} == {"aaa": 4, "aba": 4, "aab": 5, "abb": 4}
+        expected = ["aababbaabab", "ababbaababb"]
+        assert [text_of(b, 11) for b in shards["aab"].row().maximizers] == expected
         rows = scan_lengths(11)
         assert rows == _scan_sharded(11, 1)
-        assert [text_of(b, 11) for b in rows[11].maximizers] == ["aababbaabab", "ababbaababb"]
+        assert [text_of(b, 11) for b in rows[11].maximizers] == expected
 
     # _SHARD_BITS = n_max - 3: W workers shard at depth 3 + ceil(log2 W), so
     # three workers split 16 shards 6, 5, 5.
