@@ -7,6 +7,11 @@ the worst case K(n) = max m and the exact average kbar(n) = 2^-n sum m
 over all words of length n, replays the computer-checkable steps behind
 the closed form for K(n), and evaluates the constants bounding the limit
 of kbar(n)/n.
+
+Only the layer engine, ``enumeration``, needs numpy.  ``length_row`` and
+``length_rows`` are served from it on first use (PEP 562), so importing
+the package, and every function that builds no layer, leaves numpy
+unloaded.
 """
 
 from .asymptotics import (
@@ -19,7 +24,6 @@ from .asymptotics import (
     g_theta,
     theta_prime,
 )
-from .enumeration import LengthRow, length_row, length_rows
 from .factorization import Factorization, longest_palindromic_factor, measure, min_factorization, reachable_k
 from .lemmas import (
     LemmaReport,
@@ -35,6 +39,7 @@ from .lemmas import (
     verify_lemma9,
     verify_theorem1,
 )
+from .rows import LengthRow
 from .words import (
     Orbit,
     Word,
@@ -84,3 +89,18 @@ __all__ = [
     "verify_lemma9",
     "verify_theorem1",
 ]
+
+# Names served by ``enumeration``, which loads numpy, only when asked for.
+_ENGINE_NAMES = ("length_row", "length_rows")
+
+
+def __getattr__(name: str):
+    if name in _ENGINE_NAMES:
+        from . import enumeration
+
+        return getattr(enumeration, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_ENGINE_NAMES})

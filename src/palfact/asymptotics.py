@@ -17,8 +17,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-import numpy as np
-
 __all__ = [
     "F_AT_ZERO",
     "UPPER_BOUND_EXACT",
@@ -81,6 +79,13 @@ def g_prime(theta: float) -> float:
     return 1 - SQRT2 * (num_d * den - num * den_d) / (den * den)
 
 
+def _grid(start: float, stop: float, num: int) -> list[float]:
+    """``num`` evenly spaced points from ``start`` to ``stop``, the same
+    floats as ``numpy.linspace``: i * step + start, the last one ``stop``."""
+    step = (stop - start) / (num - 1)
+    return [i * step + start for i in range(num - 1)] + [stop]
+
+
 def theta_prime(tolerance: float = 1e-10) -> float:
     """The unique root of f on (0, 1/3], by bisection: the result lies at or
     below the root and within ``tolerance`` of it.
@@ -92,8 +97,8 @@ def theta_prime(tolerance: float = 1e-10) -> float:
     """
     if not 0 < tolerance < math.inf:
         raise ValueError(f"tolerance must be positive and finite, got {tolerance}")
-    for theta in np.linspace(1e-6, 1 / 3, 101):
-        if f_prime(float(theta)) <= 0:
+    for theta in _grid(1e-6, 1 / 3, 101):
+        if f_prime(theta) <= 0:
             raise ArithmeticError(f"f' is not positive at {theta}; bisection premise fails")
     lo, hi = 0.0, 1 / 3
     if not f_theta(lo) < 0 < f_theta(hi):
@@ -119,8 +124,11 @@ def g_prime_roots() -> tuple[float, float]:
         (1+s) x^4 - 8 (1+s) x^3 + (20+10s) x^2 - (16+4s) x + 4 = 0,  s = sqrt(2),
 
     whose real roots are the critical points.  Solved via the companion
-    matrix; each root is verified against g' directly.
+    matrix; each root is verified against g' directly.  The companion
+    matrix needs numpy, which only this function of the module loads.
     """
+    import numpy as np
+
     s = SQRT2
     coeffs = [1 + s, -8 * (1 + s), 20 + 10 * s, -(16 + 4 * s), 4]
     roots = np.roots(coeffs)

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any
 
-from .enumeration import LengthRow
+from .rows import LengthRow
 
 __all__ = ["SCHEMA_VERSION", "CacheEntry", "ResultCache", "payload_checksum"]
 

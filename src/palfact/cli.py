@@ -19,14 +19,19 @@ PALIN_CACHE_DIR wins over both; an empty --cache-dir is a usage error.
 Only kmax, kbar, histogram and bounds use the cache: they read the
 per-length rows they print (histogram and bounds one row, the tables
 every row up to --max-n) through one cache helper, and a miss makes one
-enumeration pass that stores every row it made.  A row is an
-``enumeration.LengthRow`` (the histogram and the maximizers; every field
+enumeration pass that stores every row it made.  A row is a
+``rows.LengthRow`` (the histogram and the maximizers; every field
 printed is derived from those two), and the cache format is known to
-``cache`` alone.
+``cache`` alone.  numpy is loaded only where layers are built or roots
+found: on a cache miss, by worst, by the claims of verify that read
+layers or rows, and by bounds.  m, factor and warm cache hits run
+without it.
 """
 
 from __future__ import annotations
 
+import csv
+import io
 import json
 import math
 import os
@@ -36,12 +41,12 @@ from typing import Sequence
 
 import click
 
-from . import enumeration, lemmas
+from . import lemmas
 from .asymptotics import bounds_report
 from .cache import ResultCache
-from .enumeration import PACKED_LIMIT, LengthRow, WorkerDied
 from .factorization import min_factorization
 from .lemmas import COUNTING_MIN_N
+from .rows import PACKED_LIMIT, LengthRow, WorkerDied
 from .words import Orbit, WordError, parse_word
 
 __all__ = ["RunConfig", "cli", "dispatch", "main"]
@@ -182,6 +187,8 @@ def _cached_rows(config: RunConfig, lengths: range) -> list[LengthRow]:
     cached = [cache.load_row(n) for n in lengths]
     if all(row is not None for row in cached):
         return cached  # type: ignore[return-value]
+    from . import enumeration  # loads numpy: only a miss builds layers
+
     rows = enumeration.length_rows(lengths[-1])
     for row in rows:
         cache.store_row(row)
@@ -288,6 +295,8 @@ def histogram_command(config: RunConfig, n: int, allow_long: bool) -> None:
 def worst_command(config: RunConfig, n: int, allow_long: bool) -> None:
     """All words attaining K(N), grouped into symmetry orbits."""
     _guard_length("--n", n, allow_long)
+    from . import enumeration  # loads numpy
+
     row = enumeration.length_row(n)
     orbits = list(row.orbits())
     if config.format == "csv":
@@ -352,6 +361,24 @@ def verify_command(config: RunConfig, target: str, max_n: int, trials: int) -> i
     failed = [rep for rep in reports if rep["verdict"] != "pass"]
     if config.format == "json":
         _echo_json(reports)
+    elif config.format == "csv":
+        # The params other than the case count, as compact sorted JSON, which
+        # the csv module quotes; the counterexamples are counted.
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(("lemma", "verdict", "cases", "counterexamples", "params"))
+        for rep in reports:
+            params = {k: v for k, v in rep["params"].items() if k != "cases"}
+            writer.writerow(
+                (
+                    rep["lemma"],
+                    rep["verdict"],
+                    rep["params"]["cases"],
+                    len(rep["counterexamples"]),
+                    json.dumps(params, sort_keys=True, separators=(",", ":")),
+                )
+            )
+        click.echo(buf.getvalue(), nl=False)
     else:
         for rep in reports:
             extras = {k: v for k, v in rep["params"].items() if k != "cases"}

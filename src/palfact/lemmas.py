@@ -11,6 +11,11 @@ the exact averages, and the counting bound.  Each checker replays its claim
 from scratch and returns a report carrying concrete counterexamples when
 (and only when) it fails; ``standard_runs`` is the whole suite, in the
 order ``verify all`` prints it.
+
+Only the checks that build layers (the case analyses of Lemmas 3 and 4
+and the three claims read off the enumeration rows) import numpy and
+``enumeration``, when they run; the suite itself, and every claim
+without a layer, loads neither.
 """
 
 from __future__ import annotations
@@ -19,11 +24,9 @@ import random
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
-import numpy as np
-
 from .asymptotics import a_bound_squared
-from .enumeration import PACKED_LIMIT, extension_m, length_rows
 from .factorization import longest_palindromic_factor, measure
+from .rows import PACKED_LIMIT
 from .words import FAMILY_BLOCK, FAMILY_SEED, Word, family, parse_word
 
 __all__ = [
@@ -199,6 +202,10 @@ def _verify_lemma3() -> LemmaReport:
     """Stems extended by every word of length 12..17: some exact split
     w = v'w' with len(v') < 5 has m_{len(v')} + m(w') <= floor(17/2 + len(u)/4),
     or the word is one of two listed exceptions."""
+    import numpy as np
+
+    from .enumeration import extension_m
+
     bad = []
     cases = 0
     exceptions: dict[tuple[int, int], set[int]] = {}
@@ -227,6 +234,10 @@ def _verify_lemma4() -> LemmaReport:
     """Every a-initial word of length 18 has a prefix w' with
     3 m(w') < len(w'), or one with 3 m(w') <= len(w') and len(w') divisible
     by 6, or is one of three listed family words."""
+    import numpy as np
+
+    from .enumeration import extension_m
+
     layers = extension_m(parse_word("a"), 17)
     ok = np.zeros(1, dtype=bool)  # over extensions of length 0 (just "a"): 3*1 < 1 is false
     for e in range(1, 18):
@@ -365,6 +376,8 @@ def ksum_property(trials: int, seed: int) -> LemmaReport:
 def verify_theorem1(n_max: int) -> LemmaReport:
     """Theorem 1: the closed form k_formula equals the enumerated K(n) for
     every n <= n_max."""
+    from .enumeration import length_rows
+
     if n_max < 0:
         raise ValueError(f"n_max must be nonnegative, got {n_max}")
     rows = length_rows(n_max) if n_max else []
@@ -382,6 +395,8 @@ def subadditivity_check(n_max: int) -> LemmaReport:
     The params also carry the least ratio kbar(n)/n over the computed range
     (an upper bound for its limit) as "num/den", and the n attaining it.
     """
+    from .enumeration import length_rows
+
     if not 2 <= n_max <= PACKED_LIMIT:
         raise ValueError(f"n_max must be in 2..{PACKED_LIMIT}, got {n_max}")
     rows = length_rows(n_max)
@@ -407,6 +422,8 @@ def verify_counting_bound(n_max: int) -> LemmaReport:
     is the quantity the product bound a_k actually dominates; this needs
     the maximum below n/2, hence n >= 9.  Compared via squared integers.
     """
+    from .enumeration import length_rows
+
     if n_max < COUNTING_MIN_N:
         raise ValueError(f"the counting bound starts at n = {COUNTING_MIN_N}, got n_max = {n_max}")
     top = min(16, n_max)

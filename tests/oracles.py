@@ -24,7 +24,7 @@ from decimal import Decimal, localcontext
 
 import numpy as np
 
-from palfact.enumeration import LengthRow
+from palfact.rows import LengthRow
 from palfact.words import Word, WordError
 
 

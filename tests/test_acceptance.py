@@ -18,7 +18,6 @@ from oracles import brute_force_m_table, dfs_scan, reachable_k_bitsets, text_of
 from palfact.asymptotics import bounds_report
 from palfact.cli import dispatch
 from palfact.enumeration import (
-    SAMPLE_CAP,
     _rows_upto,
     _scan_sharded,
     length_row,
@@ -27,6 +26,7 @@ from palfact.enumeration import (
 )
 from palfact.factorization import measure, min_factorization
 from palfact.lemmas import all_reports, k_formula, subadditivity_check, verify_counting_bound
+from palfact.rows import SAMPLE_CAP
 from palfact.words import Word
 
 

@@ -4,9 +4,11 @@ import math
 from decimal import Decimal
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from oracles import decimal_bound_constants
 
+from palfact import asymptotics
 from palfact.asymptotics import (
     F_AT_ZERO,
     UPPER_BOUND_EXACT,
@@ -113,6 +115,21 @@ class TestThetaPrime:
         root = theta_prime(1e-300)
         assert abs(root - theta_prime(1e-15)) <= 1e-15
         assert abs(root - theta_prime(1e-10)) <= 1e-10
+
+    def test_monotonicity_grid_is_linspace(self, monkeypatch):
+        # The premise check samples f' in plain Python at numpy's points.
+        seen = []
+        monkeypatch.setattr(asymptotics, "f_prime", lambda theta: seen.append(theta) or f_prime(theta))
+        theta_prime(1e-10)
+        grid = np.linspace(1e-6, 1 / 3, 101)
+        assert len(seen) == grid.size
+        for got, want in zip(seen, grid):
+            assert type(got) is float and got == want
+
+    def test_premise_failure_is_reported(self, monkeypatch):
+        monkeypatch.setattr(asymptotics, "f_prime", lambda theta: -1.0 if theta == 1 / 3 else f_prime(theta))
+        with pytest.raises(ArithmeticError, match="premise"):
+            theta_prime(1e-10)
 
 
 class TestGPrimeRoots:

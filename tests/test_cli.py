@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import csv
 import io
 import json
 import os
@@ -218,6 +219,50 @@ class TestVerifyCommand:
             "subadditivity: PASS (cases=20) {'n_max': 9, 'min_ratio_n': 9, 'min_ratio': '35/128'}\n"
             "counting: PASS (cases=4) {'n_range': '9..9'}\n"
         )
+
+    def test_csv_rows_equal_json_entries(self, capsys):
+        argv = ("--seed", "3", "verify", "all", "--max-n", "9", "--trials", "300")
+        code, out, _ = run(capsys, "--format", "json", *argv)
+        assert code == 0
+        entries = json.loads(out)
+        code, out, _ = run(capsys, "--format", "csv", *argv)
+        assert code == 0
+        rows = list(csv.DictReader(io.StringIO(out)))
+        assert len(rows) == len(entries) == 11
+        for row, entry in zip(rows, entries):
+            assert list(row) == ["lemma", "verdict", "cases", "counterexamples", "params"]
+            assert row["lemma"] == entry["lemma"]
+            assert row["verdict"] == entry["verdict"]
+            assert int(row["cases"]) == entry["params"]["cases"]
+            assert int(row["counterexamples"]) == len(entry["counterexamples"])
+            assert json.loads(row["params"]) == {k: v for k, v in entry["params"].items() if k != "cases"}
+
+    def test_csv_output_is_pinned(self, capsys):
+        argv = ("--seed", "3", "--format", "csv", "verify", "all", "--max-n", "9", "--trials", "300")
+        code, out, err = run(capsys, *argv)
+        assert (code, err) == (0, "")
+        assert out == (
+            "lemma,verdict,cases,counterexamples,params\n"
+            'lemma1,pass,60,0,"{""n_max"":8}"\n'
+            'lemma2,pass,192,0,"{""stems"":3,""suffix_length"":6}"\n'
+            'lemma3,pass,774144,0,"{""stems"":3,""suffix_lengths"":""12..17""}"\n'
+            'lemma4,pass,131072,0,"{""length"":18}"\n'
+            'lemma7,pass,25,0,"{""n_max"":10}"\n'
+            'lemma8,pass,75,0,"{""t_max"":6}"\n'
+            'lemma9,pass,6,0,"{""n_max"":5}"\n'
+            'ksum,pass,300,0,"{""seed"":3,""trials"":300}"\n'
+            'theorem1,pass,9,0,"{""n_max"":9}"\n'
+            'subadditivity,pass,20,0,"{""min_ratio"":""35/128"",""min_ratio_n"":9,""n_max"":9}"\n'
+            'counting,pass,4,0,"{""n_range"":""9..9""}"\n'
+        )
+
+    def test_csv_counts_counterexamples(self, capsys, monkeypatch):
+        bad = ({"n": 0, "m": 99, "expected": 6}, {"n": 1, "m": 99, "expected": 8})
+        fake = LemmaReport("lemma9", {"n_max": 5}, 6, bad)
+        monkeypatch.setattr(lemmas, "verify_lemma9", lambda n_max: fake)
+        code, out, _ = run(capsys, "--format", "csv", "verify", "lemma9")
+        assert code == 1
+        assert out.splitlines()[1:] == ['lemma9,fail,6,2,"{""n_max"":5}"']
 
     def test_targets_are_the_suite(self):
         assert VERIFY_TARGETS == ("all", *lemmas.standard_runs())

@@ -21,7 +21,6 @@ from oracles import (
 )
 from palfact import enumeration
 from palfact.enumeration import (
-    PACKED_LIMIT,
     _block_weights,
     _plan,
     _RowBuilder,
@@ -33,6 +32,7 @@ from palfact.enumeration import (
     scan_lengths,
 )
 from palfact.factorization import measure
+from palfact.rows import PACKED_LIMIT
 from palfact.words import Word, parse_word
 
 ROOT = Path(__file__).resolve().parent.parent
