@@ -8,10 +8,10 @@ over all words of length n, replays the computer-checkable steps behind
 the closed form for K(n), and evaluates the constants bounding the limit
 of kbar(n)/n.
 
-Only the layer engine, ``enumeration``, needs numpy.  ``length_row`` and
-``length_rows`` are served from it on first use (PEP 562), so importing
-the package, and every function that builds no layer, leaves numpy
-unloaded.
+Only the layer engine, ``enumeration``, needs numpy, and only a scan
+loads it: ``length_row`` and ``length_rows`` come from ``rows``, which
+imports the engine when its memo is too short.  So importing the package,
+and every function that builds no layer, leaves numpy unloaded.
 """
 
 from .asymptotics import (
@@ -39,7 +39,7 @@ from .lemmas import (
     verify_lemma9,
     verify_theorem1,
 )
-from .rows import LengthRow
+from .rows import LengthRow, length_row, length_rows
 from .words import (
     Orbit,
     Word,
@@ -89,18 +89,3 @@ __all__ = [
     "verify_lemma9",
     "verify_theorem1",
 ]
-
-# Names served by ``enumeration``, which loads numpy, only when asked for.
-_ENGINE_NAMES = ("length_row", "length_rows")
-
-
-def __getattr__(name: str):
-    if name in _ENGINE_NAMES:
-        from . import enumeration
-
-        return getattr(enumeration, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
-def __dir__() -> list[str]:
-    return sorted({*globals(), *_ENGINE_NAMES})

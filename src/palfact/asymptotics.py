@@ -7,6 +7,9 @@ of an entropy-style function f on (0, 1/3].  The counting skeleton is the
 sequence a_k = C(n-1, k-1) 2^((n+k)/2), an upper bound on the number of
 words expressible as a product of k palindromes; every comparison against
 it is carried out on squared integers since n+k may be odd.
+
+Everything here is stdlib arithmetic (``decimal`` for the critical points
+of g), so only a scan for the n = 21 row, never this module, loads numpy.
 """
 
 from __future__ import annotations
@@ -14,6 +17,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from decimal import Decimal, localcontext
 from fractions import Fraction
 from typing import Sequence
 
@@ -116,29 +120,42 @@ def theta_prime(tolerance: float = 1e-10) -> float:
 
 
 def g_prime_roots() -> tuple[float, float]:
-    """The two real critical points of g.
+    """The two real critical points of g, correctly rounded.
 
     Setting g'(x) = 0 and clearing the denominator (x^2 - 4x + 2)^2 gives
     the quartic
 
         (1+s) x^4 - 8 (1+s) x^3 + (20+10s) x^2 - (16+4s) x + 4 = 0,  s = sqrt(2),
 
-    whose real roots are the critical points.  Solved via the companion
-    matrix; each root is verified against g' directly.  The companion
-    matrix needs numpy, which only this function of the module loads.
+    whose two real roots are the critical points, one in [0.2, 0.5] and
+    one in [4, 8].  Each is bisected at 50 decimal digits to within
+    10^-40, far below the spacing of floats there, then rounded to the
+    nearest float and verified against g' directly.
     """
-    import numpy as np
+    roots = []
+    with localcontext() as ctx:
+        ctx.prec = 50
+        s = Decimal(2).sqrt()
+        coeffs = (1 + s, -8 * (1 + s), 20 + 10 * s, -(16 + 4 * s), 4)
 
-    s = SQRT2
-    coeffs = [1 + s, -8 * (1 + s), 20 + 10 * s, -(16 + 4 * s), 4]
-    roots = np.roots(coeffs)
-    real = sorted(float(r.real) for r in roots if abs(r.imag) < 1e-9)
-    if len(real) != 2:
-        raise ArithmeticError(f"expected two real critical points, got {real} from roots {roots}")
-    for r in real:
+        def quartic(x: Decimal) -> Decimal:
+            return sum(c * x ** (4 - i) for i, c in enumerate(coeffs))
+
+        for lo, hi in ((Decimal("0.2"), Decimal("0.5")), (Decimal(4), Decimal(8))):
+            lo_negative = quartic(lo) < 0
+            if lo_negative == (quartic(hi) < 0):
+                raise ArithmeticError(f"the quartic does not change sign on [{lo}, {hi}]")
+            while hi - lo > Decimal("1e-40"):
+                mid = (lo + hi) / 2
+                if (quartic(mid) < 0) == lo_negative:
+                    lo = mid
+                else:
+                    hi = mid
+            roots.append(float((lo + hi) / 2))
+    for r in roots:
         if abs(g_prime(r)) > 1e-6:
             raise ArithmeticError(f"candidate critical point {r} does not annihilate g'")
-    return real[0], real[1]
+    return roots[0], roots[1]
 
 
 def a_bound_squared(n: int, k: int) -> int:

@@ -16,16 +16,14 @@ subcommand; a subcommand also accepts after its name the ones it uses:
 --seed only verify, the one command with randomized checks.  A value
 given after the subcommand wins over one given before it, and
 PALIN_CACHE_DIR wins over both; an empty --cache-dir is a usage error.
-Only kmax, kbar, histogram and bounds use the cache: they read the
-per-length rows they print (histogram and bounds one row, the tables
-every row up to --max-n) through one cache helper, and a miss makes one
-enumeration pass that stores every row it made.  A row is a
-``rows.LengthRow`` (the histogram and the maximizers; every field
-printed is derived from those two), and the cache format is known to
-``cache`` alone.  numpy is loaded only where layers are built or roots
-found: on a cache miss, by worst, by the claims of verify that read
-layers or rows, and by bounds.  m, factor and warm cache hits run
-without it.
+Every command reads its rows through ``rows.length_row`` or
+``rows.length_rows``.  Only kmax, kbar, histogram and bounds pass them the
+cache, which serves the rows they print (histogram and bounds one row, the
+tables every row up to --max-n); a miss makes one enumeration pass that
+stores every row it made.  The cache format is known to ``cache`` alone.
+numpy is loaded only where layers are built: by an enumeration pass (a
+cache miss, worst, and the row claims of verify) and by the case analyses
+of verify.  m, factor and warm cache hits run without it.
 """
 
 from __future__ import annotations
@@ -46,7 +44,7 @@ from .asymptotics import bounds_report
 from .cache import ResultCache
 from .factorization import min_factorization
 from .lemmas import COUNTING_MIN_N
-from .rows import PACKED_LIMIT, LengthRow, WorkerDied
+from .rows import PACKED_LIMIT, WorkerDied, length_row, length_rows
 from .words import Orbit, WordError, parse_word
 
 __all__ = ["RunConfig", "cli", "dispatch", "main"]
@@ -179,22 +177,6 @@ def factor_command(config: RunConfig, word: str) -> None:
         click.echo(str(fact))
 
 
-def _cached_rows(config: RunConfig, lengths: range) -> list[LengthRow]:
-    """The rows of the given lengths from the cache.  If any is missing, one
-    enumeration pass up to the longest of them makes them all, and every row
-    of that pass is stored."""
-    cache = config.cache
-    cached = [cache.load_row(n) for n in lengths]
-    if all(row is not None for row in cached):
-        return cached  # type: ignore[return-value]
-    from . import enumeration  # loads numpy: only a miss builds layers
-
-    rows = enumeration.length_rows(lengths[-1])
-    for row in rows:
-        cache.store_row(row)
-    return [rows[n - 1] for n in lengths]
-
-
 def _orbit_json(orb: Orbit) -> dict:
     return {"representative": orb.representative, "size": orb.size, "words": list(orb.words)}
 
@@ -208,7 +190,7 @@ def _orbit_json(orb: Orbit) -> dict:
 def kmax_command(config: RunConfig, max_n: int, allow_long: bool) -> None:
     """Exact worst-case table K(1)..K(MAX_N) by full enumeration."""
     _guard_length("--max-n", max_n, allow_long)
-    rows = _cached_rows(config, range(1, max_n + 1))
+    rows = length_rows(max_n, config.cache)
     if config.format == "csv":
         click.echo("n,K,maximizer_count")
         for row in rows:
@@ -240,7 +222,7 @@ def kmax_command(config: RunConfig, max_n: int, allow_long: bool) -> None:
 def kbar_command(config: RunConfig, max_n: int, allow_long: bool) -> None:
     """Exact average table kbar(1)..kbar(MAX_N)."""
     _guard_length("--max-n", max_n, allow_long)
-    rows = _cached_rows(config, range(1, max_n + 1))
+    rows = length_rows(max_n, config.cache)
     # kbar = S/2^n in lowest terms: an odd numerator over a power of two.
     docs = [
         {
@@ -274,7 +256,7 @@ def kbar_command(config: RunConfig, max_n: int, allow_long: bool) -> None:
 def histogram_command(config: RunConfig, n: int, allow_long: bool) -> None:
     """Exact counts x_k of words of length N with m = k."""
     _guard_length("--n", n, allow_long)
-    [hist] = _cached_rows(config, range(n, n + 1))
+    hist = length_row(n, config.cache)
     if config.format == "csv":
         click.echo("n,k,x_k")
         for k, count in sorted(hist.counts.items()):
@@ -295,9 +277,7 @@ def histogram_command(config: RunConfig, n: int, allow_long: bool) -> None:
 def worst_command(config: RunConfig, n: int, allow_long: bool) -> None:
     """All words attaining K(N), grouped into symmetry orbits."""
     _guard_length("--n", n, allow_long)
-    from . import enumeration  # loads numpy
-
-    row = enumeration.length_row(n)
+    row = length_row(n)
     orbits = list(row.orbits())
     if config.format == "csv":
         click.echo("n,representative,orbit_size")
@@ -402,7 +382,7 @@ def bounds_command(config: RunConfig, tolerance: float) -> None:
     # Checked here so that a bad value exits before the n = 21 row is read or computed.
     if not 0 < tolerance < math.inf:
         raise click.UsageError(f"--tolerance must be positive and finite, got {tolerance}")
-    [row] = _cached_rows(config, range(21, 22))
+    row = length_row(21, config.cache)
     try:
         report = bounds_report([row], tolerance)
     except ArithmeticError as exc:

@@ -48,11 +48,9 @@ holds at most 2^26 / W bytes of layers, so the layers held at once total
 A length's row (``rows.LengthRow``) is its histogram of m and its
 a-initial maximizers; K(n), the maximizer count, S(n), the exact average
 kbar(n) and the symmetry orbits (``words.Orbit``) of the maximizers are
-derived from those two fields.  Rows depend on n alone, so
-``length_row`` and ``length_rows`` serve the rows of one memo: it keeps
-the rows of the longest scan made so far in the process, answers every
-request up to that length from them, and is replaced when a longer scan
-is needed.  A command therefore makes at most one enumeration pass.
+derived from those two fields.  This is the one module that imports numpy.
+Callers read rows through ``rows.length_row`` and ``rows.length_rows``,
+which import it and call ``scan_lengths`` only when their memo is too short.
 """
 
 from __future__ import annotations
@@ -71,8 +69,6 @@ __all__ = [
     "palindrome_values",
     "extension_m",
     "scan_lengths",
-    "length_row",
-    "length_rows",
 ]
 
 # A scan on one process extends each prefix by at most this many symbols,
@@ -402,28 +398,3 @@ def scan_lengths(n_max: int) -> dict[int, LengthRow]:
     if not 1 <= n_max <= PACKED_LIMIT:
         raise ValueError(f"length must be in 1..{PACKED_LIMIT}, got {n_max}")
     return _scan_sharded(n_max, *_plan(n_max))
-
-
-# Rows of the longest scan made so far in this process, keyed 1..n.  Shared
-# by every caller, which is sound because rows are a pure function of n and
-# no caller mutates them.
-_memo: dict[int, LengthRow] = {}
-
-
-def _rows_upto(n_max: int) -> dict[int, LengthRow]:
-    """Rows for at least 1..n_max, scanning only when the memo is too short."""
-    global _memo
-    if n_max not in _memo:
-        _memo = scan_lengths(n_max)
-    return _memo
-
-
-def length_row(n: int) -> LengthRow:
-    """The exact row of length n."""
-    return _rows_upto(n)[n]
-
-
-def length_rows(n_max: int) -> list[LengthRow]:
-    """The rows of every length 1..n_max, from one enumeration pass."""
-    rows = _rows_upto(n_max)
-    return [rows[n] for n in range(1, n_max + 1)]

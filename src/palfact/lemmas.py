@@ -12,10 +12,10 @@ from scratch and returns a report carrying concrete counterexamples when
 (and only when) it fails; ``standard_runs`` is the whole suite, in the
 order ``verify all`` prints it.
 
-Only the checks that build layers (the case analyses of Lemmas 3 and 4
-and the three claims read off the enumeration rows) import numpy and
-``enumeration``, when they run; the suite itself, and every claim
-without a layer, loads neither.
+The three claims read off the rows get them from ``rows.length_rows``,
+which loads numpy only to scan.  The case analyses of Lemmas 3 and 4
+build their own layers, and are the only code here that imports numpy and
+``enumeration``, when they run.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from typing import Any, Callable
 
 from .asymptotics import a_bound_squared
 from .factorization import longest_palindromic_factor, measure
-from .rows import PACKED_LIMIT
+from .rows import PACKED_LIMIT, length_rows
 from .words import FAMILY_BLOCK, FAMILY_SEED, Word, family, parse_word
 
 __all__ = [
@@ -376,8 +376,6 @@ def ksum_property(trials: int, seed: int) -> LemmaReport:
 def verify_theorem1(n_max: int) -> LemmaReport:
     """Theorem 1: the closed form k_formula equals the enumerated K(n) for
     every n <= n_max."""
-    from .enumeration import length_rows
-
     if n_max < 0:
         raise ValueError(f"n_max must be nonnegative, got {n_max}")
     rows = length_rows(n_max) if n_max else []
@@ -395,8 +393,6 @@ def subadditivity_check(n_max: int) -> LemmaReport:
     The params also carry the least ratio kbar(n)/n over the computed range
     (an upper bound for its limit) as "num/den", and the n attaining it.
     """
-    from .enumeration import length_rows
-
     if not 2 <= n_max <= PACKED_LIMIT:
         raise ValueError(f"n_max must be in 2..{PACKED_LIMIT}, got {n_max}")
     rows = length_rows(n_max)
@@ -422,8 +418,6 @@ def verify_counting_bound(n_max: int) -> LemmaReport:
     is the quantity the product bound a_k actually dominates; this needs
     the maximum below n/2, hence n >= 9.  Compared via squared integers.
     """
-    from .enumeration import length_rows
-
     if n_max < COUNTING_MIN_N:
         raise ValueError(f"the counting bound starts at n = {COUNTING_MIN_N}, got n_max = {n_max}")
     top = min(16, n_max)

@@ -1,10 +1,16 @@
-"""The exact row of one word length, and the limits of the scan that makes it.
+"""The exact row of one word length, the limits of the scan that makes it,
+and the one door through which every row is read.
 
 A row holds a length's histogram of m and its a-initial maximizers;
 everything printed about a length is derived from those two fields.  Rows
-are made by ``enumeration``, stored by ``cache`` and printed by ``cli``.
-This module loads no numpy, so the commands that only read rows (the
-single-word ones and warm cache hits) start without it.
+are made by ``enumeration``, stored by ``cache`` and printed by ``cli``;
+every command, claim and demo reads them through ``length_row`` or
+``length_rows``.  Those serve the rows of the longest scan made so far in
+the process (the memo).  Given a ``cache.ResultCache``, they return the
+wanted rows from it when it holds them all, and otherwise store every row
+of the memo's answer in it.  Cached rows never enter the memo.  Only a
+scan imports ``enumeration``, and with it numpy, so the single-word
+commands and warm cache hits run without numpy.
 """
 
 from __future__ import annotations
@@ -13,10 +19,14 @@ from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
+from typing import TYPE_CHECKING
 
 from .words import Orbit, Word, orbit
 
-__all__ = ["PACKED_LIMIT", "SAMPLE_CAP", "LengthRow", "WorkerDied"]
+if TYPE_CHECKING:
+    from .cache import ResultCache
+
+__all__ = ["PACKED_LIMIT", "SAMPLE_CAP", "LengthRow", "WorkerDied", "length_row", "length_rows"]
 
 # Vectorised layers index words by int64 values; 32 keeps every layer and
 # temporary comfortably addressable.
@@ -97,3 +107,45 @@ class LengthRow:
 
 class WorkerDied(RuntimeError):
     """A worker process of a sharded scan ended without its result."""
+
+
+# Rows of the longest scan made so far in this process, keyed 1..n.  Shared
+# by every caller, which is sound because rows are a pure function of n and
+# no caller mutates them.
+_memo: dict[int, LengthRow] = {}
+
+
+def _rows_upto(n_max: int) -> dict[int, LengthRow]:
+    """Rows for at least 1..n_max, scanning only when the memo is too short."""
+    global _memo
+    if n_max not in _memo:
+        from . import enumeration  # loads numpy: only a scan builds layers
+
+        _memo = enumeration.scan_lengths(n_max)
+    return _memo
+
+
+def _read(lengths: range, cache: ResultCache | None) -> list[LengthRow]:
+    """The rows of ``lengths``: from ``cache`` if it holds them all, else
+    from the memo, storing every row 1..max(lengths) in ``cache``.  An
+    empty range goes on to the scan, which rejects its length."""
+    if cache is not None:
+        cached = [cache.load_row(n) for n in lengths]
+        if cached and all(row is not None for row in cached):
+            return cached  # type: ignore[return-value]
+    rows = _rows_upto(lengths.stop - 1)
+    if cache is not None:
+        for n in range(1, lengths.stop):
+            cache.store_row(rows[n])
+    return [rows[n] for n in lengths]
+
+
+def length_row(n: int, cache: ResultCache | None = None) -> LengthRow:
+    """The exact row of length n."""
+    [row] = _read(range(n, n + 1), cache)
+    return row
+
+
+def length_rows(n_max: int, cache: ResultCache | None = None) -> list[LengthRow]:
+    """The rows of every length 1..n_max, from at most one enumeration pass."""
+    return _read(range(1, n_max + 1), cache)

@@ -17,16 +17,10 @@ from conftest import EXCEPTIONAL_WORD, K_TABLE, KBAR_TABLE
 from oracles import brute_force_m_table, dfs_scan, reachable_k_bitsets, text_of
 from palfact.asymptotics import bounds_report
 from palfact.cli import dispatch
-from palfact.enumeration import (
-    _rows_upto,
-    _scan_sharded,
-    length_row,
-    length_rows,
-    scan_lengths,
-)
+from palfact.enumeration import _scan_sharded, scan_lengths
 from palfact.factorization import measure, min_factorization
 from palfact.lemmas import all_reports, k_formula, subadditivity_check, verify_counting_bound
-from palfact.rows import SAMPLE_CAP
+from palfact.rows import SAMPLE_CAP, _rows_upto, length_row, length_rows
 from palfact.words import Word
 
 

@@ -23,9 +23,10 @@ from palfact.asymptotics import (
     g_theta,
     theta_prime,
 )
-from palfact.enumeration import length_rows, palindrome_values
+from palfact.enumeration import palindrome_values
 from palfact.factorization import reachable_k
 from palfact.lemmas import k_formula
+from palfact.rows import length_rows
 from palfact.words import Word
 
 
@@ -171,6 +172,10 @@ class TestDecimalOracle:
         _, _, roots = decimal_bound_constants()
         for got, want in zip(g_prime_roots(), roots):
             assert abs(Decimal(got) - want) <= Decimal("1e-12")
+
+    def test_g_prime_roots_are_correctly_rounded(self):
+        _, _, roots = decimal_bound_constants()
+        assert g_prime_roots() == tuple(float(root) for root in roots)
 
 
 class TestCountingBounds:

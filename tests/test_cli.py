@@ -20,6 +20,7 @@ from palfact import enumeration, lemmas
 from palfact.cache import SCHEMA_VERSION, CacheEntry, ResultCache, payload_checksum
 from palfact.cli import VERIFY_TARGETS, RunConfig, dispatch
 from palfact.lemmas import LemmaReport
+from palfact.rows import length_row
 
 
 def run(capsys, *argv):
@@ -552,18 +553,7 @@ class TestBoundsCommand:
         assert "0.2030" in out
 
     def test_forged_row_21_is_a_usage_error(self, capsys, tmp_path, monkeypatch):
-        # Two words moved between the two lowest counts: the row stays
-        # possible for its length, so the cache serves it, but S(21) is off by 2.
-        monkeypatch.delenv("PALIN_CACHE_DIR", raising=False)
-        code, _, _ = run(capsys, "--cache-dir", str(tmp_path), "kbar", "--max-n", "21")
-        assert code == 0
-        path = tmp_path / "row_21.json"
-        doc = json.loads(path.read_text())
-        doc["payload"]["counts"]["1"] += 2
-        doc["payload"]["counts"]["2"] -= 2
-        doc["checksum"] = payload_checksum(doc["payload"])
-        path.write_text(json.dumps(doc))
-        assert ResultCache(tmp_path).load_row(21).s == 8939688 - 2
+        _forge_row_21(capsys, tmp_path, monkeypatch)
         env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
         env.pop("PALIN_CACHE_DIR", None)
         proc = subprocess.run(
@@ -574,6 +564,33 @@ class TestBoundsCommand:
         assert proc.stdout == ""
         assert "Traceback" not in proc.stderr
         assert "372487/1835008" in proc.stderr and "row_21.json" in proc.stderr
+
+    def test_forged_row_21_never_reaches_the_memo(self, capsys, tmp_path, monkeypatch):
+        _forge_row_21(capsys, tmp_path, monkeypatch)
+        # An empty memo: the readers below get the true row only by a new scan.
+        monkeypatch.setattr("palfact.rows._memo", {})
+        code, out, err = run(capsys, "--cache-dir", str(tmp_path), "bounds")
+        assert (code, out) == (2, "")
+        assert "372487/1835008" in err and "row_21.json" in err
+        assert length_row(21).s == 8939688
+        code, out, _ = run(capsys, "verify", "theorem1", "--max-n", "21")
+        assert (code, out) == (0, "theorem1: PASS (cases=21) {'n_max': 21}\n")
+
+
+def _forge_row_21(capsys, directory, monkeypatch):
+    """Fill ``directory`` with rows 1..21 by kbar, then move two words between
+    the two lowest counts of row 21: the row stays possible for its length,
+    so the cache serves it, but S(21) is off by 2."""
+    monkeypatch.delenv("PALIN_CACHE_DIR", raising=False)
+    code, _, _ = run(capsys, "--cache-dir", str(directory), "kbar", "--max-n", "21")
+    assert code == 0
+    path = directory / "row_21.json"
+    doc = json.loads(path.read_text())
+    doc["payload"]["counts"]["1"] += 2
+    doc["payload"]["counts"]["2"] -= 2
+    doc["checksum"] = payload_checksum(doc["payload"])
+    path.write_text(json.dumps(doc))
+    assert ResultCache(directory).load_row(21).s == 8939688 - 2
 
 
 def _row_payload(n=4, counts=None, maximizers=None):
@@ -839,7 +856,7 @@ class TestEnumerationPasses:
     def scans(self, monkeypatch):
         calls = []
         scan = enumeration.scan_lengths
-        monkeypatch.setattr(enumeration, "_memo", {})
+        monkeypatch.setattr("palfact.rows._memo", {})
         monkeypatch.setattr(enumeration, "scan_lengths", lambda n_max: calls.append(n_max) or scan(n_max))
         monkeypatch.delenv("PALIN_CACHE_DIR", raising=False)
         return calls
@@ -873,7 +890,7 @@ class TestEnumerationPasses:
         assert run(capsys, "--cache-dir", str(cache_dir), "kbar", "--max-n", "21")[0] == 0
         assert sorted(p.name for p in cache_dir.iterdir()) == sorted(f"row_{n}.json" for n in range(1, 22))
         before = _cache_state(cache_dir)
-        monkeypatch.setattr(enumeration, "_memo", {})
+        monkeypatch.setattr("palfact.rows._memo", {})
         scans.clear()
         loads = []
         load = ResultCache.load

@@ -7,7 +7,7 @@ import pytest
 from conftest import KBAR_TABLE
 from oracles import dfs_scan
 from palfact import lemmas
-from palfact.enumeration import length_row, length_rows
+from palfact.rows import length_row, length_rows
 from palfact.lemmas import subadditivity_check, verify_counting_bound
 
 

@@ -24,7 +24,6 @@ from palfact.enumeration import (
     _block_weights,
     _plan,
     _RowBuilder,
-    _rows_upto,
     _scan_sharded,
     _scan_shards,
     extension_m,
@@ -32,7 +31,7 @@ from palfact.enumeration import (
     scan_lengths,
 )
 from palfact.factorization import measure
-from palfact.rows import PACKED_LIMIT
+from palfact.rows import PACKED_LIMIT, _rows_upto
 from palfact.words import Word, parse_word
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -143,7 +142,7 @@ class TestScanLengths:
 
     def test_memo_answers_shorter_lengths_from_one_scan(self, monkeypatch):
         calls = []
-        monkeypatch.setattr(enumeration, "_memo", {})
+        monkeypatch.setattr("palfact.rows._memo", {})
         monkeypatch.setattr(enumeration, "scan_lengths", lambda n: calls.append(n) or scan_lengths(n))
         assert _rows_upto(9)[5] == scan_lengths(5)[5]
         assert _rows_upto(4)[4] == scan_lengths(4)[4]

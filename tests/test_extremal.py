@@ -5,11 +5,10 @@ import pytest
 from conftest import EXCEPTIONAL_WORD, K_TABLE
 from oracles import dfs_scan
 import palfact
-from palfact.enumeration import length_row, length_rows
 from palfact import lemmas
 from palfact.lemmas import k_formula, verify_theorem1
 from palfact.factorization import min_factorization
-from palfact.rows import LengthRow
+from palfact.rows import LengthRow, length_row, length_rows
 
 
 class TestKFormula:

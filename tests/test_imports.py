@@ -1,5 +1,5 @@
 """What a process loads: numpy only where layers are built, and the
-package surface that serves the engine's names on first use."""
+package surface, which serves the row names from ``rows`` without it."""
 
 from __future__ import annotations
 
@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import palfact
-from palfact import enumeration
+from palfact import rows
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -54,11 +54,12 @@ class TestNumpyOnlyWhereLayersAreBuilt:
     def test_warm_tables_skip_numpy_and_cold_ones_load_it(self, tmp_path):
         cache = ["--cache-dir", str(tmp_path)]
         # The cold pass builds layers, so the warm checks below cannot pass vacuously.
-        assert _numpy_loaded(*cache, "kmax", "--max-n", "8")
-        for argv in (("kmax", "--max-n", "8"), ("kbar", "--max-n", "8"), ("histogram", "--n", "8")):
+        assert _numpy_loaded(*cache, "kmax", "--max-n", "21")
+        for argv in (("kmax", "--max-n", "8"), ("kbar", "--max-n", "8"), ("histogram", "--n", "8"), ("bounds",)):
             assert not _numpy_loaded(*cache, *argv), argv
 
     def test_bounds_loads_numpy(self):
+        # cold: with no cache the n = 21 row comes from a scan
         assert _numpy_loaded("bounds")
 
 
@@ -67,9 +68,9 @@ class TestLazyPackageSurface:
         for name in palfact.__all__:
             assert getattr(palfact, name) is not None, name
 
-    def test_engine_names_come_from_enumeration(self):
-        assert palfact.length_row is enumeration.length_row
-        assert palfact.length_rows is enumeration.length_rows
+    def test_row_names_come_from_rows(self):
+        assert palfact.length_row is rows.length_row
+        assert palfact.length_rows is rows.length_rows
 
     def test_dir_lists_every_public_name(self):
         assert set(palfact.__all__) <= set(dir(palfact))
@@ -78,7 +79,7 @@ class TestLazyPackageSurface:
         namespace: dict = {}
         exec("from palfact import *", namespace)
         assert set(palfact.__all__) <= set(namespace)
-        assert namespace["length_rows"] is enumeration.length_rows
+        assert namespace["length_rows"] is rows.length_rows
 
     def test_unknown_attribute_is_an_attribute_error(self):
         with pytest.raises(AttributeError, match="no_such_name"):

@@ -3,7 +3,7 @@ from __future__ import annotations
 import pytest
 
 from palfact import lemmas
-from palfact.enumeration import length_row
+from palfact.rows import length_row
 from palfact.factorization import measure
 from palfact.lemmas import (
     LemmaReport,

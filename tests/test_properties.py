@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from oracles import brute_force_m_table, reachable_k_bitsets
-from palfact.enumeration import length_row, length_rows
+from palfact.rows import length_row, length_rows
 from palfact.factorization import min_factorization, reachable_k
 from palfact.words import Word
 
