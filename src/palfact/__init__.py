@@ -31,9 +31,11 @@ from .lemmas import (
     k_formula,
     ksum_property,
     subadditivity_check,
-    verify_case_lemma,
     verify_counting_bound,
     verify_lemma1,
+    verify_lemma2,
+    verify_lemma3,
+    verify_lemma4,
     verify_lemma7,
     verify_lemma8,
     verify_lemma9,
@@ -81,9 +83,11 @@ __all__ = [
     "reachable_k",
     "subadditivity_check",
     "theta_prime",
-    "verify_case_lemma",
     "verify_counting_bound",
     "verify_lemma1",
+    "verify_lemma2",
+    "verify_lemma3",
+    "verify_lemma4",
     "verify_lemma7",
     "verify_lemma8",
     "verify_lemma9",

@@ -24,6 +24,11 @@ stores every row it made.  The cache format is known to ``cache`` alone.
 numpy is loaded only where layers are built: by an enumeration pass (a
 cache miss, worst, and the row claims of verify) and by the case analyses
 of verify.  m, factor and warm cache hits run without it.
+
+verify prints the ``LemmaReport`` of each claim of ``lemmas.standard_runs``
+that its target names, field by field in every format.  Its --trials is
+capped at MAX_TRIALS, so that no value makes the randomized check run for
+hours.
 """
 
 from __future__ import annotations
@@ -301,23 +306,8 @@ VERIFY_TARGETS = ("all", *lemmas.standard_runs())
 
 _COUNTEREXAMPLE_PRINT_LIMIT = 10
 
-
-def _verify_reports(config: RunConfig, target: str, max_n: int, trials: int) -> list[dict]:
-    """The reports of the claims ``target`` names, in suite order, as JSON
-    entries; the case count rides in the params."""
-    reports: list[dict] = []
-    for name, run in lemmas.standard_runs(trials, config.seed, max_n).items():
-        if target in (name, "all"):
-            rep = run()
-            reports.append(
-                {
-                    "lemma": rep.lemma_id,
-                    "params": {**rep.params, "cases": rep.cases},
-                    "verdict": rep.verdict,
-                    "counterexamples": list(rep.counterexamples),
-                }
-            )
-    return reports
+# At ~25 us a trial (2-vCPU Xeon), the randomized check stays under half a minute.
+MAX_TRIALS = 10**6
 
 
 @cli.command("verify")
@@ -337,39 +327,42 @@ def verify_command(config: RunConfig, target: str, max_n: int, trials: int) -> i
         )
     if trials < 1:
         raise click.UsageError(f"--trials must be positive, got {trials}")
-    reports = _verify_reports(config, target, max_n, trials)
-    failed = [rep for rep in reports if rep["verdict"] != "pass"]
+    if trials > MAX_TRIALS:
+        raise click.UsageError(f"--trials must be at most {MAX_TRIALS}, got {trials}")
+    runs = lemmas.standard_runs(trials, config.seed, max_n)
+    reports = [run() for name, run in runs.items() if target in (name, "all")]
     if config.format == "json":
-        _echo_json(reports)
+        _echo_json(
+            [
+                {
+                    "lemma": rep.lemma_id,
+                    "params": {**rep.params, "cases": rep.cases},
+                    "verdict": rep.verdict,
+                    "counterexamples": list(rep.counterexamples),
+                }
+                for rep in reports
+            ]
+        )
     elif config.format == "csv":
-        # The params other than the case count, as compact sorted JSON, which
-        # the csv module quotes; the counterexamples are counted.
+        # The params as compact sorted JSON, which the csv module quotes; the
+        # counterexamples are counted.
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(("lemma", "verdict", "cases", "counterexamples", "params"))
         for rep in reports:
-            params = {k: v for k, v in rep["params"].items() if k != "cases"}
-            writer.writerow(
-                (
-                    rep["lemma"],
-                    rep["verdict"],
-                    rep["params"]["cases"],
-                    len(rep["counterexamples"]),
-                    json.dumps(params, sort_keys=True, separators=(",", ":")),
-                )
-            )
+            params = json.dumps(rep.params, sort_keys=True, separators=(",", ":"))
+            writer.writerow((rep.lemma_id, rep.verdict, rep.cases, len(rep.counterexamples), params))
         click.echo(buf.getvalue(), nl=False)
     else:
         for rep in reports:
-            extras = {k: v for k, v in rep["params"].items() if k != "cases"}
-            suffix = f" {extras}" if extras else ""
-            click.echo(f"{rep['lemma']}: {rep['verdict'].upper()} (cases={rep['params'].get('cases')}){suffix}")
-            for bad in rep["counterexamples"][:_COUNTEREXAMPLE_PRINT_LIMIT]:
+            suffix = f" {rep.params}" if rep.params else ""
+            click.echo(f"{rep.lemma_id}: {rep.verdict.upper()} (cases={rep.cases}){suffix}")
+            for bad in rep.counterexamples[:_COUNTEREXAMPLE_PRINT_LIMIT]:
                 click.echo(f"  counterexample: {bad}")
-            remaining = len(rep["counterexamples"]) - _COUNTEREXAMPLE_PRINT_LIMIT
+            remaining = len(rep.counterexamples) - _COUNTEREXAMPLE_PRINT_LIMIT
             if remaining > 0:
                 click.echo(f"  ... and {remaining} more")
-    return 1 if failed else 0
+    return 0 if all(rep.passed for rep in reports) else 1
 
 
 @cli.command("bounds")

@@ -265,6 +265,24 @@ class TestVerifyCommand:
         assert code == 1
         assert out.splitlines()[1:] == ['lemma9,fail,6,2,"{""n_max"":5}"']
 
+    def test_table_cuts_long_counterexample_lists(self, capsys, monkeypatch):
+        bad = tuple({"n": n, "m": 99, "expected": 2 * n + 6} for n in range(12))
+        fake = LemmaReport("lemma9", {"n_max": 11}, 12, bad)
+        monkeypatch.setattr(lemmas, "verify_lemma9", lambda n_max: fake)
+        code, out, _ = run(capsys, "verify", "lemma9")
+        assert code == 1
+        assert out.splitlines() == [
+            "lemma9: FAIL (cases=12) {'n_max': 11}",
+            *(f"  counterexample: {entry}" for entry in bad[:10]),
+            "  ... and 2 more",
+        ]
+        code, out, _ = run(capsys, "--format", "csv", "verify", "lemma9")
+        assert code == 1
+        assert out.splitlines()[1:] == ['lemma9,fail,12,12,"{""n_max"":11}"']
+        code, out, _ = run(capsys, "--format", "json", "verify", "lemma9")
+        assert code == 1
+        assert json.loads(out)[0]["counterexamples"] == list(bad)
+
     def test_targets_are_the_suite(self):
         assert VERIFY_TARGETS == ("all", *lemmas.standard_runs())
         assert len(VERIFY_TARGETS) == 12
@@ -403,6 +421,16 @@ class TestInputContract:
         assert code == 2
         assert "--trials must be positive" in err
         assert "PASS" not in out and "FAIL" not in out
+
+    @pytest.mark.parametrize("trials", ["1000001", "100000000000000000000"])
+    def test_trials_above_the_ceiling_is_usage_error(self, capsys, trials):
+        code, out, err = run(capsys, "verify", "ksum", "--trials", trials)
+        assert (code, out) == (2, "")
+        assert err.splitlines()[-1] == f"Error: --trials must be at most 1000000, got {trials}"
+
+    def test_trials_at_the_ceiling_are_run(self, capsys, monkeypatch):
+        monkeypatch.setattr(lemmas, "ksum_property", lambda trials, seed: LemmaReport("ksum", {}, trials))
+        assert run(capsys, "verify", "ksum", "--trials", "1000000") == (0, "ksum: PASS (cases=1000000)\n", "")
 
     @pytest.mark.parametrize("target,max_n", [("counting", "5"), ("all", "8"), ("counting", "1")])
     def test_counting_below_nine_is_usage_error(self, capsys, target, max_n):

@@ -10,9 +10,11 @@ from palfact.lemmas import (
     M_CONSTANTS,
     k_formula,
     ksum_property,
-    verify_case_lemma,
     verify_counting_bound,
     verify_lemma1,
+    verify_lemma2,
+    verify_lemma3,
+    verify_lemma4,
     verify_lemma7,
     verify_lemma8,
     verify_lemma9,
@@ -56,23 +58,59 @@ class TestLemma1:
 
 class TestCaseLemmas:
     def test_lemma2(self):
-        report = verify_case_lemma(2)
+        report = verify_lemma2()
         assert report.passed
         assert report.cases == 3 * 64
 
     def test_lemma3(self):
-        report = verify_case_lemma(3)
+        report = verify_lemma3()
         assert report.passed
         assert report.cases == 3 * sum(1 << lu for lu in range(12, 18))
 
     def test_lemma4(self):
-        report = verify_case_lemma(4)
+        report = verify_lemma4()
         assert report.passed
         assert report.cases == 1 << 17
 
-    def test_unknown_id_rejected(self):
-        with pytest.raises(ValueError):
-            verify_case_lemma(5)
+
+class TestExceptionLists:
+    """An emptied exception list makes a case analysis fail with exactly the
+    listed words, in the order the analysis meets them."""
+
+    def test_lemma2_needs_every_listed_word(self, monkeypatch):
+        listed = lemmas._LEMMA2_EXCEPTIONS
+        monkeypatch.setattr(lemmas, "_LEMMA2_EXCEPTIONS", ())
+        words = [bad["word"] for bad in verify_lemma2().counterexamples]
+        assert words == ["bbaababbaababbaaaba", "bbaababbaababbaabab", "bbaababbaaabababbaa"]
+        assert sorted(words) == sorted(listed)
+
+    def test_lemma4_needs_every_listed_word(self, monkeypatch):
+        listed = lemmas._LEMMA4_EXCEPTIONS_FOR_18
+        monkeypatch.setattr(lemmas, "_LEMMA4_EXCEPTIONS_FOR_18", ())
+        words = [bad["word"] for bad in verify_lemma4().counterexamples]
+        assert words == ["aababbbaaabababbaa", "aababbbaababbaaaba", "aababbbaababbaabab"]
+        assert sorted(words) == sorted(listed)
+
+    def test_lemma3_listed_words_meet_the_bound(self, monkeypatch):
+        # Both listed words reach the bound floor(17/2 + 17/4) = 12 exactly,
+        # which the check accepts, so the list excuses no word.
+        for word in lemmas._LEMMA3_EXCEPTIONS:
+            assert min(M_CONSTANTS[a] + measure(word[a:]) for a in range(1, 5)) == 12
+        monkeypatch.setattr(lemmas, "_LEMMA3_EXCEPTIONS", ())
+        assert verify_lemma3().passed
+
+    def test_lemma3_drops_exactly_the_listed_words(self, monkeypatch):
+        # With m_1 raised to 4, three words fail; listing one excuses it alone.
+        monkeypatch.setattr(lemmas, "M_CONSTANTS", (2, 4, 3, 3, 4, 4))
+        failing = (
+            "bbaababbaabababbbaababbaaababb",
+            "bbaababbaababbbaaababbbaaababb",
+            "bbaababbaabababbaabababbaababb",
+        )
+        monkeypatch.setattr(lemmas, "_LEMMA3_EXCEPTIONS", ())
+        assert verify_lemma3().counterexamples == tuple({"word": word} for word in failing)
+        monkeypatch.setattr(lemmas, "_LEMMA3_EXCEPTIONS", failing[1:2])
+        assert verify_lemma3().counterexamples == ({"word": failing[0]}, {"word": failing[2]})
 
 
 class TestLemma7:
@@ -197,4 +235,4 @@ class TestReportShape:
 
     def test_reports_reproducible(self):
         assert verify_lemma8(3) == verify_lemma8(3)
-        assert verify_case_lemma(2) == verify_case_lemma(2)
+        assert verify_lemma2() == verify_lemma2()
