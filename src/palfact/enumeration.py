@@ -12,38 +12,41 @@ value selects one row and the update is a vectorised elementwise minimum.
 Layers are built in cache-sized chunks of consecutive entries, each taken
 through every palindromic suffix before the next one starts.
 
-A scan up to n_max is sharded by prefix: with W workers and depth
-d = max(1, n_max - 26 + ceil(log2 W)) every a-initial prefix of d letters
-is extended by n_max - d symbols, and lengths 2..d come from the prefix a
-extended by d - 1.  Only the lengths below a shard's top one are kept,
-2^(n_max-d) bytes at most: the top layer feeds nothing but its own row,
-so each of its chunks is counted as soon as it is built and then
-overwritten.  Each layer is turned into row data in cache-sized chunks
-(compare-and-count per value, maximizer indices only where a chunk
-reaches the running maximum), and row data merge associatively: counts
-add, and the larger maximum keeps its maximizer words (equal maxima
-concatenate them).  Everything is exact integer arithmetic, so results do
-not depend on the shard depth, the chunk sizes or the number of workers.
+A scan up to n_max is sharded by prefix: every a-initial prefix of d
+letters is extended by n_max - d symbols, and lengths 2..d come from the
+prefix a extended by d - 1.  Only the lengths below a shard's top one are
+kept, 2^(n_max-d) bytes: the top layer feeds nothing but its own row, so
+each of its chunks is counted as soon as it is built and then overwritten.
+Each layer is turned into row data in cache-sized spans (compare-and-count
+per value, maximizer indices only where a span reaches the running
+maximum), and row data merge associatively: counts add, and the larger
+maximum keeps its maximizer words (equal maxima concatenate them).
+Everything is exact integer arithmetic, so results do not depend on the
+shard depth, the chunk sizes or the number of workers.
 
 Reversal preserves m, so a shard's layers of length n >= 2d are counted one
 block per reversal pair.  A block is the 2^(n-2d) contiguous entries whose
 words share their last d letters; ``words.reversal_image`` maps it onto the
 block named by the image of its 2d-letter ends.  Of two partner blocks, the
 one whose ends pack to the lesser integer counts twice and the other not at
-all (this keeps power-of-two worker batches level); a block that is its own
-partner counts once.  The top layer skips a block unbuilt where blocks hold
-whole layer chunks, a kept layer skips counting it where they hold whole row
-chunks, and depth-1 scans have no two partner blocks.  ``_RowBuilder.row``
-adds the skipped blocks' maximizers: the reversal images of those found.
+all; a block that is its own partner counts once.  Each shard keeps
+2^(d-1) + 1 of its 2^d blocks (``_shard_work`` says why), so all shards do
+the same work.  The top layer is built one block at a time where a block
+holds 2^17 to 2^20 entries, and in 2^20-entry chunks where blocks are
+larger; either way a skipped block is never built.  A kept layer is built
+in full, and counted one block at a time where a block holds 2^14 entries
+or more.  Smaller blocks are built and counted whole, and depth-1 scans
+have no two partner blocks.  ``_RowBuilder.row`` adds the skipped blocks'
+maximizers: the reversal images of those found.
 
-A process runs its shards as one batch, which builds their layers in one
-buffer and folds them into one set of row data.  With one usable CPU, or
-one shard, the batch runs in-process.  Otherwise W = min(usable CPUs,
-shard count) forked workers each run the batch of prefixes w, w + W,
-w + 2W, ... (interleaved, so that the workers stay level when the cost of
-a shard depends on its prefix), and the W results merge.  Each worker
-holds at most 2^26 / W bytes of layers, so the layers held at once total
-2^26 bytes at most, as with one process.
+``_plan`` fixes all of this before a scan starts, as a ``ScanPlan``: the
+depth, the worker count W, the chunks and spans, the batches of prefixes,
+the bytes they allocate and the entries the scan will build and count.
+Scans up to n = 26 run in one process (at depth 3 for n = 26: 8 MiB of
+kept layers, and 0.81 of the entries built and 0.63 counted at depth 1);
+longer ones on forked workers that split a 2^26-byte layer budget.  Each
+worker runs one batch, which builds its shards' layers in one buffer and
+folds them into one set of row data, and the W results merge.
 
 A length's row (``rows.LengthRow``) is its histogram of m and its
 a-initial maximizers; K(n), the maximizer count, S(n), the exact average
@@ -57,7 +60,8 @@ from __future__ import annotations
 
 import os
 from collections.abc import Iterable, Iterator
-from functools import partial
+from dataclasses import dataclass
+from functools import cache, partial
 
 import numpy as np
 
@@ -71,10 +75,10 @@ __all__ = [
     "scan_lengths",
 ]
 
-# A scan on one process extends each prefix by at most this many symbols,
-# so the layers a shard holds (every length but the top one) total at most
-# 64 MiB.  W workers extend by ceil(log2 W) fewer, so the layers the W
-# shards in flight hold still total at most 64 MiB.
+# The layers held at once (every length but the top one of each shard in
+# flight) total at most 2^_SHARD_BITS bytes: one process extends each prefix
+# by at most this many symbols, and W workers by ceil(log2 W) fewer.  A scan
+# of at most 2^_SHARD_BITS words runs in-process.
 _SHARD_BITS = 26
 
 # Layers are built this many entries at a time: a chunk (1 MiB) stays in L2
@@ -170,15 +174,16 @@ def _fill_chunk(
     hi = lo + size
     out.fill(254)
     for values, before in covering:
-        i, j = np.searchsorted(values, (lo, hi))
-        sel = values[i:j] - lo
-        out[sel] = np.minimum(out[sel], before)
+        i, j = values.searchsorted((lo, hi))
+        if i < j:
+            sel = values[i:j] - lo
+            out[sel] = np.minimum(out[sel], before)
     # Palindromic factor starting at extension offset s: the top e-s bits
     # (the row, the suffix value) are a palindrome, the low s bits index ext[s].
     for s in range(1, e):
         cols = 1 << s
         first = lo >> s
-        i, j = np.searchsorted(pal[e - s], (first, ((hi - 1) >> s) + 1))
+        i, j = pal[e - s].searchsorted((first, ((hi - 1) >> s) + 1))
         if i == j:
             continue
         if cols >= size:
@@ -268,41 +273,146 @@ class _RowBuilder:
         )
 
 
-def _block_weights(prefix_bits: int, depth: int) -> list[int]:
+@cache
+def _reversed_words(depth: int) -> np.ndarray:
+    """The reversal of every ``depth``-letter word, indexed by the word."""
+    words = np.arange(1 << depth, dtype=np.int64)
+    image = np.zeros_like(words)
+    for t in range(depth):
+        image |= (words >> t & 1) << (depth - 1 - t)
+    return image
+
+
+def _block_weights(prefix_bits: int, depth: int) -> np.ndarray:
     """How often each block of a shard's layers of length >= 2 * depth
     counts, by the block's last ``depth`` letters: 1 if it is its own
-    partner, else 2 if its ends pack to the lesser integer and 0 if not."""
-    weights = []
-    for last in range(1 << depth):
-        ends = prefix_bits | last << depth
-        image = reversal_image(Word(ends, 2 * depth)).bits
-        weights.append(1 if image == ends else 2 * (ends < image))
-    return weights
+    partner, else 2 if its ends pack to the lesser integer and 0 if not.
+
+    The partner's ends are ``words.reversal_image`` of the block's, taken
+    here for all 2^depth blocks at once: the reversed last letters, then
+    the reversed prefix, letter-swapped where that starts with b."""
+    reversed_words = _reversed_words(depth)
+    ends = prefix_bits | np.arange(1 << depth, dtype=np.int64) << depth
+    image = reversed_words | int(reversed_words[prefix_bits]) << depth
+    image ^= (image & 1) * ((1 << 2 * depth) - 1)
+    return np.where(image == ends, 1, 2 * (ends < image))
 
 
-def _counted_spans(size: int, span: int, depth: int, weights: list[int]) -> Iterator[tuple[int, int]]:
+def _counted_spans(size: int, span: int, depth: int, weights: np.ndarray) -> Iterator[tuple[int, int]]:
     """Start and weight of each ``span``-entry span of a shard's layer of
     ``size`` entries that is counted.  Where the layer's 2^depth blocks hold
     whole spans, a span has its block's weight; otherwise each counts once."""
     block = size >> depth
     for start in range(0, size, span):
-        weight = weights[start // block] if block >= span else 1
+        weight = int(weights[start // block]) if block >= span else 1
         if weight:
             yield start, weight
 
 
-def _scan_shards(prefixes: Iterable[int], depth: int, ext_len: int) -> dict[int, _RowBuilder]:
-    """Row statistics of lengths depth+1 .. depth+ext_len over the words
-    that start with any of the ``depth``-letter ``prefixes``.
+@dataclass(frozen=True)
+class ScanPlan:
+    """What a scan up to ``n_max`` builds, counts and holds, fixed before it
+    starts; ``_scan_shards`` and ``_scan_sharded`` only read it.
+
+    The a-initial ``depth``-letter prefixes are extended by ``n_max - depth``
+    symbols, split into ``batches``, one per worker process (``workers``).
+    The top layer is built ``top_chunk`` entries at a time, and kept layer
+    e is counted ``spans[e]`` entries at a time; both are one block where
+    that skips the block's reversal partner.  ``head`` is the plan of
+    lengths 2..depth (the prefix a extended by depth - 1), None at depth 1.
+    ``buffer_bytes`` sums over the workers what a batch holds: its layers,
+    the top chunk, and the scratch of one build chunk (the rows it gathers)
+    and one row chunk (a bool mask).  ``built`` and ``counted`` are the
+    layer entries the whole scan will build and count, ``head`` included.
+    """
+
+    n_max: int
+    depth: int
+    workers: int
+    top_chunk: int
+    spans: tuple[int, ...]
+    batches: tuple[tuple[int, ...], ...]
+    head: ScanPlan | None
+    buffer_bytes: int
+    built: int
+    counted: int
+
+    @property
+    def ext_len(self) -> int:
+        return self.n_max - self.depth
+
+
+def _shard_work(depth: int, top_chunk: int, spans: tuple[int, ...]) -> tuple[int, int]:
+    """Layer entries each shard builds and counts under a plan's chunking:
+    the kept layers are built in full, and the blocks whose weight is 0 are
+    neither built in the top layer nor counted where chunks or spans are
+    single blocks.
+
+    Every shard keeps 2^(depth-1) + 1 blocks.  Let r be its prefix
+    reversed, packed as a word.  ``_block_weights`` keeps the blocks whose
+    last letters end in a and pack to at most r (r + 1 of them), and those
+    whose last letters end in b and pack to at most r letter-swapped
+    (2^(depth-1) - r of them)."""
+    end = 1 << len(spans)
+    block = end >> depth
+    blocks = (1 << (depth - 1)) + 1
+    top = blocks * block if top_chunk <= block else end
+    kept = sum(blocks * span if span < 1 << e else 1 << e for e, span in enumerate(spans) if e)
+    return end - 2 + top, kept + top
+
+
+def _layout(n_max: int, depth: int, workers: int = 1) -> ScanPlan:
+    """The plan of a scan up to ``n_max`` at the given shard depth and
+    worker count (at most one worker per shard).
+
+    A block is built or counted alone where that skips its partner and
+    saves time: in the top layer from an eighth of a build chunk (2^17
+    entries) up, and in a kept layer from a sixteenth of a row chunk (2^14)
+    up.  Below that the calls cost what skipping saves (top-layer chunks of
+    2^16 entries cost 4-5 times as much per entry as 2^20), so such layers
+    are built and counted in whole chunks.
+    """
+    depth = min(depth, n_max)
+    ext_len = n_max - depth
+    end = 1 << ext_len
+    block = end >> depth
+    top_chunk = block if max(1, _LAYER_CHUNK >> 3) <= block < _LAYER_CHUNK else min(_LAYER_CHUNK, end)
+    spans = tuple(
+        (1 << e) >> depth if (1 << e) >> depth >= max(1, _ROW_CHUNK >> 4) else 1 << e for e in range(ext_len)
+    )
+    # bit 0 clear: the prefix starts with 'a'
+    prefixes = range(0, 1 << depth, 2) if ext_len else range(0)
+    workers = max(1, min(workers, len(prefixes)))
+    built, counted = _shard_work(depth, top_chunk, spans)
+    head = _layout(depth, 1) if depth > 1 else None
+    return ScanPlan(
+        n_max=n_max,
+        depth=depth,
+        workers=workers,
+        top_chunk=top_chunk,
+        spans=spans,
+        # Every shard does the same work, so interleaving balances the batches.
+        batches=tuple(tuple(prefixes[w::workers]) for w in range(workers)) if prefixes else (),
+        head=head,
+        buffer_bytes=workers * (end + top_chunk + min(_LAYER_CHUNK, end) + _ROW_CHUNK) if prefixes else 0,
+        built=len(prefixes) * built + (head.built if head else 0),
+        counted=len(prefixes) * counted + (head.counted if head else 0),
+    )
+
+
+def _scan_shards(plan: ScanPlan, prefixes: Iterable[int]) -> dict[int, _RowBuilder]:
+    """Row statistics of the lengths above ``plan.depth`` over the words
+    that start with any of the ``prefixes``, as ``plan`` lays them out.
 
     All shards build their layers in one buffer, so the process writes its
     layer memory once and then holds the same pages throughout the scan.
     Layers allocated and freed per shard went back to the heap instead, and
     how much of it stayed resident depended on which shards it happened to run.
     """
+    depth, ext_len, top_chunk = plan.depth, plan.ext_len, plan.top_chunk
     builders = {depth + e: _RowBuilder(depth + e) for e in range(1, ext_len + 1)}
     end = 1 << ext_len
-    buf = np.empty(end + min(_LAYER_CHUNK, end), dtype=np.uint8)
+    buf = np.empty(end + top_chunk, dtype=np.uint8)
     # The top layer is only ever one chunk: built, counted, overwritten.
     top = buf[end:]
     hit = np.empty(_ROW_CHUNK, dtype=bool)
@@ -312,32 +422,26 @@ def _scan_shards(prefixes: Iterable[int], depth: int, ext_len: int) -> dict[int,
         ext = extension_m(prefix, ext_len - 1, buf)
         covering = _covering_factors(prefix, ext_len)
         weights = _block_weights(prefix_bits, depth)
-        for lo, weight in _counted_spans(end, top.size, depth, weights):
+        for lo, weight in _counted_spans(end, top_chunk, depth, weights):
             _fill_chunk(top, lo, ext_len, covering, pal, ext)
             builders[depth + ext_len].add_layer(top, prefix_bits, depth, hit, first=lo, weight=weight)
         # The kept layers are all built; only their counting skips blocks.
         for e in range(1, ext_len):
-            block = (1 << e) >> depth
-            span = block if block >= _ROW_CHUNK else 1 << e
+            span = plan.spans[e]
             for lo, weight in _counted_spans(1 << e, span, depth, weights):
                 builders[depth + e].add_layer(ext[e][lo : lo + span], prefix_bits, depth, hit, first=lo, weight=weight)
     return builders
 
 
-def _scan_sharded(n_max: int, depth: int, workers: int = 1) -> dict[int, LengthRow]:
-    """Rows 1..n_max, the lengths above ``depth`` from ``workers`` batches of
-    prefix shards, run on forked processes when there are several; raises
+def _scan_sharded(plan: ScanPlan) -> dict[int, LengthRow]:
+    """Rows 1..plan.n_max, the lengths above the shard depth from the plan's
+    batches, run on forked processes when there are several; raises
     ``WorkerDied`` when a worker process ends without its result."""
-    depth = min(depth, n_max)
-    rows = {1: LengthRow(1, {1: 2}, (0,))}
-    if depth > 1:
-        rows.update((n, b.row()) for n, b in _scan_shards((0,), 1, depth - 1).items())
-    ext_len = n_max - depth
-    if not ext_len:
+    rows = _scan_sharded(plan.head) if plan.head else {1: LengthRow(1, {1: 2}, (0,))}
+    if not plan.batches:
         return rows
-    batch = partial(_scan_shards, depth=depth, ext_len=ext_len)
-    prefixes = range(0, 1 << depth, 2)  # bit 0 clear: the prefix starts with 'a'
-    if workers > 1:
+    batch = partial(_scan_shards, plan)
+    if plan.workers > 1:
         # Imported here: a process that never runs two batches at once does
         # not pay for them.
         import multiprocessing
@@ -350,12 +454,12 @@ def _scan_sharded(n_max: int, depth: int, workers: int = 1) -> dict[int, LengthR
         # and never calls BLAS, so no child waits on a lock a thread held.
         # The executor forks every worker before it starts its own threads.
         try:
-            with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork")) as pool:
-                merged, *others = pool.map(batch, [prefixes[w::workers] for w in range(workers)])
+            with ProcessPoolExecutor(plan.workers, mp_context=multiprocessing.get_context("fork")) as pool:
+                merged, *others = pool.map(batch, plan.batches)
         except BrokenProcessPool as exc:
             raise WorkerDied("an enumeration worker process died (killed by a signal, e.g. out of memory)") from exc
     else:
-        merged, others = batch(prefixes), []
+        merged, others = batch(plan.batches[0]), []
     for other in others:
         for n, builder in merged.items():
             builder.merge(other[n])
@@ -371,18 +475,24 @@ def _usable_cpus() -> int:
         return 1
 
 
-def _plan(n_max: int) -> tuple[int, int]:
-    """Shard depth and worker count of a scan up to n_max.
+def _plan(n_max: int) -> ScanPlan:
+    """The plan of a scan up to n_max.
 
-    W workers each hold at most 2^(_SHARD_BITS - ceil(log2 W)) bytes of
-    layers, and W never exceeds the shard count that depth gives.
+    A scan of at most 2^_SHARD_BITS words runs in-process: at n = 26 two
+    workers saved no wall time and cost more CPU.  A longer one runs on W =
+    usable CPUs workers, each holding at most 2^(_SHARD_BITS -
+    ceil(log2 W)) bytes of layers, so the layers held at once total at most
+    2^_SHARD_BITS bytes, and W never exceeds the shard count.  The depth is
+    the least that budget allows, but no less than the deepest at which the
+    top layer's blocks still hold whole build chunks.
     """
-    workers = _usable_cpus()
+    skip = (n_max - _LAYER_CHUNK.bit_length() + 1) // 2
+    workers = _usable_cpus() if n_max > _SHARD_BITS else 1
     while True:
-        depth = max(1, n_max - _SHARD_BITS + (workers - 1).bit_length())
+        depth = max(1, skip, n_max - _SHARD_BITS + (workers - 1).bit_length())
         shards = 1 << (depth - 1)
         if workers <= shards:
-            return depth, workers
+            return _layout(n_max, depth, workers)
         workers = shards
 
 
@@ -390,11 +500,10 @@ def scan_lengths(n_max: int) -> dict[int, LengthRow]:
     """Exact per-length statistics of m for every length 1..n_max.
 
     Enumerates only words starting with 'a'; the letter-swap involution is
-    fixed-point free, so all counts double exactly.  The shards run on W =
-    min(usable CPUs, shard count) processes; each holds 2^min(n_max-1,
-    26-ceil(log2 W)) bytes of layers plus one chunk, so the layers held at
-    once total at most 2^26 bytes whatever n_max and W are.
+    fixed-point free, so all counts double exactly.  ``_plan`` fixes the
+    shards, batches and buffers before the scan starts, so that the layers
+    held at once total at most 2^26 bytes whatever n_max and the CPU count are.
     """
     if not 1 <= n_max <= PACKED_LIMIT:
         raise ValueError(f"length must be in 1..{PACKED_LIMIT}, got {n_max}")
-    return _scan_sharded(n_max, *_plan(n_max))
+    return _scan_sharded(_plan(n_max))

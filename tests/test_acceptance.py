@@ -17,7 +17,7 @@ from conftest import EXCEPTIONAL_WORD, K_TABLE, KBAR_TABLE
 from oracles import brute_force_m_table, dfs_scan, reachable_k_bitsets, text_of
 from palfact.asymptotics import bounds_report
 from palfact.cli import dispatch
-from palfact.enumeration import _scan_sharded, scan_lengths
+from palfact.enumeration import _layout, _scan_sharded, scan_lengths
 from palfact.factorization import measure, min_factorization
 from palfact.lemmas import all_reports, k_formula, subadditivity_check, verify_counting_bound
 from palfact.rows import SAMPLE_CAP, _rows_upto, length_row, length_rows
@@ -189,7 +189,7 @@ def test_criterion_8_property_suite(m_tables_14):
     # the engine, prefix depth of the depth-first oracle
     whole = scan_lengths(12)
     for depth in range(1, 5):
-        assert _scan_sharded(12, depth) == whole
+        assert _scan_sharded(_layout(12, depth)) == whole
     assert dfs_scan(12, prefix_depth=3) == dfs_scan(12, prefix_depth=8) == whole[12]
     return "five property families"
 

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import multiprocessing
 import os
 import random
 import subprocess
@@ -22,10 +23,12 @@ from oracles import (
 from palfact import enumeration
 from palfact.enumeration import (
     _block_weights,
+    _layout,
     _plan,
     _RowBuilder,
     _scan_sharded,
     _scan_shards,
+    _shard_work,
     extension_m,
     palindrome_values,
     scan_lengths,
@@ -166,36 +169,40 @@ class TestSharding:
     @pytest.mark.parametrize("n_max", [2, 7, 12, 18])
     @pytest.mark.parametrize("row_chunk", [3, 64])
     def test_rows_independent_of_shard_depth(self, monkeypatch, n_max, row_chunk):
-        unsharded = _scan_sharded(n_max, 1)
+        unsharded = _scan_sharded(_layout(n_max, 1))
         assert sorted(unsharded) == list(range(1, n_max + 1))
         monkeypatch.setattr(enumeration, "_ROW_CHUNK", row_chunk)
         for depth in range(1, 7):
-            assert _scan_sharded(n_max, depth) == unsharded, depth
+            assert _scan_sharded(_layout(n_max, depth)) == unsharded, depth
 
     # Many layer chunks per shard: chunks holding several palindromic suffix
     # rows, chunks inside one suffix row (s >= log2 chunk), and covering
     # factors cut at chunk bounds, in the kept layers and the streamed top one.
-    # For depths 3..6 at chunk 2^3, and depth 4 at chunk 2^8: n = 2d - 1 and
-    # n = 2d + log2(chunk) - 1 build every top-layer chunk, and n = 2d +
-    # log2(chunk) is the first length that builds one block per reversal pair.
+    # For depths 3..6 at chunk 2^3: n = 2d - 1 has no top-layer blocks and
+    # builds every chunk, n = 2d + 2 builds the top layer one 4-entry block
+    # at a time and n = 2d + 3 one chunk-sized block at a time.  At chunk 2^8
+    # a block is built alone from 32 entries up: depth 4 builds whole chunks
+    # of several blocks at n = 12, one smaller block at a time at n = 13 and
+    # 15, and chunk-sized blocks at n = 16.
     @pytest.mark.parametrize(
         ("n_max", "layer_chunk"),
         sorted(
-            {(7, 1 << 3), (12, 1 << 3), (18, 1 << 8), (7, 1 << 8), (15, 1 << 8), (16, 1 << 8)}
+            {(7, 1 << 3), (12, 1 << 3), (18, 1 << 8)}
+            | {(n, 1 << 8) for n in (7, 12, 13, 15, 16)}
             | {(n, 1 << 3) for d in range(3, 7) for n in (2 * d - 1, 2 * d + 2, 2 * d + 3)}
         ),
     )
     def test_rows_independent_of_layer_chunk(self, monkeypatch, n_max, layer_chunk):
-        unsharded = _scan_sharded(n_max, 1)
+        unsharded = _scan_sharded(_layout(n_max, 1))
         monkeypatch.setattr(enumeration, "_LAYER_CHUNK", layer_chunk)
         for depth in range(1, 7):
-            assert _scan_sharded(n_max, depth) == unsharded, depth
+            assert _scan_sharded(_layout(n_max, depth)) == unsharded, depth
 
     @pytest.mark.parametrize("depth", [1, 3])
     def test_rows_independent_of_row_chunk(self, monkeypatch, depth):
-        whole = _scan_sharded(14, depth)
+        whole = _scan_sharded(_layout(14, depth))
         monkeypatch.setattr(enumeration, "_ROW_CHUNK", 64)
-        assert _scan_sharded(14, depth) == whole
+        assert _scan_sharded(_layout(14, depth)) == whole
 
     def test_shards_share_one_buffer_until_the_batch_ends(self, monkeypatch):
         buffers = []
@@ -205,7 +212,7 @@ class TestSharding:
             return extension_m(prefix, ext_len, out)
 
         monkeypatch.setattr(enumeration, "extension_m", recorded)
-        _scan_shards(range(0, 8, 2), 3, 8)
+        _scan_shards(_layout(11, 3), range(0, 8, 2))
         assert len(buffers) == 4
         assert buffers[0] is not None
         assert all(out is buffers[0] for out in buffers)
@@ -216,8 +223,8 @@ class TestSharding:
 
     def test_batch_equals_merged_single_prefix_batches(self):
         prefixes = range(0, 16, 2)
-        batch = _scan_shards(prefixes, 4, 10)
-        singles = [_scan_shards((prefix,), 4, 10) for prefix in prefixes]
+        batch = _scan_shards(_layout(14, 4), prefixes)
+        singles = [_scan_shards(_layout(14, 4), (prefix,)) for prefix in prefixes]
         assert sorted(batch) == list(range(5, 15))
         for n, builder in batch.items():
             merged = singles[0][n]
@@ -229,7 +236,7 @@ class TestSharding:
 
     @pytest.mark.parametrize("depth", range(1, 7))
     def test_sharded_rows_match_oracles(self, depth, oracles_14):
-        rows = _scan_sharded(14, depth)
+        rows = _scan_sharded(_layout(14, depth))
         for n in range(1, 15):
             row, (table, dfs) = rows[n], oracles_14[n]
             expected = {int(k): int(c) for k, c in enumerate(np.bincount(table)) if c}
@@ -275,19 +282,26 @@ class TestReversalBlocks:
         assert set(partners_of_skipped) == built
         assert set(partners_of_skipped.values()) <= {1}
 
-    # The interleaved batch w holds the prefixes w, w + W, ... of the list.
-    @pytest.mark.parametrize(
-        ("depth", "workers"), [(5, 2), (2, 2), (3, 2), (4, 2), (6, 2), (7, 2), (3, 4), (5, 4), (7, 4), (5, 8)]
-    )
-    def test_interleaved_batches_build_equal_block_counts(self, depth, workers):
-        prefixes = range(0, 1 << depth, 2)
-        built = [
-            sum(weight > 0 for prefix in prefixes[w::workers] for weight in _block_weights(prefix, depth))
-            for w in range(workers)
-        ]
-        assert len(set(built)) == 1, built
-        if (depth, workers) == (5, 2):
-            assert built == [136, 136]
+    # _shard_work predicts every shard's work from this count.
+    @pytest.mark.parametrize("depth", range(1, 13))
+    def test_every_shard_keeps_the_same_number_of_blocks(self, depth):
+        kept = {int(np.count_nonzero(_block_weights(prefix, depth))) for prefix in range(0, 1 << depth, 2)}
+        assert kept == {(1 << (depth - 1)) + 1}
+
+    # Small chunks, so that every depth's blocks are built and counted alone.
+    @pytest.mark.parametrize(("depth", "workers"), [(d, w) for d in range(1, 11) for w in range(1, 9)])
+    def test_batches_are_balanced_by_work(self, monkeypatch, depth, workers):
+        monkeypatch.setattr(enumeration, "_LAYER_CHUNK", 1 << 8)
+        monkeypatch.setattr(enumeration, "_ROW_CHUNK", 1 << 6)
+        plan = _layout(2 * depth + 8, depth, workers)
+        kept = {p: int(np.count_nonzero(_block_weights(p, depth))) for p in range(0, 1 << depth, 2)}
+        assert sorted(p for batch in plan.batches for p in batch) == list(kept)
+        assert len(plan.batches) == plan.workers == min(workers, len(kept))
+        assert max(map(len, plan.batches)) - min(map(len, plan.batches)) <= 1
+        loads = [sum(kept[p] for p in batch) for batch in plan.batches]
+        assert max(loads) <= sum(loads) / len(loads) + max(kept.values()), loads
+        head = plan.head.built if plan.head else 0
+        assert plan.built == len(kept) * _shard_work(depth, plan.top_chunk, plan.spans)[0] + head
 
     def test_top_layer_builds_only_counted_blocks(self, monkeypatch):
         # n = 2d + log2(chunk): one chunk per block, built only if it counts
@@ -300,7 +314,7 @@ class TestReversalBlocks:
 
         monkeypatch.setattr(enumeration, "_fill_chunk", recorded)
         prefixes = range(0, 1 << 4, 2)
-        _scan_shards(prefixes, 4, 7)
+        _scan_shards(_layout(11, 4), prefixes)
         assert built[7] == sum(weight > 0 for prefix in prefixes for weight in _block_weights(prefix, 4)) == 72
 
     @pytest.mark.parametrize("n", [1, 2, 7, 11, 20, 32])
@@ -327,11 +341,13 @@ class TestWorkers:
     def test_rows_equal_in_process_scan(self, monkeypatch, n_max):
         monkeypatch.setattr(enumeration, "_SHARD_BITS", n_max - 4)
         monkeypatch.setattr(enumeration, "_usable_cpus", lambda: 1)
-        assert _plan(n_max) == (4, 1)
+        plan = _plan(n_max)
+        assert (plan.depth, plan.workers) == (4, 1)
         in_process = scan_lengths(n_max)
         monkeypatch.setattr(enumeration, "_usable_cpus", lambda: 2)
-        assert _plan(n_max) == (5, 2)
-        assert scan_lengths(n_max) == in_process == _scan_sharded(n_max, 1)
+        plan = _plan(n_max)
+        assert (plan.depth, plan.workers) == (5, 2)
+        assert scan_lengths(n_max) == in_process == _scan_sharded(_layout(n_max, 1))
 
     def test_shards_reach_different_maxima(self, monkeypatch, two_cpus):
         # The a-initial maximizers of length 11, aababbaabab and ababbaababb,
@@ -341,13 +357,14 @@ class TestWorkers:
         # must keep the larger maximum.
         monkeypatch.setattr(enumeration, "_SHARD_BITS", 9)
         monkeypatch.setattr(enumeration, "_LAYER_CHUNK", 1 << 5)
-        assert _plan(11) == (3, 2)
-        shards = {text_of(prefix, 3): _scan_shards((prefix,), 3, 8)[11] for prefix in range(0, 8, 2)}
+        plan = _plan(11)
+        assert (plan.depth, plan.workers, plan.top_chunk) == (3, 2, 1 << 5)
+        shards = {text_of(prefix, 3): _scan_shards(_layout(11, 3), (prefix,))[11] for prefix in range(0, 8, 2)}
         assert {text: shard.k for text, shard in shards.items()} == {"aaa": 4, "aba": 4, "aab": 5, "abb": 4}
         expected = ["aababbaabab", "ababbaababb"]
         assert [text_of(b, 11) for b in shards["aab"].row().maximizers] == expected
         rows = scan_lengths(11)
-        assert rows == _scan_sharded(11, 1)
+        assert rows == _scan_sharded(_layout(11, 1))
         assert [text_of(b, 11) for b in rows[11].maximizers] == expected
 
     # _SHARD_BITS = n_max - 3: W workers shard at depth 3 + ceil(log2 W), so
@@ -357,17 +374,80 @@ class TestWorkers:
         n_max = 15
         monkeypatch.setattr(enumeration, "_SHARD_BITS", n_max - 3)
         monkeypatch.setattr(enumeration, "_usable_cpus", lambda: cpus)
-        assert _plan(n_max) == (depth, cpus)
-        assert scan_lengths(n_max) == _scan_sharded(n_max, 1)
+        plan = _plan(n_max)
+        assert (plan.depth, plan.workers) == (depth, cpus)
+        assert scan_lengths(n_max) == _scan_sharded(_layout(n_max, 1))
 
-    @pytest.mark.parametrize(("n_max", "plan"), [(26, (1, 1)), (27, (2, 2)), (30, (5, 2)), (32, (7, 2))])
+    # n <= 26 runs in-process at the depth whose top blocks hold 2^20 entries;
+    # longer scans split the layer budget and keep the top blocks at 2^17 or more.
+    @pytest.mark.parametrize(
+        ("n_max", "plan"),
+        [(26, (3, 1)), (27, (3, 2)), (30, (5, 2)), (32, (7, 2))]
+        + [(21, (1, 1)), (24, (2, 1)), (29, (4, 2)), (31, (6, 2))],
+    )
     def test_two_cpus_split_the_layer_budget(self, two_cpus, n_max, plan):
-        assert _plan(n_max) == plan
+        got = _plan(n_max)
+        assert (got.depth, got.workers) == plan
+        assert got.workers << got.ext_len <= 1 << 26
 
-    @pytest.mark.parametrize(("cpus", "plan"), [(1, (4, 1)), (3, (6, 3)), (4, (6, 4)), (64, (10, 64))])
+    # Top-layer blocks of 2^18 entries at depth 6 are built one at a time;
+    # those of 2^16 at depth 7 and smaller are built in 2^20-entry chunks.
+    # Each plan is (depth, W, top chunk).
+    @pytest.mark.parametrize(
+        ("cpus", "plan"),
+        [(1, (5, 1, 1 << 20)), (3, (6, 3, 1 << 18)), (4, (6, 4, 1 << 18))]
+        + [(64, (10, 64, 1 << 20)), (8, (7, 8, 1 << 20))],
+    )
     def test_plan_at_n30(self, monkeypatch, cpus, plan):
         monkeypatch.setattr(enumeration, "_usable_cpus", lambda: cpus)
-        assert _plan(30) == plan
+        got = _plan(30)
+        assert (got.depth, got.workers, got.top_chunk) == plan
+
+    # At n = 32 three or four workers shard at depth 8, whose 2^16-entry top
+    # blocks are too small to build alone: like a depth-1 scan, they build
+    # every entry, a third more than one process but 1/W of it per worker.
+    @pytest.mark.parametrize("n_max", range(24, 33))
+    def test_workers_do_no_more_work_than_one_process(self, monkeypatch, n_max):
+        monkeypatch.setattr(enumeration, "_usable_cpus", lambda: 1)
+        alone = _plan(n_max)
+        for cpus in (2, 3, 4):
+            monkeypatch.setattr(enumeration, "_usable_cpus", lambda: cpus)
+            plan = _plan(n_max)
+            bound = _layout(n_max, 1) if n_max == 32 and cpus > 2 else alone
+            assert plan.built <= 1.05 * bound.built, (cpus, plan.depth)
+            assert plan.counted <= 1.05 * bound.counted, (cpus, plan.depth)
+
+    # Small chunks, so that blocks are built and counted alone from small n
+    # on; _SHARD_BITS = n_max - 3, so that W workers run where there are W
+    # shards.  The workers are forked, so the counters are shared memory.
+    @pytest.mark.parametrize(("layer_chunk", "row_chunk"), [(1 << 3, 1 << 3), (1 << 5, 1 << 8), (1 << 8, 1 << 6)])
+    def test_counters_equal_the_plan(self, monkeypatch, layer_chunk, row_chunk):
+        built, counted = multiprocessing.Value("q", 0), multiprocessing.Value("q", 0)
+        fill_chunk, add_layer = enumeration._fill_chunk, _RowBuilder.add_layer
+
+        def counted_fill(out, *args):
+            with built.get_lock():
+                built.value += out.size
+            fill_chunk(out, *args)
+
+        def counted_add(self, layer, *args, **kwargs):
+            with counted.get_lock():
+                counted.value += layer.size
+            add_layer(self, layer, *args, **kwargs)
+
+        monkeypatch.setattr(enumeration, "_fill_chunk", counted_fill)
+        monkeypatch.setattr(_RowBuilder, "add_layer", counted_add)
+        monkeypatch.setattr(enumeration, "_LAYER_CHUNK", layer_chunk)
+        monkeypatch.setattr(enumeration, "_ROW_CHUNK", row_chunk)
+        for n_max in (5, 9, 12, 14):
+            monkeypatch.setattr(enumeration, "_SHARD_BITS", n_max - 3)
+            expected = _scan_sharded(_layout(n_max, 1))
+            for cpus in (1, 2, 3, 4):
+                monkeypatch.setattr(enumeration, "_usable_cpus", lambda: cpus)
+                plan = _plan(n_max)
+                built.value = counted.value = 0
+                assert _scan_sharded(plan) == expected, (n_max, cpus)
+                assert (built.value, counted.value) == (plan.built, plan.counted), (n_max, plan)
 
 
 def _check_golden(rows, lengths):
@@ -394,15 +474,18 @@ class TestGoldenRows:
 
 @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs VmHWM from procfs")
 def test_scan_never_holds_the_top_layer():
-    """A scan to 27 holds 2^26 bytes of layers in all: one process keeps
-    layers 1..25 of its one shard, and W workers keep 2^26 / W bytes each.
-    The top layer of a shard is built one chunk at a time.  Every process
-    that runs a batch reports how far its peak RSS grew (VmHWM, its own
-    peak: ru_maxrss would start from the peak of the test process that
-    spawned it), and the growth summed over them stays below 2^26 bytes
-    plus slack.  Forked workers inherit the wrapper that reports it."""
+    """A scan holds its plan's buffers and little else.  At n = 26 one
+    process keeps layers 1..22 of its depth-3 shards, 2^23 bytes; at n = 27
+    the layers held at once total at most 2^26 bytes whatever the CPU
+    count.  The top layer of a shard is built one chunk at a time.  Every
+    process that runs a batch reports how far its peak RSS grew (VmHWM, its
+    own peak: ru_maxrss would start from the peak of the test process that
+    spawned it).  The growth summed over them stays below the plan's buffer
+    bytes plus 6 MiB per process: each grew 2.3-4.7 MiB beyond its buffers
+    (numpy temporaries and the library pages it faults in), measured with
+    one to four workers.  Forked workers inherit the wrapper that reports it."""
     code = (
-        "import os, re\n"
+        "import os, re, sys\n"
         "from palfact import enumeration\n"
         "def peak():\n"
         "    with open('/proc/self/status') as f:\n"
@@ -415,17 +498,23 @@ def test_scan_never_holds_the_top_layer():
         "    os.write(1, f'{os.getpid()} {peak() - before[os.getpid()]}\\n'.encode())\n"
         "    return builders\n"
         "enumeration._scan_shards = measured\n"
-        "enumeration.scan_lengths(27)\n"
+        "n = int(sys.argv[1])\n"
+        "plan = enumeration._plan(n)\n"
+        "print(plan.workers << plan.ext_len, plan.buffer_bytes, flush=True)\n"
+        "enumeration.scan_lengths(n)\n"
     )
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
-    assert proc.returncode == 0, proc.stderr
-    growth = {}
-    for line in proc.stdout.splitlines():
-        pid, grown = map(int, line.split())
-        growth[pid] = max(growth.get(pid, 0), grown)
-    assert growth
-    assert sum(growth.values()) < 1.25 * 2**26
+    for n, layer_bytes in ((26, 1 << 23), (27, 1 << 26)):
+        argv = [sys.executable, "-c", code, str(n)]
+        proc = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        (layers, buffer_bytes), *lines = [list(map(int, line.split())) for line in proc.stdout.splitlines()]
+        assert layers <= layer_bytes, n
+        growth = {}
+        for pid, grown in lines:
+            growth[pid] = max(growth.get(pid, 0), grown)
+        assert growth
+        assert sum(growth.values()) < buffer_bytes + len(growth) * (6 << 20), n
 
 
 class TestDfsBackend:
