@@ -9,6 +9,11 @@ the layer for length j is obtained from the shorter layers by minimising
 over palindromic suffixes.  A suffix of length L occupies the top L bits,
 so after reshaping the layer to (2^L, columns) each palindromic suffix
 value selects one row and the update is a vectorised elementwise minimum.
+The palindromes of length L are one cached table: each half-word of
+ceil(L/2) letters followed by its low floor(L/2) letters reversed.  The
+last factors that cover all e letters of an extension and the prefix's
+last q letters come from the same table: the palindromes of e - q letters
+followed by those q letters reversed, or, where q > e, at most one extension.
 Layers are built in cache-sized chunks of consecutive entries, each taken
 through every palindromic suffix before the next one starts.
 
@@ -67,7 +72,7 @@ import numpy as np
 
 from .factorization import _prefix_measures
 from .rows import PACKED_LIMIT, LengthRow, WorkerDied
-from .words import Word, reversal_image
+from .words import Word, is_palindrome, reversal_image
 
 __all__ = [
     "palindrome_values",
@@ -91,67 +96,55 @@ _LAYER_CHUNK = 1 << 20
 _ROW_CHUNK = 1 << 18
 
 
-def _crossing_matches(prefix_sym: list[int], start: int, ext_len: int) -> np.ndarray | None:
-    """Extensions v (of ext_len symbols) for which the factor running from
-    ``start`` through the end of prefix+v is a palindrome.
-
-    The factor covers the known prefix tail plus every extension symbol, so
-    the palindrome conditions either constrain the prefix alone (possibly
-    unsatisfiable), force individual extension bits, or tie extension bits
-    in mirror pairs.  Returns None when the prefix part already fails.
-    """
-    p = len(prefix_sym)
-    length = p - start + ext_len
-    forced: dict[int, int] = {}
-    pairs: list[tuple[int, int]] = []
-    free: list[int] = []
-    for t in range((length + 1) // 2):
-        tm = length - 1 - t
-        pos, pos_m = start + t, start + tm
-        if t == tm:
-            if pos >= p:
-                free.append(pos - p)
-            continue
-        if pos_m < p:
-            if prefix_sym[pos] != prefix_sym[pos_m]:
-                return None
-        elif pos < p:
-            forced[pos_m - p] = prefix_sym[pos]
-        else:
-            pairs.append((pos - p, pos_m - p))
-    base = 0
-    for idx, bit in forced.items():
-        base |= bit << idx
-    vals = np.array([base], dtype=np.int64)
-    for idx in free:
-        vals = np.concatenate([vals, vals | (1 << idx)])
-    for lo, hi in pairs:
-        vals = np.concatenate([vals, vals | ((1 << lo) | (1 << hi))])
-    vals.sort()
-    return vals
+@cache
+def _reversed_words(depth: int) -> np.ndarray:
+    """The reversal of every ``depth``-letter word, indexed by the word."""
+    words = np.arange(1 << depth, dtype=np.int64)
+    image = np.zeros_like(words)
+    for t in range(depth):
+        image |= (words >> t & 1) << (depth - 1 - t)
+    return image
 
 
+@cache
 def palindrome_values(length: int) -> np.ndarray:
     """Sorted array of all palindromic words of the given length (the empty
-    word, 0, at length 0)."""
-    return _crossing_matches([], 0, length)
+    word, 0, at length 0), built once per length and read-only.
+
+    Each is a half-word h of ceil(length / 2) letters followed by the
+    reversal of its low floor(length / 2) letters."""
+    half, low = (length + 1) // 2, length // 2
+    halves = np.arange(1 << half, dtype=np.int64)
+    values = np.sort(halves | _reversed_words(low)[halves & ((1 << low) - 1)] << half)
+    values.flags.writeable = False
+    return values
 
 
-def _covering_factors(prefix: Word, e: int) -> list[tuple[np.ndarray, int]]:
+def _covering_factors(prefix: Word, e: int, measures: list[int]) -> list[tuple[np.ndarray, int]]:
     """Palindromic last factors that contain all e extension symbols.
 
-    One entry per start of such a factor in the prefix, the prefix's end
-    included (there the factor is the whole extension): the sorted
-    extensions that make it a palindrome, and m of the prefix before it.
+    One entry per start s of such a factor in the prefix, in ascending
+    order and the prefix's end included (there the factor is the whole
+    extension): the sorted extensions that make it a palindrome, and m of
+    the prefix before it, ``measures[s]`` (``_prefix_measures(prefix)``).
+    Where the factor takes q = |prefix| - s <= e letters from the prefix,
+    the extensions are the palindromes of e - q letters followed by those
+    q letters reversed.  Where q > e, the one extension is the reversal of
+    prefix[s : s + e], provided prefix[s + e :] is a palindrome.
     """
     p = prefix.length
-    prefix_sym = [(prefix.bits >> t) & 1 for t in range(p)]
-    base = _prefix_measures(prefix)
     factors = []
-    for start in range(p + 1):
-        matches = _crossing_matches(prefix_sym, start, e)
-        if matches is not None:
-            factors.append((matches, base[start]))
+    for s in range(p + 1):
+        q = p - s
+        if q <= e:
+            values = palindrome_values(e - q)
+            if q:
+                values = values | prefix.factor(s, p).reversed().bits << (e - q)
+        elif is_palindrome(prefix.factor(s + e, p)):
+            values = np.array([prefix.factor(s, s + e).reversed().bits], dtype=np.int64)
+        else:
+            continue
+        factors.append((values, measures[s]))
     return factors
 
 
@@ -160,13 +153,14 @@ def _fill_chunk(
     lo: int,
     e: int,
     covering: list[tuple[np.ndarray, int]],
-    pal: list[np.ndarray],
     ext: list[np.ndarray],
 ) -> None:
     """Write m of the extensions lo .. lo + out.size - 1 of length e into ``out``.
 
-    ``covering`` is ``_covering_factors`` for e, ``ext[s]`` the layer of
-    length s for every s < e, and ``out.size`` a power of two dividing lo.
+    ``covering`` holds the last factors that cover all e extension symbols
+    (``_covering_factors``: palindrome table entries followed by a reversed
+    prefix tail), ``ext[s]`` the layer of length s for every s < e, and
+    ``out.size`` a power of two dividing lo.
     Every candidate is a shorter measure plus one last factor, so the
     minimum is taken over the shorter measures and the one is added once.
     """
@@ -183,7 +177,8 @@ def _fill_chunk(
     for s in range(1, e):
         cols = 1 << s
         first = lo >> s
-        i, j = pal[e - s].searchsorted((first, ((hi - 1) >> s) + 1))
+        pal = palindrome_values(e - s)
+        i, j = pal.searchsorted((first, ((hi - 1) >> s) + 1))
         if i == j:
             continue
         if cols >= size:
@@ -191,7 +186,7 @@ def _fill_chunk(
             off = lo - (first << s)
             np.minimum(out, ext[s][off : off + size], out=out)
         else:
-            sel = pal[e - s][i:j] - first
+            sel = pal[i:j] - first
             view = out.reshape(size >> s, cols)
             view[sel] = np.minimum(view[sel], ext[s])
     out += 1
@@ -207,13 +202,13 @@ def extension_m(prefix: Word, ext_len: int, out: np.ndarray | None = None) -> li
     """
     if out is None:
         out = np.empty(2 << ext_len, dtype=np.uint8)
-    pal = [palindrome_values(L) for L in range(ext_len + 1)]
+    measures = _prefix_measures(prefix)
     ext: list[np.ndarray] = [None] * (ext_len + 1)  # type: ignore[list-item]
     for e in range(1, ext_len + 1):
-        covering = _covering_factors(prefix, e)
+        covering = _covering_factors(prefix, e, measures)
         cur = out[1 << e : 2 << e]
         for lo in range(0, cur.size, _LAYER_CHUNK):
-            _fill_chunk(cur[lo : lo + _LAYER_CHUNK], lo, e, covering, pal, ext)
+            _fill_chunk(cur[lo : lo + _LAYER_CHUNK], lo, e, covering, ext)
         ext[e] = cur
     return ext
 
@@ -226,16 +221,12 @@ class _RowBuilder:
         self.counts = [0] * 256
         self.k = 0
         self.max_bits: list[np.ndarray] = []
-        # Whether some block counted for its skipped partner, whose
-        # maximizers are then the reversal images of the block's.
-        self.skipped = False
 
     def add_layer(
         self, layer: np.ndarray, prefix_bits: int, depth: int, hit: np.ndarray, first: int = 0, weight: int = 1
     ) -> None:
         """Fold in the layer of one shard, or its entries from ``first`` on,
         each counted ``weight`` times; ``hit`` is a bool scratch buffer."""
-        self.skipped |= weight > 1
         for start in range(0, layer.size, _ROW_CHUNK):
             chunk = layer[start : start + _ROW_CHUNK]
             mask = hit[: chunk.size]
@@ -256,7 +247,6 @@ class _RowBuilder:
     def merge(self, other: _RowBuilder) -> None:
         """Fold in the statistics of other shards of the same length."""
         self.counts = [a + b for a, b in zip(self.counts, other.counts)]
-        self.skipped |= other.skipped
         if other.k > self.k:
             self.k, self.max_bits = other.k, []
         if other.k == self.k:
@@ -264,23 +254,14 @@ class _RowBuilder:
 
     def row(self) -> LengthRow:
         found = set(np.concatenate(self.max_bits).tolist())
-        if self.skipped:
-            found.update([reversal_image(Word(bits, self.n)).bits for bits in found])
+        # A length's a-initial maximizers are closed under reversal_image, so
+        # this adds the skipped blocks' maximizers and nothing else.
+        found.update([reversal_image(Word(bits, self.n)).bits for bits in found])
         return LengthRow(
             n=self.n,
             counts={k: 2 * c for k, c in enumerate(self.counts) if c},
             maximizers=tuple(sorted(found)),
         )
-
-
-@cache
-def _reversed_words(depth: int) -> np.ndarray:
-    """The reversal of every ``depth``-letter word, indexed by the word."""
-    words = np.arange(1 << depth, dtype=np.int64)
-    image = np.zeros_like(words)
-    for t in range(depth):
-        image |= (words >> t & 1) << (depth - 1 - t)
-    return image
 
 
 def _block_weights(prefix_bits: int, depth: int) -> np.ndarray:
@@ -416,14 +397,13 @@ def _scan_shards(plan: ScanPlan, prefixes: Iterable[int]) -> dict[int, _RowBuild
     # The top layer is only ever one chunk: built, counted, overwritten.
     top = buf[end:]
     hit = np.empty(_ROW_CHUNK, dtype=bool)
-    pal = [palindrome_values(L) for L in range(ext_len + 1)]
     for prefix_bits in prefixes:
         prefix = Word(prefix_bits, depth)
         ext = extension_m(prefix, ext_len - 1, buf)
-        covering = _covering_factors(prefix, ext_len)
+        covering = _covering_factors(prefix, ext_len, _prefix_measures(prefix))
         weights = _block_weights(prefix_bits, depth)
         for lo, weight in _counted_spans(end, top_chunk, depth, weights):
-            _fill_chunk(top, lo, ext_len, covering, pal, ext)
+            _fill_chunk(top, lo, ext_len, covering, ext)
             builders[depth + ext_len].add_layer(top, prefix_bits, depth, hit, first=lo, weight=weight)
         # The kept layers are all built; only their counting skips blocks.
         for e in range(1, ext_len):

@@ -325,15 +325,17 @@ def ksum_property(trials: int, seed: int) -> LemmaReport:
     if trials < 1:
         raise ValueError(f"trials must be positive, got {trials}")
     rng = random.Random(seed)
+    # randrange(b + 1) draws what randint(0, b) draws, without its extra call.
+    draw = rng.randrange
     bad = []
     for _ in range(trials):
-        p = rng.randint(1, 8)
-        l = p + rng.randint(0, 8)
-        a = [rng.randint(0, 20) for _ in range(p + 1)]
-        x = [rng.randint(0, a[k]) for k in range(p)]
+        p = 1 + draw(8)
+        l = p + draw(9)
+        a = [draw(21) for _ in range(p + 1)]
+        x = [draw(a[k] + 1) for k in range(p)]
         deficit = sum(a) - sum(x)
         slots = l + 1 - p
-        cuts = sorted(rng.randint(0, deficit) for _ in range(slots - 1))
+        cuts = sorted(draw(deficit + 1) for _ in range(slots - 1))
         edges = [0, *cuts, deficit]
         x += [edges[i + 1] - edges[i] for i in range(slots)]
         assert len(x) == l + 1 and sum(x) == sum(a) and all(x[k] <= a[k] for k in range(p))

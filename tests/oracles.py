@@ -246,13 +246,26 @@ def brute_force_m(text: str) -> int:
     return best
 
 
+def _reads_both_ways(words: np.ndarray, length: int) -> np.ndarray:
+    """Which of the packed words of the given length are palindromes,
+    comparing each letter with its mirror."""
+    mask = np.ones(words.shape, dtype=bool)
+    for t in range(length // 2):
+        mask &= ((words >> t) & 1) == ((words >> (length - 1 - t)) & 1)
+    return mask
+
+
 def _palindrome_mask(length: int) -> np.ndarray:
     """mask[v] = word v of the given length reads the same both ways."""
-    mask = np.ones(1 << length, dtype=bool)
-    v = np.arange(1 << length, dtype=np.int64)
-    for t in range(length // 2):
-        mask &= ((v >> t) & 1) == ((v >> (length - 1 - t)) & 1)
-    return mask
+    return _reads_both_ways(np.arange(1 << length, dtype=np.int64), length)
+
+
+def palindromic_completions(text: str, e: int) -> list[int]:
+    """Every v < 2^e, ascending, for which ``text`` followed by the word v of
+    e letters is a palindrome, found by trying each v."""
+    tail = sum(1 << t for t, ch in enumerate(text) if ch == "b")
+    words = tail | np.arange(1 << e, dtype=np.int64) << len(text)
+    return np.flatnonzero(_reads_both_ways(words, len(text) + e)).tolist()
 
 
 def brute_force_m_table(length: int) -> np.ndarray:

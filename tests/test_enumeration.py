@@ -16,13 +16,16 @@ import pytest
 from oracles import (
     brute_force_m_table,
     complement_bits_per_letter,
+    brute_force_m,
     dfs_scan,
+    palindromic_completions,
     reverse_bits_per_letter,
     text_of,
 )
 from palfact import enumeration
 from palfact.enumeration import (
     _block_weights,
+    _covering_factors,
     _layout,
     _plan,
     _RowBuilder,
@@ -33,7 +36,7 @@ from palfact.enumeration import (
     palindrome_values,
     scan_lengths,
 )
-from palfact.factorization import measure
+from palfact.factorization import _prefix_measures, measure
 from palfact.rows import PACKED_LIMIT, _rows_upto
 from palfact.words import Word, parse_word
 
@@ -41,17 +44,45 @@ ROOT = Path(__file__).resolve().parent.parent
 
 
 class TestPalindromeValues:
-    @pytest.mark.parametrize("length", range(1, 13))
+    @pytest.mark.parametrize("length", range(13))
     def test_complete_and_sorted(self, length):
         vals = palindrome_values(length)
         expected = sorted(
             bits for bits in range(1 << length) if text_of(bits, length) == text_of(bits, length)[::-1]
         )
+        assert vals.dtype == np.int64
         assert vals.tolist() == expected
+
+    def test_table_is_read_only(self):
+        vals = palindrome_values(9)
+        with pytest.raises(ValueError):
+            vals[0] = 1
+        assert palindrome_values(9)[0] == 0
 
     def test_count_formula(self):
         for length in range(1, 16):
             assert palindrome_values(length).size == 1 << ((length + 1) // 2)
+
+
+class TestCoveringFactors:
+    """The palindromic last factors that cover a whole extension, for every
+    prefix of at most 7 letters, against the extensions found by trying each."""
+
+    @pytest.mark.parametrize("p", range(8))
+    def test_every_start_matches_brute_force(self, p):
+        for bits in range(1 << p):
+            prefix = Word(bits, p)
+            text = prefix.text
+            before = [0] + [brute_force_m(text[:s]) for s in range(1, p + 1)]
+            for e in range(10):
+                factors = _covering_factors(prefix, e, _prefix_measures(prefix))
+                expected = [
+                    (completions, before[s])
+                    for s in range(p + 1)
+                    if (completions := palindromic_completions(text[s:], e))
+                ]
+                assert all(values.dtype == np.int64 for values, _ in factors)
+                assert [(values.tolist(), m) for values, m in factors] == expected, (text, e)
 
 
 class TestExtensionM:
@@ -322,7 +353,7 @@ class TestReversalBlocks:
         rng = random.Random(n)
         found = [rng.randrange(0, 1 << n, 2) for _ in range(12)]
         builder = _RowBuilder(n)
-        builder.counts[3], builder.k, builder.skipped = 1, 3, True
+        builder.counts[3], builder.k = 1, 3
         builder.max_bits = [np.array(found[:5]), np.array(found[5:])]
         closed = set(found) | {_reversal_partner(bits, n) for bits in found}
         assert builder.row().maximizers == tuple(sorted(closed))

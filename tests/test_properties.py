@@ -3,11 +3,14 @@
 from __future__ import annotations
 
 import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from oracles import brute_force_m_table, reachable_k_bitsets
+from oracles import brute_force_m_table, palindromic_completions, reachable_k_bitsets
+from palfact.enumeration import _covering_factors
 from palfact.rows import length_row, length_rows
-from palfact.factorization import min_factorization, reachable_k
-from palfact.words import Word
+from palfact.factorization import _prefix_measures, measure, min_factorization, reachable_k
+from palfact.words import Word, parse_word
 
 
 def _reversal_permutation(n: int) -> np.ndarray:
@@ -101,3 +104,18 @@ class TestEnumerationConsistency:
             table = m_tables_14[n]
             assert row.k == int(table.max())
             assert row.maximizer_count == int((table == table.max()).sum())
+
+
+class TestCoveringFactors:
+    @settings(max_examples=100, derandomize=True, deadline=None)
+    @given(st.text(alphabet="ab", max_size=12), st.integers(0, 14))
+    def test_match_brute_force(self, text, e):
+        prefix = parse_word(text) if text else Word.empty()
+        expected = [
+            (completions, measure(text[:s]) if s else 0)
+            for s in range(len(text) + 1)
+            if (completions := palindromic_completions(text[s:], e))
+        ]
+        factors = _covering_factors(prefix, e, _prefix_measures(prefix))
+        assert all(values.dtype == np.int64 for values, _ in factors)
+        assert [(values.tolist(), m) for values, m in factors] == expected
