@@ -19,9 +19,14 @@ through every palindromic suffix before the next one starts.
 
 A scan up to n_max is sharded by prefix: every a-initial prefix of d
 letters is extended by n_max - d symbols, and lengths 2..d come from the
-prefix a extended by d - 1.  Only the lengths below a shard's top one are
-kept, 2^(n_max-d) bytes: the top layer feeds nothing but its own row, so
-each of its chunks is counted as soon as it is built and then overwritten.
+prefix a extended by d - 1.  Layers of at most one chunk (2^20 entries)
+are built whole.  Each longer one holds one chunk at a time: the layers
+past that length are built depth first, chunk lo of layer e and then the
+two chunks of layer e + 1 that extend it, lo and lo + 2^e, each counted
+into its row as soon as it is built.  A chunk reads only its ancestors on
+that path, so a shard holds 2^21 bytes plus 1 MiB for each longer layer
+(``_kept_layers``), not 2^(n_max-d), and every chunk is still built once.
+The top layer feeds nothing but its own row: it is the last level.
 Each layer is turned into row data in cache-sized spans (compare-and-count
 per value, maximizer indices only where a span reaches the running
 maximum), and row data merge associatively: counts add, and the larger
@@ -40,18 +45,19 @@ the same work.  The top layer is built one block at a time where a block
 holds 2^17 to 2^20 entries, and in 2^20-entry chunks where blocks are
 larger; either way a skipped block is never built.  A kept layer is built
 in full, and counted one block at a time where a block holds 2^14 entries
-or more.  Smaller blocks are built and counted whole, and depth-1 scans
-have no two partner blocks.  ``_RowBuilder.row`` adds the skipped blocks'
+or more (a chunk of a longer layer inherits its blocks' weights).  Smaller
+blocks are built and counted whole, and depth-1 scans have no two partner
+blocks.  ``_RowBuilder.row`` adds the skipped blocks'
 maximizers: the reversal images of those found.
 
 ``_plan`` fixes all of this before a scan starts, as a ``ScanPlan``: the
 depth, the worker count W, the chunks and spans, the batches of prefixes,
 the bytes they allocate and the entries the scan will build and count.
-Scans up to n = 26 run in one process (at depth 3 for n = 26: 8 MiB of
+Scans up to n = 26 run in one process (at depth 3 for n = 26: 4 MiB of
 kept layers, and 0.81 of the entries built and 0.63 counted at depth 1);
-longer ones on forked workers that split a 2^26-byte layer budget.  Each
-worker runs one batch, which builds its shards' layers in one buffer and
-folds them into one set of row data, and the W results merge.
+longer ones on forked workers, each holding under 10 MiB of buffers up to
+n = 32.  Each worker runs one batch, which builds its shards' layers in one
+buffer and folds them into one set of row data, and the W results merge.
 
 A length's row (``rows.LengthRow``) is its histogram of m and its
 a-initial maximizers; K(n), the maximizer count, S(n), the exact average
@@ -72,7 +78,7 @@ import numpy as np
 
 from .factorization import _prefix_measures
 from .rows import PACKED_LIMIT, LengthRow, WorkerDied
-from .words import Word, is_palindrome, reversal_image
+from .words import Word, is_palindrome
 
 __all__ = [
     "palindrome_values",
@@ -80,15 +86,17 @@ __all__ = [
     "scan_lengths",
 ]
 
-# The layers held at once (every length but the top one of each shard in
-# flight) total at most 2^_SHARD_BITS bytes: one process extends each prefix
-# by at most this many symbols, and W workers by ceil(log2 W) fewer.  A scan
-# of at most 2^_SHARD_BITS words runs in-process.
+# One process extends each prefix by at most this many symbols, and W
+# workers by ceil(log2 W) fewer; a scan of at most 2^_SHARD_BITS words runs
+# in-process.  The rule no longer bounds memory (a shard holds its longer
+# layers one chunk at a time, under 10 MiB a worker up to n = 32): it only
+# sets the depth and W, so the work each worker does.  Re-deriving it means
+# timing plans of three or more workers, on a host with that many CPUs.
 _SHARD_BITS = 26
 
 # Layers are built this many entries at a time: a chunk (1 MiB) stays in L2
-# across the passes over its palindromic suffixes.  The top layer of a shard
-# is never held whole: each chunk is counted into its row as soon as built.
+# across the passes over its palindromic suffixes.  A shard holds a layer
+# longer than this one chunk at a time, counted into its row as soon as built.
 _LAYER_CHUNK = 1 << 20
 
 # Row extraction works on slices of this many layer entries: a slice and its
@@ -96,14 +104,18 @@ _LAYER_CHUNK = 1 << 20
 _ROW_CHUNK = 1 << 18
 
 
+def _reversed(words: np.ndarray, length: int) -> np.ndarray:
+    """The reversal of each ``length``-letter word in an int64 array."""
+    image = np.zeros_like(words)
+    for t in range(length):
+        image |= (words >> t & 1) << (length - 1 - t)
+    return image
+
+
 @cache
 def _reversed_words(depth: int) -> np.ndarray:
     """The reversal of every ``depth``-letter word, indexed by the word."""
-    words = np.arange(1 << depth, dtype=np.int64)
-    image = np.zeros_like(words)
-    for t in range(depth):
-        image |= (words >> t & 1) << (depth - 1 - t)
-    return image
+    return _reversed(np.arange(1 << depth, dtype=np.int64), depth)
 
 
 @cache
@@ -159,8 +171,10 @@ def _fill_chunk(
 
     ``covering`` holds the last factors that cover all e extension symbols
     (``_covering_factors``: palindrome table entries followed by a reversed
-    prefix tail), ``ext[s]`` the layer of length s for every s < e, and
-    ``out.size`` a power of two dividing lo.
+    prefix tail), ``out.size`` is a power of two dividing lo, and ``ext[s]``
+    for every s < e is the layer of length s, or where that layer is longer
+    than ``out``, one power-of-two chunk of it at least ``out.size`` long
+    that holds entries lo mod 2^s onward.
     Every candidate is a shorter measure plus one last factor, so the
     minimum is taken over the shorter measures and the one is added once.
     """
@@ -182,8 +196,10 @@ def _fill_chunk(
         if i == j:
             continue
         if cols >= size:
-            # the chunk lies inside one row, whose suffix is a palindrome
-            off = lo - (first << s)
+            # The chunk lies inside one row, whose suffix is a palindrome.
+            # ext[s] is the whole layer or the one chunk of it that holds
+            # entries lo mod 2^s onward.
+            off = lo & (ext[s].size - 1)
             np.minimum(out, ext[s][off : off + size], out=out)
         else:
             sel = pal[i:j] - first
@@ -253,14 +269,15 @@ class _RowBuilder:
             self.max_bits += other.max_bits
 
     def row(self) -> LengthRow:
-        found = set(np.concatenate(self.max_bits).tolist())
+        found = np.concatenate(self.max_bits)
         # A length's a-initial maximizers are closed under reversal_image, so
         # this adds the skipped blocks' maximizers and nothing else.
-        found.update([reversal_image(Word(bits, self.n)).bits for bits in found])
+        image = _reversed(found, self.n)
+        image ^= (image & 1) * ((1 << self.n) - 1)
         return LengthRow(
             n=self.n,
             counts={k: 2 * c for k, c in enumerate(self.counts) if c},
-            maximizers=tuple(sorted(found)),
+            maximizers=tuple(sorted(set(found.tolist()) | set(image.tolist()))),
         )
 
 
@@ -279,12 +296,16 @@ def _block_weights(prefix_bits: int, depth: int) -> np.ndarray:
     return np.where(image == ends, 1, 2 * (ends < image))
 
 
-def _counted_spans(size: int, span: int, depth: int, weights: np.ndarray) -> Iterator[tuple[int, int]]:
-    """Start and weight of each ``span``-entry span of a shard's layer of
-    ``size`` entries that is counted.  Where the layer's 2^depth blocks hold
-    whole spans, a span has its block's weight; otherwise each counts once."""
+def _counted_spans(
+    lo: int, hi: int, size: int, span: int, depth: int, weights: np.ndarray
+) -> Iterator[tuple[int, int]]:
+    """Start and weight of each counted piece of entries lo .. hi - 1 of a
+    shard's layer of ``size`` entries, cut into ``span``-entry spans (one
+    piece where a span holds all of them).  Where the layer's 2^depth blocks
+    hold whole spans, a piece has its block's weight; otherwise each counts
+    once."""
     block = size >> depth
-    for start in range(0, size, span):
+    for start in range(lo, hi, min(span, hi - lo)):
         weight = int(weights[start // block]) if block >= span else 1
         if weight:
             yield start, weight
@@ -301,10 +322,11 @@ class ScanPlan:
     e is counted ``spans[e]`` entries at a time; both are one block where
     that skips the block's reversal partner.  ``head`` is the plan of
     lengths 2..depth (the prefix a extended by depth - 1), None at depth 1.
-    ``buffer_bytes`` sums over the workers what a batch holds: its layers,
-    the top chunk, and the scratch of one build chunk (the rows it gathers)
-    and one row chunk (a bool mask).  ``built`` and ``counted`` are the
-    layer entries the whole scan will build and count, ``head`` included.
+    ``buffer_bytes`` sums over the workers what a batch holds: its kept
+    layers (``_kept_layers``), the top chunk, and the scratch of one build
+    chunk (the rows it gathers) and one row chunk (a bool mask).  ``built``
+    and ``counted`` are the layer entries the whole scan will build and
+    count, ``head`` included.
     """
 
     n_max: int
@@ -342,6 +364,17 @@ def _shard_work(depth: int, top_chunk: int, spans: tuple[int, ...]) -> tuple[int
     return end - 2 + top, kept + top
 
 
+def _kept_layers(ext_len: int) -> tuple[int, int]:
+    """The longest kept layer of a shard that is built whole, and the bytes
+    of kept layers the shard holds.
+
+    Layers up to one build chunk long are built whole, 2^(whole + 1) bytes
+    in all.  Each longer kept layer (e < ext_len) is held one build chunk
+    at a time, in a window of its own."""
+    whole = min(ext_len - 1, _LAYER_CHUNK.bit_length() - 1)
+    return whole, (2 << whole) + (ext_len - 1 - whole) * _LAYER_CHUNK
+
+
 def _layout(n_max: int, depth: int, workers: int = 1) -> ScanPlan:
     """The plan of a scan up to ``n_max`` at the given shard depth and
     worker count (at most one worker per shard).
@@ -375,7 +408,9 @@ def _layout(n_max: int, depth: int, workers: int = 1) -> ScanPlan:
         # Every shard does the same work, so interleaving balances the batches.
         batches=tuple(tuple(prefixes[w::workers]) for w in range(workers)) if prefixes else (),
         head=head,
-        buffer_bytes=workers * (end + top_chunk + min(_LAYER_CHUNK, end) + _ROW_CHUNK) if prefixes else 0,
+        buffer_bytes=workers * (_kept_layers(ext_len)[1] + top_chunk + min(_LAYER_CHUNK, end) + _ROW_CHUNK)
+        if prefixes
+        else 0,
         built=len(prefixes) * built + (head.built if head else 0),
         counted=len(prefixes) * counted + (head.counted if head else 0),
     )
@@ -385,6 +420,11 @@ def _scan_shards(plan: ScanPlan, prefixes: Iterable[int]) -> dict[int, _RowBuild
     """Row statistics of the lengths above ``plan.depth`` over the words
     that start with any of the ``prefixes``, as ``plan`` lays them out.
 
+    The layers longer than one build chunk are built depth first: chunk lo
+    of layer e is built and counted, and then the two chunks of layer e + 1
+    that extend its words, lo and lo + 2^e.  A chunk reads only its
+    ancestors on that path (layer s at entry lo mod 2^s), so each longer
+    layer holds one chunk at a time, and every chunk is built once.
     All shards build their layers in one buffer, so the process writes its
     layer memory once and then holds the same pages throughout the scan.
     Layers allocated and freed per shard went back to the heap instead, and
@@ -393,23 +433,43 @@ def _scan_shards(plan: ScanPlan, prefixes: Iterable[int]) -> dict[int, _RowBuild
     depth, ext_len, top_chunk = plan.depth, plan.ext_len, plan.top_chunk
     builders = {depth + e: _RowBuilder(depth + e) for e in range(1, ext_len + 1)}
     end = 1 << ext_len
-    buf = np.empty(end + top_chunk, dtype=np.uint8)
-    # The top layer is only ever one chunk: built, counted, overwritten.
-    top = buf[end:]
+    chunk = min(_LAYER_CHUNK, end)
+    whole, kept = _kept_layers(ext_len)
+    buf = np.empty(kept + top_chunk, dtype=np.uint8)
+    # Layers whole + 1 .. ext_len - 1 have one chunk each; the top layer is
+    # only ever one top chunk: built, counted, overwritten.
+    windows = [buf[lo : lo + chunk] for lo in range(2 << whole, kept, chunk)]
+    top = buf[kept:]
     hit = np.empty(_ROW_CHUNK, dtype=bool)
     for prefix_bits in prefixes:
         prefix = Word(prefix_bits, depth)
-        ext = extension_m(prefix, ext_len - 1, buf)
-        covering = _covering_factors(prefix, ext_len, _prefix_measures(prefix))
+        measures = _prefix_measures(prefix)
+        ext = extension_m(prefix, whole, buf) + windows
+        covering = {e: _covering_factors(prefix, e, measures) for e in range(whole + 1, ext_len + 1)}
         weights = _block_weights(prefix_bits, depth)
-        for lo, weight in _counted_spans(end, top_chunk, depth, weights):
-            _fill_chunk(top, lo, ext_len, covering, ext)
-            builders[depth + ext_len].add_layer(top, prefix_bits, depth, hit, first=lo, weight=weight)
-        # The kept layers are all built; only their counting skips blocks.
-        for e in range(1, ext_len):
-            span = plan.spans[e]
-            for lo, weight in _counted_spans(1 << e, span, depth, weights):
-                builders[depth + e].add_layer(ext[e][lo : lo + span], prefix_bits, depth, hit, first=lo, weight=weight)
+
+        def count(e: int, lo: int) -> None:
+            """Fold in ext[e], entries lo onward of layer e."""
+            layer, span = ext[e], plan.spans[e]
+            for start, weight in _counted_spans(lo, lo + layer.size, 1 << e, span, depth, weights):
+                piece = layer[start - lo : start - lo + span]
+                builders[depth + e].add_layer(piece, prefix_bits, depth, hit, first=start, weight=weight)
+
+        for e in range(1, whole + 1):
+            count(e, 0)
+        # A stack, so that everything below a chunk is done before the next
+        # chunk of its layer overwrites the window it reads.
+        stack = [(whole + 1, lo) for lo in range(0, 2 << whole, chunk)]
+        while stack:
+            e, lo = stack.pop()
+            if e < ext_len:
+                _fill_chunk(ext[e], lo, e, covering[e], ext)
+                count(e, lo)
+                stack += (e + 1, lo + (1 << e)), (e + 1, lo)
+                continue
+            for start, weight in _counted_spans(lo, lo + chunk, end, top_chunk, depth, weights):
+                _fill_chunk(top, start, e, covering[e], ext)
+                builders[depth + e].add_layer(top, prefix_bits, depth, hit, first=start, weight=weight)
     return builders
 
 
@@ -460,11 +520,10 @@ def _plan(n_max: int) -> ScanPlan:
 
     A scan of at most 2^_SHARD_BITS words runs in-process: at n = 26 two
     workers saved no wall time and cost more CPU.  A longer one runs on W =
-    usable CPUs workers, each holding at most 2^(_SHARD_BITS -
-    ceil(log2 W)) bytes of layers, so the layers held at once total at most
-    2^_SHARD_BITS bytes, and W never exceeds the shard count.  The depth is
-    the least that budget allows, but no less than the deepest at which the
-    top layer's blocks still hold whole build chunks.
+    usable CPUs workers, never more than the shards.  The depth is the
+    least at which each worker extends its prefixes by at most
+    _SHARD_BITS - ceil(log2 W) symbols, but no less than the deepest at
+    which the top layer's blocks still hold whole build chunks.
     """
     skip = (n_max - _LAYER_CHUNK.bit_length() + 1) // 2
     workers = _usable_cpus() if n_max > _SHARD_BITS else 1
@@ -481,8 +540,8 @@ def scan_lengths(n_max: int) -> dict[int, LengthRow]:
 
     Enumerates only words starting with 'a'; the letter-swap involution is
     fixed-point free, so all counts double exactly.  ``_plan`` fixes the
-    shards, batches and buffers before the scan starts, so that the layers
-    held at once total at most 2^26 bytes whatever n_max and the CPU count are.
+    shards, batches and buffers before the scan starts: under 10 MiB of
+    buffers per worker process whatever n_max and the CPU count are.
     """
     if not 1 <= n_max <= PACKED_LIMIT:
         raise ValueError(f"length must be in 1..{PACKED_LIMIT}, got {n_max}")

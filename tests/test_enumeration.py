@@ -229,6 +229,49 @@ class TestSharding:
         for depth in range(1, 7):
             assert _scan_sharded(_layout(n_max, depth)) == unsharded, depth
 
+    # Layers longer than one chunk are built depth first, each in a window
+    # of one chunk: every kept chunk must still be built once, a top chunk
+    # only where its block counts, and each chunk right after the chunks of
+    # the longer layers it reads (layer s at entry lo mod 2^s).
+    @pytest.mark.parametrize("layer_chunk", [1 << 3, 1 << 5])
+    def test_each_chunk_is_built_once(self, monkeypatch, layer_chunk):
+        expected = {n: _scan_sharded(_layout(n, 1)) for n in range(11, 15)}
+        monkeypatch.setattr(enumeration, "_LAYER_CHUNK", layer_chunk)
+        fill, built = enumeration._fill_chunk, []
+
+        def recorded(out, lo, e, *args):
+            built.append((e, lo))
+            fill(out, lo, e, *args)
+
+        monkeypatch.setattr(enumeration, "_fill_chunk", recorded)
+        for n, rows in expected.items():
+            for depth in range(1, 5):
+                plan = _layout(n, depth)
+                end, top_chunk = 1 << plan.ext_len, plan.top_chunk
+                block = end >> depth
+                kept = Counter(
+                    (e, lo) for e in range(1, plan.ext_len) for lo in range(0, 1 << e, min(layer_chunk, 1 << e))
+                )
+                assert 1 << max(e for e, _ in kept) > layer_chunk, (n, depth)
+                for prefix in range(0, 1 << depth, 2):
+                    built.clear()
+                    _scan_shards(plan, (prefix,))
+                    weights = _block_weights(prefix, depth)
+                    top = Counter(
+                        (plan.ext_len, lo)
+                        for lo in range(0, end, top_chunk)
+                        if top_chunk > block or weights[lo // block]
+                    )
+                    assert Counter(built) == kept + top, (n, depth, prefix)
+                    window = {}
+                    for e, lo in built:
+                        for s, at in window.items():
+                            if s < e:
+                                assert at == lo % (1 << s) // layer_chunk * layer_chunk, (n, depth, e, lo, s)
+                        if 1 << e > layer_chunk:
+                            window[e] = lo
+                assert _scan_sharded(plan) == rows, (n, depth)
+
     @pytest.mark.parametrize("depth", [1, 3])
     def test_rows_independent_of_row_chunk(self, monkeypatch, depth):
         whole = _scan_sharded(_layout(14, depth))
@@ -410,7 +453,8 @@ class TestWorkers:
         assert scan_lengths(n_max) == _scan_sharded(_layout(n_max, 1))
 
     # n <= 26 runs in-process at the depth whose top blocks hold 2^20 entries;
-    # longer scans split the layer budget and keep the top blocks at 2^17 or more.
+    # longer scans extend each prefix by at most 26 - ceil(log2 W) symbols
+    # and keep the top blocks at 2^17 or more.
     @pytest.mark.parametrize(
         ("n_max", "plan"),
         [(26, (3, 1)), (27, (3, 2)), (30, (5, 2)), (32, (7, 2))]
@@ -420,6 +464,16 @@ class TestWorkers:
         got = _plan(n_max)
         assert (got.depth, got.workers) == plan
         assert got.workers << got.ext_len <= 1 << 26
+
+    # A worker holds layers 1..20 whole and a 1 MiB chunk of each longer
+    # one, whatever the plan: at most 2^21 + 5 * 2^20 bytes of kept layers
+    # (n = 32 on one CPU, depth 6), plus the top chunk and the scratch.
+    @pytest.mark.parametrize("cpus", [1, 2, 3, 4])
+    def test_buffers_stay_under_10_mib_a_worker(self, monkeypatch, cpus):
+        monkeypatch.setattr(enumeration, "_usable_cpus", lambda: cpus)
+        for n_max in range(21, 33):
+            plan = _plan(n_max)
+            assert plan.buffer_bytes <= plan.workers * (10 << 20), (n_max, plan.depth, plan.workers)
 
     # Top-layer blocks of 2^18 entries at depth 6 are built one at a time;
     # those of 2^16 at depth 7 and smaller are built in 2^20-entry chunks.
@@ -505,10 +559,11 @@ class TestGoldenRows:
 
 @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs VmHWM from procfs")
 def test_scan_never_holds_the_top_layer():
-    """A scan holds its plan's buffers and little else.  At n = 26 one
-    process keeps layers 1..22 of its depth-3 shards, 2^23 bytes; at n = 27
-    the layers held at once total at most 2^26 bytes whatever the CPU
-    count.  The top layer of a shard is built one chunk at a time.  Every
+    """A scan holds its plan's buffers and little else.  A shard builds
+    layers 1..20 whole, 2^21 bytes, and holds each longer layer one 1 MiB
+    chunk at a time, the top one included: at n = 26 (depth 3, layers up to
+    22 kept) each process holds 4 MiB of layers, and at n = 27 (depth 3,
+    up to 23) 5 MiB whatever the CPU count.  Every
     process that runs a batch reports how far its peak RSS grew (VmHWM, its
     own peak: ru_maxrss would start from the peak of the test process that
     spawned it).  The growth summed over them stays below the plan's buffer
@@ -531,11 +586,11 @@ def test_scan_never_holds_the_top_layer():
         "enumeration._scan_shards = measured\n"
         "n = int(sys.argv[1])\n"
         "plan = enumeration._plan(n)\n"
-        "print(plan.workers << plan.ext_len, plan.buffer_bytes, flush=True)\n"
+        "print(enumeration._kept_layers(plan.ext_len)[1], plan.buffer_bytes, flush=True)\n"
         "enumeration.scan_lengths(n)\n"
     )
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    for n, layer_bytes in ((26, 1 << 23), (27, 1 << 26)):
+    for n, layer_bytes in ((26, 4 << 20), (27, 5 << 20)):
         argv = [sys.executable, "-c", code, str(n)]
         proc = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=120)
         assert proc.returncode == 0, proc.stderr
