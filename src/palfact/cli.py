@@ -28,7 +28,7 @@ of verify.  m, factor and warm cache hits run without it.
 verify prints the ``LemmaReport`` of each claim of ``lemmas.standard_runs``
 that its target names, field by field in every format.  Its --trials is
 capped at MAX_TRIALS, so that no value makes the randomized check run for
-hours.
+hours, and m and factor refuse a word longer than MAX_WORD_LENGTH letters.
 """
 
 from __future__ import annotations
@@ -112,11 +112,33 @@ def _echo_json(doc: object) -> None:
     click.echo(json.dumps(doc, indent=2, sort_keys=True))
 
 
+# m and factor hold ~40 B a letter: 10^7 letters is ~0.4 GB and ~20 s.
+MAX_WORD_LENGTH = 10**7
+
+
+def _read_stdin_word() -> str:
+    """stdin with surrounding whitespace stripped, read 1 MiB at a time so
+    that a word of more than MAX_WORD_LENGTH letters is refused before it
+    is held whole.  Of whitespace-only pieces in a row after the word, one
+    is held: a letter after them makes the word invalid either way."""
+    pieces: list[str] = []
+    held = 0
+    while piece := sys.stdin.read(1 << 20):
+        piece = piece if pieces else piece.lstrip()
+        if not piece or piece.isspace() and pieces[-1][-1].isspace():
+            continue
+        if held + len(piece.rstrip()) > MAX_WORD_LENGTH:
+            raise click.UsageError(f"WORD must be at most {MAX_WORD_LENGTH} letters")
+        pieces.append(piece)
+        held += len(piece)
+    return "".join(pieces).rstrip()
+
+
 def _parse_word_arg(text: str):
     """Parse WORD; ``-`` reads it from stdin (argv caps one argument at
     128 KiB on Linux), surrounding whitespace stripped."""
     if text == "-":
-        text = sys.stdin.read().strip()
+        text = _read_stdin_word()
     try:
         return parse_word(text)
     except WordError as exc:

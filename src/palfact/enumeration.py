@@ -41,23 +41,23 @@ block named by the image of its 2d-letter ends.  Of two partner blocks, the
 one whose ends pack to the lesser integer counts twice and the other not at
 all; a block that is its own partner counts once.  Each shard keeps
 2^(d-1) + 1 of its 2^d blocks (``_shard_work`` says why), so all shards do
-the same work.  The top layer is built one block at a time where a block
-holds 2^17 to 2^20 entries, and in 2^20-entry chunks where blocks are
-larger; either way a skipped block is never built.  A kept layer is built
-in full, and counted one block at a time where a block holds 2^14 entries
-or more (a chunk of a longer layer inherits its blocks' weights).  Smaller
-blocks are built and counted whole, and depth-1 scans have no two partner
-blocks.  ``_RowBuilder.row`` adds the skipped blocks'
-maximizers: the reversal images of those found.
+the same work.  The top layer is built in chunks of at most 2^20 entries,
+and where its blocks hold whole chunks a skipped block is never built.  A
+kept layer is built in full, and counted one block at a time where a block
+holds 2^14 entries or more (a chunk of a longer layer inherits its blocks'
+weights).  Smaller blocks are counted whole, and depth-1 scans have no two
+partner blocks.  ``_RowBuilder.row`` adds the skipped blocks' maximizers:
+the reversal images of those found.
 
 ``_plan`` fixes all of this before a scan starts, as a ``ScanPlan``: the
 depth, the worker count W, the chunks and spans, the batches of prefixes,
 the bytes they allocate and the entries the scan will build and count.
-Scans up to n = 26 run in one process (at depth 3 for n = 26: 4 MiB of
-kept layers, and 0.81 of the entries built and 0.63 counted at depth 1);
-longer ones on forked workers, each holding under 10 MiB of buffers up to
-n = 32.  Each worker runs one batch, which builds its shards' layers in one
-buffer and folds them into one set of row data, and the W results merge.
+The depth is the deepest whose top blocks hold whole build chunks (depth 3
+at n = 26: 4 MiB of kept layers, and 0.81 of the entries built and 0.63
+counted at depth 1).  Scans up to n = 26 run in one process, longer ones
+on forked workers, each holding under 10 MiB of buffers up to n = 32.
+Each worker runs one batch, which builds its shards' layers in one buffer
+and folds them into one set of row data, and the W results merge.
 
 A length's row (``rows.LengthRow``) is its histogram of m and its
 a-initial maximizers; K(n), the maximizer count, S(n), the exact average
@@ -86,13 +86,9 @@ __all__ = [
     "scan_lengths",
 ]
 
-# One process extends each prefix by at most this many symbols, and W
-# workers by ceil(log2 W) fewer; a scan of at most 2^_SHARD_BITS words runs
-# in-process.  The rule no longer bounds memory (a shard holds its longer
-# layers one chunk at a time, under 10 MiB a worker up to n = 32): it only
-# sets the depth and W, so the work each worker does.  Re-deriving it means
-# timing plans of three or more workers, on a host with that many CPUs.
-_SHARD_BITS = 26
+# A scan of at most 2^_IN_PROCESS_BITS words runs in-process: at n = 26 two
+# workers saved no wall time and cost more CPU.
+_IN_PROCESS_BITS = 26
 
 # Layers are built this many entries at a time: a chunk (1 MiB) stays in L2
 # across the passes over its palindromic suffixes.  A shard holds a layer
@@ -318,8 +314,7 @@ class ScanPlan:
 
     The a-initial ``depth``-letter prefixes are extended by ``n_max - depth``
     symbols, split into ``batches``, one per worker process (``workers``).
-    The top layer is built ``top_chunk`` entries at a time, and kept layer
-    e is counted ``spans[e]`` entries at a time; both are one block where
+    Kept layer e is counted ``spans[e]`` entries at a time, one block where
     that skips the block's reversal partner.  ``head`` is the plan of
     lengths 2..depth (the prefix a extended by depth - 1), None at depth 1.
     ``buffer_bytes`` sums over the workers what a batch holds: its kept
@@ -332,7 +327,6 @@ class ScanPlan:
     n_max: int
     depth: int
     workers: int
-    top_chunk: int
     spans: tuple[int, ...]
     batches: tuple[tuple[int, ...], ...]
     head: ScanPlan | None
@@ -345,11 +339,11 @@ class ScanPlan:
         return self.n_max - self.depth
 
 
-def _shard_work(depth: int, top_chunk: int, spans: tuple[int, ...]) -> tuple[int, int]:
+def _shard_work(depth: int, spans: tuple[int, ...]) -> tuple[int, int]:
     """Layer entries each shard builds and counts under a plan's chunking:
     the kept layers are built in full, and the blocks whose weight is 0 are
-    neither built in the top layer nor counted where chunks or spans are
-    single blocks.
+    neither built in the top layer where they hold whole build chunks nor
+    counted where spans are single blocks.
 
     Every shard keeps 2^(depth-1) + 1 blocks.  Let r be its prefix
     reversed, packed as a word.  ``_block_weights`` keeps the blocks whose
@@ -359,7 +353,7 @@ def _shard_work(depth: int, top_chunk: int, spans: tuple[int, ...]) -> tuple[int
     end = 1 << len(spans)
     block = end >> depth
     blocks = (1 << (depth - 1)) + 1
-    top = blocks * block if top_chunk <= block else end
+    top = blocks * block if block >= _LAYER_CHUNK else end
     kept = sum(blocks * span if span < 1 << e else 1 << e for e, span in enumerate(spans) if e)
     return end - 2 + top, kept + top
 
@@ -379,36 +373,32 @@ def _layout(n_max: int, depth: int, workers: int = 1) -> ScanPlan:
     """The plan of a scan up to ``n_max`` at the given shard depth and
     worker count (at most one worker per shard).
 
-    A block is built or counted alone where that skips its partner and
-    saves time: in the top layer from an eighth of a build chunk (2^17
-    entries) up, and in a kept layer from a sixteenth of a row chunk (2^14)
-    up.  Below that the calls cost what skipping saves (top-layer chunks of
-    2^16 entries cost 4-5 times as much per entry as 2^20), so such layers
-    are built and counted in whole chunks.
+    The top layer is built in chunks of at most 2^20 entries, which skip
+    their blocks' partners where blocks hold whole chunks.  A kept layer is
+    counted one block at a time from a sixteenth of a row chunk (2^14
+    entries) up; below that the calls cost what skipping saves, so such
+    layers are counted in whole spans.
     """
     depth = min(depth, n_max)
     ext_len = n_max - depth
     end = 1 << ext_len
-    block = end >> depth
-    top_chunk = block if max(1, _LAYER_CHUNK >> 3) <= block < _LAYER_CHUNK else min(_LAYER_CHUNK, end)
     spans = tuple(
         (1 << e) >> depth if (1 << e) >> depth >= max(1, _ROW_CHUNK >> 4) else 1 << e for e in range(ext_len)
     )
     # bit 0 clear: the prefix starts with 'a'
     prefixes = range(0, 1 << depth, 2) if ext_len else range(0)
     workers = max(1, min(workers, len(prefixes)))
-    built, counted = _shard_work(depth, top_chunk, spans)
+    built, counted = _shard_work(depth, spans)
     head = _layout(depth, 1) if depth > 1 else None
     return ScanPlan(
         n_max=n_max,
         depth=depth,
         workers=workers,
-        top_chunk=top_chunk,
         spans=spans,
         # Every shard does the same work, so interleaving balances the batches.
         batches=tuple(tuple(prefixes[w::workers]) for w in range(workers)) if prefixes else (),
         head=head,
-        buffer_bytes=workers * (_kept_layers(ext_len)[1] + top_chunk + min(_LAYER_CHUNK, end) + _ROW_CHUNK)
+        buffer_bytes=workers * (_kept_layers(ext_len)[1] + 2 * min(_LAYER_CHUNK, end) + _ROW_CHUNK)
         if prefixes
         else 0,
         built=len(prefixes) * built + (head.built if head else 0),
@@ -430,14 +420,14 @@ def _scan_shards(plan: ScanPlan, prefixes: Iterable[int]) -> dict[int, _RowBuild
     Layers allocated and freed per shard went back to the heap instead, and
     how much of it stayed resident depended on which shards it happened to run.
     """
-    depth, ext_len, top_chunk = plan.depth, plan.ext_len, plan.top_chunk
+    depth, ext_len = plan.depth, plan.ext_len
     builders = {depth + e: _RowBuilder(depth + e) for e in range(1, ext_len + 1)}
     end = 1 << ext_len
     chunk = min(_LAYER_CHUNK, end)
     whole, kept = _kept_layers(ext_len)
-    buf = np.empty(kept + top_chunk, dtype=np.uint8)
+    buf = np.empty(kept + chunk, dtype=np.uint8)
     # Layers whole + 1 .. ext_len - 1 have one chunk each; the top layer is
-    # only ever one top chunk: built, counted, overwritten.
+    # only ever one chunk: built, counted, overwritten.
     windows = [buf[lo : lo + chunk] for lo in range(2 << whole, kept, chunk)]
     top = buf[kept:]
     hit = np.empty(_ROW_CHUNK, dtype=bool)
@@ -467,7 +457,7 @@ def _scan_shards(plan: ScanPlan, prefixes: Iterable[int]) -> dict[int, _RowBuild
                 count(e, lo)
                 stack += (e + 1, lo + (1 << e)), (e + 1, lo)
                 continue
-            for start, weight in _counted_spans(lo, lo + chunk, end, top_chunk, depth, weights):
+            for start, weight in _counted_spans(lo, lo + chunk, end, chunk, depth, weights):
                 _fill_chunk(top, start, e, covering[e], ext)
                 builders[depth + e].add_layer(top, prefix_bits, depth, hit, first=start, weight=weight)
     return builders
@@ -516,23 +506,11 @@ def _usable_cpus() -> int:
 
 
 def _plan(n_max: int) -> ScanPlan:
-    """The plan of a scan up to n_max.
-
-    A scan of at most 2^_SHARD_BITS words runs in-process: at n = 26 two
-    workers saved no wall time and cost more CPU.  A longer one runs on W =
-    usable CPUs workers, never more than the shards.  The depth is the
-    least at which each worker extends its prefixes by at most
-    _SHARD_BITS - ceil(log2 W) symbols, but no less than the deepest at
-    which the top layer's blocks still hold whole build chunks.
-    """
-    skip = (n_max - _LAYER_CHUNK.bit_length() + 1) // 2
-    workers = _usable_cpus() if n_max > _SHARD_BITS else 1
-    while True:
-        depth = max(1, skip, n_max - _SHARD_BITS + (workers - 1).bit_length())
-        shards = 1 << (depth - 1)
-        if workers <= shards:
-            return _layout(n_max, depth, workers)
-        workers = shards
+    """The plan of a scan up to n_max: at the deepest depth whose top-layer
+    blocks still hold whole build chunks, in-process up to 2^_IN_PROCESS_BITS
+    words and otherwise on one worker per usable CPU, at most one per shard."""
+    depth = max(1, (n_max - _LAYER_CHUNK.bit_length() + 1) // 2)
+    return _layout(n_max, depth, _usable_cpus() if n_max > _IN_PROCESS_BITS else 1)
 
 
 def scan_lengths(n_max: int) -> dict[int, LengthRow]:

@@ -11,14 +11,15 @@ import tempfile
 import time
 from pathlib import Path
 
+import click
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from conftest import K_TABLE
-from palfact import enumeration, lemmas
+from palfact import cli, enumeration, lemmas
 from palfact.cache import SCHEMA_VERSION, CacheEntry, ResultCache, payload_checksum
-from palfact.cli import VERIFY_TARGETS, RunConfig, dispatch
+from palfact.cli import MAX_WORD_LENGTH, VERIFY_TARGETS, RunConfig, dispatch
 from palfact.lemmas import LemmaReport
 from palfact.rows import length_row
 
@@ -492,7 +493,8 @@ class TestWorkerFailure:
             "import os, signal, sys\n"
             "from palfact import cli, enumeration\n"
             "enumeration._usable_cpus = lambda: 2\n"
-            "enumeration._SHARD_BITS = 8\n"
+            "enumeration._IN_PROCESS_BITS = 8\n"
+            "enumeration._LAYER_CHUNK = 1 << 3\n"
             "parent = os.getpid()\n"
             "scan_shards = enumeration._scan_shards\n"
             "def die(*args, **kwargs):\n"
@@ -561,6 +563,41 @@ class TestWordFromStdin:
         code, out, err = run(capsys, *argv)
         assert (code, out) == (2, "")
         assert err.splitlines()[-1] == "Error: empty word"
+
+    @pytest.mark.parametrize("command", ["m", "factor"])
+    def test_word_over_the_ceiling_is_usage_error(self, capsys, stdin, command):
+        stdin("a" * (MAX_WORD_LENGTH + 1))
+        code, out, err = run(capsys, command, "-")
+        assert (code, out) == (2, "")
+        assert err.splitlines()[-1] == f"Error: WORD must be at most {MAX_WORD_LENGTH} letters"
+
+    def test_word_at_the_ceiling_is_read(self, stdin):
+        stdin("a" * MAX_WORD_LENGTH + "\n")
+        assert cli._read_stdin_word() == "a" * MAX_WORD_LENGTH
+
+    def test_endless_stdin_is_refused_after_the_ceiling(self, monkeypatch):
+        class Endless:
+            """A stdin of letters that never ends, counting what is read."""
+
+            read_chars = 0
+
+            def read(self, size):
+                self.read_chars += size
+                return "a" * size
+
+        endless = Endless()
+        monkeypatch.setattr("sys.stdin", endless)
+        with pytest.raises(click.UsageError):
+            cli._read_stdin_word()
+        assert endless.read_chars <= MAX_WORD_LENGTH + (1 << 20)
+
+    def test_whitespace_runs_across_pieces(self, stdin):
+        pad = " " * (3 << 20)  # three pieces of stdin
+        stdin(pad + "ab" + pad + "\n")
+        assert cli._read_stdin_word() == "ab"
+        stdin("ab" + pad + "ab")
+        with pytest.raises(click.UsageError, match="invalid character ' ' at position 3"):
+            cli._parse_word_arg("-")
 
 
 class TestBoundsCommand:

@@ -210,11 +210,10 @@ class TestSharding:
     # rows, chunks inside one suffix row (s >= log2 chunk), and covering
     # factors cut at chunk bounds, in the kept layers and the streamed top one.
     # For depths 3..6 at chunk 2^3: n = 2d - 1 has no top-layer blocks and
-    # builds every chunk, n = 2d + 2 builds the top layer one 4-entry block
-    # at a time and n = 2d + 3 one chunk-sized block at a time.  At chunk 2^8
-    # a block is built alone from 32 entries up: depth 4 builds whole chunks
-    # of several blocks at n = 12, one smaller block at a time at n = 13 and
-    # 15, and chunk-sized blocks at n = 16.
+    # builds every chunk, n = 2d + 2 builds whole chunks of two 4-entry
+    # blocks, and n = 2d + 3 builds one chunk-sized block at a time and skips
+    # the partners.  At chunk 2^8, depth 4 builds whole chunks of several
+    # blocks at n = 12, 13 and 15, and chunk-sized blocks at n = 16.
     @pytest.mark.parametrize(
         ("n_max", "layer_chunk"),
         sorted(
@@ -247,8 +246,8 @@ class TestSharding:
         for n, rows in expected.items():
             for depth in range(1, 5):
                 plan = _layout(n, depth)
-                end, top_chunk = 1 << plan.ext_len, plan.top_chunk
-                block = end >> depth
+                end = 1 << plan.ext_len
+                block, top_chunk = end >> depth, min(layer_chunk, end)
                 kept = Counter(
                     (e, lo) for e in range(1, plan.ext_len) for lo in range(0, 1 << e, min(layer_chunk, 1 << e))
                 )
@@ -375,7 +374,7 @@ class TestReversalBlocks:
         loads = [sum(kept[p] for p in batch) for batch in plan.batches]
         assert max(loads) <= sum(loads) / len(loads) + max(kept.values()), loads
         head = plan.head.built if plan.head else 0
-        assert plan.built == len(kept) * _shard_work(depth, plan.top_chunk, plan.spans)[0] + head
+        assert plan.built == len(kept) * _shard_work(depth, plan.spans)[0] + head
 
     def test_top_layer_builds_only_counted_blocks(self, monkeypatch):
         # n = 2d + log2(chunk): one chunk per block, built only if it counts
@@ -409,18 +408,20 @@ class TestWorkers:
     def two_cpus(self, monkeypatch):
         monkeypatch.setattr(enumeration, "_usable_cpus", lambda: 2)
 
-    # _SHARD_BITS = n_max - 4: two workers extend by n_max - 5, so the scan
-    # runs 16 shards, and one CPU runs 8 in-process.
+    # Build chunks of 2^(n_max - 9) entries put the scan at depth 4, and
+    # _IN_PROCESS_BITS = n_max - 1 lets it fork: one CPU runs the 8 shards
+    # in-process, two CPUs on two workers.
     @pytest.mark.parametrize("n_max", [12, 15, 18])
     def test_rows_equal_in_process_scan(self, monkeypatch, n_max):
-        monkeypatch.setattr(enumeration, "_SHARD_BITS", n_max - 4)
+        monkeypatch.setattr(enumeration, "_IN_PROCESS_BITS", n_max - 1)
+        monkeypatch.setattr(enumeration, "_LAYER_CHUNK", 1 << (n_max - 9))
         monkeypatch.setattr(enumeration, "_usable_cpus", lambda: 1)
         plan = _plan(n_max)
         assert (plan.depth, plan.workers) == (4, 1)
         in_process = scan_lengths(n_max)
         monkeypatch.setattr(enumeration, "_usable_cpus", lambda: 2)
         plan = _plan(n_max)
-        assert (plan.depth, plan.workers) == (5, 2)
+        assert (plan.depth, plan.workers) == (4, 2)
         assert scan_lengths(n_max) == in_process == _scan_sharded(_layout(n_max, 1))
 
     def test_shards_reach_different_maxima(self, monkeypatch, two_cpus):
@@ -429,10 +430,10 @@ class TestWorkers:
         # three letters are (aab, bab) and (aba, abb).  With blocks of one 32-entry chunk only shard aab
         # builds the pair's block, and its row lists both words; the merge
         # must keep the larger maximum.
-        monkeypatch.setattr(enumeration, "_SHARD_BITS", 9)
+        monkeypatch.setattr(enumeration, "_IN_PROCESS_BITS", 10)
         monkeypatch.setattr(enumeration, "_LAYER_CHUNK", 1 << 5)
         plan = _plan(11)
-        assert (plan.depth, plan.workers, plan.top_chunk) == (3, 2, 1 << 5)
+        assert (plan.depth, plan.workers, 1 << (plan.ext_len - plan.depth)) == (3, 2, 1 << 5)
         shards = {text_of(prefix, 3): _scan_shards(_layout(11, 3), (prefix,))[11] for prefix in range(0, 8, 2)}
         assert {text: shard.k for text, shard in shards.items()} == {"aaa": 4, "aba": 4, "aab": 5, "abb": 4}
         expected = ["aababbaabab", "ababbaababb"]
@@ -441,29 +442,30 @@ class TestWorkers:
         assert rows == _scan_sharded(_layout(11, 1))
         assert [text_of(b, 11) for b in rows[11].maximizers] == expected
 
-    # _SHARD_BITS = n_max - 3: W workers shard at depth 3 + ceil(log2 W), so
-    # three workers split 16 shards 6, 5, 5.
+    # Build chunks of 2^(n_max - 2 depth) entries put the scan at the given
+    # depth, and _IN_PROCESS_BITS = n_max - 1 lets it fork: three workers
+    # split 16 shards 6, 5, 5, as at n = 30 on three CPUs.
     @pytest.mark.parametrize(("cpus", "depth"), [(1, 3), (2, 4), (3, 5)])
     def test_rows_independent_of_worker_count(self, monkeypatch, cpus, depth):
         n_max = 15
-        monkeypatch.setattr(enumeration, "_SHARD_BITS", n_max - 3)
+        monkeypatch.setattr(enumeration, "_IN_PROCESS_BITS", n_max - 1)
+        monkeypatch.setattr(enumeration, "_LAYER_CHUNK", 1 << (n_max - 2 * depth))
         monkeypatch.setattr(enumeration, "_usable_cpus", lambda: cpus)
         plan = _plan(n_max)
         assert (plan.depth, plan.workers) == (depth, cpus)
         assert scan_lengths(n_max) == _scan_sharded(_layout(n_max, 1))
 
-    # n <= 26 runs in-process at the depth whose top blocks hold 2^20 entries;
-    # longer scans extend each prefix by at most 26 - ceil(log2 W) symbols
-    # and keep the top blocks at 2^17 or more.
+    # Every scan runs at the deepest depth whose top blocks hold whole 2^20-
+    # entry chunks (depth 1 up to n = 21), n <= 26 in-process and longer ones
+    # on two workers.
     @pytest.mark.parametrize(
         ("n_max", "plan"),
-        [(26, (3, 1)), (27, (3, 2)), (30, (5, 2)), (32, (7, 2))]
-        + [(21, (1, 1)), (24, (2, 1)), (29, (4, 2)), (31, (6, 2))],
+        [(26, (3, 1)), (27, (3, 2)), (30, (5, 2)), (32, (6, 2))]
+        + [(21, (1, 1)), (24, (2, 1)), (29, (4, 2)), (31, (5, 2))],
     )
     def test_two_cpus_split_the_layer_budget(self, two_cpus, n_max, plan):
         got = _plan(n_max)
         assert (got.depth, got.workers) == plan
-        assert got.workers << got.ext_len <= 1 << 26
 
     # A worker holds layers 1..20 whole and a 1 MiB chunk of each longer
     # one, whatever the plan: at most 2^21 + 5 * 2^20 bytes of kept layers
@@ -475,22 +477,17 @@ class TestWorkers:
             plan = _plan(n_max)
             assert plan.buffer_bytes <= plan.workers * (10 << 20), (n_max, plan.depth, plan.workers)
 
-    # Top-layer blocks of 2^18 entries at depth 6 are built one at a time;
-    # those of 2^16 at depth 7 and smaller are built in 2^20-entry chunks.
-    # Each plan is (depth, W, top chunk).
+    # n = 30 runs at depth 5 on any CPU count, on at most its 16 shards.
+    # Each plan is (depth, W).
     @pytest.mark.parametrize(
         ("cpus", "plan"),
-        [(1, (5, 1, 1 << 20)), (3, (6, 3, 1 << 18)), (4, (6, 4, 1 << 18))]
-        + [(64, (10, 64, 1 << 20)), (8, (7, 8, 1 << 20))],
+        [(1, (5, 1)), (3, (5, 3)), (4, (5, 4))] + [(64, (5, 16)), (8, (5, 8))],
     )
     def test_plan_at_n30(self, monkeypatch, cpus, plan):
         monkeypatch.setattr(enumeration, "_usable_cpus", lambda: cpus)
         got = _plan(30)
-        assert (got.depth, got.workers, got.top_chunk) == plan
+        assert (got.depth, got.workers) == plan
 
-    # At n = 32 three or four workers shard at depth 8, whose 2^16-entry top
-    # blocks are too small to build alone: like a depth-1 scan, they build
-    # every entry, a third more than one process but 1/W of it per worker.
     @pytest.mark.parametrize("n_max", range(24, 33))
     def test_workers_do_no_more_work_than_one_process(self, monkeypatch, n_max):
         monkeypatch.setattr(enumeration, "_usable_cpus", lambda: 1)
@@ -498,13 +495,32 @@ class TestWorkers:
         for cpus in (2, 3, 4):
             monkeypatch.setattr(enumeration, "_usable_cpus", lambda: cpus)
             plan = _plan(n_max)
-            bound = _layout(n_max, 1) if n_max == 32 and cpus > 2 else alone
-            assert plan.built <= 1.05 * bound.built, (cpus, plan.depth)
-            assert plan.counted <= 1.05 * bound.counted, (cpus, plan.depth)
+            assert plan.built <= alone.built, (cpus, plan.depth)
+            assert plan.counted <= alone.counted, (cpus, plan.depth)
+
+    # The depth comes from the blocks alone, so the CPU count only splits the
+    # shards; from n = 22 on every top block holds whole build chunks.
+    @pytest.mark.parametrize("cpus", range(1, 9))
+    def test_work_does_not_depend_on_the_cpu_count(self, monkeypatch, cpus):
+        monkeypatch.setattr(enumeration, "_usable_cpus", lambda: 1)
+        alone = {n_max: _plan(n_max) for n_max in range(1, 33)}
+        monkeypatch.setattr(enumeration, "_usable_cpus", lambda: cpus)
+        for n_max, one in alone.items():
+            plan = _plan(n_max)
+            assert (plan.depth, plan.spans, plan.built, plan.counted) == (
+                one.depth,
+                one.spans,
+                one.built,
+                one.counted,
+            ), n_max
+            assert plan.workers == (1 if n_max <= 26 else min(cpus, 1 << (plan.depth - 1))), n_max
+            if n_max >= 22:
+                assert 1 << (plan.ext_len - plan.depth) >= enumeration._LAYER_CHUNK, n_max
 
     # Small chunks, so that blocks are built and counted alone from small n
-    # on; _SHARD_BITS = n_max - 3, so that W workers run where there are W
-    # shards.  The workers are forked, so the counters are shared memory.
+    # on and scans run deeper than depth 1; _IN_PROCESS_BITS = 0, so that W
+    # workers run where there are W shards.  The workers are forked, so the
+    # counters are shared memory.
     @pytest.mark.parametrize(("layer_chunk", "row_chunk"), [(1 << 3, 1 << 3), (1 << 5, 1 << 8), (1 << 8, 1 << 6)])
     def test_counters_equal_the_plan(self, monkeypatch, layer_chunk, row_chunk):
         built, counted = multiprocessing.Value("q", 0), multiprocessing.Value("q", 0)
@@ -524,8 +540,8 @@ class TestWorkers:
         monkeypatch.setattr(_RowBuilder, "add_layer", counted_add)
         monkeypatch.setattr(enumeration, "_LAYER_CHUNK", layer_chunk)
         monkeypatch.setattr(enumeration, "_ROW_CHUNK", row_chunk)
+        monkeypatch.setattr(enumeration, "_IN_PROCESS_BITS", 0)
         for n_max in (5, 9, 12, 14):
-            monkeypatch.setattr(enumeration, "_SHARD_BITS", n_max - 3)
             expected = _scan_sharded(_layout(n_max, 1))
             for cpus in (1, 2, 3, 4):
                 monkeypatch.setattr(enumeration, "_usable_cpus", lambda: cpus)

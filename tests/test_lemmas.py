@@ -93,26 +93,22 @@ class TestExceptionLists:
         assert words == ["aababbbaaabababbaa", "aababbbaababbaaaba", "aababbbaababbaabab"]
         assert sorted(words) == sorted(listed)
 
-    def test_lemma3_listed_words_meet_the_bound(self, monkeypatch):
-        # Both listed words reach the bound floor(17/2 + 17/4) = 12 exactly,
-        # which the check accepts, so the list excuses no word.
-        for word in lemmas._LEMMA3_EXCEPTIONS:
+    def test_lemma3_listed_words_meet_the_bound(self):
+        # The lemma's two named exceptions reach the bound floor(17/2 + 17/4)
+        # = 12 exactly, which the check accepts, so it needs no exception list.
+        for word in ("bbaababbaababbaaababbbaaababba", "bbaababbaababbaababbaaabababba"):
             assert min(M_CONSTANTS[a] + measure(word[a:]) for a in range(1, 5)) == 12
-        monkeypatch.setattr(lemmas, "_LEMMA3_EXCEPTIONS", ())
         assert verify_lemma3().passed
 
     def test_lemma3_drops_exactly_the_listed_words(self, monkeypatch):
-        # With m_1 raised to 4, three words fail; listing one excuses it alone.
+        # With m_1 raised to 4, exactly three words fail, in this order.
         monkeypatch.setattr(lemmas, "M_CONSTANTS", (2, 4, 3, 3, 4, 4))
         failing = (
             "bbaababbaabababbbaababbaaababb",
             "bbaababbaababbbaaababbbaaababb",
             "bbaababbaabababbaabababbaababb",
         )
-        monkeypatch.setattr(lemmas, "_LEMMA3_EXCEPTIONS", ())
         assert verify_lemma3().counterexamples == tuple({"word": word} for word in failing)
-        monkeypatch.setattr(lemmas, "_LEMMA3_EXCEPTIONS", failing[1:2])
-        assert verify_lemma3().counterexamples == ({"word": failing[0]}, {"word": failing[2]})
 
 
 class TestLemma7:
