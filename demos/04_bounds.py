@@ -16,11 +16,11 @@ print("a_k at n=9:", [round(a, 1) for a in cb.a[:4]], " p =", cb.p, " theta_9 ="
 # f is negative at 0, positive at 1/3, strictly increasing in between:
 print()
 print(f"f(0) = {f_theta(0.0):+.6f}   f(1/3) = {f_theta(1/3):+.6f}")
-root = theta_prime(1e-12)
+root = theta_prime()
 print(f"unique root theta' = {root:.8f},  g(theta') = {g_theta(root):.8f}")
 
 # Both bounds, the upper one from the exact row of length 21:
-report = bounds_report([length_row(21)])
+report = bounds_report(length_row(21))
 print()
 print(f"{report.lower_text} < lim kbar(n)/n <= {report.upper_text}")
 print(f"upper bound exactly {report.upper_bound} = {float(report.upper_bound):.8f}")

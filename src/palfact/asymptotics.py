@@ -8,8 +8,9 @@ sequence a_k = C(n-1, k-1) 2^((n+k)/2), an upper bound on the number of
 words expressible as a product of k palindromes; every comparison against
 it is carried out on squared integers since n+k may be odd.
 
-Everything here is stdlib arithmetic (``decimal`` for the critical points
-of g), so only a scan for the n = 21 row, never this module, loads numpy.
+Everything here is stdlib arithmetic.  theta' and the critical points of
+g come from one bisection in ``decimal`` and are correctly rounded, so
+only a scan for the n = 21 row, never this module, loads numpy.
 """
 
 from __future__ import annotations
@@ -19,7 +20,9 @@ import warnings
 from dataclasses import dataclass
 from decimal import Decimal, localcontext
 from fractions import Fraction
-from typing import Sequence
+from typing import Callable
+
+from .rows import LengthRow
 
 __all__ = [
     "F_AT_ZERO",
@@ -27,7 +30,6 @@ __all__ = [
     "CountingBounds",
     "AsymptoticsReport",
     "f_theta",
-    "f_prime",
     "g_theta",
     "g_prime",
     "theta_prime",
@@ -57,13 +59,6 @@ def f_theta(theta: float) -> float:
     return ((theta - 1) / 2) * math.log(2) - theta * math.log(theta) - (1 - theta) * math.log(1 - theta)
 
 
-def f_prime(theta: float) -> float:
-    """f'(theta) = (ln 2)/2 - ln theta + ln(1-theta); positive on (0, 1/3]."""
-    if not 0 < theta < 1:
-        raise ValueError(f"theta must lie in (0, 1), got {theta}")
-    return math.log(2) / 2 - math.log(theta) + math.log(1 - theta)
-
-
 def g_theta(theta: float) -> float:
     """g(theta) = theta - sqrt(2) theta^2 (1-theta) / (theta^2 - 4 theta + 2)."""
     den = theta * theta - 4 * theta + 2
@@ -83,40 +78,38 @@ def g_prime(theta: float) -> float:
     return 1 - SQRT2 * (num_d * den - num * den_d) / (den * den)
 
 
-def _grid(start: float, stop: float, num: int) -> list[float]:
-    """``num`` evenly spaced points from ``start`` to ``stop``, the same
-    floats as ``numpy.linspace``: i * step + start, the last one ``stop``."""
-    step = (stop - start) / (num - 1)
-    return [i * step + start for i in range(num - 1)] + [stop]
-
-
-def theta_prime(tolerance: float = 1e-10) -> float:
-    """The unique root of f on (0, 1/3], by bisection: the result lies at or
-    below the root and within ``tolerance`` of it.
-
-    Monotonicity (f' > 0) is spot-checked on a sample grid so the
-    bracketing argument actually applies.  Bisection also stops once the
-    bracket is two adjacent floats, so a tolerance below their spacing
-    cannot loop forever; the result is then the float just below the root.
-    """
-    if not 0 < tolerance < math.inf:
-        raise ValueError(f"tolerance must be positive and finite, got {tolerance}")
-    for theta in _grid(1e-6, 1 / 3, 101):
-        if f_prime(theta) <= 0:
-            raise ArithmeticError(f"f' is not positive at {theta}; bisection premise fails")
-    lo, hi = 0.0, 1 / 3
-    if not f_theta(lo) < 0 < f_theta(hi):
-        raise ArithmeticError("f does not change sign on [0, 1/3]")
-    while hi - lo > tolerance:
+def _root(fn: Callable[[Decimal], Decimal], lo: Decimal, hi: Decimal) -> float:
+    """The root of ``fn`` on [lo, hi], where ``fn`` changes sign, rounded to
+    the nearest float.  The bracket is halved at the caller's ``decimal``
+    precision until it is below 10^-40, far below the spacing of floats at
+    either bound constant."""
+    lo_negative = fn(lo) < 0
+    if lo_negative == (fn(hi) < 0):
+        raise ArithmeticError(f"no sign change on [{lo}, {hi}]")
+    while hi - lo > Decimal("1e-40"):
         mid = (lo + hi) / 2
-        if mid in (lo, hi):
-            break
-        if f_theta(mid) < 0:
+        if (fn(mid) < 0) == lo_negative:
             lo = mid
         else:
             hi = mid
-    mid = (lo + hi) / 2
-    return mid if f_theta(mid) < 0 else lo
+    return float((lo + hi) / 2)
+
+
+def theta_prime() -> float:
+    """The unique root of f on (0, 1/3], correctly rounded.
+
+    f(0) < 0 < f(1/3), and f'(theta) = (ln 2)/2 + ln((1-theta)/theta) > 0
+    there, so the root is unique.  f is bisected at 50 decimal digits on
+    [10^-30, 1/3], since ``Decimal.ln`` has no value at 0.
+    """
+    with localcontext() as ctx:
+        ctx.prec = 50
+        ln2 = Decimal(2).ln()
+
+        def f(t: Decimal) -> Decimal:
+            return (t - 1) / 2 * ln2 - t * t.ln() - (1 - t) * (1 - t).ln()
+
+        return _root(f, Decimal("1e-30"), Decimal(1) / 3)
 
 
 def g_prime_roots() -> tuple[float, float]:
@@ -128,11 +121,9 @@ def g_prime_roots() -> tuple[float, float]:
         (1+s) x^4 - 8 (1+s) x^3 + (20+10s) x^2 - (16+4s) x + 4 = 0,  s = sqrt(2),
 
     whose two real roots are the critical points, one in [0.2, 0.5] and
-    one in [4, 8].  Each is bisected at 50 decimal digits to within
-    10^-40, far below the spacing of floats there, then rounded to the
-    nearest float and verified against g' directly.
+    one in [4, 8].  Each is bisected at 50 decimal digits, then verified
+    against g' directly.
     """
-    roots = []
     with localcontext() as ctx:
         ctx.prec = 50
         s = Decimal(2).sqrt()
@@ -141,21 +132,11 @@ def g_prime_roots() -> tuple[float, float]:
         def quartic(x: Decimal) -> Decimal:
             return sum(c * x ** (4 - i) for i, c in enumerate(coeffs))
 
-        for lo, hi in ((Decimal("0.2"), Decimal("0.5")), (Decimal(4), Decimal(8))):
-            lo_negative = quartic(lo) < 0
-            if lo_negative == (quartic(hi) < 0):
-                raise ArithmeticError(f"the quartic does not change sign on [{lo}, {hi}]")
-            while hi - lo > Decimal("1e-40"):
-                mid = (lo + hi) / 2
-                if (quartic(mid) < 0) == lo_negative:
-                    lo = mid
-                else:
-                    hi = mid
-            roots.append(float((lo + hi) / 2))
+        roots = (_root(quartic, Decimal("0.2"), Decimal("0.5")), _root(quartic, Decimal(4), Decimal(8)))
     for r in roots:
         if abs(g_prime(r)) > 1e-6:
             raise ArithmeticError(f"candidate critical point {r} does not annihilate g'")
-    return roots[0], roots[1]
+    return roots
 
 
 def a_bound_squared(n: int, k: int) -> int:
@@ -232,7 +213,6 @@ class AsymptoticsReport:
     g_prime_roots: tuple[float, float]
     upper_bound: Fraction
     f0: float
-    tolerance: float
 
     @property
     def lower_text(self) -> str:
@@ -243,28 +223,24 @@ class AsymptoticsReport:
         return f"{float(self.upper_bound):.4f}"
 
 
-def bounds_report(avg_rows: Sequence, tolerance: float = 1e-10) -> AsymptoticsReport:
-    """Assemble both bounds from enumeration data through length 21.
+def bounds_report(row21: LengthRow) -> AsymptoticsReport:
+    """Assemble both bounds from the enumeration row of length 21.
 
-    ``avg_rows`` must contain the n=21 row (a ``LengthRow``, or any
-    object with ``n`` and exact ``kbar``); the derived upper bound has to
-    reproduce the pinned fraction exactly, otherwise the enumeration is
-    broken and an ArithmeticError is raised.
+    ``row21`` is that ``LengthRow``, or any object with its exact
+    ``kbar``; the derived upper bound has to reproduce the pinned fraction
+    exactly, otherwise the enumeration is broken and an ArithmeticError is
+    raised.
     """
-    row21 = next((row for row in avg_rows if row.n == 21), None)
-    if row21 is None:
-        raise ValueError("avg_rows must include the n=21 row")
     upper = Fraction(row21.kbar) / 21
     if upper != UPPER_BOUND_EXACT:
         raise ArithmeticError(
             f"enumerated upper bound {upper} differs from the pinned exact value {UPPER_BOUND_EXACT}"
         )
-    tp = theta_prime(tolerance)
+    tp = theta_prime()
     return AsymptoticsReport(
         theta_prime=tp,
         g_at_theta_prime=g_theta(tp),
         g_prime_roots=g_prime_roots(),
         upper_bound=upper,
         f0=f_theta(0.0),
-        tolerance=tolerance,
     )

@@ -29,6 +29,7 @@ verify prints the ``LemmaReport`` of each claim of ``lemmas.standard_runs``
 that its target names, field by field in every format.  Its --trials is
 capped at MAX_TRIALS, so that no value makes the randomized check run for
 hours, and m and factor refuse a word longer than MAX_WORD_LENGTH letters.
+bounds prints theta' and the critical points of g correctly rounded.
 """
 
 from __future__ import annotations
@@ -36,7 +37,6 @@ from __future__ import annotations
 import csv
 import io
 import json
-import math
 import os
 import sys
 from dataclasses import dataclass
@@ -388,18 +388,14 @@ def verify_command(config: RunConfig, target: str, max_n: int, trials: int) -> i
 
 
 @cli.command("bounds")
-@click.option("--tolerance", type=float, default=1e-10, help="Bisection tolerance for the root of f.")
 @_format_option
 @_cache_dir_option
 @click.pass_obj
-def bounds_command(config: RunConfig, tolerance: float) -> None:
+def bounds_command(config: RunConfig) -> None:
     """Both bound constants for the limit of kbar(n)/n."""
-    # Checked here so that a bad value exits before the n = 21 row is read or computed.
-    if not 0 < tolerance < math.inf:
-        raise click.UsageError(f"--tolerance must be positive and finite, got {tolerance}")
     row = length_row(21, config.cache)
     try:
-        report = bounds_report([row], tolerance)
+        report = bounds_report(row)
     except ArithmeticError as exc:
         # A cached row can be possible for its length and still wrong.
         raise click.UsageError(f"{exc}; the row for n = 21 is wrong (delete a cached row_21.json)") from exc
@@ -416,7 +412,6 @@ def bounds_command(config: RunConfig, tolerance: float) -> None:
                 "upper": float(report.upper_bound),
                 "g_prime_roots": list(report.g_prime_roots),
                 "f0": report.f0,
-                "tolerance": report.tolerance,
             }
         )
     elif config.format == "csv":

@@ -36,8 +36,8 @@ shard depth, the chunk sizes or the number of workers.
 
 Reversal preserves m, so a shard's layers of length n >= 2d are counted one
 block per reversal pair.  A block is the 2^(n-2d) contiguous entries whose
-words share their last d letters; ``words.reversal_image`` maps it onto the
-block named by the image of its 2d-letter ends.  Of two partner blocks, the
+words share their last d letters; its partner is named by the reversal of
+its 2d-letter ends, letter-swapped if b-initial.  Of two partner blocks, the
 one whose ends pack to the lesser integer counts twice and the other not at
 all; a block that is its own partner counts once.  Each shard keeps
 2^(d-1) + 1 of its 2^d blocks (``_shard_work`` says why), so all shards do
@@ -266,8 +266,8 @@ class _RowBuilder:
 
     def row(self) -> LengthRow:
         found = np.concatenate(self.max_bits)
-        # A length's a-initial maximizers are closed under reversal_image, so
-        # this adds the skipped blocks' maximizers and nothing else.
+        # A length's a-initial maximizers are closed under the reversal image,
+        # so this adds the skipped blocks' maximizers and nothing else.
         image = _reversed(found, self.n)
         image ^= (image & 1) * ((1 << self.n) - 1)
         return LengthRow(
@@ -282,8 +282,8 @@ def _block_weights(prefix_bits: int, depth: int) -> np.ndarray:
     counts, by the block's last ``depth`` letters: 1 if it is its own
     partner, else 2 if its ends pack to the lesser integer and 0 if not.
 
-    The partner's ends are ``words.reversal_image`` of the block's, taken
-    here for all 2^depth blocks at once: the reversed last letters, then
+    The partner's ends are the reversal image of the block's, taken here
+    for all 2^depth blocks at once: the reversed last letters, then
     the reversed prefix, letter-swapped where that starts with b."""
     reversed_words = _reversed_words(depth)
     ends = prefix_bits | np.arange(1 << depth, dtype=np.int64) << depth

@@ -3,18 +3,19 @@
 The induction that pins down K(n) leans on a handful of statements that
 are finite computations: explicit factorization witnesses for the seed
 family, three exhaustive case analyses over bounded suffix spaces, the
-absence of long palindromes in (bbaaba)^n, exact measures along the
-prefix family u_n and the capped family V(n), and a rearrangement
-inequality on histogram-style tuples.  Three more are checked against the
-enumeration rows: Theorem 1's closed form ``k_formula``, subadditivity of
-the exact averages, and the counting bound.  Each claim has one public
-checker (``verify_lemma1`` through ``verify_lemma4``, ``verify_lemma7``
-through ``verify_lemma9``, ``ksum_property`` and the three row claims) that
-replays it from scratch and returns a report carrying concrete
-counterexamples when (and only when) it fails; ``standard_runs`` is the
-whole suite, in the order ``verify all`` prints it.  The words a case
-analysis may leave unresolved are listed as text, and a failing word is
-excused only if its text is on the list.
+absence of long palindromes in (bbaaba)^n, exact measures along the prefix
+family u_n and the capped family V(n), and a rearrangement inequality on
+histogram-style tuples.  Three more are checked against the enumeration
+rows through the length they are given: Theorem 1's closed form
+``k_formula``, subadditivity of the exact averages, and the counting
+bound.  Each claim has one public checker (``verify_lemma1`` through
+``verify_lemma4``, ``verify_lemma7`` through ``verify_lemma9``,
+``ksum_property`` and the three row claims) that replays it from scratch
+and returns a report carrying concrete counterexamples when (and only
+when) it fails; ``standard_runs`` is the whole suite, in the order
+``verify all`` prints it.  The words a case analysis may leave unresolved
+are listed as text, and a failing word is excused only if its text is on
+the list.
 
 The three claims read off the rows get them from ``rows.length_rows``,
 which loads numpy only to scan.  The case analyses of Lemmas 3 and 4
@@ -309,14 +310,28 @@ def verify_lemma9(n_max: int) -> LemmaReport:
     return LemmaReport("lemma9", {"n_max": n_max}, n_max + 1, tuple(bad))
 
 
+def _ksum_pair(draw: Callable[[int], int]) -> tuple[list[int], list[int]]:
+    """Tuples x and a meeting the premise of ``ksum_property``, from draws
+    ``draw(b)`` in 0..b-1: a, then x clamped below a, then the rest of x."""
+    p = 1 + draw(8)
+    l = p + draw(9)
+    a = [draw(21) for _ in range(p + 1)]
+    x = [draw(a[k] + 1) for k in range(p)]
+    deficit = sum(a) - sum(x)
+    slots = l + 1 - p
+    cuts = sorted(draw(deficit + 1) for _ in range(slots - 1))
+    edges = [0, *cuts, deficit]
+    x += [edges[i + 1] - edges[i] for i in range(slots)]
+    assert len(x) == l + 1 and sum(x) == sum(a) and all(x[k] <= a[k] for k in range(p))
+    return x, a
+
+
 def ksum_property(trials: int, seed: int) -> LemmaReport:
     """Randomized check of the weighted-sum comparison.
 
     For nonnegative tuples x_1..x_{l+1} and a_1..a_{p+1} with l >= p, equal
     totals and x_k <= a_k for k <= p, the conclusion sum k x_k >= sum k a_k
-    must hold.  Tuples are drawn from a seeded generator: a first, then x
-    clamped below a on the constrained range, the remaining mass spread
-    over the free range.
+    must hold.  Tuples are drawn by ``_ksum_pair`` from a seeded generator.
     """
     if trials < 1:
         raise ValueError(f"trials must be positive, got {trials}")
@@ -325,18 +340,9 @@ def ksum_property(trials: int, seed: int) -> LemmaReport:
     draw = rng.randrange
     bad = []
     for _ in range(trials):
-        p = 1 + draw(8)
-        l = p + draw(9)
-        a = [draw(21) for _ in range(p + 1)]
-        x = [draw(a[k] + 1) for k in range(p)]
-        deficit = sum(a) - sum(x)
-        slots = l + 1 - p
-        cuts = sorted(draw(deficit + 1) for _ in range(slots - 1))
-        edges = [0, *cuts, deficit]
-        x += [edges[i + 1] - edges[i] for i in range(slots)]
-        assert len(x) == l + 1 and sum(x) == sum(a) and all(x[k] <= a[k] for k in range(p))
-        lhs = sum((k + 1) * x[k] for k in range(l + 1))
-        rhs = sum((k + 1) * a[k] for k in range(p + 1))
+        x, a = _ksum_pair(draw)
+        lhs = sum((k + 1) * v for k, v in enumerate(x))
+        rhs = sum((k + 1) * v for k, v in enumerate(a))
         if lhs < rhs:
             bad.append({"x": tuple(x), "a": tuple(a)})
     return LemmaReport("ksum", {"trials": trials, "seed": seed}, trials, tuple(bad))
@@ -379,26 +385,26 @@ def subadditivity_check(n_max: int) -> LemmaReport:
 
 def verify_counting_bound(n_max: int) -> LemmaReport:
     """x_k + x_{k-2} + ... <= a_k = C(n-1, k-1) 2^((n+k)/2) for every
-    length n from COUNTING_MIN_N through min(16, n_max) and every k up to
-    K(n); one case per length and k, a counterexample names both.
+    length n from COUNTING_MIN_N through n_max and every k up to K(n); one
+    case per length and k, a counterexample names both.
 
     The parity-cumulated sum counts words splittable into exactly k
     palindromes (a short block can always be re-split into three), so it
     is the quantity the product bound a_k actually dominates; this needs
-    the maximum below n/2, hence n >= 9.  Compared via squared integers.
+    the maximum below n/2, hence n >= 9.  The bound is tight at k = 1 for
+    odd n, where x_1 = a_1.  Compared via squared integers.
     """
     if n_max < COUNTING_MIN_N:
         raise ValueError(f"the counting bound starts at n = {COUNTING_MIN_N}, got n_max = {n_max}")
-    top = min(16, n_max)
     bad = []
     cases = 0
-    for row in length_rows(top)[COUNTING_MIN_N - 1 :]:
+    for row in length_rows(n_max)[COUNTING_MIN_N - 1 :]:
         for k in range(1, row.k + 1):
             cases += 1
             cumulative = sum(row.counts.get(j, 0) for j in range(k, 0, -2))
             if cumulative * cumulative > a_bound_squared(row.n, k):
                 bad.append({"n": row.n, "k": k})
-    return LemmaReport("counting", {"n_range": f"{COUNTING_MIN_N}..{top}"}, cases, tuple(bad))
+    return LemmaReport("counting", {"n_range": f"{COUNTING_MIN_N}..{n_max}"}, cases, tuple(bad))
 
 
 def standard_runs(

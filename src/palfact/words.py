@@ -19,7 +19,6 @@ __all__ = [
     "is_palindrome",
     "Orbit",
     "orbit",
-    "reversal_image",
     "family",
 ]
 
@@ -139,13 +138,6 @@ def orbit(w: Word) -> Orbit:
     reversal = w.reversed()
     images = (w, reversal, w.complement(), reversal.complement())
     return Orbit(tuple(sorted({im.text for im in images})))
-
-
-def reversal_image(w: Word) -> Word:
-    """The a-initial one of ``w``'s reversal and the letter swap of that
-    reversal (the reversal itself for the empty word)."""
-    bits = _reverse_bits(w.bits, w.length)
-    return Word(bits ^ ((1 << w.length) - 1) if bits & 1 else bits, w.length)
 
 
 def family(kind: str, n: int) -> Word:

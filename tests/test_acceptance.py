@@ -49,8 +49,8 @@ def rows25():
 
 
 @pytest.fixture(scope="module")
-def avg21():
-    return length_rows(21)
+def row21():
+    return length_row(21)
 
 
 @criterion("1", "worst-case table reproduced exactly for n = 1..25, and 26..30 under --allow-long")
@@ -105,9 +105,9 @@ def test_criterion_4_kbar_table():
 
 
 @criterion("5", "bound constants: theta', g(theta'), exact upper fraction, critical points of g")
-def test_criterion_5_bounds(avg21):
+def test_criterion_5_bounds(row21):
     start = time.perf_counter()
-    report = bounds_report(avg21)
+    report = bounds_report(row21)
     elapsed = time.perf_counter() - start
     assert elapsed < 1.0
     assert abs(report.theta_prime - 0.09488) <= 1e-4

@@ -1,10 +1,9 @@
 from __future__ import annotations
 
 import math
-from decimal import Decimal
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
-import numpy as np
 import pytest
 from oracles import decimal_bound_constants
 
@@ -16,7 +15,6 @@ from palfact.asymptotics import (
     a_bound_squared,
     bounds_report,
     counting_bounds,
-    f_prime,
     f_theta,
     g_prime,
     g_prime_roots,
@@ -26,8 +24,12 @@ from palfact.asymptotics import (
 from palfact.enumeration import palindrome_values
 from palfact.factorization import reachable_k
 from palfact.lemmas import k_formula
-from palfact.rows import length_rows
+from palfact.rows import length_row
 from palfact.words import Word
+
+
+def f_derivative(theta: float) -> float:
+    return math.log(2) / 2 + math.log((1 - theta) / theta)
 
 
 class TestF:
@@ -52,15 +54,16 @@ class TestF:
         with pytest.raises(ValueError):
             f_theta(1.0)
 
+    # theta_prime's uniqueness argument: f' = (ln 2)/2 + ln((1-theta)/theta).
     def test_derivative_positive_on_bracket(self):
         for theta in (1e-6, 0.01, 0.1, 0.2, 1 / 3):
-            assert f_prime(theta) > 0
+            assert f_derivative(theta) > 0
 
     def test_derivative_matches_finite_differences(self):
         h = 1e-7
         for theta in (0.05, 0.1, 0.3):
             fd = (f_theta(theta + h) - f_theta(theta - h)) / (2 * h)
-            assert abs(fd - f_prime(theta)) < 1e-5
+            assert abs(fd - f_derivative(theta)) < 1e-5
 
 
 class TestG:
@@ -86,51 +89,26 @@ class TestG:
 
 class TestThetaPrime:
     def test_matches_published_digits(self):
-        assert abs(theta_prime(1e-8) - 0.09488) < 1e-4
+        assert abs(theta_prime() - 0.09488) < 1e-4
 
     def test_bracketing(self):
-        root = theta_prime(1e-10)
+        root = theta_prime()
         assert f_theta(root - 1e-6) < 0 < f_theta(root + 1e-6)
 
-    def test_bracketing_at_ten_tolerances(self):
-        tolerance = 1e-10
-        root = theta_prime(tolerance)
-        eps = 10 * tolerance
-        assert f_theta(root - eps) < 0 < f_theta(root + eps)
-
     def test_g_at_root(self):
-        assert abs(g_theta(theta_prime(1e-10)) - 0.08781) < 1e-4
+        assert abs(g_theta(theta_prime()) - 0.08781) < 1e-4
 
     def test_in_open_interval(self):
-        root = theta_prime(1e-10)
+        root = theta_prime()
         assert 0 < root < 1 / 3
 
-    def test_tolerance_validation(self):
-        for tolerance in (0.0, -1.0, math.nan, math.inf, -math.inf):
-            with pytest.raises(ValueError):
-                theta_prime(tolerance)
-
-    def test_tolerance_below_float_spacing_terminates(self):
-        # Adjacent floats near theta' are ~1e-17 apart, so hi - lo can never
-        # fall below 1e-300; the bisection must stop on a collapsed bracket.
-        root = theta_prime(1e-300)
-        assert abs(root - theta_prime(1e-15)) <= 1e-15
-        assert abs(root - theta_prime(1e-10)) <= 1e-10
-
-    def test_monotonicity_grid_is_linspace(self, monkeypatch):
-        # The premise check samples f' in plain Python at numpy's points.
-        seen = []
-        monkeypatch.setattr(asymptotics, "f_prime", lambda theta: seen.append(theta) or f_prime(theta))
-        theta_prime(1e-10)
-        grid = np.linspace(1e-6, 1 / 3, 101)
-        assert len(seen) == grid.size
-        for got, want in zip(seen, grid):
-            assert type(got) is float and got == want
-
-    def test_premise_failure_is_reported(self, monkeypatch):
-        monkeypatch.setattr(asymptotics, "f_prime", lambda theta: -1.0 if theta == 1 / 3 else f_prime(theta))
-        with pytest.raises(ArithmeticError, match="premise"):
-            theta_prime(1e-10)
+    def test_premise_failure_is_reported(self):
+        # Bisection needs a sign change on the bracket.
+        with localcontext() as ctx:
+            ctx.prec = 50
+            with pytest.raises(ArithmeticError, match="no sign change on"):
+                asymptotics._root(lambda t: t * t - Decimal(2), Decimal(-1), Decimal(1))
+            assert asymptotics._root(lambda t: t * t - Decimal(2), Decimal(0), Decimal(2)) == math.sqrt(2)
 
 
 class TestGPrimeRoots:
@@ -145,7 +123,7 @@ class TestGPrimeRoots:
         assert g_theta(x1) > g_theta(1 / 3)  # falling after x1
 
     def test_minimum_on_bracket_is_at_theta_prime(self):
-        tp = theta_prime(1e-10)
+        tp = theta_prime()
         assert g_theta(tp) == min(g_theta(tp), g_theta(1 / 3))
 
 
@@ -154,19 +132,12 @@ class TestDecimalOracle:
 
     def test_theta_prime_and_lower_bound(self):
         theta, lower, _ = decimal_bound_constants()
-        tolerance = 1e-10
-        tp = theta_prime(tolerance)
-        assert abs(Decimal(tp) - theta) <= Decimal(tolerance)
-        assert abs(Decimal(g_theta(tp)) - lower) <= Decimal(tolerance)
+        tp = theta_prime()
+        assert (tp, g_theta(tp)) == (float(theta), float(lower))
 
-    @pytest.mark.parametrize("tolerance", [1e-6, 1e-3, 0.01, 0.05, 0.1, 0.5])
-    def test_coarse_tolerance_stays_below_the_root(self, tolerance):
-        # g increases on (0, 0.3125), so a theta above the root would print
-        # a lower bound above the paper's g(theta')
-        theta, lower, _ = decimal_bound_constants()
-        tp = theta_prime(tolerance)
-        assert theta - Decimal(tolerance) <= Decimal(tp) <= theta
-        assert Decimal(g_theta(tp)) <= lower
+    def test_theta_prime_is_correctly_rounded(self):
+        theta, _, _ = decimal_bound_constants()
+        assert theta_prime() == float(theta)
 
     def test_g_prime_roots(self):
         _, _, roots = decimal_bound_constants()
@@ -245,28 +216,24 @@ class TestProductsOfKPalindromes:
 
 
 @pytest.fixture(scope="module")
-def rows():
-    return length_rows(21)
+def row21():
+    return length_row(21)
 
 
 class TestBoundsReport:
-    def test_exact_upper_bound(self, rows):
-        report = bounds_report(rows)
+    def test_exact_upper_bound(self, row21):
+        report = bounds_report(row21)
         assert report.upper_bound == UPPER_BOUND_EXACT == Fraction(372487, 7 * 2**18)
         assert report.upper_text == "0.2030"
 
-    def test_lower_bound(self, rows):
-        report = bounds_report(rows)
+    def test_lower_bound(self, row21):
+        report = bounds_report(row21)
         assert abs(report.g_at_theta_prime - 0.08781) < 1e-4
         assert report.lower_text == "0.08781"
         assert report.g_at_theta_prime < float(report.upper_bound)
 
-    def test_f0_reported(self, rows):
-        assert bounds_report(rows).f0 == F_AT_ZERO
-
-    def test_missing_row_rejected(self, rows):
-        with pytest.raises(ValueError):
-            bounds_report([row for row in rows if row.n != 21])
+    def test_f0_reported(self, row21):
+        assert bounds_report(row21).f0 == F_AT_ZERO
 
     def test_wrong_enumeration_hard_fails(self):
         class FakeRow:
@@ -274,4 +241,4 @@ class TestBoundsReport:
             kbar = Fraction(1, 2)
 
         with pytest.raises(ArithmeticError):
-            bounds_report([FakeRow()])
+            bounds_report(FakeRow())

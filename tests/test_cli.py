@@ -466,22 +466,13 @@ class TestInputContract:
         assert "must be in 1..32" in err
         assert out == ""
 
-    @pytest.mark.parametrize("tolerance", ["nan", "inf"])
-    def test_non_finite_tolerance_is_usage_error(self, capsys, tmp_path, monkeypatch, tolerance):
+    def test_tolerance_option_is_gone(self, capsys, tmp_path, monkeypatch):
         monkeypatch.delenv("PALIN_CACHE_DIR", raising=False)
-        code, out, err = run(
-            capsys, "--format", "json", "bounds", "--tolerance", tolerance, "--cache-dir", str(tmp_path)
-        )
+        code, out, err = run(capsys, "bounds", "--tolerance", "1e-3", "--cache-dir", str(tmp_path))
         assert code == 2
-        assert "tolerance must be positive and finite" in err
+        assert "No such option" in err
         assert out == ""
-        # rejected before any histogram is read, computed or stored
         assert not any(tmp_path.iterdir())
-
-    def test_tiny_tolerance_terminates(self, capsys):
-        code, out, _ = run(capsys, "--format", "json", "bounds", "--tolerance", "1e-300")
-        assert code == 0
-        assert abs(json.loads(out)["theta_prime"] - 0.0948820786) < 1e-10
 
 
 class TestWorkerFailure:
@@ -975,7 +966,6 @@ class TestEnumerationPasses:
 # jump past the packed limit, so no example enumerates much.
 _LENGTHS = st.one_of(st.integers(-2, 20), st.sampled_from([33, 40, 10**9])).map(str)
 _WORDS = st.one_of(st.text("ab", min_size=1, max_size=40), st.sampled_from(["", "aXb", "0120", "ab ba", "-a"]))
-_TOLERANCES = st.sampled_from(["1e-10", "1e-3", "1e-300", "0", "-1", "nan", "inf"])
 _FLAG = st.sampled_from([(), ("--allow-long",)])
 
 
@@ -992,9 +982,7 @@ def _invocations(draw):
         target = draw(st.sampled_from(VERIFY_TARGETS))
         args = [target, "--max-n", draw(_LENGTHS), "--trials", str(draw(st.integers(-1, 50)))]
     else:
-        args = draw(st.sampled_from([[], ["--tolerance"]]))
-        if args:
-            args.append(draw(_TOLERANCES))
+        args = []
     shared = draw(st.sampled_from([[], ["--format", "json"], ["--format", "csv"], ["--seed", "7"]]))
     return shared, [command, *args], draw(st.booleans())
 

@@ -1,11 +1,13 @@
 from __future__ import annotations
 
 import hashlib
+from dataclasses import replace
+from fractions import Fraction
 
 import pytest
 
 from palfact import lemmas
-from palfact.rows import length_row
+from palfact.rows import length_row, length_rows
 from palfact.factorization import measure
 from palfact.lemmas import (
     LemmaReport,
@@ -20,6 +22,8 @@ from palfact.lemmas import (
     verify_lemma7,
     verify_lemma8,
     verify_lemma9,
+    verify_theorem1,
+    subadditivity_check,
 )
 from palfact.words import family
 
@@ -203,8 +207,11 @@ class TestCountingBound:
         assert report.params == {"n_range": "9..12"}
         assert report.cases == sum(length_row(n).k for n in range(9, 13))
 
-    def test_stops_at_16(self):
-        assert verify_counting_bound(30).params == {"n_range": "9..16"}
+    def test_checks_every_n_it_is_given(self):
+        report = verify_counting_bound(30)
+        assert report.passed
+        assert report.params == {"n_range": "9..30"}
+        assert report.cases == sum(length_row(n).k for n in range(9, 31))
 
     def test_failing_entries_are_counterexamples(self, monkeypatch):
         real = lemmas.a_bound_squared
@@ -214,6 +221,68 @@ class TestCountingBound:
     def test_rejects_below_9(self):
         with pytest.raises(ValueError):
             verify_counting_bound(8)
+
+
+class TestFalsification:
+    """A minimal tightening of each claim makes its real checker fail with
+    a counterexample that names the mutated case."""
+
+    def test_lemma1_bound_minus_one(self, monkeypatch):
+        # m_5 lowered to 3: the witness for suffix bbaab and every word with it
+        monkeypatch.setattr(lemmas, "M_CONSTANTS", (2, 3, 3, 3, 4, 3))
+        assert verify_lemma1(1).counterexamples == (
+            {"witness_for": "aababbbaab", "blocks": ("a", "aba", "bb", "baab")},
+            {"word": "aababbbaab", "m": 4, "bound": 3},
+            {"word": "aababbbaababbaab", "m": 6, "bound": 5},
+        )
+
+    def test_lemma7_palindrome_of_length_five(self, monkeypatch):
+        real = lemmas.longest_palindromic_factor
+        monkeypatch.setattr(lemmas, "longest_palindromic_factor", lambda w: 5 if w.length == 18 else real(w))
+        assert verify_lemma7(10).counterexamples == ({"n": 3, "longest_palindromic_factor": 5},)
+
+    def test_lemma8_measure_plus_one(self, monkeypatch):
+        # m(u_12) is read by its closed form, its recurrence and that of u_16
+        real = lemmas.measure
+        monkeypatch.setattr(lemmas, "measure", lambda w: real(w) + (len(w) == 12))
+        assert verify_lemma8(2).counterexamples == (
+            {"n": 12, "m": 6, "expected": 5},
+            {"n": 12, "m": 6, "recurrence": 5},
+            {"n": 16, "m": 6, "recurrence": 7},
+        )
+
+    def test_lemma9_measure_plus_one(self, monkeypatch):
+        real = lemmas.measure
+        monkeypatch.setattr(lemmas, "measure", lambda w: real(w) + (w == family("V", 2)))
+        assert verify_lemma9(5).counterexamples == ({"n": 2, "m": 11, "expected": 10},)
+
+    def test_ksum_violating_tuple(self, monkeypatch):
+        # x_1 = 2 > a_1 = 1 breaks the premise, and sum k x_k = 2 < 3 = sum k a_k
+        real, calls = lemmas._ksum_pair, []
+
+        def pair(draw):
+            calls.append(None)
+            return ([2, 0], [1, 1]) if len(calls) == 3 else real(draw)
+
+        monkeypatch.setattr(lemmas, "_ksum_pair", pair)
+        assert ksum_property(5, seed=1).counterexamples == ({"x": (2, 0), "a": (1, 1)},)
+
+    def test_theorem1_formula_off_at_one_n(self, monkeypatch):
+        real = lemmas.k_formula
+        monkeypatch.setattr(lemmas, "k_formula", lambda n: real(n) + (n == 7))
+        assert verify_theorem1(12).counterexamples == ({"n": 7, "enumerated": 3, "formula": 4},)
+
+    def test_subadditivity_one_forged_kbar(self, monkeypatch):
+        # kbar(1) + kbar(9) is the least kbar(i) + kbar(10 - i); a kbar(10)
+        # one word-step above it breaks that pair alone.
+        rows = length_rows(12)
+        least = rows[0].kbar + rows[8].kbar
+        assert all(least < rows[i - 1].kbar + rows[9 - i].kbar for i in range(2, 6))
+        s = int(least * 1024) + 1
+        forged = replace(rows[9], counts={3: 4 * 1024 - s, 4: s - 3 * 1024})
+        assert forged.kbar == least + Fraction(1, 1024)
+        monkeypatch.setattr(lemmas, "length_rows", lambda n_max: [*rows[:9], forged, *rows[10:n_max]])
+        assert subadditivity_check(12).counterexamples == ({"i": 1, "j": 9},)
 
 
 class TestSuite:

@@ -14,7 +14,6 @@ from palfact.words import (
     is_palindrome,
     orbit,
     parse_word,
-    reversal_image,
 )
 
 
@@ -155,15 +154,6 @@ class TestSymmetries:
                 images = (bits, rev, complement_bits_per_letter(bits, n), complement_bits_per_letter(rev, n))
                 expected = tuple(sorted({text_of(b, n) for b in images}))
                 assert orbit(Word(bits, n)).words == expected
-
-    def test_reversal_image_is_the_a_initial_reversal(self):
-        assert reversal_image(parse_word("aababbaabab")).text == "ababbaababb"
-        assert reversal_image(parse_word("abb")).text == "aab"  # bba, swapped
-        for n in range(1, 11):
-            for bits in range(1 << n):
-                rev = reverse_bits_per_letter(bits, n)
-                expected = complement_bits_per_letter(rev, n) if rev & 1 else rev
-                assert reversal_image(Word(bits, n)) == Word(expected, n)
 
 
 class TestFamily:
