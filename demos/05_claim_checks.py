@@ -11,10 +11,11 @@ prints.  A failing report would carry concrete counterexamples.
 
 import time
 
-from palfact.lemmas import all_reports
+from palfact.lemmas import standard_runs
 
 start = time.perf_counter()
-for report in all_reports(seed=42):
+for claim in standard_runs(seed=42).values():
+    report = claim()
     print(f"{report.lemma_id:<13} {report.verdict:<4} cases={report.cases:>7}  params={report.params}")
     for bad in report.counterexamples[:3]:
         print("   counterexample:", bad)

@@ -1,24 +1,28 @@
-"""On-disk cache of enumeration rows.
+"""On-disk store of enumeration rows.
 
-One JSON document per length, ``row_<n>.json``, carrying a schema version
-and a payload checksum.  The payload ``{"n", "counts", "maximizers"}`` holds
-the histogram of m over all 2^n words and every a-initial maximizer as a
-packed word, ascending; K(n) = max(counts), the maximizer count counts[K]
-and the sample orbit representatives are derived on read, so they cannot
-disagree with what is stored.  This module alone knows the payload format.
+``ResultCache`` keeps one JSON document per length, ``row_<n>.json``, and
+has two methods: ``load_row(n)`` and ``store_row(row)``.  A document is
+``{"checksum", "kind": "row", "n", "payload", "schema_version": 3}``; the
+checksum is the sha256 of the canonical payload.  The payload ``{"n",
+"counts", "maximizers"}`` holds the histogram of m over all 2^n words and
+every a-initial maximizer as a packed word, ascending; K(n) = max(counts),
+the maximizer count counts[K] and the sample orbit representatives are
+derived on read, so they cannot disagree with what is stored.  This module
+alone knows the format.
 
 Anything that fails validation is ignored and recomputed: bytes that do
-not parse as JSON (undecodable or nested too deep included), a file of
-another schema (schema 1 wrote ``kmax_<n>.json`` and ``histogram_<n>.json``,
-schema 2 stored sample words in place of the maximizers; neither is ever
-read), a checksum mismatch, or a payload impossible for its length: counts
-not summing to 2^n, a key other than one of 1..n in decimal, a count that
-is not positive and even, or maximizers that are not strictly ascending
-even integers in [0, 2^n), one for each pair of words counted at K.  An
-unwritable directory degrades to in-memory operation with a warning, never
-a hard failure.  Writes go through a temporary file and an atomic rename.
-Files are written compact (no indentation, no spaces); the checksum covers
-the canonical payload, so an indented file of the same schema reads alike.
+not parse as JSON (undecodable or nested too deep included), a document of
+another kind or schema (schema 1 wrote ``kmax_<n>.json`` and
+``histogram_<n>.json``, schema 2 stored sample words in place of the
+maximizers; neither is ever read), a checksum mismatch, or a payload
+impossible for its length: counts not summing to 2^n, a key other than one
+of 1..n in decimal, a count that is not positive and even, or maximizers
+that are not strictly ascending even integers in [0, 2^n), one for each
+pair of words counted at K.  An unwritable directory degrades to in-memory
+operation with a warning, never a hard failure.  Writes go through a
+temporary file and an atomic rename.  Files are written canonical (sorted
+keys, no indentation, no spaces); the checksum covers the canonical
+payload, so an indented file of the same schema reads alike.
 """
 
 from __future__ import annotations
@@ -28,21 +32,22 @@ import json
 import os
 import tempfile
 import warnings
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Any
 
 from .rows import LengthRow
 
-__all__ = ["SCHEMA_VERSION", "CacheEntry", "ResultCache", "payload_checksum"]
+__all__ = ["SCHEMA_VERSION", "ResultCache"]
 
 SCHEMA_VERSION = 3
-_ROW_KIND = "row"
 
 
-def payload_checksum(payload: dict[str, Any]) -> str:
-    canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(canonical.encode()).hexdigest()
+def _canonical(doc: dict[str, Any]) -> str:
+    return json.dumps(doc, sort_keys=True, separators=(",", ":"))
+
+
+def _checksum(payload: dict[str, Any]) -> str:
+    return hashlib.sha256(_canonical(payload).encode()).hexdigest()
 
 
 def _possible(n: int, payload: dict[str, Any]) -> bool:
@@ -66,34 +71,9 @@ def _possible(n: int, payload: dict[str, Any]) -> bool:
     return 2 * len(maximizers) == counts[top] and all(a < b for a, b in zip(maximizers, maximizers[1:]))
 
 
-@dataclass(frozen=True)
-class CacheEntry:
-    kind: str
-    n: int
-    payload: dict[str, Any]
-    version: int = SCHEMA_VERSION
-
-    @property
-    def checksum(self) -> str:
-        return payload_checksum(self.payload)
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "kind": self.kind,
-                "n": self.n,
-                "schema_version": self.version,
-                "checksum": self.checksum,
-                "payload": self.payload,
-            },
-            sort_keys=True,
-            separators=(",", ":"),
-        )
-
-
 class ResultCache:
-    """Load/store cache entries under one directory; None disables caching.
-    An empty path is a ValueError: ``Path("")`` is the working directory."""
+    """The rows stored under one directory; None disables caching.  An
+    empty path is a ValueError: ``Path("")`` is the working directory."""
 
     def __init__(self, directory: str | os.PathLike | None) -> None:
         if directory is not None and not os.fspath(directory):
@@ -101,15 +81,11 @@ class ResultCache:
         self.directory = Path(directory) if directory is not None else None
         self._writable: bool | None = None
 
-    def _path(self, kind: str, n: int) -> Path:
-        assert self.directory is not None
-        return self.directory / f"{kind}_{n}.json"
-
-    def load(self, kind: str, n: int) -> dict[str, Any] | None:
-        """The validated payload, or None when absent/stale/corrupt."""
+    def load_row(self, n: int) -> LengthRow | None:
+        """The cached row of length n, or None when absent/stale/corrupt."""
         if self.directory is None:
             return None
-        path = self._path(kind, n)
+        path = self.directory / f"row_{n}.json"
         try:
             data = path.read_bytes()
         except OSError:
@@ -124,47 +100,33 @@ class ResultCache:
             return None
         payload = raw.get("payload")
         if (
-            kind != _ROW_KIND
-            or raw.get("kind") != kind
+            raw.get("kind") != "row"
             or raw.get("n") != n
             or raw.get("schema_version") != SCHEMA_VERSION
             or not isinstance(payload, dict)
-            or raw.get("checksum") != payload_checksum(payload)
+            or raw.get("checksum") != _checksum(payload)
             or not _possible(n, payload)
         ):
             warnings.warn(f"ignoring stale or corrupt cache file {path}", stacklevel=2)
-            return None
-        return payload
-
-    def load_row(self, n: int) -> LengthRow | None:
-        """The cached row of length n."""
-        payload = self.load(_ROW_KIND, n)
-        if payload is None:
             return None
         counts = dict(sorted((int(k), c) for k, c in payload["counts"].items()))
         return LengthRow(n, counts, tuple(payload["maximizers"]))
 
     def store_row(self, row: LengthRow) -> bool:
-        """Persist the row of one length; nothing derivable is stored."""
-        payload = {
-            "n": row.n,
-            "counts": {str(k): c for k, c in row.counts.items()},
-            "maximizers": list(row.maximizers),
-        }
-        return self.store(CacheEntry(kind=_ROW_KIND, n=row.n, payload=payload))
-
-    def store(self, entry: CacheEntry) -> bool:
-        """Persist one entry; returns False (with a warning) when the
-        directory cannot be written."""
+        """Persist the row of one length; nothing derivable is stored.
+        Returns False (with a warning) when the directory cannot be written."""
         if self.directory is None:
             return False
+        payload = {"n": row.n, "counts": {str(k): c for k, c in row.counts.items()}, "maximizers": list(row.maximizers)}
+        doc = {"kind": "row", "n": row.n, "schema_version": SCHEMA_VERSION, "payload": payload}
+        doc["checksum"] = _checksum(payload)
         try:
             self.directory.mkdir(parents=True, exist_ok=True)
             fd, tmp_name = tempfile.mkstemp(dir=self.directory, suffix=".tmp")
             try:
                 with os.fdopen(fd, "w") as handle:
-                    handle.write(entry.to_json())
-                os.replace(tmp_name, self._path(entry.kind, entry.n))
+                    handle.write(_canonical(doc))
+                os.replace(tmp_name, self.directory / f"row_{row.n}.json")
             except BaseException:
                 try:
                     os.unlink(tmp_name)

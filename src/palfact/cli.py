@@ -18,9 +18,12 @@ given after the subcommand wins over one given before it, and
 PALIN_CACHE_DIR wins over both; an empty --cache-dir is a usage error.
 Every command reads its rows through ``rows.length_row`` or
 ``rows.length_rows``.  Only kmax, kbar, histogram and bounds pass them the
-cache, which serves the rows they print (histogram and bounds one row, the
-tables every row up to --max-n); a miss makes one enumeration pass that
-stores every row it made.  The cache format is known to ``cache`` alone.
+cache, a ``ResultCache`` row store that serves the rows they print
+(histogram and bounds one row, the tables every row up to --max-n); a miss
+makes one enumeration pass that stores every row it made.  The file format
+is known to ``cache`` alone.  Every length in 1..32 runs without a flag;
+kmax, kbar, histogram and worst accept --allow-long and ignore it, so
+command lines written when lengths above 26 needed it still run.
 numpy is loaded only where layers are built: by an enumeration pass (a
 cache miss, worst, and the row claims of verify) and by the case analyses
 of verify.  m, factor and warm cache hits run without it.
@@ -55,9 +58,6 @@ from .words import Orbit, WordError, parse_word
 __all__ = ["RunConfig", "cli", "dispatch", "main"]
 
 FORMATS = ("table", "csv", "json")
-
-# Each letter beyond this length doubles the enumeration time; ask first.
-LONG_RUN_THRESHOLD = 26
 
 # Exit status when a worker process of a sharded enumeration died.
 WORKER_DIED = 3
@@ -106,6 +106,8 @@ _cache_dir_option = click.option(
 _seed_option = click.option(
     "--seed", type=int, expose_value=False, callback=_override, help="Seed for randomized checks."
 )
+# Lengths above 26 once needed this flag; command lines that pass it still run.
+_allow_long_option = click.option("--allow-long", is_flag=True, expose_value=False, help="Ignored.")
 
 
 def _echo_json(doc: object) -> None:
@@ -145,16 +147,12 @@ def _parse_word_arg(text: str):
         raise click.UsageError(str(exc)) from exc
 
 
-def _guard_length(option: str, n: int, allow_long: bool) -> None:
+def _guard_length(option: str, n: int) -> None:
     """Reject a length before the cache is read or any word is enumerated."""
     if n < 1:
         raise click.UsageError(f"{option} must be positive, got {n}")
     if n > PACKED_LIMIT:
         raise click.UsageError(f"{option} must be in 1..{PACKED_LIMIT}, got {n}")
-    if n > LONG_RUN_THRESHOLD and not allow_long:
-        raise click.UsageError(
-            f"lengths above {LONG_RUN_THRESHOLD} are long-running; pass --allow-long to proceed"
-        )
 
 
 @click.group()
@@ -210,13 +208,13 @@ def _orbit_json(orb: Orbit) -> dict:
 
 @cli.command("kmax")
 @click.option("--max-n", type=int, required=True, help="Compute K(n) for every n up to this length.")
-@click.option("--allow-long", is_flag=True, help="Permit lengths above 26.")
+@_allow_long_option
 @_format_option
 @_cache_dir_option
 @click.pass_obj
-def kmax_command(config: RunConfig, max_n: int, allow_long: bool) -> None:
+def kmax_command(config: RunConfig, max_n: int) -> None:
     """Exact worst-case table K(1)..K(MAX_N) by full enumeration."""
-    _guard_length("--max-n", max_n, allow_long)
+    _guard_length("--max-n", max_n)
     rows = length_rows(max_n, config.cache)
     if config.format == "csv":
         click.echo("n,K,maximizer_count")
@@ -242,13 +240,13 @@ def kmax_command(config: RunConfig, max_n: int, allow_long: bool) -> None:
 
 @cli.command("kbar")
 @click.option("--max-n", type=int, required=True, help="Exact averages for every n up to this length.")
-@click.option("--allow-long", is_flag=True, help="Permit lengths above 26.")
+@_allow_long_option
 @_format_option
 @_cache_dir_option
 @click.pass_obj
-def kbar_command(config: RunConfig, max_n: int, allow_long: bool) -> None:
+def kbar_command(config: RunConfig, max_n: int) -> None:
     """Exact average table kbar(1)..kbar(MAX_N)."""
-    _guard_length("--max-n", max_n, allow_long)
+    _guard_length("--max-n", max_n)
     rows = length_rows(max_n, config.cache)
     # kbar = S/2^n in lowest terms: an odd numerator over a power of two.
     docs = [
@@ -276,13 +274,13 @@ def kbar_command(config: RunConfig, max_n: int, allow_long: bool) -> None:
 
 @cli.command("histogram")
 @click.option("--n", "n", type=int, required=True, help="Word length.")
-@click.option("--allow-long", is_flag=True, help="Permit lengths above 26.")
+@_allow_long_option
 @_format_option
 @_cache_dir_option
 @click.pass_obj
-def histogram_command(config: RunConfig, n: int, allow_long: bool) -> None:
+def histogram_command(config: RunConfig, n: int) -> None:
     """Exact counts x_k of words of length N with m = k."""
-    _guard_length("--n", n, allow_long)
+    _guard_length("--n", n)
     hist = length_row(n, config.cache)
     if config.format == "csv":
         click.echo("n,k,x_k")
@@ -298,12 +296,12 @@ def histogram_command(config: RunConfig, n: int, allow_long: bool) -> None:
 
 @cli.command("worst")
 @click.option("--n", "n", type=int, required=True, help="Word length.")
-@click.option("--allow-long", is_flag=True, help="Permit lengths above 26.")
+@_allow_long_option
 @_format_option
 @click.pass_obj
-def worst_command(config: RunConfig, n: int, allow_long: bool) -> None:
+def worst_command(config: RunConfig, n: int) -> None:
     """All words attaining K(N), grouped into symmetry orbits."""
-    _guard_length("--n", n, allow_long)
+    _guard_length("--n", n)
     row = length_row(n)
     orbits = list(row.orbits())
     if config.format == "csv":
@@ -341,7 +339,7 @@ MAX_TRIALS = 10**6
 @click.pass_obj
 def verify_command(config: RunConfig, target: str, max_n: int, trials: int) -> int:
     """Replay the machine-checkable claims; exit 1 on any failure."""
-    _guard_length("--max-n", max_n, allow_long=True)
+    _guard_length("--max-n", max_n)
     # Below the counting bound's first length the claim would check nothing.
     if target in ("counting", "all") and max_n < COUNTING_MIN_N:
         raise click.UsageError(

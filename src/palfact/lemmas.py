@@ -52,7 +52,6 @@ __all__ = [
     "subadditivity_check",
     "verify_counting_bound",
     "standard_runs",
-    "all_reports",
 ]
 
 # The additive constants m_0..m_5 paired with suffix lengths 0..5 of the
@@ -427,8 +426,3 @@ def standard_runs(
         "subadditivity": lambda: subadditivity_check(max(2, max_n)),
         "counting": lambda: verify_counting_bound(max_n),
     }
-
-
-def all_reports(*, ksum_trials: int = 10_000, seed: int = 42, max_n: int = 20) -> list[LemmaReport]:
-    """Run the whole suite: the reports ``verify all`` prints."""
-    return [run() for run in standard_runs(ksum_trials, seed, max_n).values()]

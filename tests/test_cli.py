@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import csv
+import hashlib
 import io
 import json
 import os
@@ -9,6 +10,7 @@ import subprocess
 import sys
 import tempfile
 import time
+import warnings
 from pathlib import Path
 
 import click
@@ -18,10 +20,10 @@ from hypothesis import strategies as st
 
 from conftest import K_TABLE
 from palfact import cli, enumeration, lemmas
-from palfact.cache import SCHEMA_VERSION, CacheEntry, ResultCache, payload_checksum
+from palfact.cache import SCHEMA_VERSION, ResultCache
 from palfact.cli import MAX_WORD_LENGTH, VERIFY_TARGETS, RunConfig, dispatch
 from palfact.lemmas import LemmaReport
-from palfact.rows import length_row
+from palfact.rows import LengthRow, length_row
 
 
 def run(capsys, *argv):
@@ -93,9 +95,11 @@ class TestKmaxCommand:
         assert row11["orbits"][0]["size"] == 4
 
     def test_long_guard(self, capsys):
-        code, _, err = run(capsys, "kmax", "--max-n", "27")
-        assert code == 2
-        assert "--allow-long" in err
+        # Lengths above 26 need no flag; --allow-long is accepted and ignored.
+        code, out, err = run(capsys, "kmax", "--max-n", "27")
+        assert (code, err) == (0, "")
+        assert out.splitlines()[-1] == f" 27  {K_TABLE[26]}          64  aaababbbaababbaababbaaababb"
+        assert run(capsys, "kmax", "--max-n", "27", "--allow-long") == (0, out, "")
 
     def test_byte_identical_reruns(self, capsys):
         _, first, _ = run(capsys, "--format", "json", "kmax", "--max-n", "9")
@@ -189,14 +193,14 @@ class TestVerifyCommand:
         _, out2, _ = run(capsys, "--seed", "1", "--format", "json", "verify", "ksum", "--trials", "200")
         assert out1 == out2
 
-    def test_json_lemma_entries_equal_all_reports(self, capsys):
+    def test_json_lemma_entries_equal_standard_runs(self, capsys):
         for max_n in (9, 20):
             code, out, _ = run(
                 capsys, "--format", "json", "verify", "all", "--max-n", str(max_n), "--seed", "3", "--trials", "300"
             )
             assert code == 0
             entries = json.loads(out)
-            reports = lemmas.all_reports(ksum_trials=300, seed=3, max_n=max_n)
+            reports = [claim() for claim in lemmas.standard_runs(ksum_trials=300, seed=3, max_n=max_n).values()]
             assert len(entries) == len(reports) == 11
             for entry, rep in zip(entries, reports):
                 assert entry["lemma"] == rep.lemma_id
@@ -644,9 +648,25 @@ def _forge_row_21(capsys, directory, monkeypatch):
     doc = json.loads(path.read_text())
     doc["payload"]["counts"]["1"] += 2
     doc["payload"]["counts"]["2"] -= 2
-    doc["checksum"] = payload_checksum(doc["payload"])
+    doc["checksum"] = _checksum(doc["payload"])
     path.write_text(json.dumps(doc))
     assert ResultCache(directory).load_row(21).s == 8939688 - 2
+
+
+def _checksum(payload):
+    """The sha256 of the canonical JSON of a payload, as the format defines it."""
+    return hashlib.sha256(json.dumps(payload, sort_keys=True, separators=(",", ":")).encode()).hexdigest()
+
+
+def _doc(payload, *, n=4, kind="row", version=3):
+    """The text of a cache document, written here from the format itself
+    rather than by ``cache``, so that the tests pin the format."""
+    doc = {"checksum": _checksum(payload), "kind": kind, "n": n, "payload": payload, "schema_version": version}
+    return json.dumps(doc, sort_keys=True, separators=(",", ":"))
+
+
+# The row _row_payload() describes.
+_ROW = LengthRow(4, {1: 4, 2: 8, 3: 4}, (4, 10))
 
 
 def _row_payload(n=4, counts=None, maximizers=None):
@@ -661,29 +681,37 @@ def _row_payload(n=4, counts=None, maximizers=None):
 
 class TestCache:
     def test_roundtrip(self, tmp_path):
-        cache = ResultCache(tmp_path)
-        entry = CacheEntry(kind="row", n=4, payload=_row_payload())
-        assert cache.store(entry)
-        assert (tmp_path / "row_4.json").exists()
-        assert cache.load("row", 4) == entry.payload
-        row = cache.load_row(4)
-        assert row.counts == {1: 4, 2: 8, 3: 4}
-        assert row.maximizers == (4, 10)
+        (tmp_path / "row_4.json").write_text(_doc(_row_payload()))
+        row = ResultCache(tmp_path).load_row(4)
+        assert row == _ROW
         assert (row.n, row.k, row.maximizer_count) == (4, 3, 4)
         assert [orb.representative for orb in row.sample_orbits] == ["aaba", "abab"]
+        cache = ResultCache(tmp_path / "fresh")
         assert cache.store_row(row)
-        assert cache.load("row", 4) == entry.payload
+        assert (tmp_path / "fresh" / "row_4.json").read_text() == _doc(_row_payload())
+        assert cache.load_row(4) == row
+
+    def test_golden_bytes(self, tmp_path):
+        golden = (
+            '{"checksum":"3990c75ce956b0844a1f863d14afa89e4a7e472273f086d21aedcb45a518b168","kind":"row","n":4,'
+            '"payload":{"counts":{"1":4,"2":12},"maximizers":[2,4,8,10,12,14],"n":4},"schema_version":3}'
+        )
+        stored, written = tmp_path / "stored", tmp_path / "written"
+        assert ResultCache(stored).store_row(length_row(4))
+        assert [p.name for p in stored.iterdir()] == ["row_4.json"]
+        assert (stored / "row_4.json").read_text() == golden
+        written.mkdir()
+        (written / "row_4.json").write_text(golden)
+        assert ResultCache(written).load_row(4) == length_row(4)
 
     def test_indented_file_is_served(self, tmp_path):
-        entry = CacheEntry(kind="row", n=4, payload=_row_payload())
-        doc = json.loads(entry.to_json())
+        doc = json.loads(_doc(_row_payload()))
         (tmp_path / "row_4.json").write_text(json.dumps(doc, sort_keys=True, indent=2))
-        row = ResultCache(tmp_path).load_row(4)
-        assert (row.counts, row.maximizers) == ({1: 4, 2: 8, 3: 4}, (4, 10))
+        assert ResultCache(tmp_path).load_row(4) == _ROW
 
     def test_checksum_guards_payload(self, tmp_path):
         cache = ResultCache(tmp_path)
-        cache.store(CacheEntry(kind="row", n=4, payload=_row_payload()))
+        cache.store_row(_ROW)
         path = tmp_path / "row_4.json"
         doc = json.loads(path.read_text())
         doc["payload"]["counts"]["3"] = 2
@@ -694,7 +722,7 @@ class TestCache:
 
     def test_truncated_file_recomputes(self, tmp_path):
         cache = ResultCache(tmp_path)
-        cache.store(CacheEntry(kind="row", n=4, payload=_row_payload()))
+        cache.store_row(_ROW)
         path = tmp_path / "row_4.json"
         path.write_text(path.read_text()[: len(path.read_text()) // 2])
         with pytest.warns(UserWarning):
@@ -702,13 +730,11 @@ class TestCache:
 
     def test_version_bump_recomputes(self, tmp_path):
         cache = ResultCache(tmp_path)
-        cache.store(CacheEntry(kind="row", n=4, payload=_row_payload()))
+        cache.store_row(_ROW)
         path = tmp_path / "row_4.json"
-        doc = json.loads(path.read_text())
-        assert doc["schema_version"] == SCHEMA_VERSION == 3
+        assert json.loads(path.read_text())["schema_version"] == SCHEMA_VERSION == 3
         for stale in (1, SCHEMA_VERSION - 1, SCHEMA_VERSION + 1):
-            doc["schema_version"] = stale
-            path.write_text(json.dumps(doc))
+            path.write_text(_doc(_row_payload(), version=stale))
             with pytest.warns(UserWarning):
                 assert cache.load_row(4) is None
 
@@ -716,9 +742,12 @@ class TestCache:
         blocker = tmp_path / "blocker"
         blocker.write_text("file, not a directory")
         cache = ResultCache(blocker / "sub")
-        with pytest.warns(UserWarning):
-            stored = cache.store(CacheEntry(kind="row", n=4, payload=_row_payload()))
+        with pytest.warns(UserWarning, match="not writable"):
+            stored = cache.store_row(_ROW)
         assert stored is False
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # warned once: the next failure is silent
+            assert cache.store_row(_ROW) is False
 
     # The first parameter names the view of the row a payload makes
     # impossible: the histogram (counts) or the K table (the maximum, its
@@ -756,37 +785,36 @@ class TestCache:
         ],
     )
     def test_impossible_payload_is_rejected(self, tmp_path, view, payload):
-        cache = ResultCache(tmp_path)
-        assert cache.store(CacheEntry(kind="row", n=4, payload=payload))
+        (tmp_path / "row_4.json").write_text(_doc(payload))
         with pytest.warns(UserWarning, match="stale or corrupt"):
-            assert cache.load_row(4) is None
+            assert ResultCache(tmp_path).load_row(4) is None
 
     def test_possible_histogram_is_served(self, tmp_path):
-        cache = ResultCache(tmp_path)
         payload = _row_payload(counts={"1": 4, "2": 8, "3": 2, "4": 2}, maximizers=[12])
-        cache.store(CacheEntry(kind="row", n=4, payload=payload))
-        assert cache.load("row", 4) == payload
-        row = cache.load_row(4)
+        (tmp_path / "row_4.json").write_text(_doc(payload))
+        row = ResultCache(tmp_path).load_row(4)
         assert list(row.counts) == [1, 2, 3, 4]
+        assert row.maximizers == (12,)
         assert (row.k, row.maximizer_count) == (4, 2)
         assert [orb.representative for orb in row.sample_orbits] == ["aabb"]
 
     def test_other_kinds_are_not_served(self, tmp_path):
-        cache = ResultCache(tmp_path)
-        assert cache.store(CacheEntry(kind="histogram", n=4, payload=_row_payload()))
+        (tmp_path / "row_4.json").write_text(_doc(_row_payload(), kind="histogram"))
         with pytest.warns(UserWarning, match="stale or corrupt"):
-            assert cache.load("histogram", 4) is None
+            assert ResultCache(tmp_path).load_row(4) is None
 
-    def test_checksum_is_canonical(self):
-        a = payload_checksum({"x": 1, "y": 2})
-        b = payload_checksum({"y": 2, "x": 1})
-        assert a == b
+    def test_checksum_is_canonical(self, tmp_path):
+        # The checksum covers the canonical payload, not the file's bytes:
+        # keys in another order and spaced separators read alike.
+        payload = {"maximizers": [4, 10], "counts": {"3": 4, "2": 8, "1": 4}, "n": 4}
+        doc = {"schema_version": 3, "payload": payload, "n": 4, "kind": "row", "checksum": _checksum(payload)}
+        (tmp_path / "row_4.json").write_text(json.dumps(doc))
+        assert ResultCache(tmp_path).load_row(4) == _ROW
 
     def test_disabled_cache(self):
         cache = ResultCache(None)
-        assert cache.load("row", 1) is None
         assert cache.load_row(1) is None
-        assert not cache.store(CacheEntry(kind="row", n=1, payload={}))
+        assert not cache.store_row(_ROW)
 
 
 def _cache_state(directory):
@@ -829,7 +857,7 @@ class TestCliCacheIntegration:
         path = tmp_path / "row_8.json"
         doc = json.loads(path.read_text())
         doc["payload"]["counts"]["1"] += 2
-        doc["checksum"] = payload_checksum(doc["payload"])
+        doc["checksum"] = _checksum(doc["payload"])
         path.write_text(json.dumps(doc))
         with pytest.warns(UserWarning, match="stale or corrupt"):
             code, rerun, _ = run(capsys, *argv)
@@ -841,19 +869,19 @@ class TestCliCacheIntegration:
         argv = ("--format", "csv", "kmax", "--max-n", "4")
         _, expected, _ = run(capsys, *argv)
         wrong = {"n": 4, "K": 4, "maximizer_count": 2, "sample_maximizers": ["abab"]}
-        old = CacheEntry(kind="kmax", n=4, payload=wrong, version=1)
-        (tmp_path / "kmax_4.json").write_text(old.to_json())
+        old = _doc(wrong, kind="kmax", version=1)
+        (tmp_path / "kmax_4.json").write_text(old)
         code, out, _ = run(capsys, "--cache-dir", str(tmp_path), *argv)
         assert code == 0
         assert out == expected
-        assert (tmp_path / "kmax_4.json").read_text() == old.to_json()
+        assert (tmp_path / "kmax_4.json").read_text() == old
 
     def test_schema_two_files_are_never_read(self, capsys, tmp_path, monkeypatch):
         monkeypatch.delenv("PALIN_CACHE_DIR", raising=False)
         argv = ("--format", "json", "kmax", "--max-n", "4")
         _, expected, _ = run(capsys, *argv)
         wrong = {"n": 4, "counts": {"1": 4, "2": 8, "3": 4}, "sample_maximizers": ["abab"]}
-        (tmp_path / "row_4.json").write_text(CacheEntry(kind="row", n=4, payload=wrong, version=2).to_json())
+        (tmp_path / "row_4.json").write_text(_doc(wrong, version=2))
         with pytest.warns(UserWarning, match="stale or corrupt"):
             code, out, _ = run(capsys, "--cache-dir", str(tmp_path), *argv)
         assert code == 0
@@ -949,8 +977,8 @@ class TestEnumerationPasses:
         monkeypatch.setattr("palfact.rows._memo", {})
         scans.clear()
         loads = []
-        load = ResultCache.load
-        monkeypatch.setattr(ResultCache, "load", lambda self, kind, n: loads.append(n) or load(self, kind, n))
+        load = ResultCache.load_row
+        monkeypatch.setattr(ResultCache, "load_row", lambda self, n: loads.append(n) or load(self, n))
         assert run(capsys, "--cache-dir", str(cache_dir), *argv) == expected
         assert scans == []
         assert loads == loaded
