@@ -8,10 +8,10 @@ over all words of length n, replays the computer-checkable steps behind
 the closed form for K(n), and evaluates the constants bounding the limit
 of kbar(n)/n.
 
-Only the layer engine, ``enumeration``, needs numpy, and only a scan
-loads it: ``length_row`` and ``length_rows`` come from ``rows``, which
-imports the engine when its memo is too short.  So importing the package,
-and every function that builds no layer, leaves numpy unloaded.
+Only code that builds layers loads numpy: a scan, which ``length_row`` and
+``length_rows`` (from ``rows``) make only when their memo is too short,
+and the case analyses of Lemmas 3 and 4.  So importing the package, and
+every function that builds no layer, leaves numpy unloaded.
 """
 
 from .asymptotics import (

@@ -340,11 +340,11 @@ MAX_TRIALS = 10**6
 def verify_command(config: RunConfig, target: str, max_n: int, trials: int) -> int:
     """Replay the machine-checkable claims; exit 1 on any failure."""
     _guard_length("--max-n", max_n)
-    # Below the counting bound's first length the claim would check nothing.
-    if target in ("counting", "all") and max_n < COUNTING_MIN_N:
-        raise click.UsageError(
-            f"verify {target} needs --max-n >= {COUNTING_MIN_N} (the counting bound starts there), got {max_n}"
-        )
+    # Below its first length a claim would check nothing: the counting bound
+    # starts at COUNTING_MIN_N, and subadditivity adds two lengths.
+    first = {"counting": COUNTING_MIN_N, "all": COUNTING_MIN_N, "subadditivity": 2}.get(target, 1)
+    if max_n < first:
+        raise click.UsageError(f"verify {target} needs --max-n >= {first}, got {max_n}")
     if trials < 1:
         raise click.UsageError(f"--trials must be positive, got {trials}")
     if trials > MAX_TRIALS:

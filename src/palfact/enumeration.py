@@ -17,22 +17,22 @@ followed by those q letters reversed, or, where q > e, at most one extension.
 Layers are built in cache-sized chunks of consecutive entries, each taken
 through every palindromic suffix before the next one starts.
 
-A scan up to n_max is sharded by prefix: every a-initial prefix of d
-letters is extended by n_max - d symbols, and lengths 2..d come from the
-prefix a extended by d - 1.  Layers of at most one chunk (2^20 entries)
-are built whole.  Each longer one holds one chunk at a time: the layers
-past that length are built depth first, chunk lo of layer e and then the
-two chunks of layer e + 1 that extend it, lo and lo + 2^e, each counted
-into its row as soon as it is built.  A chunk reads only its ancestors on
-that path, so a shard holds 2^21 bytes plus 1 MiB for each longer layer
-(``_kept_layers``), not 2^(n_max-d), and every chunk is still built once.
-The top layer feeds nothing but its own row: it is the last level.
-Each layer is turned into row data in cache-sized spans (compare-and-count
-per value, maximizer indices only where a span reaches the running
-maximum), and row data merge associatively: counts add, and the larger
-maximum keeps its maximizer words (equal maxima concatenate them).
-Everything is exact integer arithmetic, so results do not depend on the
-shard depth, the chunk sizes or the number of workers.
+A scan up to n_max is sharded by prefix: every a-initial prefix of d letters
+is extended by n_max - d symbols, and each a-initial word of j <= d letters
+is counted from m of the prefix's first j letters, in the shard whose prefix
+extends it by a's.  Layers of at most one chunk (2^20 entries) are built
+whole.  Each longer one holds one chunk at a time: the layers past that
+length are built depth first, chunk lo of layer e and then the two chunks of
+layer e + 1 that extend it, lo and lo + 2^e, each counted into its row as
+soon as it is built.  A chunk reads only its ancestors on that path, so a
+shard holds 2^21 bytes plus 1 MiB for each longer layer (``_kept_layers``),
+not 2^(n_max-d), and every chunk is still built once.  The top layer feeds
+nothing but its own row: it is the last level.  Each layer is turned into
+row data in cache-sized spans (compare-and-count per value, maximizer
+indices only where a span reaches the running maximum), and row data merge
+associatively: counts add, and the larger maximum keeps its maximizer words
+(equal maxima concatenate them).  Everything is exact integer arithmetic, so
+results do not depend on the shard depth, the chunk sizes or the worker count.
 
 Reversal preserves m, so a shard's layers of length n >= 2d are counted one
 block per reversal pair.  A block is the 2^(n-2d) contiguous entries whose
@@ -50,21 +50,23 @@ partner blocks.  ``_RowBuilder.row`` adds the skipped blocks' maximizers:
 the reversal images of those found.
 
 ``_plan`` fixes all of this before a scan starts, as a ``ScanPlan``: the
-depth, the worker count W, the chunks and spans, the batches of prefixes,
-the bytes they allocate and the entries the scan will build and count.
-The depth is the deepest whose top blocks hold whole build chunks (depth 3
-at n = 26: 4 MiB of kept layers, and 0.81 of the entries built and 0.63
-counted at depth 1).  Scans up to n = 26 run in one process, longer ones
-on forked workers, each holding under 10 MiB of buffers up to n = 32.
-Each worker runs one batch, which builds its shards' layers in one buffer
-and folds them into one set of row data, and the W results merge.
+depth, the chunks and spans, the batches of prefixes (one per worker), the
+bytes they allocate and the entries the scan will build and count.  The
+depth is the deepest whose top blocks hold whole build chunks (depth 3 at
+n = 26: 4 MiB of kept layers, and 0.81 of the entries built and 0.63
+counted at depth 1).  Scans up to n = 26 run in one process, longer ones on
+forked workers, each holding under 10 MiB of buffers up to n = 32.  Each
+worker runs one batch, which builds its shards' layers in one buffer and
+folds them into one set of row data, and the results merge; the process
+that forks them builds no layer.
 
-A length's row (``rows.LengthRow``) is its histogram of m and its
-a-initial maximizers; K(n), the maximizer count, S(n), the exact average
-kbar(n) and the symmetry orbits (``words.Orbit``) of the maximizers are
-derived from those two fields.  This is the one module that imports numpy.
-Callers read rows through ``rows.length_row`` and ``rows.length_rows``,
-which import it and call ``scan_lengths`` only when their memo is too short.
+A length's row (``rows.LengthRow``) is its histogram of m and its a-initial
+maximizers; K(n), the maximizer count, S(n), the exact average kbar(n) and
+the symmetry orbits (``words.Orbit``) of the maximizers are derived from
+those two fields.  This module imports numpy, and so, when they run, do the
+case analyses of Lemmas 3 and 4 (``extension_m``).  Callers read rows
+through ``rows.length_row`` and ``rows.length_rows``, which import it and
+call ``scan_lengths`` only when their memo is too short.
 """
 
 from __future__ import annotations
@@ -313,23 +315,20 @@ class ScanPlan:
     starts; ``_scan_shards`` and ``_scan_sharded`` only read it.
 
     The a-initial ``depth``-letter prefixes are extended by ``n_max - depth``
-    symbols, split into ``batches``, one per worker process (``workers``).
-    Kept layer e is counted ``spans[e]`` entries at a time, one block where
-    that skips the block's reversal partner.  ``head`` is the plan of
-    lengths 2..depth (the prefix a extended by depth - 1), None at depth 1.
-    ``buffer_bytes`` sums over the workers what a batch holds: its kept
-    layers (``_kept_layers``), the top chunk, and the scratch of one build
-    chunk (the rows it gathers) and one row chunk (a bool mask).  ``built``
-    and ``counted`` are the layer entries the whole scan will build and
-    count, ``head`` included.
+    symbols, split into ``batches``, one per worker process.  Kept layer e
+    is counted ``spans[e]`` entries at a time, one block where that skips
+    the block's reversal partner.  ``buffer_bytes`` sums over the workers
+    what a batch holds: its kept layers (``_kept_layers``), the top chunk,
+    and the scratch of one build chunk (the rows it gathers) and one row
+    chunk (a bool mask).  ``built`` and ``counted`` are the layer entries
+    the whole scan will build and count, the words of 1..depth letters,
+    each counted once from its shard's prefix, included.
     """
 
     n_max: int
     depth: int
-    workers: int
     spans: tuple[int, ...]
     batches: tuple[tuple[int, ...], ...]
-    head: ScanPlan | None
     buffer_bytes: int
     built: int
     counted: int
@@ -350,6 +349,8 @@ def _shard_work(depth: int, spans: tuple[int, ...]) -> tuple[int, int]:
     last letters end in a and pack to at most r (r + 1 of them), and those
     whose last letters end in b and pack to at most r letter-swapped
     (2^(depth-1) - r of them)."""
+    if not spans:
+        return 0, 0  # n_max = depth: the prefixes are the words
     end = 1 << len(spans)
     block = end >> depth
     blocks = (1 << (depth - 1)) + 1
@@ -363,10 +364,10 @@ def _kept_layers(ext_len: int) -> tuple[int, int]:
     of kept layers the shard holds.
 
     Layers up to one build chunk long are built whole, 2^(whole + 1) bytes
-    in all.  Each longer kept layer (e < ext_len) is held one build chunk
-    at a time, in a window of its own."""
+    in all (whole = -1 where ext_len = 0).  Each longer kept layer
+    (e < ext_len) is held one build chunk at a time, in a window of its own."""
     whole = min(ext_len - 1, _LAYER_CHUNK.bit_length() - 1)
-    return whole, (2 << whole) + (ext_len - 1 - whole) * _LAYER_CHUNK
+    return whole, (1 << whole + 1) + (ext_len - 1 - whole) * _LAYER_CHUNK
 
 
 def _layout(n_max: int, depth: int, workers: int = 1) -> ScanPlan:
@@ -381,34 +382,30 @@ def _layout(n_max: int, depth: int, workers: int = 1) -> ScanPlan:
     """
     depth = min(depth, n_max)
     ext_len = n_max - depth
-    end = 1 << ext_len
     spans = tuple(
         (1 << e) >> depth if (1 << e) >> depth >= max(1, _ROW_CHUNK >> 4) else 1 << e for e in range(ext_len)
     )
     # bit 0 clear: the prefix starts with 'a'
-    prefixes = range(0, 1 << depth, 2) if ext_len else range(0)
-    workers = max(1, min(workers, len(prefixes)))
+    prefixes = range(0, 1 << depth, 2)
+    workers = min(workers, len(prefixes))
     built, counted = _shard_work(depth, spans)
-    head = _layout(depth, 1) if depth > 1 else None
     return ScanPlan(
         n_max=n_max,
         depth=depth,
-        workers=workers,
         spans=spans,
         # Every shard does the same work, so interleaving balances the batches.
-        batches=tuple(tuple(prefixes[w::workers]) for w in range(workers)) if prefixes else (),
-        head=head,
-        buffer_bytes=workers * (_kept_layers(ext_len)[1] + 2 * min(_LAYER_CHUNK, end) + _ROW_CHUNK)
-        if prefixes
-        else 0,
-        built=len(prefixes) * built + (head.built if head else 0),
-        counted=len(prefixes) * counted + (head.counted if head else 0),
+        batches=tuple(tuple(prefixes[w::workers]) for w in range(workers)),
+        buffer_bytes=workers * (_kept_layers(ext_len)[1] + 2 * min(_LAYER_CHUNK, 1 << ext_len) + _ROW_CHUNK),
+        built=len(prefixes) * built,
+        # the a-initial words of 1..depth letters: 2^(j-1) of each length j
+        counted=len(prefixes) * counted + (1 << depth) - 1,
     )
 
 
 def _scan_shards(plan: ScanPlan, prefixes: Iterable[int]) -> dict[int, _RowBuilder]:
-    """Row statistics of the lengths above ``plan.depth`` over the words
-    that start with any of the ``prefixes``, as ``plan`` lays them out.
+    """Row statistics of lengths 1..plan.n_max over the words that start
+    with any of the ``prefixes``, as ``plan`` lays them out; rows up to the
+    depth from the prefixes' measures, the longer ones from their layers.
 
     The layers longer than one build chunk are built depth first: chunk lo
     of layer e is built and counted, and then the two chunks of layer e + 1
@@ -421,19 +418,24 @@ def _scan_shards(plan: ScanPlan, prefixes: Iterable[int]) -> dict[int, _RowBuild
     how much of it stayed resident depended on which shards it happened to run.
     """
     depth, ext_len = plan.depth, plan.ext_len
-    builders = {depth + e: _RowBuilder(depth + e) for e in range(1, ext_len + 1)}
+    builders = {n: _RowBuilder(n) for n in range(1, plan.n_max + 1)}
     end = 1 << ext_len
     chunk = min(_LAYER_CHUNK, end)
     whole, kept = _kept_layers(ext_len)
     buf = np.empty(kept + chunk, dtype=np.uint8)
     # Layers whole + 1 .. ext_len - 1 have one chunk each; the top layer is
     # only ever one chunk: built, counted, overwritten.
-    windows = [buf[lo : lo + chunk] for lo in range(2 << whole, kept, chunk)]
+    windows = [buf[lo : lo + chunk] for lo in range(1 << whole + 1, kept, chunk)]
     top = buf[kept:]
     hit = np.empty(_ROW_CHUNK, dtype=bool)
     for prefix_bits in prefixes:
         prefix = Word(prefix_bits, depth)
         measures = _prefix_measures(prefix)
+        # the j-letter words that this prefix extends by a's (prefix_bits >> j == 0)
+        for j in range(max(1, prefix_bits.bit_length()), depth + 1):
+            builders[j].add_layer(np.full(1, measures[j], dtype=np.uint8), prefix_bits, j, hit)
+        if not ext_len:
+            continue  # n_max = depth: the prefix is the whole word
         ext = extension_m(prefix, whole, buf) + windows
         covering = {e: _covering_factors(prefix, e, measures) for e in range(whole + 1, ext_len + 1)}
         weights = _block_weights(prefix_bits, depth)
@@ -464,14 +466,11 @@ def _scan_shards(plan: ScanPlan, prefixes: Iterable[int]) -> dict[int, _RowBuild
 
 
 def _scan_sharded(plan: ScanPlan) -> dict[int, LengthRow]:
-    """Rows 1..plan.n_max, the lengths above the shard depth from the plan's
-    batches, run on forked processes when there are several; raises
-    ``WorkerDied`` when a worker process ends without its result."""
-    rows = _scan_sharded(plan.head) if plan.head else {1: LengthRow(1, {1: 2}, (0,))}
-    if not plan.batches:
-        return rows
+    """Rows 1..plan.n_max from the plan's batches, run on forked processes
+    when there are several; raises ``WorkerDied`` when a worker process
+    ends without its result."""
     batch = partial(_scan_shards, plan)
-    if plan.workers > 1:
+    if len(plan.batches) > 1:
         # Imported here: a process that never runs two batches at once does
         # not pay for them.
         import multiprocessing
@@ -484,7 +483,7 @@ def _scan_sharded(plan: ScanPlan) -> dict[int, LengthRow]:
         # and never calls BLAS, so no child waits on a lock a thread held.
         # The executor forks every worker before it starts its own threads.
         try:
-            with ProcessPoolExecutor(plan.workers, mp_context=multiprocessing.get_context("fork")) as pool:
+            with ProcessPoolExecutor(len(plan.batches), mp_context=multiprocessing.get_context("fork")) as pool:
                 merged, *others = pool.map(batch, plan.batches)
         except BrokenProcessPool as exc:
             raise WorkerDied("an enumeration worker process died (killed by a signal, e.g. out of memory)") from exc
@@ -493,8 +492,7 @@ def _scan_sharded(plan: ScanPlan) -> dict[int, LengthRow]:
     for other in others:
         for n, builder in merged.items():
             builder.merge(other[n])
-    rows.update((n, builder.row()) for n, builder in merged.items())
-    return rows
+    return {n: builder.row() for n, builder in merged.items()}
 
 
 def _usable_cpus() -> int:

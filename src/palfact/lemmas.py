@@ -411,8 +411,8 @@ def standard_runs(
 ) -> dict[str, Callable[[], LemmaReport]]:
     """The claim suite in report order, keyed by ``verify`` target: the
     lemmas at their standard parameters, then the claims checked against
-    the enumeration up to length max_n (subadditivity from 2 on).  Each run
-    starts only when called, and looks its checker up then."""
+    the enumeration up to length max_n.  Each run starts only when called,
+    and looks its checker up then."""
     return {
         "lemma1": lambda: verify_lemma1(8),
         "lemma2": lambda: verify_lemma2(),
@@ -423,6 +423,6 @@ def standard_runs(
         "lemma9": lambda: verify_lemma9(5),
         "ksum": lambda: ksum_property(ksum_trials, seed),
         "theorem1": lambda: verify_theorem1(max_n),
-        "subadditivity": lambda: subadditivity_check(max(2, max_n)),
+        "subadditivity": lambda: subadditivity_check(max_n),
         "counting": lambda: verify_counting_bound(max_n),
     }

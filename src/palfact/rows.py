@@ -9,8 +9,8 @@ every command, claim and demo reads them through ``length_row`` or
 the process (the memo).  Given a ``cache.ResultCache``, they return the
 wanted rows from it when it holds them all, and otherwise store every row
 of the memo's answer in it.  Cached rows never enter the memo.  Only a
-scan imports ``enumeration``, and with it numpy, so the single-word
-commands and warm cache hits run without numpy.
+scan, or a case analysis of Lemma 3 or 4, imports ``enumeration`` and numpy,
+so the single-word commands and warm cache hits run without numpy.
 """
 
 from __future__ import annotations

@@ -444,6 +444,17 @@ class TestInputContract:
         assert "--max-n >= 9" in err
         assert out == ""
 
+    def test_subadditivity_below_two_is_usage_error(self, capsys):
+        code, out, err = run(capsys, "verify", "subadditivity", "--max-n", "1")
+        assert (code, out) == (2, "")
+        assert err.splitlines()[-1] == "Error: verify subadditivity needs --max-n >= 2, got 1"
+
+    def test_subadditivity_at_two_checks_one_pair(self, capsys):
+        code, out, _ = run(capsys, "--format", "json", "verify", "subadditivity", "--max-n", "2")
+        assert code == 0
+        (report,) = json.loads(out)
+        assert (report["verdict"], report["params"]["n_max"], report["params"]["cases"]) == ("pass", 2, 1)
+
     def test_counting_at_nine_checks_cases(self, capsys):
         code, out, _ = run(capsys, "--format", "json", "verify", "counting", "--max-n", "9")
         assert code == 0

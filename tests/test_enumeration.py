@@ -196,8 +196,10 @@ def oracles_14():
 class TestSharding:
     """Rows must not depend on the prefix depth the scan is sharded at."""
 
-    # Row chunks of 3 and 64 entries also let kept layers skip blocks.
-    @pytest.mark.parametrize("n_max", [2, 7, 12, 18])
+    # Row chunks of 3 and 64 entries also let kept layers skip blocks.  At
+    # n_max = 1, and n_max = 2 at depth 2, the prefixes are the words and no
+    # shard builds a layer.
+    @pytest.mark.parametrize("n_max", [1, 2, 7, 12, 18])
     @pytest.mark.parametrize("row_chunk", [3, 64])
     def test_rows_independent_of_shard_depth(self, monkeypatch, n_max, row_chunk):
         unsharded = _scan_sharded(_layout(n_max, 1))
@@ -298,7 +300,8 @@ class TestSharding:
         prefixes = range(0, 16, 2)
         batch = _scan_shards(_layout(14, 4), prefixes)
         singles = [_scan_shards(_layout(14, 4), (prefix,)) for prefix in prefixes]
-        assert sorted(batch) == list(range(5, 15))
+        # rows 1..4 from the prefixes' measures, 5..14 from their layers
+        assert sorted(batch) == list(range(1, 15))
         for n, builder in batch.items():
             merged = singles[0][n]
             for other in singles[1:]:
@@ -369,12 +372,11 @@ class TestReversalBlocks:
         plan = _layout(2 * depth + 8, depth, workers)
         kept = {p: int(np.count_nonzero(_block_weights(p, depth))) for p in range(0, 1 << depth, 2)}
         assert sorted(p for batch in plan.batches for p in batch) == list(kept)
-        assert len(plan.batches) == plan.workers == min(workers, len(kept))
+        assert len(plan.batches) == min(workers, len(kept))
         assert max(map(len, plan.batches)) - min(map(len, plan.batches)) <= 1
         loads = [sum(kept[p] for p in batch) for batch in plan.batches]
         assert max(loads) <= sum(loads) / len(loads) + max(kept.values()), loads
-        head = plan.head.built if plan.head else 0
-        assert plan.built == len(kept) * _shard_work(depth, plan.spans)[0] + head
+        assert plan.built == len(kept) * _shard_work(depth, plan.spans)[0]
 
     def test_top_layer_builds_only_counted_blocks(self, monkeypatch):
         # n = 2d + log2(chunk): one chunk per block, built only if it counts
@@ -417,11 +419,11 @@ class TestWorkers:
         monkeypatch.setattr(enumeration, "_LAYER_CHUNK", 1 << (n_max - 9))
         monkeypatch.setattr(enumeration, "_usable_cpus", lambda: 1)
         plan = _plan(n_max)
-        assert (plan.depth, plan.workers) == (4, 1)
+        assert (plan.depth, len(plan.batches)) == (4, 1)
         in_process = scan_lengths(n_max)
         monkeypatch.setattr(enumeration, "_usable_cpus", lambda: 2)
         plan = _plan(n_max)
-        assert (plan.depth, plan.workers) == (4, 2)
+        assert (plan.depth, len(plan.batches)) == (4, 2)
         assert scan_lengths(n_max) == in_process == _scan_sharded(_layout(n_max, 1))
 
     def test_shards_reach_different_maxima(self, monkeypatch, two_cpus):
@@ -433,7 +435,7 @@ class TestWorkers:
         monkeypatch.setattr(enumeration, "_IN_PROCESS_BITS", 10)
         monkeypatch.setattr(enumeration, "_LAYER_CHUNK", 1 << 5)
         plan = _plan(11)
-        assert (plan.depth, plan.workers, 1 << (plan.ext_len - plan.depth)) == (3, 2, 1 << 5)
+        assert (plan.depth, len(plan.batches), 1 << (plan.ext_len - plan.depth)) == (3, 2, 1 << 5)
         shards = {text_of(prefix, 3): _scan_shards(_layout(11, 3), (prefix,))[11] for prefix in range(0, 8, 2)}
         assert {text: shard.k for text, shard in shards.items()} == {"aaa": 4, "aba": 4, "aab": 5, "abb": 4}
         expected = ["aababbaabab", "ababbaababb"]
@@ -452,7 +454,7 @@ class TestWorkers:
         monkeypatch.setattr(enumeration, "_LAYER_CHUNK", 1 << (n_max - 2 * depth))
         monkeypatch.setattr(enumeration, "_usable_cpus", lambda: cpus)
         plan = _plan(n_max)
-        assert (plan.depth, plan.workers) == (depth, cpus)
+        assert (plan.depth, len(plan.batches)) == (depth, cpus)
         assert scan_lengths(n_max) == _scan_sharded(_layout(n_max, 1))
 
     # Every scan runs at the deepest depth whose top blocks hold whole 2^20-
@@ -465,7 +467,7 @@ class TestWorkers:
     )
     def test_two_cpus_split_the_layer_budget(self, two_cpus, n_max, plan):
         got = _plan(n_max)
-        assert (got.depth, got.workers) == plan
+        assert (got.depth, len(got.batches)) == plan
 
     # A worker holds layers 1..20 whole and a 1 MiB chunk of each longer
     # one, whatever the plan: at most 2^21 + 5 * 2^20 bytes of kept layers
@@ -475,7 +477,7 @@ class TestWorkers:
         monkeypatch.setattr(enumeration, "_usable_cpus", lambda: cpus)
         for n_max in range(21, 33):
             plan = _plan(n_max)
-            assert plan.buffer_bytes <= plan.workers * (10 << 20), (n_max, plan.depth, plan.workers)
+            assert plan.buffer_bytes <= len(plan.batches) * (10 << 20), (n_max, plan.depth, len(plan.batches))
 
     # n = 30 runs at depth 5 on any CPU count, on at most its 16 shards.
     # Each plan is (depth, W).
@@ -486,7 +488,7 @@ class TestWorkers:
     def test_plan_at_n30(self, monkeypatch, cpus, plan):
         monkeypatch.setattr(enumeration, "_usable_cpus", lambda: cpus)
         got = _plan(30)
-        assert (got.depth, got.workers) == plan
+        assert (got.depth, len(got.batches)) == plan
 
     @pytest.mark.parametrize("n_max", range(24, 33))
     def test_workers_do_no_more_work_than_one_process(self, monkeypatch, n_max):
@@ -513,9 +515,31 @@ class TestWorkers:
                 one.built,
                 one.counted,
             ), n_max
-            assert plan.workers == (1 if n_max <= 26 else min(cpus, 1 << (plan.depth - 1))), n_max
+            assert len(plan.batches) == (1 if n_max <= 26 else min(cpus, 1 << (plan.depth - 1))), n_max
             if n_max >= 22:
                 assert 1 << (plan.ext_len - plan.depth) >= enumeration._LAYER_CHUNK, n_max
+
+    # Every layer is built in a worker: the forking parent only merges rows.
+    # Build chunks of 2^3 entries put n = 12 at depth 4, on two workers.
+    def test_parent_builds_no_layer(self, monkeypatch, two_cpus):
+        parent, calls, in_parent = os.getpid(), multiprocessing.Value("q", 0), multiprocessing.Value("q", 0)
+        fill_chunk = enumeration._fill_chunk
+
+        def recorded(*args):
+            with calls.get_lock():
+                calls.value += 1
+                in_parent.value += os.getpid() == parent
+            fill_chunk(*args)
+
+        monkeypatch.setattr(enumeration, "_IN_PROCESS_BITS", 0)
+        monkeypatch.setattr(enumeration, "_LAYER_CHUNK", 1 << 3)
+        expected = _scan_sharded(_layout(12, 1))
+        monkeypatch.setattr(enumeration, "_fill_chunk", recorded)
+        plan = _plan(12)
+        assert (plan.depth, len(plan.batches)) == (4, 2)
+        assert scan_lengths(12) == expected
+        assert calls.value > 0
+        assert in_parent.value == 0
 
     # Small chunks, so that blocks are built and counted alone from small n
     # on and scans run deeper than depth 1; _IN_PROCESS_BITS = 0, so that W
@@ -541,7 +565,7 @@ class TestWorkers:
         monkeypatch.setattr(enumeration, "_LAYER_CHUNK", layer_chunk)
         monkeypatch.setattr(enumeration, "_ROW_CHUNK", row_chunk)
         monkeypatch.setattr(enumeration, "_IN_PROCESS_BITS", 0)
-        for n_max in (5, 9, 12, 14):
+        for n_max in (1, 5, 9, 12, 14):
             expected = _scan_sharded(_layout(n_max, 1))
             for cpus in (1, 2, 3, 4):
                 monkeypatch.setattr(enumeration, "_usable_cpus", lambda: cpus)

@@ -294,7 +294,10 @@ class TestSuite:
         ]
         assert runs["ksum"]().params == {"trials": 50, "seed": 7}
         assert runs["theorem1"]().params == {"n_max": 1}
-        assert runs["subadditivity"]().params["n_max"] == 2  # never below 2
+        # max_n is passed through: subadditivity needs two lengths
+        with pytest.raises(ValueError, match="n_max must be in 2..32, got 1"):
+            runs["subadditivity"]()
+        assert lemmas.standard_runs(max_n=3)["subadditivity"]().params["n_max"] == 3
 
     def test_runs_look_their_checker_up_when_called(self, monkeypatch):
         runs = lemmas.standard_runs(max_n=12)
