@@ -1,13 +1,15 @@
 """The worst-case measure K(n) = max m(w) over all words of length n.
 
-Exhaustive enumeration (letter-swap reduced, so half the space) gives the
-exact table; the closed form floor(n/6) + floor((n+4)/6) + 1 matches it
-everywhere except n = 11, where a single orbit reaches 5 instead of 4.
+A depth-first search over the words starting with 'a' (the others are their
+letter swaps) gives the exact table with every maximizer; subadditivity,
+m(uv) <= m(u) + K(|v|), prunes every prefix that cannot reach the maximum.
+The closed form floor(n/6) + floor((n+4)/6) + 1 matches it everywhere except
+n = 11, where a single orbit reaches 5 instead of 4.
 """
 
-from palfact import k_formula, length_row, length_rows, verify_theorem1
+from palfact import k_formula, verify_theorem1, worst_rows
 
-rows = length_rows(20)
+rows = worst_rows(20)
 print(" n  K(n)  formula  maximizers")
 for row in rows:
     print(f"{row.n:>2}  {row.k:>4}  {k_formula(row.n):>7}  {row.maximizer_count}")
@@ -18,7 +20,7 @@ print("uniform branch at n=11:", 11 // 6 + (11 + 4) // 6 + 1, "  enumerated:", r
 
 # The words responsible, grouped by the symmetry group (letter swap and
 # reversal, under which m is invariant):
-for orbit in length_row(11).orbits():
+for orbit in rows[10].orbits():
     print("extremal orbit at n=11:", orbit.words, "size", orbit.size)
 
 # The formula check as a single claim report:

@@ -2,16 +2,16 @@
 
 Every binary word w splits into nonempty palindromic blocks; m(w) is the
 least number of blocks needed and measures how far w is from being
-symmetric.  The package computes m with an explicit witness, enumerates
-the worst case K(n) = max m and the exact average kbar(n) = 2^-n sum m
-over all words of length n, replays the computer-checkable steps behind
-the closed form for K(n), and evaluates the constants bounding the limit
-of kbar(n)/n.
+symmetric.  The package computes m with an explicit witness, finds the
+worst case K(n) = max m with every word attaining it, enumerates the exact
+average kbar(n) = 2^-n sum m over all words of length n, replays the
+computer-checkable steps behind the closed form for K(n), and evaluates
+the constants bounding the limit of kbar(n)/n.
 
-Only code that builds layers loads numpy: a scan, which ``length_row`` and
-``length_rows`` (from ``rows``) make only when their memo is too short,
-and the case analyses of Lemmas 3 and 4.  So importing the package, and
-every function that builds no layer, leaves numpy unloaded.
+Only a scan loads numpy, and ``length_row`` and ``length_rows`` (from
+``rows``) make one only when their memo is too short; ``worst_rows`` and
+Lemmas 3 and 4 are pruned searches.  So importing the package, and every
+function that builds no layer, leaves numpy unloaded.
 """
 
 from .asymptotics import (
@@ -41,7 +41,7 @@ from .lemmas import (
     verify_lemma9,
     verify_theorem1,
 )
-from .rows import LengthRow, length_row, length_rows
+from .rows import LengthRow, WorstRow, length_row, length_rows, worst_rows
 from .words import (
     Orbit,
     Word,
@@ -64,6 +64,7 @@ __all__ = [
     "Orbit",
     "Word",
     "WordError",
+    "WorstRow",
     "bounds_report",
     "counting_bounds",
     "f_theta",
@@ -92,4 +93,5 @@ __all__ = [
     "verify_lemma8",
     "verify_lemma9",
     "verify_theorem1",
+    "worst_rows",
 ]

@@ -2,27 +2,23 @@
 
 ``ResultCache`` keeps one JSON document per length, ``row_<n>.json``, and
 has two methods: ``load_row(n)`` and ``store_row(row)``.  A document is
-``{"checksum", "kind": "row", "n", "payload", "schema_version": 3}``; the
+``{"checksum", "kind": "row", "n", "payload", "schema_version": 4}``; the
 checksum is the sha256 of the canonical payload.  The payload ``{"n",
-"counts", "maximizers"}`` holds the histogram of m over all 2^n words and
-every a-initial maximizer as a packed word, ascending; K(n) = max(counts),
-the maximizer count counts[K] and the sample orbit representatives are
-derived on read, so they cannot disagree with what is stored.  This module
-alone knows the format.
+"counts"}`` holds the histogram of m over all 2^n words; S(n), kbar(n) and
+K(n) = max(counts) are derived on read.  This module alone knows the format.
 
 Anything that fails validation is ignored and recomputed: bytes that do
 not parse as JSON (undecodable or nested too deep included), a document of
 another kind or schema (schema 1 wrote ``kmax_<n>.json`` and
-``histogram_<n>.json``, schema 2 stored sample words in place of the
-maximizers; neither is ever read), a checksum mismatch, or a payload
+``histogram_<n>.json``, schema 2 added sample words to a row and schema 3
+its maximizers; none is ever read), a checksum mismatch, or a payload
 impossible for its length: counts not summing to 2^n, a key other than one
-of 1..n in decimal, a count that is not positive and even, or maximizers
-that are not strictly ascending even integers in [0, 2^n), one for each
-pair of words counted at K.  An unwritable directory degrades to in-memory
-operation with a warning, never a hard failure.  Writes go through a
-temporary file and an atomic rename.  Files are written canonical (sorted
-keys, no indentation, no spaces); the checksum covers the canonical
-payload, so an indented file of the same schema reads alike.
+of 1..n in decimal, or a count that is not positive and even.  An
+unwritable directory degrades to in-memory operation with a warning, never
+a hard failure.  Writes go through a temporary file and an atomic rename.
+Files are written canonical (sorted keys, no indentation, no spaces); the
+checksum covers the canonical payload, so an indented file of the same
+schema reads alike.
 """
 
 from __future__ import annotations
@@ -39,7 +35,7 @@ from .rows import LengthRow
 
 __all__ = ["SCHEMA_VERSION", "ResultCache"]
 
-SCHEMA_VERSION = 3
+SCHEMA_VERSION = 4
 
 
 def _canonical(doc: dict[str, Any]) -> str:
@@ -52,23 +48,16 @@ def _checksum(payload: dict[str, Any]) -> str:
 
 def _possible(n: int, payload: dict[str, Any]) -> bool:
     """Whether a row payload can describe the words of length n: its counts
-    cover all 2^n words at m in 1..n, each count is even (the letter swap
-    pairs the words), and its maximizers are distinct a-initial (even)
-    words of length n, ascending, half of the counts[K] words at the
-    maximum K."""
-    counts, maximizers = payload.get("counts"), payload.get("maximizers")
+    cover all 2^n words at m in 1..n, and each count is even (the letter
+    swap pairs the words)."""
+    counts = payload.get("counts")
     keys = {str(k) for k in range(1, n + 1)}
-    if not (
+    return (
         payload.get("n") == n
         and isinstance(counts, dict)
         and all(k in keys and isinstance(c, int) and c > 0 and c % 2 == 0 for k, c in counts.items())
         and sum(counts.values()) == 1 << n
-        and isinstance(maximizers, list)
-        and all(type(b) is int and b % 2 == 0 and 0 <= b < 1 << n for b in maximizers)
-    ):
-        return False
-    top = max(counts, key=int)
-    return 2 * len(maximizers) == counts[top] and all(a < b for a, b in zip(maximizers, maximizers[1:]))
+    )
 
 
 class ResultCache:
@@ -110,14 +99,14 @@ class ResultCache:
             warnings.warn(f"ignoring stale or corrupt cache file {path}", stacklevel=2)
             return None
         counts = dict(sorted((int(k), c) for k, c in payload["counts"].items()))
-        return LengthRow(n, counts, tuple(payload["maximizers"]))
+        return LengthRow(n, counts)
 
     def store_row(self, row: LengthRow) -> bool:
         """Persist the row of one length; nothing derivable is stored.
         Returns False (with a warning) when the directory cannot be written."""
         if self.directory is None:
             return False
-        payload = {"n": row.n, "counts": {str(k): c for k, c in row.counts.items()}, "maximizers": list(row.maximizers)}
+        payload = {"n": row.n, "counts": {str(k): c for k, c in row.counts.items()}}
         doc = {"kind": "row", "n": row.n, "schema_version": SCHEMA_VERSION, "payload": payload}
         doc["checksum"] = _checksum(payload)
         try:

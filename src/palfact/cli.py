@@ -12,21 +12,21 @@ and seed, and each command makes at most one enumeration pass.
 The global options --format, --cache-dir and --seed are each declared
 once and fill the invocation's one ``RunConfig``.  All three go before the
 subcommand; a subcommand also accepts after its name the ones it uses:
---format every one, --cache-dir kmax, kbar, histogram and bounds, and
---seed only verify, the one command with randomized checks.  A value
-given after the subcommand wins over one given before it, and
-PALIN_CACHE_DIR wins over both; an empty --cache-dir is a usage error.
-Every command reads its rows through ``rows.length_row`` or
-``rows.length_rows``.  Only kmax, kbar, histogram and bounds pass them the
-cache, a ``ResultCache`` row store that serves the rows they print
-(histogram and bounds one row, the tables every row up to --max-n); a miss
-makes one enumeration pass that stores every row it made.  The file format
-is known to ``cache`` alone.  Every length in 1..32 runs without a flag;
-kmax, kbar, histogram and worst accept --allow-long and ignore it, so
-command lines written when lengths above 26 needed it still run.
-numpy is loaded only where layers are built: by an enumeration pass (a
-cache miss, worst, and the row claims of verify) and by the case analyses
-of verify.  m, factor and warm cache hits run without it.
+--format every one, --cache-dir kbar, histogram and bounds, and --seed
+only verify, the one command with randomized checks.  A value given after
+the subcommand wins over one given before it, and PALIN_CACHE_DIR wins
+over both; an empty --cache-dir is a usage error.  kmax and worst print
+``rows.worst_rows``, made by a pruned search.  The other commands read
+their rows through ``rows.length_row`` or ``rows.length_rows``, and only
+kbar, histogram and bounds pass them the cache, a ``ResultCache`` row store
+that serves the rows they print (histogram and bounds one row, kbar every
+row up to --max-n); a miss makes one enumeration pass that stores every
+row it made.  The file format is known to ``cache`` alone.  Every length
+in 1..32 runs without a flag; kmax, kbar, histogram and worst accept
+--allow-long and ignore it, so command lines written when lengths above 26
+needed it still run.  numpy is loaded only by an enumeration pass: a cache
+miss, and the row claims of verify.  m, factor, kmax, worst, the case
+analyses of verify and warm cache hits run without it.
 
 verify prints the ``LemmaReport`` of each claim of ``lemmas.standard_runs``
 that its target names, field by field in every format.  Its --trials is
@@ -52,7 +52,7 @@ from .asymptotics import bounds_report
 from .cache import ResultCache
 from .factorization import min_factorization
 from .lemmas import COUNTING_MIN_N
-from .rows import PACKED_LIMIT, WorkerDied, length_row, length_rows
+from .rows import PACKED_LIMIT, WorkerDied, length_row, length_rows, worst_rows
 from .words import Orbit, WordError, parse_word
 
 __all__ = ["RunConfig", "cli", "dispatch", "main"]
@@ -210,12 +210,11 @@ def _orbit_json(orb: Orbit) -> dict:
 @click.option("--max-n", type=int, required=True, help="Compute K(n) for every n up to this length.")
 @_allow_long_option
 @_format_option
-@_cache_dir_option
 @click.pass_obj
 def kmax_command(config: RunConfig, max_n: int) -> None:
-    """Exact worst-case table K(1)..K(MAX_N) by full enumeration."""
+    """Exact worst-case table K(1)..K(MAX_N) by pruned search."""
     _guard_length("--max-n", max_n)
-    rows = length_rows(max_n, config.cache)
+    rows = worst_rows(max_n)
     if config.format == "csv":
         click.echo("n,K,maximizer_count")
         for row in rows:
@@ -302,7 +301,7 @@ def histogram_command(config: RunConfig, n: int) -> None:
 def worst_command(config: RunConfig, n: int) -> None:
     """All words attaining K(N), grouped into symmetry orbits."""
     _guard_length("--n", n)
-    row = length_row(n)
+    row = worst_rows(n)[-1]
     orbits = list(row.orbits())
     if config.format == "csv":
         click.echo("n,representative,orbit_size")

@@ -27,12 +27,11 @@ layer e + 1 that extend it, lo and lo + 2^e, each counted into its row as
 soon as it is built.  A chunk reads only its ancestors on that path, so a
 shard holds 2^21 bytes plus 1 MiB for each longer layer (``_kept_layers``),
 not 2^(n_max-d), and every chunk is still built once.  The top layer feeds
-nothing but its own row: it is the last level.  Each layer is turned into
-row data in cache-sized spans (compare-and-count per value, maximizer
-indices only where a span reaches the running maximum), and row data merge
-associatively: counts add, and the larger maximum keeps its maximizer words
-(equal maxima concatenate them).  Everything is exact integer arithmetic, so
-results do not depend on the shard depth, the chunk sizes or the worker count.
+nothing but its own row: it is the last level.  Each layer is counted into
+its length's histogram in cache-sized spans (``_count``: compare-and-count
+per value), and histograms merge by adding.  Everything is exact integer
+arithmetic, so results do not depend on the shard depth, the chunk sizes or
+the worker count.
 
 Reversal preserves m, so a shard's layers of length n >= 2d are counted one
 block per reversal pair.  A block is the 2^(n-2d) contiguous entries whose
@@ -46,8 +45,7 @@ and where its blocks hold whole chunks a skipped block is never built.  A
 kept layer is built in full, and counted one block at a time where a block
 holds 2^14 entries or more (a chunk of a longer layer inherits its blocks'
 weights).  Smaller blocks are counted whole, and depth-1 scans have no two
-partner blocks.  ``_RowBuilder.row`` adds the skipped blocks' maximizers:
-the reversal images of those found.
+partner blocks.
 
 ``_plan`` fixes all of this before a scan starts, as a ``ScanPlan``: the
 depth, the chunks and spans, the batches of prefixes (one per worker), the
@@ -57,16 +55,14 @@ n = 26: 4 MiB of kept layers, and 0.81 of the entries built and 0.63
 counted at depth 1).  Scans up to n = 26 run in one process, longer ones on
 forked workers, each holding under 10 MiB of buffers up to n = 32.  Each
 worker runs one batch, which builds its shards' layers in one buffer and
-folds them into one set of row data, and the results merge; the process
-that forks them builds no layer.
+counts them into one histogram per length, and the histograms add; the
+process that forks them builds no layer.
 
-A length's row (``rows.LengthRow``) is its histogram of m and its a-initial
-maximizers; K(n), the maximizer count, S(n), the exact average kbar(n) and
-the symmetry orbits (``words.Orbit``) of the maximizers are derived from
-those two fields.  This module imports numpy, and so, when they run, do the
-case analyses of Lemmas 3 and 4 (``extension_m``).  Callers read rows
-through ``rows.length_row`` and ``rows.length_rows``, which import it and
-call ``scan_lengths`` only when their memo is too short.
+A length's row (``rows.LengthRow``) is its histogram of m; K(n), S(n) and
+the exact average kbar(n) are derived from it.  This module alone imports
+numpy.  Callers read rows through ``rows.length_row`` and
+``rows.length_rows``, which import it and call ``scan_lengths`` only when
+their memo is too short.
 """
 
 from __future__ import annotations
@@ -102,18 +98,14 @@ _LAYER_CHUNK = 1 << 20
 _ROW_CHUNK = 1 << 18
 
 
-def _reversed(words: np.ndarray, length: int) -> np.ndarray:
-    """The reversal of each ``length``-letter word in an int64 array."""
-    image = np.zeros_like(words)
-    for t in range(length):
-        image |= (words >> t & 1) << (length - 1 - t)
-    return image
-
-
 @cache
 def _reversed_words(depth: int) -> np.ndarray:
     """The reversal of every ``depth``-letter word, indexed by the word."""
-    return _reversed(np.arange(1 << depth, dtype=np.int64), depth)
+    words = np.arange(1 << depth, dtype=np.int64)
+    image = np.zeros_like(words)
+    for t in range(depth):
+        image |= (words >> t & 1) << (depth - 1 - t)
+    return image
 
 
 @cache
@@ -227,56 +219,20 @@ def extension_m(prefix: Word, ext_len: int, out: np.ndarray | None = None) -> li
     return ext
 
 
-class _RowBuilder:
-    """Row statistics for one length, merged over the layers of every shard."""
-
-    def __init__(self, n: int) -> None:
-        self.n = n
-        self.counts = [0] * 256
-        self.k = 0
-        self.max_bits: list[np.ndarray] = []
-
-    def add_layer(
-        self, layer: np.ndarray, prefix_bits: int, depth: int, hit: np.ndarray, first: int = 0, weight: int = 1
-    ) -> None:
-        """Fold in the layer of one shard, or its entries from ``first`` on,
-        each counted ``weight`` times; ``hit`` is a bool scratch buffer."""
-        for start in range(0, layer.size, _ROW_CHUNK):
-            chunk = layer[start : start + _ROW_CHUNK]
-            mask = hit[: chunk.size]
-            low, top = int(chunk.min()), int(chunk.max())
-            rest = chunk.size
-            for k in range(low, top):
-                np.equal(chunk, k, out=mask)
-                seen = int(np.count_nonzero(mask))
-                self.counts[k] += weight * seen
-                rest -= seen
-            self.counts[top] += weight * rest
-            if top > self.k:
-                self.k, self.max_bits = top, []
-            if top == self.k:
-                idx = np.flatnonzero(chunk == top) + (first + start)
-                self.max_bits.append(prefix_bits | (idx << depth))
-
-    def merge(self, other: _RowBuilder) -> None:
-        """Fold in the statistics of other shards of the same length."""
-        self.counts = [a + b for a, b in zip(self.counts, other.counts)]
-        if other.k > self.k:
-            self.k, self.max_bits = other.k, []
-        if other.k == self.k:
-            self.max_bits += other.max_bits
-
-    def row(self) -> LengthRow:
-        found = np.concatenate(self.max_bits)
-        # A length's a-initial maximizers are closed under the reversal image,
-        # so this adds the skipped blocks' maximizers and nothing else.
-        image = _reversed(found, self.n)
-        image ^= (image & 1) * ((1 << self.n) - 1)
-        return LengthRow(
-            n=self.n,
-            counts={k: 2 * c for k, c in enumerate(self.counts) if c},
-            maximizers=tuple(sorted(set(found.tolist()) | set(image.tolist()))),
-        )
+def _count(counts: list[int], layer: np.ndarray, hit: np.ndarray, weight: int) -> None:
+    """Add ``weight`` to counts[k] for every entry k of ``layer``; ``hit``
+    is a bool scratch buffer of at least ``_ROW_CHUNK`` entries."""
+    for start in range(0, layer.size, _ROW_CHUNK):
+        chunk = layer[start : start + _ROW_CHUNK]
+        mask = hit[: chunk.size]
+        low, top = int(chunk.min()), int(chunk.max())
+        rest = chunk.size
+        for k in range(low, top):
+            np.equal(chunk, k, out=mask)
+            seen = int(np.count_nonzero(mask))
+            counts[k] += weight * seen
+            rest -= seen
+        counts[top] += weight * rest
 
 
 def _block_weights(prefix_bits: int, depth: int) -> np.ndarray:
@@ -321,8 +277,8 @@ class ScanPlan:
     what a batch holds: its kept layers (``_kept_layers``), the top chunk,
     and the scratch of one build chunk (the rows it gathers) and one row
     chunk (a bool mask).  ``built`` and ``counted`` are the layer entries
-    the whole scan will build and count, the words of 1..depth letters,
-    each counted once from its shard's prefix, included.
+    the whole scan will build and count; the words of 1..depth letters are
+    counted from the prefixes and are in neither.
     """
 
     n_max: int
@@ -397,15 +353,15 @@ def _layout(n_max: int, depth: int, workers: int = 1) -> ScanPlan:
         batches=tuple(tuple(prefixes[w::workers]) for w in range(workers)),
         buffer_bytes=workers * (_kept_layers(ext_len)[1] + 2 * min(_LAYER_CHUNK, 1 << ext_len) + _ROW_CHUNK),
         built=len(prefixes) * built,
-        # the a-initial words of 1..depth letters: 2^(j-1) of each length j
-        counted=len(prefixes) * counted + (1 << depth) - 1,
+        counted=len(prefixes) * counted,
     )
 
 
-def _scan_shards(plan: ScanPlan, prefixes: Iterable[int]) -> dict[int, _RowBuilder]:
-    """Row statistics of lengths 1..plan.n_max over the words that start
-    with any of the ``prefixes``, as ``plan`` lays them out; rows up to the
-    depth from the prefixes' measures, the longer ones from their layers.
+def _scan_shards(plan: ScanPlan, prefixes: Iterable[int]) -> dict[int, list[int]]:
+    """Per length 1..plan.n_max, how many of the words that start with any
+    of the ``prefixes`` have m = k, at index k, as ``plan`` lays them out;
+    lengths up to the depth from the prefixes' measures, the longer ones
+    from their layers.
 
     The layers longer than one build chunk are built depth first: chunk lo
     of layer e is built and counted, and then the two chunks of layer e + 1
@@ -418,7 +374,7 @@ def _scan_shards(plan: ScanPlan, prefixes: Iterable[int]) -> dict[int, _RowBuild
     how much of it stayed resident depended on which shards it happened to run.
     """
     depth, ext_len = plan.depth, plan.ext_len
-    builders = {n: _RowBuilder(n) for n in range(1, plan.n_max + 1)}
+    counts = {n: [0] * 256 for n in range(1, plan.n_max + 1)}
     end = 1 << ext_len
     chunk = min(_LAYER_CHUNK, end)
     whole, kept = _kept_layers(ext_len)
@@ -433,7 +389,7 @@ def _scan_shards(plan: ScanPlan, prefixes: Iterable[int]) -> dict[int, _RowBuild
         measures = _prefix_measures(prefix)
         # the j-letter words that this prefix extends by a's (prefix_bits >> j == 0)
         for j in range(max(1, prefix_bits.bit_length()), depth + 1):
-            builders[j].add_layer(np.full(1, measures[j], dtype=np.uint8), prefix_bits, j, hit)
+            counts[j][measures[j]] += 1
         if not ext_len:
             continue  # n_max = depth: the prefix is the whole word
         ext = extension_m(prefix, whole, buf) + windows
@@ -444,8 +400,7 @@ def _scan_shards(plan: ScanPlan, prefixes: Iterable[int]) -> dict[int, _RowBuild
             """Fold in ext[e], entries lo onward of layer e."""
             layer, span = ext[e], plan.spans[e]
             for start, weight in _counted_spans(lo, lo + layer.size, 1 << e, span, depth, weights):
-                piece = layer[start - lo : start - lo + span]
-                builders[depth + e].add_layer(piece, prefix_bits, depth, hit, first=start, weight=weight)
+                _count(counts[depth + e], layer[start - lo : start - lo + span], hit, weight)
 
         for e in range(1, whole + 1):
             count(e, 0)
@@ -461,8 +416,8 @@ def _scan_shards(plan: ScanPlan, prefixes: Iterable[int]) -> dict[int, _RowBuild
                 continue
             for start, weight in _counted_spans(lo, lo + chunk, end, chunk, depth, weights):
                 _fill_chunk(top, start, e, covering[e], ext)
-                builders[depth + e].add_layer(top, prefix_bits, depth, hit, first=start, weight=weight)
-    return builders
+                _count(counts[depth + e], top, hit, weight)
+    return counts
 
 
 def _scan_sharded(plan: ScanPlan) -> dict[int, LengthRow]:
@@ -490,9 +445,10 @@ def _scan_sharded(plan: ScanPlan) -> dict[int, LengthRow]:
     else:
         merged, others = batch(plan.batches[0]), []
     for other in others:
-        for n, builder in merged.items():
-            builder.merge(other[n])
-    return {n: builder.row() for n, builder in merged.items()}
+        for n, counts in merged.items():
+            merged[n] = [a + b for a, b in zip(counts, other[n])]
+    # The letter swap pairs the a-initial words with the others.
+    return {n: LengthRow(n, {k: 2 * c for k, c in enumerate(counts) if c}) for n, counts in merged.items()}
 
 
 def _usable_cpus() -> int:

@@ -18,9 +18,10 @@ are listed as text, and a failing word is excused only if its text is on
 the list.
 
 The three claims read off the rows get them from ``rows.length_rows``,
-which loads numpy only to scan.  The case analyses of Lemmas 3 and 4
-build their own layers, and are the only code here that imports numpy and
-``enumeration``, when they run.
+which loads numpy only to scan.  The case analyses of Lemmas 3 and 4 are
+pruned depth-first searches on the palindromic-suffix state of ``rows``,
+and Lemma 3 prunes with the K(n) that ``rows.worst_rows`` certifies, not
+with ``k_formula``; neither builds a layer, so neither loads numpy.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from typing import Any, Callable
 
 from .asymptotics import a_bound_squared
 from .factorization import longest_palindromic_factor, measure
-from .rows import PACKED_LIMIT, length_rows
+from .rows import PACKED_LIMIT, _push, _search, _state, length_rows, worst_rows
 from .words import FAMILY_BLOCK, FAMILY_SEED, Word, family, parse_word
 
 __all__ = [
@@ -189,45 +190,42 @@ def verify_lemma2() -> LemmaReport:
 
 
 def verify_lemma3() -> LemmaReport:
-    """Stems extended by every word of length 12..17: some exact split
+    """Stems extended by every word u of length 12..17: some exact split
     w = v'w' with len(v') < 5 has m_{len(v')} + m(w') <= floor(17/2 + len(u)/4).
     The two words named as the lemma's exceptions reach this bound exactly,
-    so the check excuses no word."""
-    import numpy as np
-
-    from .enumeration import extension_m
-
+    so the check excuses no word.  A depth-first search over u settles a
+    length lu for all words extending u' once min_a(m_a + m(stem[a:]u')) +
+    K(lu - len(u')) meets the bound, K certified by ``worst_rows``."""
+    ks = [0, *(row.k for row in worst_rows(17))]
     bad = []
-    cases = 0
     for stem in _STEMS:
-        # m(stem[a:] + u) for all extensions u, one layered run per split point
-        tails = [extension_m(parse_word(stem[a:]), 17) for a in range(1, 5)]
-        for lu in range(12, 18):
-            bound = (34 + lu) // 4  # floor(17/2 + lu/4) in integers
-            best = np.minimum.reduce(
-                [tails[a - 1][lu].astype(np.int16) + M_CONSTANTS[a] for a in range(1, 5)]
-            )
-            bad += [{"word": stem + _ext_text(int(v), lu)} for v in np.nonzero(best > bound)[0]]
-            cases += 1 << lu
+        failing = []
+
+        def visit(tails: list, u_len: int, bits: int, lengths: list[int]) -> None:
+            best = min(M_CONSTANTS[a] + ms[-1] for a, (_, _, _, ms) in enumerate(tails, 1))
+            lengths = [lu for lu in lengths if best + ks[lu - u_len] > (34 + lu) // 4]
+            if lengths and lengths[0] == u_len:
+                failing.append((u_len, bits))
+                lengths = lengths[1:]
+            if lengths:
+                for c in (0, 1):
+                    visit([_push(tail, c) for tail in tails], u_len + 1, bits | c << u_len, lengths)
+
+        # one state per split point a: the word stem[a:] + u'
+        visit([_state(stem[a:]) for a in range(1, 5)], 0, 0, list(range(12, 18)))
+        bad += [{"word": stem + _ext_text(bits, lu)} for lu, bits in sorted(failing)]
+    cases = len(_STEMS) * sum(1 << lu for lu in range(12, 18))
     return LemmaReport("lemma3", {"stems": len(_STEMS), "suffix_lengths": "12..17"}, cases, tuple(bad))
 
 
 def verify_lemma4() -> LemmaReport:
     """Every a-initial word of length 18 has a prefix w' with
     3 m(w') < len(w'), or one with 3 m(w') <= len(w') and len(w') divisible
-    by 6, or is one of three listed family words."""
-    import numpy as np
-
-    from .enumeration import extension_m
-
-    layers = extension_m(parse_word("a"), 17)
-    ok = np.zeros(1, dtype=bool)  # over extensions of length 0 (just "a"): 3*1 < 1 is false
-    for e in range(1, 18):
-        j = e + 1
-        m_vals = layers[e].astype(np.int16)
-        good = (3 * m_vals < j) | ((3 * m_vals <= j) & (j % 6 == 0))
-        ok = np.tile(ok, 2) | good
-    words = (_ext_text(int(v) << 1, 18) for v in np.nonzero(~ok)[0])
+    by 6, or is one of three listed family words.  A depth-first search
+    settles every extension of a word's first such prefix at once."""
+    # the least m with which a prefix of j letters is no such w'
+    need = [-(-j // 3) + (j % 6 == 0) for j in range(1, 19)]
+    words = (_ext_text(bits, 18) for bits in sorted(bits for _, bits in _search(need)))
     bad = [{"word": word} for word in words if word not in _LEMMA4_EXCEPTIONS_FOR_18]
     return LemmaReport("lemma4", {"length": 18}, 1 << 17, tuple(bad))
 

@@ -1,16 +1,20 @@
-"""The exact row of one word length, the limits of the scan that makes it,
-and the one door through which every row is read.
+"""The rows of one word length, and the doors through which every row is read.
 
-A row holds a length's histogram of m and its a-initial maximizers;
-everything printed about a length is derived from those two fields.  Rows
-are made by ``enumeration``, stored by ``cache`` and printed by ``cli``;
-every command, claim and demo reads them through ``length_row`` or
-``length_rows``.  Those serve the rows of the longest scan made so far in
+A ``LengthRow`` is a length's histogram of m; K(n), S(n) and the exact
+average kbar(n) are derived from it.  Histogram rows are made by
+``enumeration``, stored by ``cache`` and read through ``length_row`` or
+``length_rows``, which serve the rows of the longest scan made so far in
 the process (the memo).  Given a ``cache.ResultCache``, they return the
 wanted rows from it when it holds them all, and otherwise store every row
-of the memo's answer in it.  Cached rows never enter the memo.  Only a
-scan, or a case analysis of Lemma 3 or 4, imports ``enumeration`` and numpy,
-so the single-word commands and warm cache hits run without numpy.
+of the memo's answer in it.  Cached rows never enter the memo.
+
+A ``WorstRow`` is K(n) with every a-initial word attaining it, read through
+``worst_rows``: a depth-first search drops each prefix u with m(u) +
+K(n - |u|) below the floor sought, as m(uv) <= m(u) + K(|v|).  Its state
+(``_push``) is the mask of a word's palindromic suffix lengths, the bounded,
+bit-parallel form of the suffix series of I, Sugimoto, Inenaga, Bannai &
+Takeda (CPM 2014) and of Rubinchik & Shur's eertree (IWOCA 2015); Lemmas 3
+and 4 search on it too.  Only a scan imports ``enumeration`` and numpy.
 """
 
 from __future__ import annotations
@@ -26,14 +30,14 @@ from .words import Orbit, Word, orbit
 if TYPE_CHECKING:
     from .cache import ResultCache
 
-__all__ = ["PACKED_LIMIT", "SAMPLE_CAP", "LengthRow", "WorkerDied", "length_row", "length_rows"]
+__all__ = ["PACKED_LIMIT", "SAMPLE_CAP", "LengthRow", "WorkerDied", "WorstRow", "length_row", "length_rows", "worst_rows"]
 
 # Vectorised layers index words by int64 values; 32 keeps every layer and
 # temporary comfortably addressable.
 PACKED_LIMIT = 32
 
-# Orbits a row lists as its samples; the K table prints the first one's
-# representative.
+# Orbits a worst-case row lists as its samples; the K table prints the
+# first one's representative.
 SAMPLE_CAP = 16
 
 
@@ -42,24 +46,16 @@ class LengthRow:
     """Exact enumeration results for one word length.
 
     ``counts`` maps each value k of m to the number of the 2^n words with
-    m = k, in ascending k; ``maximizers`` lists every maximizer that starts
-    with 'a' (the b-initial ones are their complements) as packed words in
-    ascending order.  Everything else is derived from these two fields.
+    m = k, in ascending k.  Everything else is derived from it.
     """
 
     n: int
     counts: dict[int, int]
-    maximizers: tuple[int, ...]
 
     @property
     def k(self) -> int:
         """K(n), the largest m over the words of length n."""
         return max(self.counts)
-
-    @property
-    def maximizer_count(self) -> int:
-        """Words of length n attaining K(n), both initial letters."""
-        return self.counts[self.k]
 
     @property
     def s(self) -> int:
@@ -86,6 +82,21 @@ class LengthRow:
         """Four decimals, round half to even."""
         units = round(self.ratio * 10_000)
         return f"{units // 10_000}.{units % 10_000:04d}"
+
+
+@dataclass(frozen=True)
+class WorstRow:
+    """K(n) and, as packed words in ascending order, every word of length n
+    attaining it that starts with 'a' (the others are their letter swaps)."""
+
+    n: int
+    k: int
+    maximizers: tuple[int, ...]
+
+    @property
+    def maximizer_count(self) -> int:
+        """Words of length n attaining K(n), both initial letters."""
+        return 2 * len(self.maximizers)
 
     def orbits(self) -> Iterator[Orbit]:
         """The maximizers grouped into symmetry orbits, by representative.
@@ -149,3 +160,78 @@ def length_row(n: int, cache: ResultCache | None = None) -> LengthRow:
 def length_rows(n_max: int, cache: ResultCache | None = None) -> list[LengthRow]:
     """The rows of every length 1..n_max, from at most one enumeration pass."""
     return _read(range(1, n_max + 1), cache)
+
+
+def _push(state: tuple, c: int) -> tuple:
+    """The search state of a word followed by letter c (0 for a, 1 for b).
+
+    The state of a word of j letters is (j, r, p, ms): bit i of r is the
+    letter i places from the end, bit L of p is set where the suffix of L
+    letters is a palindrome (the empty one included), and ms[i] is m of the
+    first i letters.  A suffix of L + 2 letters is a palindrome where that
+    of L letters is and the letter before it is c; one letter always is.
+    m is one more than the least m of a prefix a palindromic suffix leaves.
+    States are immutable, so a depth-first search never undoes a push."""
+    j, r, p, ms = state
+    p = (p & (r if c else r ^ ((1 << j) - 1))) << 2 | 3
+    m = ms[j]  # the one-letter suffix leaves j letters
+    longer = p >> 2  # bit i: the suffix of i + 2 letters, which leaves j - 1 - i
+    while longer:
+        low = longer & -longer
+        before = ms[j - low.bit_length()]
+        if before < m:
+            m = before
+        longer ^= low
+    return j + 1, r << 1 | c, p, ms + (m + 1,)
+
+
+def _state(text: str) -> tuple:
+    """The state of a word given as its a/b text."""
+    state = (0, 0, 1, (0,))  # the empty word
+    for letter in text:
+        state = _push(state, int(letter == "b"))
+    return state
+
+
+def _search(need: list[int]) -> list[tuple[int, int]]:
+    """(m, packed word) for every a-initial word w of n = len(need) letters
+    with m(w[:j]) >= need[j - 1] for j = 1..n, in text order; a prefix below
+    its need is dropped with every word extending it."""
+    n, found = len(need), []
+
+    def visit(state: tuple, bits: int) -> None:
+        j, _, _, ms = state
+        if ms[j] < need[j - 1]:
+            return
+        if j == n:
+            found.append((ms[j], bits))
+            return
+        visit(_push(state, 0), bits)
+        visit(_push(state, 1), bits | 1 << j)
+
+    visit(_state("a"), 0)
+    return found
+
+
+# The worst-case rows of lengths 1..len(_worst), made once per process.
+_worst: list[WorstRow] = []
+
+
+def worst_rows(n_max: int) -> list[WorstRow]:
+    """The worst-case rows of every length 1..n_max.  Each length's search
+    starts at the floor ``lemmas.k_formula(n)`` and lowers it until some
+    word reaches it, so a row is exact whatever the closed form says."""
+    if not 1 <= n_max <= PACKED_LIMIT:
+        raise ValueError(f"length must be in 1..{PACKED_LIMIT}, got {n_max}")
+    from .lemmas import k_formula  # lemmas reads rows, so it is imported here
+
+    while len(_worst) < n_max:
+        n = len(_worst) + 1
+        ks = [0, *(row.k for row in _worst)]
+        floor = k_formula(n)
+        # m(uv) <= m(u) + K(|v|): a prefix of j letters needs m >= floor - K(n - j)
+        while not (found := _search([floor - ks[n - j] for j in range(1, n + 1)])):
+            floor -= 1
+        k = max(m for m, _ in found)
+        _worst.append(WorstRow(n, k, tuple(sorted(bits for m, bits in found if m == k))))
+    return _worst[:n_max]

@@ -10,9 +10,10 @@ palindrome table), ``IncrementalState`` (the recurrence for m over it, with
 the same shortest-final-block witness), ``quadratic_reachable`` (the
 block-count bitsets by a full scan of suffix starts) and
 ``longest_palindrome_by_centres``; ``reverse_bits_per_letter`` is the
-per-letter reversal that ``palfact.words`` replaced.  The depth-first oracle ``dfs_scan``
-evaluates m by push/pop of ``IncrementalState``, so it shares no code with
-either the layer DP in ``palfact.enumeration`` or the single-word engine in
+per-letter reversal that ``palfact.words`` replaced.  The depth-first oracle
+``dfs_scan`` evaluates m by push/pop of ``IncrementalState`` over every
+word, so it shares no code with the layer DP in ``palfact.enumeration``,
+the pruned search in ``palfact.rows`` or the single-word engine in
 ``palfact.factorization``.  ``decimal_bound_constants`` finds the bound
 constants by bisection in 50-digit ``decimal`` arithmetic, with no float
 and no polynomial solver.
@@ -24,7 +25,7 @@ from decimal import Decimal, localcontext
 
 import numpy as np
 
-from palfact.rows import LengthRow
+from palfact.rows import LengthRow, WorstRow
 from palfact.words import Word, WordError
 
 
@@ -361,8 +362,9 @@ def _dfs_partition(n: int, prefix_bits: int, depth: int) -> _DfsAccumulator:
     return acc
 
 
-def dfs_scan(n: int, *, prefix_depth: int = 8) -> LengthRow:
-    """The row of one length by depth-first search over the prefix tree.
+def dfs_scan(n: int, *, prefix_depth: int = 8) -> tuple[LengthRow, WorstRow]:
+    """The histogram row and the worst-case row of one length, by
+    depth-first search over the whole prefix tree.
 
     The a-initial words are split at ``prefix_depth`` into disjoint
     subtrees, searched one after another in lexicographic order of their
@@ -379,11 +381,8 @@ def dfs_scan(n: int, *, prefix_depth: int = 8) -> LengthRow:
         for t in range(ext_bits):
             bits |= ((key >> (ext_bits - 1 - t)) & 1) << (t + 1)
         total.merge(_dfs_partition(n, bits, depth))
-    return LengthRow(
-        n=n,
-        counts={k: 2 * c for k, c in enumerate(total.counts) if c},
-        maximizers=tuple(sorted(total.max_bits)),
-    )
+    counts = {k: 2 * c for k, c in enumerate(total.counts) if c}
+    return LengthRow(n, counts), WorstRow(n, total.max_m, tuple(sorted(total.max_bits)))
 
 
 def _bisect(fn, lo: Decimal, hi: Decimal, tolerance: Decimal) -> Decimal:

@@ -20,7 +20,7 @@ from palfact.cli import dispatch
 from palfact.enumeration import _layout, _scan_sharded, scan_lengths
 from palfact.factorization import measure, min_factorization
 from palfact.lemmas import k_formula, standard_runs, subadditivity_check, verify_counting_bound
-from palfact.rows import SAMPLE_CAP, _rows_upto, length_row, length_rows
+from palfact.rows import SAMPLE_CAP, _rows_upto, length_row, length_rows, worst_rows
 from palfact.words import Word
 
 
@@ -80,7 +80,7 @@ def test_criterion_2_formula(rows25):
 
 @criterion("3", "length 11 has exactly one extremal orbit, containing aababbaabab, all members at m=5")
 def test_criterion_3_uniqueness():
-    orbits = list(length_row(11).orbits())
+    orbits = list(worst_rows(11)[-1].orbits())
     assert len(orbits) == 1
     orb = orbits[0]
     assert EXCEPTIONAL_WORD in orb.words
@@ -186,29 +186,34 @@ def test_criterion_8_property_suite(m_tables_14):
         low = (1 << ((n - 1) // 2 + 1)) - 1
         assert np.all(((masks & low) << 2) & ~masks == 0)
     # results do not depend on how the search is partitioned: shard depth of
-    # the engine, prefix depth of the depth-first oracle
+    # the engine, prefix depth of the depth-first oracle, whose histogram and
+    # maximizers equal the engine's and the pruned search's
     whole = scan_lengths(12)
     for depth in range(1, 5):
         assert _scan_sharded(_layout(12, depth)) == whole
-    assert dfs_scan(12, prefix_depth=3) == dfs_scan(12, prefix_depth=8) == whole[12]
+    assert dfs_scan(12, prefix_depth=3) == dfs_scan(12, prefix_depth=8) == (whole[12], worst_rows(12)[-1])
     return "five property families"
 
 
 _SWAP = str.maketrans("ab", "ba")
 
 
-@criterion("9", "every maximizer row for n = 1..30 re-measured: a-initial, ascending, m = K, orbits and samples agree")
+@criterion(
+    "9",
+    "every maximizer row for n = 1..30 re-measured: a-initial, ascending, m = K, the scan's whole top bin, "
+    "orbits and samples agree",
+)
 def test_criterion_9_maximizers_certified():
-    rows = _rows_upto(30)  # the pass criterion 1 made, unless run alone
+    rows = _rows_upto(30)  # one scan, shared with the golden rows 27..30
     checked = 0
-    for n in range(1, 31):
-        row = rows[n]
+    for n, row in enumerate(worst_rows(30), start=1):
         bits = row.maximizers
         assert all(b % 2 == 0 for b in bits), n
         assert all(a < b for a, b in zip(bits, bits[1:])), n
         assert all(measure(Word(b, n)) == row.k for b in bits), n
-        assert 2 * len(bits) == row.maximizer_count, n
-        assert sum(orb.size for orb in length_row(n).orbits()) == row.maximizer_count, n
+        # distinct words of measure K, as many as the scan counts at K: the set is the top bin
+        assert row.k == rows[n].k and 2 * len(bits) == row.maximizer_count == rows[n].counts[row.k], n
+        assert sum(orb.size for orb in row.orbits()) == row.maximizer_count, n
         # Brute force: the least member of every orbit, over every maximizer.
         texts = [text_of(b, n) for b in bits]
         texts += [t.translate(_SWAP) for t in texts]

@@ -332,11 +332,11 @@ class TestSubcommandOptions:
         assert out == ""
         assert run(capsys, "--seed", "5", *argv)[0] == 0
 
-    @pytest.mark.parametrize("command", ["m", "factor", "worst", "verify"])
+    @pytest.mark.parametrize("command", ["m", "factor", "kmax", "worst", "verify"])
     def test_no_cache_dir_after_single_word_commands(self, capsys, tmp_path, monkeypatch, command):
         # None of these reads or writes the cache.
         monkeypatch.delenv("PALIN_CACHE_DIR", raising=False)
-        args = {"worst": ("--n", "5"), "verify": ("lemma9",)}.get(command, ("aabab",))
+        args = {"kmax": ("--max-n", "5"), "worst": ("--n", "5"), "verify": ("lemma9",)}.get(command, ("aabab",))
         cache_dir = tmp_path / "D"
         code, out, err = run(capsys, command, *args, "--cache-dir", str(cache_dir))
         assert code == 2
@@ -508,7 +508,7 @@ class TestWorkerFailure:
             "        os.kill(os.getpid(), signal.SIGKILL)\n"
             "    return scan_shards(*args, **kwargs)\n"
             "enumeration._scan_shards = die\n"
-            f"sys.exit(cli.dispatch(['--cache-dir', {str(tmp_path)!r}, 'kmax', '--max-n', '12']))\n"
+            f"sys.exit(cli.dispatch(['--cache-dir', {str(tmp_path)!r}, 'kbar', '--max-n', '12']))\n"
         )
         env = {k: v for k, v in os.environ.items() if k != "PALIN_CACHE_DIR"}
         env["PYTHONPATH"] = str(Path(__file__).resolve().parent.parent / "src")
@@ -669,7 +669,7 @@ def _checksum(payload):
     return hashlib.sha256(json.dumps(payload, sort_keys=True, separators=(",", ":")).encode()).hexdigest()
 
 
-def _doc(payload, *, n=4, kind="row", version=3):
+def _doc(payload, *, n=4, kind="row", version=4):
     """The text of a cache document, written here from the format itself
     rather than by ``cache``, so that the tests pin the format."""
     doc = {"checksum": _checksum(payload), "kind": kind, "n": n, "payload": payload, "schema_version": version}
@@ -677,17 +677,12 @@ def _doc(payload, *, n=4, kind="row", version=3):
 
 
 # The row _row_payload() describes.
-_ROW = LengthRow(4, {1: 4, 2: 8, 3: 4}, (4, 10))
+_ROW = LengthRow(4, {1: 4, 2: 8, 3: 4})
 
 
-def _row_payload(n=4, counts=None, maximizers=None):
-    """A possible row payload for length 4 (or the given parts); the
-    maximizers 4 and 10 are the words aaba and abab."""
-    return {
-        "n": n,
-        "counts": {"1": 4, "2": 8, "3": 4} if counts is None else counts,
-        "maximizers": [4, 10] if maximizers is None else maximizers,
-    }
+def _row_payload(n=4, counts=None):
+    """A possible row payload for length 4 (or the given parts)."""
+    return {"n": n, "counts": {"1": 4, "2": 8, "3": 4} if counts is None else counts}
 
 
 class TestCache:
@@ -695,8 +690,7 @@ class TestCache:
         (tmp_path / "row_4.json").write_text(_doc(_row_payload()))
         row = ResultCache(tmp_path).load_row(4)
         assert row == _ROW
-        assert (row.n, row.k, row.maximizer_count) == (4, 3, 4)
-        assert [orb.representative for orb in row.sample_orbits] == ["aaba", "abab"]
+        assert (row.n, row.k, row.s) == (4, 3, 32)
         cache = ResultCache(tmp_path / "fresh")
         assert cache.store_row(row)
         assert (tmp_path / "fresh" / "row_4.json").read_text() == _doc(_row_payload())
@@ -704,8 +698,8 @@ class TestCache:
 
     def test_golden_bytes(self, tmp_path):
         golden = (
-            '{"checksum":"3990c75ce956b0844a1f863d14afa89e4a7e472273f086d21aedcb45a518b168","kind":"row","n":4,'
-            '"payload":{"counts":{"1":4,"2":12},"maximizers":[2,4,8,10,12,14],"n":4},"schema_version":3}'
+            '{"checksum":"fe9dcfe635e4d9d940527bc894eb0b0d71d864a85d872084057c0fc9796973e2","kind":"row","n":4,'
+            '"payload":{"counts":{"1":4,"2":12},"n":4},"schema_version":4}'
         )
         stored, written = tmp_path / "stored", tmp_path / "written"
         assert ResultCache(stored).store_row(length_row(4))
@@ -743,7 +737,7 @@ class TestCache:
         cache = ResultCache(tmp_path)
         cache.store_row(_ROW)
         path = tmp_path / "row_4.json"
-        assert json.loads(path.read_text())["schema_version"] == SCHEMA_VERSION == 3
+        assert json.loads(path.read_text())["schema_version"] == SCHEMA_VERSION == 4
         for stale in (1, SCHEMA_VERSION - 1, SCHEMA_VERSION + 1):
             path.write_text(_doc(_row_payload(), version=stale))
             with pytest.warns(UserWarning):
@@ -761,8 +755,8 @@ class TestCache:
             assert cache.store_row(_ROW) is False
 
     # The first parameter names the view of the row a payload makes
-    # impossible: the histogram (counts) or the K table (the maximum, its
-    # count, and the maximizers that must agree with that count).
+    # impossible: the histogram (counts) or the K table's view of them (the
+    # maximum and its count).
     @pytest.mark.parametrize(
         "view,payload",
         [
@@ -775,24 +769,9 @@ class TestCache:
             ("kmax", _row_payload(counts={"1": 12, "5": 4})),  # K above n
             ("kmax", _row_payload(counts={"1": 6, "2": 7, "3": 3})),  # odd counts
             ("kmax", _row_payload(counts={"1": 8, "2": 8, "3": 0})),  # K attained by no word
-            ("kmax", _row_payload(maximizers=[4, 16])),  # a word longer than n
-            ("kmax", _row_payload(maximizers=[4, 10.0])),  # not an int
-            ("kmax", _row_payload(maximizers=[])),
-            ("kmax", {"n": 4, "counts": {"1": 4, "2": 8, "3": 4}}),  # schema 1 histogram shape
-            ("kmax", _row_payload(maximizers=[4, "abab"])),  # not an int
-            ("kmax", _row_payload(maximizers=[False, 4])),  # a bool, not an int
-            ("kmax", _row_payload(maximizers=[4, 11])),  # b-initial
-            ("kmax", _row_payload(maximizers=[-2, 4])),
-            ("kmax", _row_payload(maximizers=[10, 4])),  # unsorted
-            ("kmax", _row_payload(maximizers=[4, 4])),  # a duplicate
-            ("kmax", _row_payload(maximizers=[4, 6, 10])),  # 6 words, but counts[K] is 4
-            ("kmax", _row_payload(maximizers=[4])),  # 2 words, but counts[K] is 4
-            ("kmax", _row_payload(maximizers="4,10")),
-            # schema 2 shape: samples in place of the maximizers
-            ("kmax", {"n": 4, "counts": {"1": 4, "2": 8, "3": 4}, "sample_maximizers": ["aaba"]}),
             # keys that int() reads as 2 but that are not its decimal form
-            ("histogram", _row_payload(counts={"1": 4, "2": 8, "\u0662": 4}, maximizers=[4, 10, 12, 14])),
-            ("histogram", _row_payload(counts={"1": 4, "2": 8, "02": 4}, maximizers=[4, 10, 12, 14])),
+            ("histogram", _row_payload(counts={"1": 4, "2": 8, "\u0662": 4})),
+            ("histogram", _row_payload(counts={"1": 4, "2": 8, "02": 4})),
         ],
     )
     def test_impossible_payload_is_rejected(self, tmp_path, view, payload):
@@ -801,13 +780,11 @@ class TestCache:
             assert ResultCache(tmp_path).load_row(4) is None
 
     def test_possible_histogram_is_served(self, tmp_path):
-        payload = _row_payload(counts={"1": 4, "2": 8, "3": 2, "4": 2}, maximizers=[12])
+        payload = _row_payload(counts={"1": 4, "2": 8, "3": 2, "4": 2})
         (tmp_path / "row_4.json").write_text(_doc(payload))
         row = ResultCache(tmp_path).load_row(4)
         assert list(row.counts) == [1, 2, 3, 4]
-        assert row.maximizers == (12,)
-        assert (row.k, row.maximizer_count) == (4, 2)
-        assert [orb.representative for orb in row.sample_orbits] == ["aabb"]
+        assert (row.k, row.counts[row.k]) == (4, 2)
 
     def test_other_kinds_are_not_served(self, tmp_path):
         (tmp_path / "row_4.json").write_text(_doc(_row_payload(), kind="histogram"))
@@ -817,8 +794,8 @@ class TestCache:
     def test_checksum_is_canonical(self, tmp_path):
         # The checksum covers the canonical payload, not the file's bytes:
         # keys in another order and spaced separators read alike.
-        payload = {"maximizers": [4, 10], "counts": {"3": 4, "2": 8, "1": 4}, "n": 4}
-        doc = {"schema_version": 3, "payload": payload, "n": 4, "kind": "row", "checksum": _checksum(payload)}
+        payload = {"counts": {"3": 4, "2": 8, "1": 4}, "n": 4}
+        doc = {"schema_version": 4, "payload": payload, "n": 4, "kind": "row", "checksum": _checksum(payload)}
         (tmp_path / "row_4.json").write_text(json.dumps(doc))
         assert ResultCache(tmp_path).load_row(4) == _ROW
 
@@ -834,10 +811,10 @@ def _cache_state(directory):
 
 class TestCliCacheIntegration:
     def test_cached_rows_equal_fresh(self, capsys, tmp_path):
-        code, fresh, _ = run(capsys, "--cache-dir", str(tmp_path), "--format", "csv", "kmax", "--max-n", "10")
+        code, fresh, _ = run(capsys, "--cache-dir", str(tmp_path), "--format", "csv", "kbar", "--max-n", "10")
         assert code == 0
         assert sorted(p.name for p in tmp_path.iterdir()) == sorted(f"row_{n}.json" for n in range(1, 11))
-        code, cached, _ = run(capsys, "--cache-dir", str(tmp_path), "--format", "csv", "kmax", "--max-n", "10")
+        code, cached, _ = run(capsys, "--cache-dir", str(tmp_path), "--format", "csv", "kbar", "--max-n", "10")
         assert code == 0
         assert cached == fresh
 
@@ -848,10 +825,10 @@ class TestCliCacheIntegration:
         assert code == 0
 
     def test_corrupt_cache_recomputed(self, capsys, tmp_path):
-        argv = ("--cache-dir", str(tmp_path), "--format", "csv", "kmax", "--max-n", "6")
+        argv = ("--cache-dir", str(tmp_path), "--format", "csv", "kbar", "--max-n", "6")
         code, cold, _ = run(capsys, *argv)
         assert code == 0
-        assert cold.strip().splitlines()[-1] == f"6,{K_TABLE[5]},12"
+        assert cold.strip().splitlines()[-1] == "6,132,2.06,33,4"
         # Broken JSON, bytes that are neither UTF-16 (after its byte order
         # mark) nor UTF-8, and nesting deeper than the parser recurses.
         for junk in (b"{not json", b"\xff\xfe\x00", b'{"n": "\xe9"}', b"[" * 200_000):
@@ -877,29 +854,32 @@ class TestCliCacheIntegration:
 
     def test_schema_one_files_are_never_read(self, capsys, tmp_path, monkeypatch):
         monkeypatch.delenv("PALIN_CACHE_DIR", raising=False)
-        argv = ("--format", "csv", "kmax", "--max-n", "4")
+        argv = ("--format", "csv", "histogram", "--n", "4")
         _, expected, _ = run(capsys, *argv)
-        wrong = {"n": 4, "K": 4, "maximizer_count": 2, "sample_maximizers": ["abab"]}
-        old = _doc(wrong, kind="kmax", version=1)
-        (tmp_path / "kmax_4.json").write_text(old)
+        wrong = {"n": 4, "counts": {"1": 4, "2": 8, "3": 4}}
+        old = _doc(wrong, kind="histogram", version=1)
+        (tmp_path / "histogram_4.json").write_text(old)
         code, out, _ = run(capsys, "--cache-dir", str(tmp_path), *argv)
         assert code == 0
         assert out == expected
-        assert (tmp_path / "kmax_4.json").read_text() == old
+        assert (tmp_path / "histogram_4.json").read_text() == old
 
     def test_schema_two_files_are_never_read(self, capsys, tmp_path, monkeypatch):
+        # A schema-2 row stored sample words, a schema-3 row every maximizer;
+        # each is recomputed once, with one warning, and rewritten as schema 4.
         monkeypatch.delenv("PALIN_CACHE_DIR", raising=False)
-        argv = ("--format", "json", "kmax", "--max-n", "4")
+        argv = ("--format", "json", "histogram", "--n", "4")
         _, expected, _ = run(capsys, *argv)
-        wrong = {"n": 4, "counts": {"1": 4, "2": 8, "3": 4}, "sample_maximizers": ["abab"]}
-        (tmp_path / "row_4.json").write_text(_doc(wrong, version=2))
-        with pytest.warns(UserWarning, match="stale or corrupt"):
-            code, out, _ = run(capsys, "--cache-dir", str(tmp_path), *argv)
-        assert code == 0
-        assert out == expected
-        doc = json.loads((tmp_path / "row_4.json").read_text())
-        assert doc["schema_version"] == SCHEMA_VERSION == 3
-        assert doc["payload"] == {"n": 4, "counts": {"1": 4, "2": 12}, "maximizers": [2, 4, 8, 10, 12, 14]}
+        for version, extra in ((2, {"sample_maximizers": ["abab"]}), (3, {"maximizers": [4, 10]})):
+            wrong = {"n": 4, "counts": {"1": 4, "2": 8, "3": 4}, **extra}
+            (tmp_path / "row_4.json").write_text(_doc(wrong, version=version))
+            with pytest.warns(UserWarning, match="stale or corrupt") as warned:
+                code, out, _ = run(capsys, "--cache-dir", str(tmp_path), *argv)
+            assert len(warned) == 1, version
+            assert (code, out) == (0, expected), version
+            doc = json.loads((tmp_path / "row_4.json").read_text())
+            assert doc["schema_version"] == SCHEMA_VERSION == 4
+            assert doc["payload"] == {"n": 4, "counts": {"1": 4, "2": 12}}
 
     def test_cold_kbar_writes_compact_rows(self, capsys, tmp_path, monkeypatch):
         monkeypatch.delenv("PALIN_CACHE_DIR", raising=False)
@@ -911,7 +891,7 @@ class TestCliCacheIntegration:
             text = path.read_text()
             assert text == json.dumps(json.loads(text), sort_keys=True, separators=(",", ":"))
         indented = sum(len(json.dumps(json.loads(p.read_text()), sort_keys=True, indent=2)) for p in files)
-        assert (sum(p.stat().st_size for p in files), indented) == (31_509, 58_530)
+        assert (sum(p.stat().st_size for p in files), indented) == (5_112, 7_298)
 
     def test_subcommand_cache_dir_wins(self, capsys, tmp_path, monkeypatch):
         # Before the subcommand, after it, or both (the value after it wins);
@@ -924,7 +904,7 @@ class TestCliCacheIntegration:
 
         for i, (before, after, used) in enumerate(cases):
             root = tmp_path / str(i)
-            assert run(capsys, *flags(root, before), "kmax", "--max-n", "2", *flags(root, after))[0] == 0
+            assert run(capsys, *flags(root, before), "kbar", "--max-n", "2", *flags(root, after))[0] == 0
             assert [p.name for p in root.iterdir()] == [used]
             assert sorted(p.name for p in (root / used).iterdir()) == ["row_1.json", "row_2.json"]
 
@@ -933,8 +913,8 @@ class TestCliCacheIntegration:
         flag_dir = tmp_path / "from_flag"
         monkeypatch.setenv("PALIN_CACHE_DIR", str(env_dir))
         for argv in (
-            ("--cache-dir", str(flag_dir), "--format", "csv", "kmax", "--max-n", "4"),
-            ("--format", "csv", "kmax", "--max-n", "4", "--cache-dir", str(flag_dir)),
+            ("--cache-dir", str(flag_dir), "--format", "csv", "kbar", "--max-n", "4"),
+            ("--format", "csv", "kbar", "--max-n", "4", "--cache-dir", str(flag_dir)),
         ):
             shutil.rmtree(env_dir, ignore_errors=True)
             code, _, _ = run(capsys, *argv)
@@ -957,22 +937,30 @@ class TestEnumerationPasses:
         return calls
 
     @pytest.mark.parametrize(
-        "argv", [("verify", "all", "--max-n", "16", "--trials", "500"), ("worst", "--n", "12")]
+        "argv", [("verify", "all", "--max-n", "16", "--trials", "500"), ("histogram", "--n", "12")]
     )
     def test_one_pass_per_command(self, capsys, scans, argv):
         assert run(capsys, *argv)[0] == 0
         assert len(scans) == 1
 
+    # The worst-case rows come from the pruned search, which builds no layer.
+    @pytest.mark.parametrize(
+        "argv", [("kmax", "--max-n", "21"), ("worst", "--n", "21"), ("verify", "lemma3"), ("verify", "lemma4")]
+    )
+    def test_worst_rows_and_case_analyses_make_no_pass(self, capsys, scans, argv):
+        assert run(capsys, *argv)[0] == 0
+        assert scans == []
+
     def test_later_command_reuses_the_pass(self, capsys, scans):
-        assert run(capsys, "kmax", "--max-n", "10")[0] == 0
+        assert run(capsys, "kbar", "--max-n", "10")[0] == 0
         assert run(capsys, "histogram", "--n", "8")[0] == 0
         assert scans == [10]
 
     @pytest.mark.parametrize(
         "argv,loaded",
         [
-            (("kmax", "--max-n", "21"), list(range(1, 22))),
-            (("--format", "json", "kmax", "--max-n", "21"), list(range(1, 22))),
+            (("kbar", "--max-n", "21"), list(range(1, 22))),
+            (("--format", "json", "kbar", "--max-n", "21"), list(range(1, 22))),
             (("histogram", "--n", "21"), [21]),
             (("--format", "json", "histogram", "--n", "21"), [21]),
             (("bounds",), [21]),

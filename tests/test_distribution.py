@@ -7,7 +7,7 @@ import pytest
 from conftest import KBAR_TABLE
 from oracles import dfs_scan
 from palfact import lemmas
-from palfact.rows import length_row, length_rows
+from palfact.rows import length_row, length_rows, worst_rows
 from palfact.lemmas import subadditivity_check, verify_counting_bound
 
 
@@ -30,10 +30,10 @@ class TestHistogram:
         for n in (6, 10, 13):
             row = length_row(n)
             assert row is length_rows(n)[-1]
-            assert row.counts[row.k] == row.maximizer_count
+            assert row.counts[row.k] == worst_rows(n)[-1].maximizer_count
 
     def test_matches_dfs_oracle(self):
-        assert length_row(11).counts == dfs_scan(11).counts
+        assert length_row(11).counts == dfs_scan(11)[0].counts
 
     def test_validation(self):
         with pytest.raises(ValueError):

@@ -28,7 +28,6 @@ from palfact.enumeration import (
     _covering_factors,
     _layout,
     _plan,
-    _RowBuilder,
     _scan_sharded,
     _scan_shards,
     _shard_work,
@@ -37,7 +36,7 @@ from palfact.enumeration import (
     scan_lengths,
 )
 from palfact.factorization import _prefix_measures, measure
-from palfact.rows import PACKED_LIMIT, _rows_upto
+from palfact.rows import PACKED_LIMIT, _rows_upto, length_rows, worst_rows
 from palfact.words import Word, parse_word
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -162,11 +161,6 @@ class TestScanLengths:
         for n, row in rows.items():
             assert sum(row.counts.values()) == 1 << n
             assert all(c % 2 == 0 for c in row.counts.values())
-
-    def test_keep_max_words(self):
-        bits = scan_lengths(11)[11].maximizers
-        words = sorted(text_of(b, 11) for b in bits)
-        assert words == ["aababbaabab", "ababbaababb"]
 
     def test_range_validation(self):
         with pytest.raises(ValueError):
@@ -302,26 +296,18 @@ class TestSharding:
         singles = [_scan_shards(_layout(14, 4), (prefix,)) for prefix in prefixes]
         # rows 1..4 from the prefixes' measures, 5..14 from their layers
         assert sorted(batch) == list(range(1, 15))
-        for n, builder in batch.items():
-            merged = singles[0][n]
-            for other in singles[1:]:
-                merged.merge(other[n])
-            assert builder.counts == merged.counts, n
-            assert builder.k == merged.k, n
-            assert np.array_equal(np.concatenate(builder.max_bits), np.concatenate(merged.max_bits)), n
+        for n, counts in batch.items():
+            assert counts == [sum(column) for column in zip(*(single[n] for single in singles))], n
 
     @pytest.mark.parametrize("depth", range(1, 7))
     def test_sharded_rows_match_oracles(self, depth, oracles_14):
         rows = _scan_sharded(_layout(14, depth))
         for n in range(1, 15):
-            row, (table, dfs) = rows[n], oracles_14[n]
+            row, (table, (dfs, _)) = rows[n], oracles_14[n]
             expected = {int(k): int(c) for k, c in enumerate(np.bincount(table)) if c}
             assert row.counts == expected, (depth, n)
             assert list(row.counts) == sorted(row.counts)
             assert row.k == int(table.max())
-            a_initial = [int(b) for b in np.flatnonzero(table == row.k) if b % 2 == 0]
-            assert list(row.maximizers) == a_initial
-            assert row.maximizer_count == 2 * len(a_initial)
             assert dfs == row
 
 
@@ -392,16 +378,6 @@ class TestReversalBlocks:
         _scan_shards(_layout(11, 4), prefixes)
         assert built[7] == sum(weight > 0 for prefix in prefixes for weight in _block_weights(prefix, 4)) == 72
 
-    @pytest.mark.parametrize("n", [1, 2, 7, 11, 20, 32])
-    def test_row_closes_maximizers_under_reversal(self, n):
-        rng = random.Random(n)
-        found = [rng.randrange(0, 1 << n, 2) for _ in range(12)]
-        builder = _RowBuilder(n)
-        builder.counts[3], builder.k = 1, 3
-        builder.max_bits = [np.array(found[:5]), np.array(found[5:])]
-        closed = set(found) | {_reversal_partner(bits, n) for bits in found}
-        assert builder.row().maximizers == tuple(sorted(closed))
-
 
 class TestWorkers:
     """Shards on forked workers give the rows of one process."""
@@ -429,20 +405,20 @@ class TestWorkers:
     def test_shards_reach_different_maxima(self, monkeypatch, two_cpus):
         # The a-initial maximizers of length 11, aababbaabab and ababbaababb,
         # are each other's reversal images, in the blocks whose first and last
-        # three letters are (aab, bab) and (aba, abb).  With blocks of one 32-entry chunk only shard aab
-        # builds the pair's block, and its row lists both words; the merge
-        # must keep the larger maximum.
+        # three letters are (aab, bab) and (aba, abb).  With blocks of one
+        # 32-entry chunk only shard aab builds the pair's block, and counts
+        # it twice; the merged histogram must keep its top value.
         monkeypatch.setattr(enumeration, "_IN_PROCESS_BITS", 10)
         monkeypatch.setattr(enumeration, "_LAYER_CHUNK", 1 << 5)
         plan = _plan(11)
         assert (plan.depth, len(plan.batches), 1 << (plan.ext_len - plan.depth)) == (3, 2, 1 << 5)
         shards = {text_of(prefix, 3): _scan_shards(_layout(11, 3), (prefix,))[11] for prefix in range(0, 8, 2)}
-        assert {text: shard.k for text, shard in shards.items()} == {"aaa": 4, "aba": 4, "aab": 5, "abb": 4}
-        expected = ["aababbaabab", "ababbaababb"]
-        assert [text_of(b, 11) for b in shards["aab"].row().maximizers] == expected
+        top = {text: max(k for k, c in enumerate(counts) if c) for text, counts in shards.items()}
+        assert top == {"aaa": 4, "aba": 4, "aab": 5, "abb": 4}
+        assert shards["aab"][5] == 2
         rows = scan_lengths(11)
         assert rows == _scan_sharded(_layout(11, 1))
-        assert [text_of(b, 11) for b in rows[11].maximizers] == expected
+        assert (rows[11].k, rows[11].counts[5]) == (5, 4)
 
     # Build chunks of 2^(n_max - 2 depth) entries put the scan at the given
     # depth, and _IN_PROCESS_BITS = n_max - 1 lets it fork: three workers
@@ -548,20 +524,20 @@ class TestWorkers:
     @pytest.mark.parametrize(("layer_chunk", "row_chunk"), [(1 << 3, 1 << 3), (1 << 5, 1 << 8), (1 << 8, 1 << 6)])
     def test_counters_equal_the_plan(self, monkeypatch, layer_chunk, row_chunk):
         built, counted = multiprocessing.Value("q", 0), multiprocessing.Value("q", 0)
-        fill_chunk, add_layer = enumeration._fill_chunk, _RowBuilder.add_layer
+        fill_chunk, count = enumeration._fill_chunk, enumeration._count
 
         def counted_fill(out, *args):
             with built.get_lock():
                 built.value += out.size
             fill_chunk(out, *args)
 
-        def counted_add(self, layer, *args, **kwargs):
+        def counted_count(counts, layer, *args):
             with counted.get_lock():
                 counted.value += layer.size
-            add_layer(self, layer, *args, **kwargs)
+            count(counts, layer, *args)
 
         monkeypatch.setattr(enumeration, "_fill_chunk", counted_fill)
-        monkeypatch.setattr(_RowBuilder, "add_layer", counted_add)
+        monkeypatch.setattr(enumeration, "_count", counted_count)
         monkeypatch.setattr(enumeration, "_LAYER_CHUNK", layer_chunk)
         monkeypatch.setattr(enumeration, "_ROW_CHUNK", row_chunk)
         monkeypatch.setattr(enumeration, "_IN_PROCESS_BITS", 0)
@@ -575,21 +551,36 @@ class TestWorkers:
                 assert (built.value, counted.value) == (plan.built, plan.counted), (n_max, plan)
 
 
+def _check_worst(worst, counts):
+    """The pruned search's row of one length against the scan's histogram:
+    K is the histogram's top value, and the listed words, a-initial,
+    distinct and each of measure K, number half its top count, so with
+    their letter swaps they are the whole top bin."""
+    k, n = max(counts), worst.n
+    assert (worst.k, worst.maximizer_count) == (k, counts[k]), n
+    assert len(set(worst.maximizers)) == len(worst.maximizers), n
+    assert all(b % 2 == 0 and 0 <= b < 1 << n for b in worst.maximizers), n
+    assert all(measure(Word(b, n)) == k for b in worst.maximizers), n
+
+
 def _check_golden(rows, lengths):
     """Rows against ``tests/data/rows_27_32.json``: the histogram and
     maximizer count of n = 27..32, generated once with ``scan_lengths(32)``
-    while every shard still held its top layer whole."""
+    while every shard still held its top layer whole; and the pruned
+    search's rows against the golden histograms."""
     golden = json.loads((ROOT / "tests" / "data" / "rows_27_32.json").read_text())
+    worst = worst_rows(max(lengths))
     for n in lengths:
         counts = {int(k): c for k, c in golden[str(n)]["counts"].items()}
         assert sum(counts.values()) == 1 << n
         assert rows[n].counts == counts, n
-        assert rows[n].maximizer_count == golden[str(n)]["maximizer_count"] == 2 * len(rows[n].maximizers), n
+        assert counts[max(counts)] == golden[str(n)]["maximizer_count"], n
+        _check_worst(worst[n - 1], counts)
 
 
 class TestGoldenRows:
     def test_rows_27_to_30(self):
-        # the n = 30 pass of test_acceptance's criterion 1, unless run alone
+        # the n = 30 pass of test_acceptance's criterion 9, unless run alone
         _check_golden(_rows_upto(30), range(27, 31))
 
     @pytest.mark.skipif(not os.environ.get("PALFACT_LONG_TESTS"), reason="~12 s; set PALFACT_LONG_TESTS=1")
@@ -643,10 +634,19 @@ def test_scan_never_holds_the_top_layer():
         assert sum(growth.values()) < buffer_bytes + len(growth) * (6 << 20), n
 
 
+class TestCrossEngine:
+    """The pruned search and the layer scan share no code; each certifies
+    the other's K and maximizer count."""
+
+    def test_worst_rows_match_the_scan_to_26(self):
+        for row, worst in zip(length_rows(26), worst_rows(26)):
+            _check_worst(worst, row.counts)
+
+
 class TestDfsBackend:
     @pytest.mark.parametrize("n", [1, 2, 5, 9, 12])
     def test_matches_vectorized(self, n):
-        assert dfs_scan(n) == scan_lengths(n)[n]
+        assert dfs_scan(n) == (scan_lengths(n)[n], worst_rows(n)[-1])
 
     def test_prefix_depth_independent(self):
         assert dfs_scan(10, prefix_depth=3) == dfs_scan(10, prefix_depth=8)

@@ -3,12 +3,12 @@ from __future__ import annotations
 import pytest
 
 from conftest import EXCEPTIONAL_WORD, K_TABLE
-from oracles import dfs_scan
+from oracles import complement_bits_per_letter, dfs_scan, reverse_bits_per_letter
 import palfact
 from palfact import lemmas
 from palfact.lemmas import k_formula, verify_theorem1
 from palfact.factorization import min_factorization
-from palfact.rows import LengthRow, length_row, length_rows
+from palfact.rows import LengthRow, WorstRow, length_row, length_rows, worst_rows
 
 
 class TestKFormula:
@@ -35,15 +35,16 @@ class TestKFormula:
 
 class TestKMax:
     def test_first_table_rows(self):
-        rows = length_rows(16)
+        rows = worst_rows(16)
         assert [row.k for row in rows] == K_TABLE[:16]
+        assert [row.n for row in rows] == list(range(1, 17))
 
     def test_single_rows(self):
-        assert length_row(1).k == 1
-        assert length_row(20).k == 8
+        assert worst_rows(1)[-1].k == 1
+        assert worst_rows(20)[-1].k == 8
 
     def test_n2_maximizers(self):
-        row = length_row(2)
+        row = worst_rows(2)[-1]
         assert row.k == 2
         assert row.maximizer_count == 2
         assert row.maximizers == (2,)  # ab; its complement ba is not listed
@@ -52,31 +53,36 @@ class TestKMax:
     def test_one_row_type(self):
         assert palfact.LengthRow is LengthRow
         assert isinstance(length_row(7), LengthRow)
+        assert palfact.WorstRow is WorstRow
+        assert isinstance(worst_rows(7)[-1], WorstRow)
 
     def test_counts_are_even(self):
-        for row in length_rows(12):
-            assert row.maximizer_count % 2 == 0
-            assert row.maximizer_count >= 1
+        # the maximizer count is the histogram's top count, which is even
+        for worst, row in zip(worst_rows(12), length_rows(12)):
+            assert worst.maximizer_count == row.counts[row.k]
+            assert worst.maximizer_count % 2 == 0
+            assert worst.maximizer_count >= 2
 
     def test_monotone_steps(self):
-        rows = length_rows(18)
+        rows = worst_rows(18)
         for a, b in zip(rows, rows[1:]):
             assert a.k <= b.k <= a.k + 1
 
     def test_backends_agree(self):
         for n in (3, 8, 13):
-            assert dfs_scan(n) == length_row(n)
+            assert dfs_scan(n) == (length_row(n), worst_rows(n)[-1])
 
     def test_validation(self):
-        with pytest.raises(ValueError):
-            length_row(0)
-        with pytest.raises(ValueError):
-            length_row(33)
+        for rows in (length_row, worst_rows):
+            with pytest.raises(ValueError):
+                rows(0)
+            with pytest.raises(ValueError):
+                rows(33)
 
 
 class TestWorstWords:
     def test_exceptional_length(self):
-        orbits = list(length_row(11).orbits())
+        orbits = list(worst_rows(11)[-1].orbits())
         assert len(orbits) == 1
         orb = orbits[0]
         assert orb.representative == EXCEPTIONAL_WORD
@@ -85,35 +91,57 @@ class TestWorstWords:
             assert min_factorization(word).m == 5
 
     def test_length_one(self):
-        orbits = list(length_row(1).orbits())
+        orbits = list(worst_rows(1)[-1].orbits())
         assert len(orbits) == 1
         assert orbits[0].words == ("a", "b")
 
     def test_length_two(self):
-        orbits = list(length_row(2).orbits())
+        orbits = list(worst_rows(2)[-1].orbits())
         assert len(orbits) == 1
         assert orbits[0].words == ("ab", "ba")
 
     def test_every_member_attains_the_maximum(self):
         for n in (5, 9, 12):
-            k = length_row(n).k
+            row = worst_rows(n)[-1]
             total = 0
-            for orb in length_row(n).orbits():
+            for orb in row.orbits():
                 total += orb.size
                 assert orb.representative == orb.words[0] == min(orb.words)
                 for word in orb.words:
-                    assert min_factorization(word).m == k
-            assert total == length_row(n).maximizer_count
+                    assert min_factorization(word).m == row.k
+            assert total == row.maximizer_count
 
     def test_orbits_sorted(self):
-        reps = [orb.representative for orb in length_row(10).orbits()]
+        reps = [orb.representative for orb in worst_rows(10)[-1].orbits()]
         assert reps == sorted(reps)
+
+    def test_maximizers_closed_under_reversal(self):
+        # reversal preserves m, so the a-initial one of a maximizer's
+        # reversal and its letter swap is listed too
+        for row in worst_rows(30):
+            image = {reverse_bits_per_letter(bits, row.n) for bits in row.maximizers}
+            image = {complement_bits_per_letter(b, row.n) if b & 1 else b for b in image}
+            assert image == set(row.maximizers), row.n
 
     def test_one_orbit_type(self):
         # a row's orbits are the ones words.orbit builds, not a conversion
-        [orb] = length_row(11).orbits()
+        [orb] = worst_rows(11)[-1].orbits()
         assert type(orb) is palfact.Orbit is palfact.words.Orbit
         assert orb == palfact.orbit(palfact.parse_word(EXCEPTIONAL_WORD))
+
+
+class TestStartingFloor:
+    """A length's search starts at the floor k_formula(n), which is only a
+    hint: a floor too high finds no word and is lowered, and one too low
+    also finds the maximizers."""
+
+    @pytest.mark.parametrize("delta", [1, -1])
+    def test_rows_do_not_depend_on_it(self, monkeypatch, delta):
+        expected = worst_rows(20)
+        real = lemmas.k_formula
+        monkeypatch.setattr("palfact.rows._worst", [])
+        monkeypatch.setattr(lemmas, "k_formula", lambda n: real(n) + delta)
+        assert worst_rows(20) == expected
 
 
 class TestTheorem1:

@@ -51,11 +51,18 @@ class TestNumpyOnlyWhereLayersAreBuilt:
     def test_single_word_paths_skip_numpy(self, argv, stdin):
         assert not _numpy_loaded(*argv, stdin=stdin)
 
+    # The pruned searches build no layer, whatever the length.
+    @pytest.mark.parametrize(
+        "argv", [("kmax", "--max-n", "30"), ("worst", "--n", "29"), ("verify", "lemma3"), ("verify", "lemma4")]
+    )
+    def test_worst_rows_and_case_analyses_skip_numpy(self, argv):
+        assert not _numpy_loaded(*argv)
+
     def test_warm_tables_skip_numpy_and_cold_ones_load_it(self, tmp_path):
         cache = ["--cache-dir", str(tmp_path)]
         # The cold pass builds layers, so the warm checks below cannot pass vacuously.
-        assert _numpy_loaded(*cache, "kmax", "--max-n", "21")
-        for argv in (("kmax", "--max-n", "8"), ("kbar", "--max-n", "8"), ("histogram", "--n", "8"), ("bounds",)):
+        assert _numpy_loaded(*cache, "kbar", "--max-n", "21")
+        for argv in (("kbar", "--max-n", "8"), ("histogram", "--n", "8"), ("bounds",)):
             assert not _numpy_loaded(*cache, *argv), argv
 
     def test_bounds_loads_numpy(self):
@@ -71,6 +78,7 @@ class TestLazyPackageSurface:
     def test_row_names_come_from_rows(self):
         assert palfact.length_row is rows.length_row
         assert palfact.length_rows is rows.length_rows
+        assert palfact.worst_rows is rows.worst_rows
 
     def test_dir_lists_every_public_name(self):
         assert set(palfact.__all__) <= set(dir(palfact))

@@ -78,6 +78,23 @@ class TestCaseLemmas:
         assert report.passed
         assert report.cases == 1 << 17
 
+    # Lemma 3 prunes with the K(n) that worst_rows certifies, so the closed
+    # form is at most the search's starting floor: off by one either way, it
+    # changes no report.  Pruning with k_formula - 1 itself would settle the
+    # subtrees of the three failing words below.
+    @pytest.mark.parametrize("delta", [1, -1])
+    def test_lemma3_does_not_read_k_formula(self, monkeypatch, delta):
+        expected = verify_lemma3()
+        monkeypatch.setattr(lemmas, "M_CONSTANTS", (2, 4, 3, 3, 4, 4))
+        failing = verify_lemma3()
+        assert len(failing.counterexamples) == 3
+        real = lemmas.k_formula
+        monkeypatch.setattr("palfact.rows._worst", [])
+        monkeypatch.setattr(lemmas, "k_formula", lambda n: real(n) + delta)
+        assert verify_lemma3() == failing
+        monkeypatch.setattr(lemmas, "M_CONSTANTS", M_CONSTANTS)
+        assert verify_lemma3() == expected
+
 
 class TestExceptionLists:
     """An emptied exception list makes a case analysis fail with exactly the

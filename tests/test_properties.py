@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from oracles import brute_force_m_table, palindromic_completions, reachable_k_bitsets
 from palfact.enumeration import _covering_factors
-from palfact.rows import length_row, length_rows
+from palfact.rows import length_row, length_rows, worst_rows
 from palfact.factorization import _prefix_measures, measure, min_factorization, reachable_k
 from palfact.words import Word, parse_word
 
@@ -100,10 +100,12 @@ class TestEnumerationConsistency:
 
     def test_extremal_rows_match_tables(self, m_tables_14):
         for n in range(1, 15):
-            row = length_row(n)
+            row, worst = length_row(n), worst_rows(n)[-1]
             table = m_tables_14[n]
-            assert row.k == int(table.max())
-            assert row.maximizer_count == int((table == table.max()).sum())
+            assert row.k == worst.k == int(table.max())
+            assert worst.maximizer_count == int((table == table.max()).sum())
+            a_initial = np.flatnonzero(table == table.max())
+            assert worst.maximizers == tuple(int(b) for b in a_initial if b % 2 == 0)
 
 
 class TestCoveringFactors:
