@@ -10,16 +10,21 @@ of the memo's answer in it.  Cached rows never enter the memo.
 
 A ``WorstRow`` is K(n) with every a-initial word attaining it, read through
 ``worst_rows``: a depth-first search drops each prefix u with m(u) +
-K(n - |u|) below the floor sought, as m(uv) <= m(u) + K(|v|).  Its state
-(``_push``) is the mask of a word's palindromic suffix lengths, the bounded,
-bit-parallel form of the suffix series of I, Sugimoto, Inenaga, Bannai &
-Takeda (CPM 2014) and of Rubinchik & Shur's eertree (IWOCA 2015); Lemmas 3
-and 4 search on it too.  Only a scan imports ``enumeration`` and numpy.
+K(n - |u|) below the floor sought, as m(uv) <= m(u) + K(|v|).  A prefix u
+exactly at that need, m(u) + K(n - |u|) equal to the floor, may only go on
+into a maximizer of length n - |u|: a tail v of smaller m leaves m(uv)
+below the floor.  So the search checks the next letters against the first
+ones of the shorter length's maximizers (its heads) and loses no word that
+reaches the floor, whatever the floor.  Its state (``_step``) is the mask of
+a word's palindromic suffix lengths, the bounded, bit-parallel form of the
+suffix series of I, Sugimoto, Inenaga, Bannai & Takeda (CPM 2014) and of
+Rubinchik & Shur's eertree (IWOCA 2015); Lemmas 3 and 4 search on it too.
+Only a scan imports ``enumeration`` and numpy.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterator
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
@@ -162,17 +167,21 @@ def length_rows(n_max: int, cache: ResultCache | None = None) -> list[LengthRow]
     return _read(range(1, n_max + 1), cache)
 
 
-def _push(state: tuple, c: int) -> tuple:
-    """The search state of a word followed by letter c (0 for a, 1 for b).
+# Letters of a shorter length's maximizers that a prefix exactly at its need
+# checks its next letters against.  To n = 30, 8 take 103115 steps, 4 take
+# 224151 and all of them 83493, but then the heads hold every prefix of every
+# maximizer: 11 MB against 0.8 MB, and slower to build than the steps saved.
+_HEAD_LETTERS = 8
 
-    The state of a word of j letters is (j, r, p, ms): bit i of r is the
-    letter i places from the end, bit L of p is set where the suffix of L
-    letters is a palindrome (the empty one included), and ms[i] is m of the
-    first i letters.  A suffix of L + 2 letters is a palindrome where that
-    of L letters is and the letter before it is c; one letter always is.
-    m is one more than the least m of a prefix a palindromic suffix leaves.
-    States are immutable, so a depth-first search never undoes a push."""
-    j, r, p, ms = state
+
+def _step(j: int, r: int, p: int, ms: Sequence[int], c: int) -> tuple[int, int]:
+    """The mask and m of a word of j letters followed by letter c (0 for a,
+    1 for b), the word given by (j, r, p, ms): bit i of r is the letter i
+    places from the end, bit L of p is set where the suffix of L letters is
+    a palindrome (the empty one included), and ms[i] is m of the first i
+    letters.  A suffix of L + 2 letters is a palindrome where that of L
+    letters is and the letter before it is c; one letter always is.  m is
+    one more than the least m of a prefix a palindromic suffix leaves."""
     p = (p & (r if c else r ^ ((1 << j) - 1))) << 2 | 3
     m = ms[j]  # the one-letter suffix leaves j letters
     longer = p >> 2  # bit i: the suffix of i + 2 letters, which leaves j - 1 - i
@@ -182,7 +191,15 @@ def _push(state: tuple, c: int) -> tuple:
         if before < m:
             m = before
         longer ^= low
-    return j + 1, r << 1 | c, p, ms + (m + 1,)
+    return p, m + 1
+
+
+def _push(state: tuple, c: int) -> tuple:
+    """The state (j, r, p, ms) of ``_step`` after letter c, ms a tuple: states
+    are immutable, so a search over them never undoes a push."""
+    j, r, p, ms = state
+    p, m = _step(j, r, p, ms, c)
+    return j + 1, r << 1 | c, p, ms + (m,)
 
 
 def _state(text: str) -> tuple:
@@ -193,28 +210,61 @@ def _state(text: str) -> tuple:
     return state
 
 
-def _search(need: list[int]) -> list[tuple[int, int]]:
+def _search(need: list[int], heads: list[set[int]] | None = None) -> list[tuple[int, int]]:
     """(m, packed word) for every a-initial word w of n = len(need) letters
     with m(w[:j]) >= need[j - 1] for j = 1..n, in text order; a prefix below
-    its need is dropped with every word extending it."""
-    n, found = len(need), []
+    its need is dropped with every word extending it.
 
-    def visit(state: tuple, bits: int) -> None:
-        j, _, _, ms = state
-        if ms[j] < need[j - 1]:
-            return
+    Given ``heads``, need[j - 1] must be floor - K(n - j) with K exact, and
+    heads[L] must hold 1 << t | v for the first t <= _HEAD_LETTERS letters v
+    of every word of length L attaining K(L), packed.  A prefix u of j0
+    letters at exactly its need then goes on only with letters that begin
+    such a word: if w extends u and reaches the floor, floor <= m(w) <=
+    m(u) + m(w[j0:]) gives m(w[j0:]) >= K(n - j0).  The words dropped so
+    miss the floor, so the answer is the same as without ``heads``."""
+    n, found = len(need), []
+    ms = [0, 1, *[0] * (n - 1)]  # m of the current word's prefixes, written in place
+
+    def visit(j: int, r: int, p: int, bits: int, at: tuple[int, ...]) -> None:
+        # at: the depths j0 > j - _HEAD_LETTERS, ascending, at which the
+        # prefix was exactly at its need
         if j == n:
             found.append((ms[j], bits))
             return
-        visit(_push(state, 0), bits)
-        visit(_push(state, 1), bits | 1 << j)
+        least = need[j]
+        # the next letter is the last that at[0] checks
+        kept = at[1:] if at and at[0] == j + 1 - _HEAD_LETTERS else at
+        for c in (0, 1):
+            word = bits | c << j
+            for j0 in at:
+                if 1 << (j + 1 - j0) | word >> j0 not in heads[n - j0]:
+                    break
+            else:
+                q, m = _step(j, r, p, ms, c)
+                if m >= least:
+                    ms[j + 1] = m
+                    visit(j + 1, r << 1 | c, q, word, kept + (j + 1,) if heads and m == least else kept)
 
-    visit(_state("a"), 0)
+    if need[0] <= 1:  # the word a: r = 0, its suffixes of 0 and 1 letters (p = 3), m = 1
+        visit(1, 0, 3, 0, (1,) if heads and need[0] == 1 else ())
     return found
 
 
-# The worst-case rows of lengths 1..len(_worst), made once per process.
-_worst: list[WorstRow] = []
+# The worst-case rows of lengths 1..len(_worst), made once per process, each
+# with its heads for ``_search``.
+_worst: list[tuple[WorstRow, set[int]]] = []
+
+
+def _heads(row: WorstRow) -> set[int]:
+    """1 << t | v for the first t <= _HEAD_LETTERS letters v of every word of
+    length row.n attaining K, as ``_search`` takes them."""
+    letters = min(row.n, _HEAD_LETTERS)
+    firsts = {bits & ((1 << letters) - 1) for bits in row.maximizers}
+    heads = set()
+    for t in range(1, letters + 1):
+        mask = (1 << t) - 1
+        heads.update(1 << t | ((v & mask) ^ swap) for v in firsts for swap in (0, mask))
+    return heads
 
 
 def worst_rows(n_max: int) -> list[WorstRow]:
@@ -227,11 +277,13 @@ def worst_rows(n_max: int) -> list[WorstRow]:
 
     while len(_worst) < n_max:
         n = len(_worst) + 1
-        ks = [0, *(row.k for row in _worst)]
+        ks = [0, *(row.k for row, _ in _worst)]
+        heads = [set(), *(head for _, head in _worst)]
         floor = k_formula(n)
         # m(uv) <= m(u) + K(|v|): a prefix of j letters needs m >= floor - K(n - j)
-        while not (found := _search([floor - ks[n - j] for j in range(1, n + 1)])):
+        while not (found := _search([floor - ks[n - j] for j in range(1, n + 1)], heads)):
             floor -= 1
         k = max(m for m, _ in found)
-        _worst.append(WorstRow(n, k, tuple(sorted(bits for m, bits in found if m == k))))
-    return _worst[:n_max]
+        row = WorstRow(n, k, tuple(sorted(bits for m, bits in found if m == k)))
+        _worst.append((row, _heads(row)))
+    return [row for row, _ in _worst[:n_max]]

@@ -568,20 +568,32 @@ def _check_golden(rows, lengths):
     maximizer count of n = 27..32, generated once with ``scan_lengths(32)``
     while every shard still held its top layer whole; and the pruned
     search's rows against the golden histograms."""
-    golden = json.loads((ROOT / "tests" / "data" / "rows_27_32.json").read_text())
-    worst = worst_rows(max(lengths))
-    for n in lengths:
-        counts = {int(k): c for k, c in golden[str(n)]["counts"].items()}
+    for n, counts in _golden_worst(lengths).items():
         assert sum(counts.values()) == 1 << n
         assert rows[n].counts == counts, n
+
+
+def _golden_worst(lengths):
+    """The histograms of ``tests/data/rows_27_32.json`` for ``lengths``, by
+    n, with the pruned search's rows checked against their top bins."""
+    golden = json.loads((ROOT / "tests" / "data" / "rows_27_32.json").read_text())
+    worst = worst_rows(max(lengths))
+    histograms = {}
+    for n in lengths:
+        counts = histograms[n] = {int(k): c for k, c in golden[str(n)]["counts"].items()}
         assert counts[max(counts)] == golden[str(n)]["maximizer_count"], n
         _check_worst(worst[n - 1], counts)
+    return histograms
 
 
 class TestGoldenRows:
     def test_rows_27_to_30(self):
         # the n = 30 pass of test_acceptance's criterion 9, unless run alone
         _check_golden(_rows_upto(30), range(27, 31))
+
+    def test_worst_rows_31_and_32(self):
+        # the pruned search alone; the scan of these lengths is opt-in below
+        _golden_worst((31, 32))
 
     @pytest.mark.skipif(not os.environ.get("PALFACT_LONG_TESTS"), reason="~12 s; set PALFACT_LONG_TESTS=1")
     def test_rows_31_and_32(self):

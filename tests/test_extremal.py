@@ -5,10 +5,11 @@ import pytest
 from conftest import EXCEPTIONAL_WORD, K_TABLE
 from oracles import complement_bits_per_letter, dfs_scan, reverse_bits_per_letter
 import palfact
-from palfact import lemmas
+from palfact import lemmas, rows
 from palfact.lemmas import k_formula, verify_theorem1
-from palfact.factorization import min_factorization
+from palfact.factorization import measure, min_factorization
 from palfact.rows import LengthRow, WorstRow, length_row, length_rows, worst_rows
+from palfact.words import Word
 
 
 class TestKFormula:
@@ -142,6 +143,55 @@ class TestStartingFloor:
         monkeypatch.setattr("palfact.rows._worst", [])
         monkeypatch.setattr(lemmas, "k_formula", lambda n: real(n) + delta)
         assert worst_rows(20) == expected
+
+
+class TestHeadPrune:
+    """A prefix exactly at its need goes on only into the first letters of a
+    shorter length's maximizers (``_search`` given heads): the prune drops
+    no word the plain search keeps, and it stays live."""
+
+    @staticmethod
+    def _need(n, floor):
+        ks = [0, *(row.k for row in worst_rows(n))]
+        return [floor - ks[n - j] for j in range(1, n + 1)]
+
+    @staticmethod
+    def _heads():
+        return [set(), *(head for _, head in rows._worst)]
+
+    def test_drops_nothing_at_or_below_the_floor(self):
+        worst, heads = worst_rows(24), self._heads()
+        for n in range(2, 25):
+            for floor in (worst[n - 1].k, worst[n - 1].k - 1):
+                need = self._need(n, floor)
+                assert rows._search(need, heads) == rows._search(need), (n, floor)
+
+    def test_a_missing_head_loses_a_maximizer(self):
+        # the check above catches a heads set short of one needed prefix
+        n = 24
+        need, heads = self._need(n, worst_rows(n)[-1].k), self._heads()
+        bits = worst_rows(n)[-1].maximizers[0]
+        j0 = next(j for j in range(1, n) if measure(Word(bits & ((1 << j) - 1), j)) == need[j - 1])
+        t = min(n - j0, rows._HEAD_LETTERS)
+        heads[n - j0] = heads[n - j0] - {1 << t | (bits >> j0) & ((1 << t) - 1)}
+        found = rows._search(need, heads)
+        assert found != rows._search(need)
+        assert bits not in {b for _, b in found}
+
+    def test_prune_is_live(self, monkeypatch):
+        # 103115 letter steps to n = 30; the search without heads takes 488716
+        expected = worst_rows(30)
+        steps = []
+        step = rows._step
+
+        def counted(*args):
+            steps.append(None)
+            return step(*args)
+
+        monkeypatch.setattr("palfact.rows._worst", [])
+        monkeypatch.setattr("palfact.rows._step", counted)
+        assert worst_rows(30) == expected
+        assert len(steps) <= 150_000
 
 
 class TestTheorem1:
