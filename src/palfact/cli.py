@@ -114,7 +114,10 @@ def _echo_json(doc: object) -> None:
     click.echo(json.dumps(doc, indent=2, sort_keys=True))
 
 
-# m and factor hold ~40 B a letter: 10^7 letters is ~0.4 GB and ~20 s.
+# m and factor hold ~60 B a letter on a random word and ~150 B on a
+# Fibonacci word, whose ~n distinct palindromes make it the costliest
+# class: at 10^7 letters ~0.6 GB and ~7 s, or ~1.5 GB and ~45 s
+# (scaled from 4*10^6-letter `m -` runs on a 2-vCPU Xeon).
 MAX_WORD_LENGTH = 10**7
 
 

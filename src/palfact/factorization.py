@@ -12,10 +12,16 @@ the word.  The palindromic suffixes of a prefix fall into O(log n)
 series whose lengths form arithmetic progressions; each series keeps an
 aggregate over its start positions, reused from the position ``diff``
 letters earlier, so a word of length n costs O(n log n) time and O(n)
-memory.  See Rubinchik & Shur, "EERTREE: an efficient data structure for
-processing palindromes in strings" (IWOCA 2015), and I, Sugimoto,
-Inenaga, Bannai & Takeda, "Computing palindromic factorizations and
-palindromic covers on-line" (CPM 2014).
+memory.  The tree is built once with a series table: for each node, the
+first node below its series and how far back the series' shortest
+member starts.  ``_fold_suffixes`` is the generic walk over that table
+(the block counts use it); ``_min_keys`` is the same walk for the
+integer min keys of m and its witness, written out without calls, and
+the tests hold it equal to the generic walk.  See Rubinchik & Shur,
+"EERTREE: an efficient data structure for processing palindromes in
+strings" (IWOCA 2015), and I, Sugimoto, Inenaga, Bannai & Takeda,
+"Computing palindromic factorizations and palindromic covers on-line"
+(CPM 2014).
 """
 
 from __future__ import annotations
@@ -58,45 +64,58 @@ class Factorization:
 
 
 def _eertree(text: str) -> tuple[list[int], list[int], list[int], list[int], list[int]]:
-    """The palindromic tree of ``text``.
+    """The palindromic tree of ``text`` with its series table.
 
-    Returns ``(length, link, diff, series, suffix)``.  Node 0 is the
+    Returns ``(length, link, series, reach, suffix)``.  Node 0 is the
     imaginary root of length -1 and node 1 the empty palindrome; every
-    other node is a distinct nonempty palindromic factor.  ``link`` is the
-    longest proper palindromic suffix, ``diff[v] = length[v] -
-    length[link[v]]``, and ``series[v]`` is the first node down the link
-    chain whose ``diff`` differs from ``diff[v]``.  ``suffix[j]`` is the
-    longest palindromic suffix of the length-j prefix.
+    other node is a distinct nonempty palindromic factor.  ``link[v]`` is
+    the longest proper palindromic suffix of v.  Let ``diff[v] = length[v]
+    - length[link[v]]`` (0 at the roots): ``series[v]`` is the first node
+    down the link chain whose ``diff`` differs from ``diff[v]``, and v's
+    series is v and the nodes above ``series[v]`` on that chain, whose
+    lengths step by ``diff[v]``.  ``reach[v] = length[series[v]] +
+    diff[v]`` is the length of the series' shortest member, so at any
+    prefix that v ends, that member starts ``reach[v]`` letters back.
+    ``link[v]`` lies in v's series exactly when ``series[v] != link[v]``.
+    ``suffix[j]`` is the longest palindromic suffix of the length-j
+    prefix.  Nodes 0 and 1 hold 0 in ``series`` and ``reach``.
     """
-    length, link, diff, series = [-1, 0], [0, 0], [0, 0], [0, 0]
-    child = {"a": [0, 0], "b": [0, 0]}  # child[c][v]: node c+v+c, 0 if absent
+    length, link, series, reach = [-1, 0], [0, 0], [0, 0], [0, 0]
+    child_a, child_b = [0, 0], [0, 0]  # child_c[v]: node c+v+c, 0 if absent
+    child = {"a": child_a, "b": child_b}
+    # s[i - length[v]] is the letter before the length[v]-letter suffix of
+    # the length-i prefix; the sentinel matches no letter, so both link
+    # walks stop inside the word with no bounds test.
+    s = "#" + text
     suffix = [1]
     v = 1
     for i, c in enumerate(text):
-        while i - length[v] < 1 or text[i - length[v] - 1] != c:
+        while s[i - length[v]] != c:
             v = link[v]
         edges = child[c]
         u = edges[v]
         if not u:
             u = len(length)
             new_len = length[v] + 2
-            lk = 1
             if new_len > 1:
                 lk = link[v]
-                while i - length[lk] < 1 or text[i - length[lk] - 1] != c:
+                while s[i - length[lk]] != c:
                     lk = link[lk]
-                lk = edges[lk]
-            d = new_len - length[lk]
+                lk = edges[lk]  # a nonempty palindrome, so not a root
+                d = new_len - length[lk]
+                ser = series[lk] if d == length[lk] - length[link[lk]] else lk
+            else:
+                lk = ser = d = 1
             length.append(new_len)
             link.append(lk)
-            diff.append(d)
-            series.append(series[lk] if d == diff[lk] else lk)
-            child["a"].append(0)
-            child["b"].append(0)
+            series.append(ser)
+            reach.append(length[ser] + d)
+            child_a.append(0)
+            child_b.append(0)
             edges[v] = u
         v = u
         suffix.append(u)
-    return length, link, diff, series, suffix
+    return length, link, series, reach, suffix
 
 
 def _fold_suffixes(text: str, seed: T, leaf: Callable[[T, int], T], join: Callable[[T, T], T]) -> list[T]:
@@ -104,29 +123,32 @@ def _fold_suffixes(text: str, seed: T, leaf: Callable[[T, int], T], join: Callab
     and ``acc[j]`` joins ``leaf(acc[i], i)`` over every i < j with
     ``text[i:j]`` a palindrome.
 
-    ``join`` must be associative and commutative.  The palindromic
-    suffixes of each prefix are walked series by series (a run of suffix
-    links with one ``diff``).  The value of a series at j joins the leaf
-    of its shortest member's start with the value that its second member
-    ``link[v]`` stored as a series head ``diff[v]`` positions earlier; that
-    value covered exactly the other start positions of the series, so a
-    leaf keyed by its absolute start is folded exactly once.
+    ``join`` must be associative and commutative.  ``leaf`` is called once
+    per position, when ``acc[i]`` is final.  The palindromic suffixes of
+    each prefix are walked series by series.  The value of v's series at
+    j joins the leaf of its shortest member's start, ``j - reach[v]``,
+    with the value that ``link[v]`` stored as a series head ``diff[v]``
+    positions earlier, when ``link[v]`` is in the series; that value
+    covered exactly the other start positions of the series, so each leaf
+    is folded exactly once.  This is the specification of the min walk
+    that ``_min_keys`` writes out.
     """
-    length, link, diff, series, suffix = _eertree(text)
+    link, series, reach, suffix = _eertree(text)[1:]
     acc = [seed]
-    per_series: list = [None] * len(length)
+    leaves = [leaf(seed, 0)]
+    per_series: list = [None] * len(link)
     for j in range(1, len(text) + 1):
         v = suffix[j]
         total = None
-        while length[v] > 0:
-            start = j - length[series[v]] - diff[v]
-            value = leaf(acc[start], start)
-            if diff[v] == diff[link[v]]:
+        while v > 1:
+            value = leaves[j - reach[v]]
+            if series[v] != link[v]:
                 value = join(value, per_series[link[v]])
             per_series[v] = value
             total = value if total is None else join(total, value)
             v = series[v]
         acc.append(total)
+        leaves.append(leaf(total, j))
     return acc
 
 
@@ -146,10 +168,41 @@ def _min_keys(w: Word) -> tuple[list[int], int]:
     the largest i: the shortest minimizing final block.  From the key of
     prefix j, ``dp[j] = key // base + 1`` and the final block starts at
     ``n - key % base``.  The seed gives dp[0] = 0.
+
+    This is ``_fold_suffixes(w.text, -base, leaf, min)`` with the leaf
+    ``(key // base + 1) * base + n - i``, written out: the leaves are
+    stored once per position and the series walk compares them in
+    place, with no call per series.  It takes the minimum of the same
+    leaves, so each key is exactly the fold's.  Every prefix has a
+    nonempty palindromic suffix, so each ``total`` starts above every
+    key and ends as a real one.
     """
     n = w.length
     base = n + 1
-    keys = _fold_suffixes(w.text, -base, lambda key, i: (key // base + 1) * base + n - i, min)
+    # The walk reads no lengths; dropping that list lowers peak memory on
+    # words with ~n distinct palindromes, such as Fibonacci words.
+    link, series, reach, suffix = _eertree(w.text)[1:]
+    keys = [-base]
+    leaves = [n]
+    per_series = [0] * len(link)
+    above_all = base * base
+    for j in range(1, n + 1):
+        v = suffix[j]
+        total = above_all
+        while v > 1:
+            value = leaves[j - reach[v]]
+            lk = link[v]
+            u = series[v]
+            if u != lk:
+                held = per_series[lk]
+                if held < value:
+                    value = held
+            per_series[v] = value
+            if value < total:
+                total = value
+            v = u
+        keys.append(total)
+        leaves.append((total // base + 1) * base + n - j)
     return keys, base
 
 

@@ -5,7 +5,15 @@ import random
 import pytest
 
 from oracles import IncrementalState, brute_force_m, longest_palindrome_by_centres, quadratic_dp
-from palfact.factorization import longest_palindromic_factor, measure, min_factorization, reachable_k
+from palfact.factorization import (
+    _eertree,
+    _fold_suffixes,
+    _min_keys,
+    longest_palindromic_factor,
+    measure,
+    min_factorization,
+    reachable_k,
+)
 from palfact.words import Word, WordError, family, is_palindrome, parse_word
 
 
@@ -206,6 +214,57 @@ class TestQuadraticOracle:
         assert len(fact.cuts) == fact.m + 1
         assert all(block and block == block[::-1] for block in fact.blocks())
         assert fact.m == measure(text)
+
+
+class TestSeriesWalk:
+    """The palindromic tree's series table against its definitions, and the
+    written-out min walk of ``_min_keys`` against the generic
+    ``_fold_suffixes`` it specialises."""
+
+    @staticmethod
+    def _words(max_len: int) -> list[str]:
+        return [Word(bits, n).text for n in range(1, max_len + 1) for bits in range(1 << n)] + _seeded_words()
+
+    def test_min_walk_equals_generic_fold(self):
+        for text in self._words(14):
+            n = len(text)
+            base = n + 1
+            generic = _fold_suffixes(text, -base, lambda key, i: (key // base + 1) * base + n - i, min)
+            assert _min_keys(parse_word(text)) == (generic, base), text
+
+    def test_series_table_matches_link_chains(self):
+        for text in self._words(12):
+            length, link, series, reach, suffix = _eertree(text)
+
+            def diff(v: int) -> int:
+                return length[v] - length[link[v]] if v > 1 else 0
+
+            for v in range(2, len(length)):
+                first = link[v]
+                while diff(first) == diff(v):
+                    first = link[first]
+                assert series[v] == first, (text, v)
+                assert reach[v] == length[first] + diff(v), (text, v)
+                assert (series[v] != link[v]) == (diff(v) == diff(link[v])), (text, v)
+            if len(text) <= 12:
+                # the nodes are the distinct palindromic factors, and suffix[j]
+                # is the longest palindromic suffix of each prefix
+                factors = {text[i:j] for j in range(len(text) + 1) for i in range(j) if text[i:j] == text[i:j][::-1]}
+                assert len(length) == len(factors) + 2, text
+                for j in range(1, len(text) + 1):
+                    longest = max(j - i for i in range(j) if text[i:j] == text[i:j][::-1])
+                    assert length[suffix[j]] == longest, (text, j)
+
+    @pytest.mark.parametrize("text", ["ab", "a" * 300, _fibonacci(987), "aababbaabab" * 20])
+    def test_fold_calls_leaf_once_per_position(self, text):
+        calls = []
+
+        def leaf(value: int, i: int) -> int:
+            calls.append(i)
+            return value + 1
+
+        _fold_suffixes(text, 0, leaf, min)
+        assert calls == list(range(len(text) + 1))
 
 
 class TestMeasureInvariants:
