@@ -445,6 +445,11 @@ def dispatch(argv: Sequence[str]) -> int:
 
 
 def main() -> None:
+    # The scan never calls BLAS, so numpy's OpenBLAS thread pool only idles,
+    # at ~0.1 CPU-s a process on two CPUs.  It is sized when numpy loads,
+    # which no command does before this line; a value the caller set is kept,
+    # and ``dispatch`` leaves the pool of a library caller alone.
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     sys.exit(dispatch(sys.argv[1:]))
 
 

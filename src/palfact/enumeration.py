@@ -8,7 +8,9 @@ length holds m for every word of that length sharing a fixed prefix, and
 the layer for length j is obtained from the shorter layers by minimising
 over palindromic suffixes.  A suffix of length L occupies the top L bits,
 so after reshaping the layer to (2^L, columns) each palindromic suffix
-value selects one row and the update is a vectorised elementwise minimum.
+value selects one row and the update is a vectorised elementwise minimum,
+taken in place row by row where the rows are wide, so that no copy of a
+chunk is made.
 The palindromes of length L are one cached table: each half-word of
 ceil(L/2) letters followed by its low floor(L/2) letters reversed.  The
 last factors that cover all e letters of an extension and the prefix's
@@ -20,12 +22,12 @@ through every palindromic suffix before the next one starts.
 A scan up to n_max is sharded by prefix: every a-initial prefix of d letters
 is extended by n_max - d symbols, and each a-initial word of j <= d letters
 is counted from m of the prefix's first j letters, in the shard whose prefix
-extends it by a's.  Layers of at most one chunk (2^20 entries) are built
+extends it by a's.  Layers of at most one chunk (2^19 entries) are built
 whole.  Each longer one holds one chunk at a time: the layers past that
 length are built depth first, chunk lo of layer e and then the two chunks of
 layer e + 1 that extend it, lo and lo + 2^e, each counted into its row as
 soon as it is built.  A chunk reads only its ancestors on that path, so a
-shard holds 2^21 bytes plus 1 MiB for each longer layer (``_kept_layers``),
+shard holds 2^20 bytes plus 512 KiB for each longer layer (``_kept_layers``),
 not 2^(n_max-d), and every chunk is still built once.  The top layer feeds
 nothing but its own row: it is the last level.  Each layer is counted into
 its length's histogram in cache-sized spans (``_count``: compare-and-count
@@ -40,7 +42,7 @@ its 2d-letter ends, letter-swapped if b-initial.  Of two partner blocks, the
 one whose ends pack to the lesser integer counts twice and the other not at
 all; a block that is its own partner counts once.  Each shard keeps
 2^(d-1) + 1 of its 2^d blocks (``_shard_work`` says why), so all shards do
-the same work.  The top layer is built in chunks of at most 2^20 entries,
+the same work.  The top layer is built in chunks of at most 2^19 entries,
 and where its blocks hold whole chunks a skipped block is never built.  A
 kept layer is built in full, and counted one block at a time where a block
 holds 2^14 entries or more (a chunk of a longer layer inherits its blocks'
@@ -51,9 +53,9 @@ partner blocks.
 depth, the chunks and spans, the batches of prefixes (one per worker), the
 bytes they allocate and the entries the scan will build and count.  The
 depth is the deepest whose top blocks hold whole build chunks (depth 3 at
-n = 26: 4 MiB of kept layers, and 0.81 of the entries built and 0.63
+n = 26: 2.5 MiB of kept layers, and 0.81 of the entries built and 0.63
 counted at depth 1).  Scans up to n = 26 run in one process, longer ones on
-forked workers, each holding under 10 MiB of buffers up to n = 32.  Each
+forked workers, each allocating under 6 MiB up to n = 32.  Each
 worker runs one batch, which builds its shards' layers in one buffer and
 counts them into one histogram per length, and the histograms add; the
 process that forks them builds no layer.
@@ -88,10 +90,24 @@ __all__ = [
 # workers saved no wall time and cost more CPU.
 _IN_PROCESS_BITS = 26
 
-# Layers are built this many entries at a time: a chunk (1 MiB) stays in L2
-# across the passes over its palindromic suffixes.  A shard holds a layer
-# longer than this one chunk at a time, counted into its row as soon as built.
-_LAYER_CHUNK = 1 << 20
+# Layers are built this many entries at a time.  A pass over one palindromic
+# suffix reads the chunk (512 KiB) and at most as many bytes of a shorter
+# layer, so both stay in a core's 2 MiB L2 across the passes.  A shard holds
+# a layer longer than this one chunk at a time, counted into its row as soon
+# as built, so the chunk also sets the bytes of each such layer and of the
+# top one.  Chunks of 2^18 entries scanned n = 26..30 ~1.4 times slower.
+_LAYER_CHUNK = 1 << 19
+
+# A chunk's palindromic rows of one suffix length are gathered, minimised
+# and written back in one call where they hold fewer bytes than this
+# together; wider ones are minimised one row at a time in place (at most 64
+# calls), so that no copy of the chunk is ever made.
+_GATHER_BYTES = 1 << 14
+
+# A batch's Python objects besides its arrays (the histograms, frames, words
+# and array headers), as ``ScanPlan.buffer_bytes`` counts them: a whole batch
+# at n <= 8, whose arrays take under 2 KiB, traced 2-11 KiB.
+_OBJECT_BYTES = 1 << 15
 
 # Row extraction works on slices of this many layer entries: a slice and its
 # bool mask (512 KiB together) stay in L2 across the per-value compare passes.
@@ -192,9 +208,16 @@ def _fill_chunk(
             off = lo & (ext[s].size - 1)
             np.minimum(out, ext[s][off : off + size], out=out)
         else:
-            sel = pal[i:j] - first
+            rows = pal[i:j] - first
             view = out.reshape(size >> s, cols)
-            view[sel] = np.minimum(view[sel], ext[s])
+            if rows.size * cols < _GATHER_BYTES:
+                view[rows] = np.minimum(view[rows], ext[s])
+            else:
+                # Wide rows one at a time, in place: gathering them would
+                # copy up to the whole chunk twice.
+                for r in rows.tolist():
+                    row = view[r]
+                    np.minimum(row, ext[s], out=row)
     out += 1
 
 
@@ -221,7 +244,7 @@ def extension_m(prefix: Word, ext_len: int, out: np.ndarray | None = None) -> li
 
 def _count(counts: list[int], layer: np.ndarray, hit: np.ndarray, weight: int) -> None:
     """Add ``weight`` to counts[k] for every entry k of ``layer``; ``hit``
-    is a bool scratch buffer of at least ``_ROW_CHUNK`` entries."""
+    is a bool scratch buffer of at least min(_ROW_CHUNK, layer.size) entries."""
     for start in range(0, layer.size, _ROW_CHUNK):
         chunk = layer[start : start + _ROW_CHUNK]
         mask = hit[: chunk.size]
@@ -274,11 +297,11 @@ class ScanPlan:
     symbols, split into ``batches``, one per worker process.  Kept layer e
     is counted ``spans[e]`` entries at a time, one block where that skips
     the block's reversal partner.  ``buffer_bytes`` sums over the workers
-    what a batch holds: its kept layers (``_kept_layers``), the top chunk,
-    and the scratch of one build chunk (the rows it gathers) and one row
-    chunk (a bool mask).  ``built`` and ``counted`` are the layer entries
-    the whole scan will build and count; the words of 1..depth letters are
-    counted from the prefixes and are in neither.
+    the most a batch allocates at once (``_batch_bytes``): its kept layers
+    (``_kept_layers``), the top chunk, the gather scratch, the bool mask and
+    the covering-factor and palindrome tables.  ``built`` and ``counted``
+    are the layer entries the whole scan will build and count; the words of
+    1..depth letters are counted from the prefixes and are in neither.
     """
 
     n_max: int
@@ -320,17 +343,35 @@ def _kept_layers(ext_len: int) -> tuple[int, int]:
     of kept layers the shard holds.
 
     Layers up to one build chunk long are built whole, 2^(whole + 1) bytes
-    in all (whole = -1 where ext_len = 0).  Each longer kept layer
-    (e < ext_len) is held one build chunk at a time, in a window of its own."""
+    in all (whole = -1 where ext_len = 0): 1 MiB from ext_len = 20 on.  Each
+    longer kept layer (e < ext_len) is held one build chunk (512 KiB) at a
+    time, in a window of its own."""
     whole = min(ext_len - 1, _LAYER_CHUNK.bit_length() - 1)
     return whole, (1 << whole + 1) + (ext_len - 1 - whole) * _LAYER_CHUNK
+
+
+def _batch_bytes(ext_len: int, depth: int) -> int:
+    """The most bytes a batch of shards extended by ``ext_len`` symbols
+    allocates at once: its buffer (the kept layers and the top chunk), the
+    bool mask, the rows a chunk gathers and their minimum, the covering
+    factors of one shard (``_covering_factors``: for every layer, one int64
+    table per prefix letter it takes, each the size of a palindrome table),
+    the cached reversal and palindrome tables of every length up to
+    ``ext_len`` with the three temporaries of the largest one's size that
+    build it, and ``_OBJECT_BYTES``."""
+    chunk = min(_LAYER_CHUNK, 1 << ext_len)
+    pal = [8 << (length + 1) // 2 for length in range(ext_len + 1)]
+    covering = sum(pal[e - q] for e in range(1, ext_len + 1) for q in range(1, min(depth, e) + 1))
+    reversal = sum(8 << low for low in range(max(ext_len // 2, depth) + 1))
+    tables = covering + sum(pal) + 3 * pal[-1] + reversal
+    return _kept_layers(ext_len)[1] + chunk + min(_ROW_CHUNK, chunk) + 2 * _GATHER_BYTES + tables + _OBJECT_BYTES
 
 
 def _layout(n_max: int, depth: int, workers: int = 1) -> ScanPlan:
     """The plan of a scan up to ``n_max`` at the given shard depth and
     worker count (at most one worker per shard).
 
-    The top layer is built in chunks of at most 2^20 entries, which skip
+    The top layer is built in chunks of at most 2^19 entries, which skip
     their blocks' partners where blocks hold whole chunks.  A kept layer is
     counted one block at a time from a sixteenth of a row chunk (2^14
     entries) up; below that the calls cost what skipping saves, so such
@@ -351,73 +392,84 @@ def _layout(n_max: int, depth: int, workers: int = 1) -> ScanPlan:
         spans=spans,
         # Every shard does the same work, so interleaving balances the batches.
         batches=tuple(tuple(prefixes[w::workers]) for w in range(workers)),
-        buffer_bytes=workers * (_kept_layers(ext_len)[1] + 2 * min(_LAYER_CHUNK, 1 << ext_len) + _ROW_CHUNK),
+        buffer_bytes=workers * _batch_bytes(ext_len, depth),
         built=len(prefixes) * built,
         counted=len(prefixes) * counted,
     )
 
 
 def _scan_shards(plan: ScanPlan, prefixes: Iterable[int]) -> dict[int, list[int]]:
-    """Per length 1..plan.n_max, how many of the words that start with any
-    of the ``prefixes`` have m = k, at index k, as ``plan`` lays them out;
-    lengths up to the depth from the prefixes' measures, the longer ones
-    from their layers.
+    """Per length n = 1..plan.n_max, how many of the words that start with
+    any of the ``prefixes`` have m = k, at index k <= n, as ``plan`` lays
+    them out (``_scan_shard``, one prefix at a time).
 
-    The layers longer than one build chunk are built depth first: chunk lo
-    of layer e is built and counted, and then the two chunks of layer e + 1
-    that extend its words, lo and lo + 2^e.  A chunk reads only its
-    ancestors on that path (layer s at entry lo mod 2^s), so each longer
-    layer holds one chunk at a time, and every chunk is built once.
     All shards build their layers in one buffer, so the process writes its
     layer memory once and then holds the same pages throughout the scan.
     Layers allocated and freed per shard went back to the heap instead, and
     how much of it stayed resident depended on which shards it happened to run.
     """
+    counts = {n: [0] * (n + 1) for n in range(1, plan.n_max + 1)}  # m <= n
+    chunk = min(_LAYER_CHUNK, 1 << plan.ext_len)
+    buf = np.empty(_kept_layers(plan.ext_len)[1] + chunk, dtype=np.uint8)
+    hit = np.empty(min(_ROW_CHUNK, chunk), dtype=bool)
+    for prefix_bits in prefixes:
+        _scan_shard(plan, prefix_bits, counts, buf, hit)
+    return counts
+
+
+def _scan_shard(
+    plan: ScanPlan, prefix_bits: int, counts: dict[int, list[int]], buf: np.ndarray, hit: np.ndarray
+) -> None:
+    """Add one shard's words to ``counts``: of lengths up to the depth from
+    the prefix's measures, of the longer ones from its layers, built in
+    ``buf`` and counted through the bool scratch ``hit``.
+
+    The layers longer than one build chunk are built depth first: chunk lo
+    of layer e is built and counted, and then the two chunks of layer e + 1
+    that extend its words, lo and lo + 2^e.  A chunk reads only its
+    ancestors on that path (layer s at entry lo mod 2^s), so each longer
+    layer holds one chunk at a time, and every chunk is built once.  The
+    shard's tables go when it returns, before the next shard builds its own.
+    """
     depth, ext_len = plan.depth, plan.ext_len
-    counts = {n: [0] * 256 for n in range(1, plan.n_max + 1)}
+    prefix = Word(prefix_bits, depth)
+    measures = _prefix_measures(prefix)
+    # the j-letter words that this prefix extends by a's (prefix_bits >> j == 0)
+    for j in range(max(1, prefix_bits.bit_length()), depth + 1):
+        counts[j][measures[j]] += 1
+    if not ext_len:
+        return  # n_max = depth: the prefix is the whole word
     end = 1 << ext_len
     chunk = min(_LAYER_CHUNK, end)
     whole, kept = _kept_layers(ext_len)
-    buf = np.empty(kept + chunk, dtype=np.uint8)
     # Layers whole + 1 .. ext_len - 1 have one chunk each; the top layer is
     # only ever one chunk: built, counted, overwritten.
-    windows = [buf[lo : lo + chunk] for lo in range(1 << whole + 1, kept, chunk)]
+    ext = extension_m(prefix, whole, buf) + [buf[lo : lo + chunk] for lo in range(1 << whole + 1, kept, chunk)]
     top = buf[kept:]
-    hit = np.empty(_ROW_CHUNK, dtype=bool)
-    for prefix_bits in prefixes:
-        prefix = Word(prefix_bits, depth)
-        measures = _prefix_measures(prefix)
-        # the j-letter words that this prefix extends by a's (prefix_bits >> j == 0)
-        for j in range(max(1, prefix_bits.bit_length()), depth + 1):
-            counts[j][measures[j]] += 1
-        if not ext_len:
-            continue  # n_max = depth: the prefix is the whole word
-        ext = extension_m(prefix, whole, buf) + windows
-        covering = {e: _covering_factors(prefix, e, measures) for e in range(whole + 1, ext_len + 1)}
-        weights = _block_weights(prefix_bits, depth)
+    covering = {e: _covering_factors(prefix, e, measures) for e in range(whole + 1, ext_len + 1)}
+    weights = _block_weights(prefix_bits, depth)
 
-        def count(e: int, lo: int) -> None:
-            """Fold in ext[e], entries lo onward of layer e."""
-            layer, span = ext[e], plan.spans[e]
-            for start, weight in _counted_spans(lo, lo + layer.size, 1 << e, span, depth, weights):
-                _count(counts[depth + e], layer[start - lo : start - lo + span], hit, weight)
+    def count(e: int, lo: int) -> None:
+        """Fold in ext[e], entries lo onward of layer e."""
+        layer, span = ext[e], plan.spans[e]
+        for start, weight in _counted_spans(lo, lo + layer.size, 1 << e, span, depth, weights):
+            _count(counts[depth + e], layer[start - lo : start - lo + span], hit, weight)
 
-        for e in range(1, whole + 1):
-            count(e, 0)
-        # A stack, so that everything below a chunk is done before the next
-        # chunk of its layer overwrites the window it reads.
-        stack = [(whole + 1, lo) for lo in range(0, 2 << whole, chunk)]
-        while stack:
-            e, lo = stack.pop()
-            if e < ext_len:
-                _fill_chunk(ext[e], lo, e, covering[e], ext)
-                count(e, lo)
-                stack += (e + 1, lo + (1 << e)), (e + 1, lo)
-                continue
-            for start, weight in _counted_spans(lo, lo + chunk, end, chunk, depth, weights):
-                _fill_chunk(top, start, e, covering[e], ext)
-                _count(counts[depth + e], top, hit, weight)
-    return counts
+    for e in range(1, whole + 1):
+        count(e, 0)
+    # A stack, so that everything below a chunk is done before the next
+    # chunk of its layer overwrites the window it reads.
+    stack = [(whole + 1, lo) for lo in range(0, 2 << whole, chunk)]
+    while stack:
+        e, lo = stack.pop()
+        if e < ext_len:
+            _fill_chunk(ext[e], lo, e, covering[e], ext)
+            count(e, lo)
+            stack += (e + 1, lo + (1 << e)), (e + 1, lo)
+            continue
+        for start, weight in _counted_spans(lo, lo + chunk, end, chunk, depth, weights):
+            _fill_chunk(top, start, e, covering[e], ext)
+            _count(counts[depth + e], top, hit, weight)
 
 
 def _scan_sharded(plan: ScanPlan) -> dict[int, LengthRow]:
@@ -472,8 +524,8 @@ def scan_lengths(n_max: int) -> dict[int, LengthRow]:
 
     Enumerates only words starting with 'a'; the letter-swap involution is
     fixed-point free, so all counts double exactly.  ``_plan`` fixes the
-    shards, batches and buffers before the scan starts: under 10 MiB of
-    buffers per worker process whatever n_max and the CPU count are.
+    shards, batches and buffers before the scan starts: under 6 MiB
+    allocated per worker process whatever n_max and the CPU count are.
     """
     if not 1 <= n_max <= PACKED_LIMIT:
         raise ValueError(f"length must be in 1..{PACKED_LIMIT}, got {n_max}")

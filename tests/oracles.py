@@ -14,7 +14,9 @@ per-letter reversal that ``palfact.words`` replaced.  The depth-first oracle
 ``dfs_scan`` evaluates m by push/pop of ``IncrementalState`` over every
 word, so it shares no code with the layer DP in ``palfact.enumeration``,
 the pruned search in ``palfact.rows`` or the single-word engine in
-``palfact.factorization``.  ``decimal_bound_constants`` finds the bound
+``palfact.factorization``.  ``state_histograms`` walks every word on the palindromic-suffix state of
+``palfact.rows._step``, unpruned, so the histograms have a second engine
+that shares no code with the layer DP.  ``decimal_bound_constants`` finds the bound
 constants by bisection in 50-digit ``decimal`` arithmetic, with no float
 and no polynomial solver.
 """
@@ -25,7 +27,7 @@ from decimal import Decimal, localcontext
 
 import numpy as np
 
-from palfact.rows import LengthRow, WorstRow
+from palfact.rows import LengthRow, WorstRow, _step
 from palfact.words import Word, WordError
 
 
@@ -383,6 +385,24 @@ def dfs_scan(n: int, *, prefix_depth: int = 8) -> tuple[LengthRow, WorstRow]:
         total.merge(_dfs_partition(n, bits, depth))
     counts = {k: 2 * c for k, c in enumerate(total.counts) if c}
     return LengthRow(n, counts), WorstRow(n, total.max_m, tuple(sorted(total.max_bits)))
+
+
+def state_histograms(n_max: int) -> dict[int, dict[int, int]]:
+    """Per length 1..n_max, how many words have m = k, by k ascending: a
+    depth-first walk over every a-initial word on ``rows._step``, counting
+    m at every depth; the letter swap doubles each count."""
+    counts = [[0] * (n + 1) for n in range(n_max + 1)]  # m <= n
+    ms = [0, 1] + [0] * n_max  # m of the current word's prefixes, written in place
+
+    def visit(j: int, r: int, p: int) -> None:
+        counts[j][ms[j]] += 2
+        if j < n_max:
+            for c in (0, 1):
+                q, ms[j + 1] = _step(j, r, p, ms, c)
+                visit(j + 1, r << 1 | c, q)
+
+    visit(1, 0, 3)  # the word a: its suffixes of 0 and 1 letters are palindromes
+    return {n: {k: c for k, c in enumerate(counts[n]) if c} for n in range(1, n_max + 1)}
 
 
 def _bisect(fn, lo: Decimal, hi: Decimal, tolerance: Decimal) -> Decimal:

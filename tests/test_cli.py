@@ -520,6 +520,36 @@ class TestWorkerFailure:
         assert not tmp_path.exists() or not any(tmp_path.iterdir())
 
 
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="counts threads in procfs")
+class TestBlasPool:
+    """The command-line process starts numpy's OpenBLAS pool at one thread,
+    which the scan never calls, unless its caller chose a size."""
+
+    CODE = (
+        "import os, sys\n"
+        "from palfact import cli\n"
+        "sys.argv = ['palfact', 'kbar', '--max-n', '12']\n"
+        "try:\n"
+        "    cli.main()\n"
+        "except SystemExit as exc:\n"
+        "    threads = len(os.listdir('/proc/self/task'))\n"
+        "    print(exc.code, 'numpy' in sys.modules, threads, os.environ['OPENBLAS_NUM_THREADS'], file=sys.stderr)\n"
+    )
+
+    def _main(self, **env):
+        env = {k: v for k, v in os.environ.items() if k not in ("OPENBLAS_NUM_THREADS", "PALIN_CACHE_DIR")} | env
+        env["PYTHONPATH"] = str(Path(__file__).resolve().parent.parent / "src")
+        proc = subprocess.run([sys.executable, "-c", self.CODE], env=env, capture_output=True, text=True, timeout=60)
+        return proc.stderr.split()
+
+    def test_main_runs_numpy_on_one_thread(self):
+        assert self._main() == ["0", "True", "1", "1"]
+
+    def test_a_callers_setting_is_kept(self):
+        code, loaded, _, setting = self._main(OPENBLAS_NUM_THREADS="2")
+        assert (code, loaded, setting) == ("0", "True", "2")
+
+
 class TestWordFromStdin:
     LONG = "a" * 100_000 + "b" * 100_000  # m = 2, and the witness is unique
 

@@ -6,6 +6,7 @@ import os
 import random
 import subprocess
 import sys
+import tracemalloc
 import weakref
 from collections import Counter
 from pathlib import Path
@@ -20,6 +21,7 @@ from oracles import (
     dfs_scan,
     palindromic_completions,
     reverse_bits_per_letter,
+    state_histograms,
     text_of,
 )
 from palfact import enumeration
@@ -36,7 +38,7 @@ from palfact.enumeration import (
     scan_lengths,
 )
 from palfact.factorization import _prefix_measures, measure
-from palfact.rows import PACKED_LIMIT, _rows_upto, length_rows, worst_rows
+from palfact.rows import PACKED_LIMIT, LengthRow, _rows_upto, length_rows, worst_rows
 from palfact.words import Word, parse_word
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -311,6 +313,29 @@ class TestSharding:
             assert dfs == row
 
 
+@pytest.fixture(scope="module")
+def dfs_rows_16():
+    """The DFS oracle's row of every length 1..16."""
+    return {n: dfs_scan(n)[0] for n in range(1, 17)}
+
+
+class TestRowUpdatePaths:
+    """A chunk's palindromic rows of one suffix length are gathered and
+    minimised in one call where they are narrow, and minimised one row at a
+    time in place where they are wide.  Each path alone, for every row
+    (gather limit "never" and 0), must give the oracle's rows."""
+
+    @pytest.mark.parametrize("layer_chunk", [1 << b for b in range(3, 9)])
+    def test_gathered_and_in_place_rows_agree(self, monkeypatch, layer_chunk, dfs_rows_16):
+        monkeypatch.setattr(enumeration, "_LAYER_CHUNK", layer_chunk)
+        for depth in (1, _plan(16).depth):
+            rows = []
+            for limit in (1 << 62, 0):
+                monkeypatch.setattr(enumeration, "_GATHER_BYTES", limit)
+                rows.append(_scan_sharded(_layout(16, depth)))
+            assert rows[0] == rows[1] == dfs_rows_16, depth
+
+
 def _reversal_partner(bits: int, length: int) -> int:
     """The a-initial one of the reversal and its letter swap, by the
     per-letter oracles."""
@@ -433,21 +458,21 @@ class TestWorkers:
         assert (plan.depth, len(plan.batches)) == (depth, cpus)
         assert scan_lengths(n_max) == _scan_sharded(_layout(n_max, 1))
 
-    # Every scan runs at the deepest depth whose top blocks hold whole 2^20-
-    # entry chunks (depth 1 up to n = 21), n <= 26 in-process and longer ones
+    # Every scan runs at the deepest depth whose top blocks hold whole 2^19-
+    # entry chunks (depth 1 up to n = 22), n <= 26 in-process and longer ones
     # on two workers.
     @pytest.mark.parametrize(
         ("n_max", "plan"),
-        [(26, (3, 1)), (27, (3, 2)), (30, (5, 2)), (32, (6, 2))]
-        + [(21, (1, 1)), (24, (2, 1)), (29, (4, 2)), (31, (5, 2))],
+        [(26, (3, 1)), (27, (4, 2)), (30, (5, 2)), (32, (6, 2))]
+        + [(21, (1, 1)), (24, (2, 1)), (29, (5, 2)), (31, (6, 2))],
     )
     def test_two_cpus_split_the_layer_budget(self, two_cpus, n_max, plan):
         got = _plan(n_max)
         assert (got.depth, len(got.batches)) == plan
 
-    # A worker holds layers 1..20 whole and a 1 MiB chunk of each longer
-    # one, whatever the plan: at most 2^21 + 5 * 2^20 bytes of kept layers
-    # (n = 32 on one CPU, depth 6), plus the top chunk and the scratch.
+    # A worker holds layers 1..19 whole and a 512 KiB chunk of each longer
+    # one, whatever the plan: at most 2^20 + 6 * 2^19 bytes of kept layers
+    # (n = 32, depth 6), plus the top chunk, the scratch and the tables.
     @pytest.mark.parametrize("cpus", [1, 2, 3, 4])
     def test_buffers_stay_under_10_mib_a_worker(self, monkeypatch, cpus):
         monkeypatch.setattr(enumeration, "_usable_cpus", lambda: cpus)
@@ -477,7 +502,7 @@ class TestWorkers:
             assert plan.counted <= alone.counted, (cpus, plan.depth)
 
     # The depth comes from the blocks alone, so the CPU count only splits the
-    # shards; from n = 22 on every top block holds whole build chunks.
+    # shards; from n = 21 on every top block holds whole build chunks.
     @pytest.mark.parametrize("cpus", range(1, 9))
     def test_work_does_not_depend_on_the_cpu_count(self, monkeypatch, cpus):
         monkeypatch.setattr(enumeration, "_usable_cpus", lambda: 1)
@@ -492,7 +517,7 @@ class TestWorkers:
                 one.counted,
             ), n_max
             assert len(plan.batches) == (1 if n_max <= 26 else min(cpus, 1 << (plan.depth - 1))), n_max
-            if n_max >= 22:
+            if n_max >= 21:
                 assert 1 << (plan.ext_len - plan.depth) >= enumeration._LAYER_CHUNK, n_max
 
     # Every layer is built in a worker: the forking parent only merges rows.
@@ -603,16 +628,16 @@ class TestGoldenRows:
 @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs VmHWM from procfs")
 def test_scan_never_holds_the_top_layer():
     """A scan holds its plan's buffers and little else.  A shard builds
-    layers 1..20 whole, 2^21 bytes, and holds each longer layer one 1 MiB
+    layers 1..19 whole, 2^20 bytes, and holds each longer layer one 512 KiB
     chunk at a time, the top one included: at n = 26 (depth 3, layers up to
-    22 kept) each process holds 4 MiB of layers, and at n = 27 (depth 3,
-    up to 23) 5 MiB whatever the CPU count.  Every
+    22 kept) and at n = 27 (depth 4, up to 22) each process holds 2.5 MiB of
+    layers whatever the CPU count.  Every
     process that runs a batch reports how far its peak RSS grew (VmHWM, its
     own peak: ru_maxrss would start from the peak of the test process that
     spawned it).  The growth summed over them stays below the plan's buffer
-    bytes plus 6 MiB per process: each grew 2.3-4.7 MiB beyond its buffers
-    (numpy temporaries and the library pages it faults in), measured with
-    one to four workers.  Forked workers inherit the wrapper that reports it."""
+    bytes plus 4 MiB per process: a scan in one process grew 0.7 MiB beyond
+    its plan, and each of two forked workers at n = 27 ~3 MiB (the library
+    pages it faults in).  Forked workers inherit the wrapper that reports it."""
     code = (
         "import os, re, sys\n"
         "from palfact import enumeration\n"
@@ -633,7 +658,7 @@ def test_scan_never_holds_the_top_layer():
         "enumeration.scan_lengths(n)\n"
     )
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    for n, layer_bytes in ((26, 4 << 20), (27, 5 << 20)):
+    for n, layer_bytes in ((26, 5 << 19), (27, 5 << 19)):
         argv = [sys.executable, "-c", code, str(n)]
         proc = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=120)
         assert proc.returncode == 0, proc.stderr
@@ -643,16 +668,44 @@ def test_scan_never_holds_the_top_layer():
         for pid, grown in lines:
             growth[pid] = max(growth.get(pid, 0), grown)
         assert growth
-        assert sum(growth.values()) < buffer_bytes + len(growth) * (6 << 20), n
+        assert sum(growth.values()) < buffer_bytes + len(growth) * (4 << 20), n
+
+
+@pytest.mark.parametrize("n_max", range(16, 27))
+def test_scan_allocates_no_more_than_its_plan(n_max):
+    """Everything a batch allocates, traced, is within ``buffer_bytes``: its
+    buffers, its scratch and its tables, built afresh as in a new process."""
+    plan = _plan(n_max)
+    assert len(plan.batches) == 1
+    enumeration.palindrome_values.cache_clear()
+    enumeration._reversed_words.cache_clear()
+    tracemalloc.start()
+    try:
+        enumeration._scan_shards(plan, plan.batches[0])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= plan.buffer_bytes, (peak, plan.buffer_bytes)
 
 
 class TestCrossEngine:
-    """The pruned search and the layer scan share no code; each certifies
-    the other's K and maximizer count."""
+    """The pruned search, the layer scan and the unpruned walk on the
+    search's state share no code with the scan; each certifies the other's
+    K and maximizer count, and the walk every histogram."""
 
     def test_worst_rows_match_the_scan_to_26(self):
         for row, worst in zip(length_rows(26), worst_rows(26)):
             _check_worst(worst, row.counts)
+
+    def test_state_walk_matches_the_scan_to_18(self):
+        walked = state_histograms(18)
+        assert {row.n: row.counts for row in length_rows(18)} == walked
+
+    @pytest.mark.skipif(not os.environ.get("PALFACT_LONG_TESTS"), reason="~2 s; set PALFACT_LONG_TESTS=1")
+    def test_state_walk_matches_the_scan_to_21(self):
+        walked = state_histograms(21)
+        assert {row.n: row.counts for row in length_rows(21)} == walked
+        assert LengthRow(21, walked[21]).s == 8939688
 
 
 class TestDfsBackend:
