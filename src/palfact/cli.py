@@ -3,11 +3,9 @@
 Subcommands: m, factor, kmax, kbar, histogram, worst, verify, bounds.
 Exit status is 0 on success, 1 when a verification ran and failed (the
 counterexamples are printed), 2 on usage errors (and on a cached n = 21
-row that contradicts the pinned upper bound), and 3 when a worker
-process of a multi-process enumeration died (killed by a signal, say, or
-by the out-of-memory killer; one line on stderr says so, and no row of
-that pass is cached).  Output is byte-stable for a fixed configuration
-and seed, and each command makes at most one enumeration pass.
+row that contradicts the pinned upper bound).  Output is byte-stable
+for a fixed configuration and seed, and each command makes at most one
+enumeration pass.
 
 The global options --format, --cache-dir and --seed are each declared
 once and fill the invocation's one ``RunConfig``.  All three go before the
@@ -52,15 +50,12 @@ from .asymptotics import bounds_report
 from .cache import ResultCache
 from .factorization import min_factorization
 from .lemmas import COUNTING_MIN_N
-from .rows import PACKED_LIMIT, WorkerDied, length_row, length_rows, worst_rows
+from .rows import PACKED_LIMIT, length_row, length_rows, worst_rows
 from .words import Orbit, WordError, parse_word
 
 __all__ = ["RunConfig", "cli", "dispatch", "main"]
 
 FORMATS = ("table", "csv", "json")
-
-# Exit status when a worker process of a sharded enumeration died.
-WORKER_DIED = 3
 
 
 @dataclass
@@ -430,7 +425,7 @@ def bounds_command(config: RunConfig) -> None:
 
 
 def dispatch(argv: Sequence[str]) -> int:
-    """Run one CLI invocation and return its exit status (0/1/2/3)."""
+    """Run one CLI invocation and return its exit status (0/1/2)."""
     try:
         result = cli.main(args=list(argv), prog_name="palfact", standalone_mode=False)
     except click.exceptions.Exit as exc:
@@ -438,9 +433,6 @@ def dispatch(argv: Sequence[str]) -> int:
     except click.ClickException as exc:
         exc.show()
         return exc.exit_code
-    except WorkerDied as exc:
-        click.echo(f"Error: {exc}", err=True)
-        return WORKER_DIED
     return result if isinstance(result, int) else 0
 
 

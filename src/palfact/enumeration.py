@@ -32,8 +32,7 @@ not 2^(n_max-d), and every chunk is still built once.  The top layer feeds
 nothing but its own row: it is the last level.  Each layer is counted into
 its length's histogram in cache-sized spans (``_count``: compare-and-count
 per value), and histograms merge by adding.  Everything is exact integer
-arithmetic, so results do not depend on the shard depth, the chunk sizes or
-the worker count.
+arithmetic, so results do not depend on the shard depth or the chunk sizes.
 
 Reversal preserves m, so a shard's layers of length n >= 2d are counted one
 block per reversal pair.  A block is the 2^(n-2d) contiguous entries whose
@@ -50,15 +49,13 @@ weights).  Smaller blocks are counted whole, and depth-1 scans have no two
 partner blocks.
 
 ``_plan`` fixes all of this before a scan starts, as a ``ScanPlan``: the
-depth, the chunks and spans, the batches of prefixes (one per worker), the
-bytes they allocate and the entries the scan will build and count.  The
-depth is the deepest whose top blocks hold whole build chunks (depth 3 at
-n = 26: 2.5 MiB of kept layers, and 0.81 of the entries built and 0.63
-counted at depth 1).  Scans up to n = 26 run in one process, longer ones on
-forked workers, each allocating under 6 MiB up to n = 32.  Each
-worker runs one batch, which builds its shards' layers in one buffer and
-counts them into one histogram per length, and the histograms add; the
-process that forks them builds no layer.
+depth, the chunks and spans, the bytes the scan allocates and the entries
+it will build and count.  The depth is the deepest whose top blocks hold
+whole build chunks (depth 3 at n = 26: 2.5 MiB of kept layers, and 0.81 of
+the entries built and 0.63 counted at depth 1).  Every scan runs all its
+shards in the calling process, one after another, building their layers
+in one buffer and counting them into one histogram per length: under
+6 MiB allocated up to n = 32.
 
 A length's row (``rows.LengthRow``) is its histogram of m; K(n), S(n) and
 the exact average kbar(n) are derived from it.  This module alone imports
@@ -69,15 +66,14 @@ their memo is too short.
 
 from __future__ import annotations
 
-import os
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
-from functools import cache, partial
+from functools import cache
 
 import numpy as np
 
 from .factorization import _prefix_measures
-from .rows import PACKED_LIMIT, LengthRow, WorkerDied
+from .rows import PACKED_LIMIT, LengthRow
 from .words import Word, is_palindrome
 
 __all__ = [
@@ -85,10 +81,6 @@ __all__ = [
     "extension_m",
     "scan_lengths",
 ]
-
-# A scan of at most 2^_IN_PROCESS_BITS words runs in-process: at n = 26 two
-# workers saved no wall time and cost more CPU.
-_IN_PROCESS_BITS = 26
 
 # Layers are built this many entries at a time.  A pass over one palindromic
 # suffix reads the chunk (512 KiB) and at most as many bytes of a shorter
@@ -294,20 +286,19 @@ class ScanPlan:
     starts; ``_scan_shards`` and ``_scan_sharded`` only read it.
 
     The a-initial ``depth``-letter prefixes are extended by ``n_max - depth``
-    symbols, split into ``batches``, one per worker process.  Kept layer e
-    is counted ``spans[e]`` entries at a time, one block where that skips
-    the block's reversal partner.  ``buffer_bytes`` sums over the workers
-    the most a batch allocates at once (``_batch_bytes``): its kept layers
-    (``_kept_layers``), the top chunk, the gather scratch, the bool mask and
-    the covering-factor and palindrome tables.  ``built`` and ``counted``
-    are the layer entries the whole scan will build and count; the words of
-    1..depth letters are counted from the prefixes and are in neither.
+    symbols.  Kept layer e is counted ``spans[e]`` entries at a time, one
+    block where that skips the block's reversal partner.  ``buffer_bytes``
+    is the most the scan allocates at once (``_batch_bytes``): its kept
+    layers (``_kept_layers``), the top chunk, the gather scratch, the bool
+    mask and the covering-factor and palindrome tables.  ``built`` and
+    ``counted`` are the layer entries the whole scan will build and count;
+    the words of 1..depth letters are counted from the prefixes and are in
+    neither.
     """
 
     n_max: int
     depth: int
     spans: tuple[int, ...]
-    batches: tuple[tuple[int, ...], ...]
     buffer_bytes: int
     built: int
     counted: int
@@ -367,9 +358,8 @@ def _batch_bytes(ext_len: int, depth: int) -> int:
     return _kept_layers(ext_len)[1] + chunk + min(_ROW_CHUNK, chunk) + 2 * _GATHER_BYTES + tables + _OBJECT_BYTES
 
 
-def _layout(n_max: int, depth: int, workers: int = 1) -> ScanPlan:
-    """The plan of a scan up to ``n_max`` at the given shard depth and
-    worker count (at most one worker per shard).
+def _layout(n_max: int, depth: int) -> ScanPlan:
+    """The plan of a scan up to ``n_max`` at the given shard depth.
 
     The top layer is built in chunks of at most 2^19 entries, which skip
     their blocks' partners where blocks hold whole chunks.  A kept layer is
@@ -382,19 +372,15 @@ def _layout(n_max: int, depth: int, workers: int = 1) -> ScanPlan:
     spans = tuple(
         (1 << e) >> depth if (1 << e) >> depth >= max(1, _ROW_CHUNK >> 4) else 1 << e for e in range(ext_len)
     )
-    # bit 0 clear: the prefix starts with 'a'
-    prefixes = range(0, 1 << depth, 2)
-    workers = min(workers, len(prefixes))
+    shards = 1 << (depth - 1)
     built, counted = _shard_work(depth, spans)
     return ScanPlan(
         n_max=n_max,
         depth=depth,
         spans=spans,
-        # Every shard does the same work, so interleaving balances the batches.
-        batches=tuple(tuple(prefixes[w::workers]) for w in range(workers)),
-        buffer_bytes=workers * _batch_bytes(ext_len, depth),
-        built=len(prefixes) * built,
-        counted=len(prefixes) * counted,
+        buffer_bytes=_batch_bytes(ext_len, depth),
+        built=shards * built,
+        counted=shards * counted,
     )
 
 
@@ -473,50 +459,18 @@ def _scan_shard(
 
 
 def _scan_sharded(plan: ScanPlan) -> dict[int, LengthRow]:
-    """Rows 1..plan.n_max from the plan's batches, run on forked processes
-    when there are several; raises ``WorkerDied`` when a worker process
-    ends without its result."""
-    batch = partial(_scan_shards, plan)
-    if len(plan.batches) > 1:
-        # Imported here: a process that never runs two batches at once does
-        # not pay for them.
-        import multiprocessing
-        from concurrent.futures import ProcessPoolExecutor
-        from concurrent.futures.process import BrokenProcessPool
-
-        # Forked workers inherit the imported modules, so a batch starts at
-        # once.  Forking after numpy started its BLAS thread pool is safe
-        # here: the kernel is elementwise ufuncs, searchsorted and sort,
-        # and never calls BLAS, so no child waits on a lock a thread held.
-        # The executor forks every worker before it starts its own threads.
-        try:
-            with ProcessPoolExecutor(len(plan.batches), mp_context=multiprocessing.get_context("fork")) as pool:
-                merged, *others = pool.map(batch, plan.batches)
-        except BrokenProcessPool as exc:
-            raise WorkerDied("an enumeration worker process died (killed by a signal, e.g. out of memory)") from exc
-    else:
-        merged, others = batch(plan.batches[0]), []
-    for other in others:
-        for n, counts in merged.items():
-            merged[n] = [a + b for a, b in zip(counts, other[n])]
+    """Rows 1..plan.n_max from all of the plan's shards."""
+    # bit 0 clear: the prefix starts with 'a'
+    counts = _scan_shards(plan, range(0, 1 << plan.depth, 2))
     # The letter swap pairs the a-initial words with the others.
-    return {n: LengthRow(n, {k: 2 * c for k, c in enumerate(counts) if c}) for n, counts in merged.items()}
-
-
-def _usable_cpus() -> int:
-    """CPUs this process may run on (1 where the platform cannot say)."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:
-        return 1
+    return {n: LengthRow(n, {k: 2 * c for k, c in enumerate(row) if c}) for n, row in counts.items()}
 
 
 def _plan(n_max: int) -> ScanPlan:
-    """The plan of a scan up to n_max: at the deepest depth whose top-layer
-    blocks still hold whole build chunks, in-process up to 2^_IN_PROCESS_BITS
-    words and otherwise on one worker per usable CPU, at most one per shard."""
+    """The plan of a scan up to n_max, at the deepest depth whose top-layer
+    blocks still hold whole build chunks."""
     depth = max(1, (n_max - _LAYER_CHUNK.bit_length() + 1) // 2)
-    return _layout(n_max, depth, _usable_cpus() if n_max > _IN_PROCESS_BITS else 1)
+    return _layout(n_max, depth)
 
 
 def scan_lengths(n_max: int) -> dict[int, LengthRow]:
@@ -524,8 +478,8 @@ def scan_lengths(n_max: int) -> dict[int, LengthRow]:
 
     Enumerates only words starting with 'a'; the letter-swap involution is
     fixed-point free, so all counts double exactly.  ``_plan`` fixes the
-    shards, batches and buffers before the scan starts: under 6 MiB
-    allocated per worker process whatever n_max and the CPU count are.
+    shards and buffers before the scan starts: under 6 MiB allocated
+    whatever n_max is.
     """
     if not 1 <= n_max <= PACKED_LIMIT:
         raise ValueError(f"length must be in 1..{PACKED_LIMIT}, got {n_max}")

@@ -35,7 +35,7 @@ from .words import Orbit, Word, orbit
 if TYPE_CHECKING:
     from .cache import ResultCache
 
-__all__ = ["PACKED_LIMIT", "SAMPLE_CAP", "LengthRow", "WorkerDied", "WorstRow", "length_row", "length_rows", "worst_rows"]
+__all__ = ["PACKED_LIMIT", "SAMPLE_CAP", "LengthRow", "WorstRow", "length_row", "length_rows", "worst_rows"]
 
 # Vectorised layers index words by int64 values; 32 keeps every layer and
 # temporary comfortably addressable.
@@ -119,10 +119,6 @@ class WorstRow:
     def sample_orbits(self) -> tuple[Orbit, ...]:
         """The SAMPLE_CAP orbits with the least representatives."""
         return tuple(islice(self.orbits(), SAMPLE_CAP))
-
-
-class WorkerDied(RuntimeError):
-    """A worker process of a sharded scan ended without its result."""
 
 
 # Rows of the longest scan made so far in this process, keyed 1..n.  Shared

@@ -490,34 +490,28 @@ class TestInputContract:
         assert not any(tmp_path.iterdir())
 
 
-class TestWorkerFailure:
-    def test_killed_worker_is_a_one_line_error(self, tmp_path):
-        """A worker that dies (here SIGKILL, as the OOM killer sends) ends
-        the command with status 3 and one line on stderr, stores no row and
-        leaves no process behind."""
+class TestOneProcess:
+    def test_a_long_scan_starts_no_process(self):
+        """kbar --max-n 27, a scan of more than 2^26 words, run on every CPU
+        the test process may use, imports no process pool and leaves no
+        child process: every shard runs in the calling process."""
         code = (
-            "import os, signal, sys\n"
-            "from palfact import cli, enumeration\n"
-            "enumeration._usable_cpus = lambda: 2\n"
-            "enumeration._IN_PROCESS_BITS = 8\n"
-            "enumeration._LAYER_CHUNK = 1 << 3\n"
-            "parent = os.getpid()\n"
-            "scan_shards = enumeration._scan_shards\n"
-            "def die(*args, **kwargs):\n"
-            "    if os.getpid() != parent:\n"
-            "        os.kill(os.getpid(), signal.SIGKILL)\n"
-            "    return scan_shards(*args, **kwargs)\n"
-            "enumeration._scan_shards = die\n"
-            f"sys.exit(cli.dispatch(['--cache-dir', {str(tmp_path)!r}, 'kbar', '--max-n', '12']))\n"
+            "import json, os, sys\n"
+            "from palfact import cli\n"
+            "status = cli.dispatch(['kbar', '--max-n', '27'])\n"
+            "try:\n"
+            "    os.waitpid(-1, os.WNOHANG)\n"
+            "    children = True\n"
+            "except ChildProcessError:\n"
+            "    children = False\n"
+            "pools = sorted({'concurrent.futures', 'multiprocessing'} & set(sys.modules))\n"
+            "print(json.dumps([status, pools, children]), file=sys.stderr)\n"
         )
         env = {k: v for k, v in os.environ.items() if k != "PALIN_CACHE_DIR"}
         env["PYTHONPATH"] = str(Path(__file__).resolve().parent.parent / "src")
-        proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
-        assert proc.returncode == 3
-        assert proc.stdout == ""
-        assert proc.stderr.count("\n") == 1
-        assert proc.stderr.startswith("Error: an enumeration worker process died")
-        assert not tmp_path.exists() or not any(tmp_path.iterdir())
+        proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+        assert json.loads(proc.stderr) == [0, [], False]
+        assert proc.stdout.splitlines()[-1].split()[0] == "27"
 
 
 @pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="counts threads in procfs")

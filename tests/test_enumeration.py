@@ -1,7 +1,6 @@
 from __future__ import annotations
 
 import json
-import multiprocessing
 import os
 import random
 import subprocess
@@ -376,16 +375,16 @@ class TestReversalBlocks:
         assert kept == {(1 << (depth - 1)) + 1}
 
     # Small chunks, so that every depth's blocks are built and counted alone.
-    @pytest.mark.parametrize(("depth", "workers"), [(d, w) for d in range(1, 11) for w in range(1, 9)])
-    def test_batches_are_balanced_by_work(self, monkeypatch, depth, workers):
+    # ``_scan_shards`` runs any batch of a plan's shards.  Every shard keeps
+    # as many blocks, so shards dealt in turn into ``batches`` batches load
+    # them within one shard's blocks of each other.
+    @pytest.mark.parametrize(("depth", "batches"), [(d, w) for d in range(1, 11) for w in range(1, 9)])
+    def test_batches_are_balanced_by_work(self, monkeypatch, depth, batches):
         monkeypatch.setattr(enumeration, "_LAYER_CHUNK", 1 << 8)
         monkeypatch.setattr(enumeration, "_ROW_CHUNK", 1 << 6)
-        plan = _layout(2 * depth + 8, depth, workers)
+        plan = _layout(2 * depth + 8, depth)
         kept = {p: int(np.count_nonzero(_block_weights(p, depth))) for p in range(0, 1 << depth, 2)}
-        assert sorted(p for batch in plan.batches for p in batch) == list(kept)
-        assert len(plan.batches) == min(workers, len(kept))
-        assert max(map(len, plan.batches)) - min(map(len, plan.batches)) <= 1
-        loads = [sum(kept[p] for p in batch) for batch in plan.batches]
+        loads = [sum(list(kept.values())[b::batches]) for b in range(min(batches, len(kept)))]
         assert max(loads) <= sum(loads) / len(loads) + max(kept.values()), loads
         assert plan.built == len(kept) * _shard_work(depth, plan.spans)[0]
 
@@ -404,40 +403,36 @@ class TestReversalBlocks:
         assert built[7] == sum(weight > 0 for prefix in prefixes for weight in _block_weights(prefix, 4)) == 72
 
 
+def _report_cpus(monkeypatch, cpus):
+    """Make the host report ``cpus`` usable CPUs to whatever asks for them."""
+    for name, answer in (
+        ("cpu_count", lambda: cpus),
+        ("process_cpu_count", lambda: cpus),
+        ("sched_getaffinity", lambda pid: set(range(cpus))),
+    ):
+        if hasattr(os, name):
+            monkeypatch.setattr(os, name, answer)
+
+
 class TestWorkers:
-    """Shards on forked workers give the rows of one process."""
+    """Every scan runs all of its plan's shards in the calling process, on
+    one plan whatever CPU count the host reports: no shard goes to a
+    worker."""
 
     @pytest.fixture
     def two_cpus(self, monkeypatch):
-        monkeypatch.setattr(enumeration, "_usable_cpus", lambda: 2)
+        _report_cpus(monkeypatch, 2)
 
-    # Build chunks of 2^(n_max - 9) entries put the scan at depth 4, and
-    # _IN_PROCESS_BITS = n_max - 1 lets it fork: one CPU runs the 8 shards
-    # in-process, two CPUs on two workers.
-    @pytest.mark.parametrize("n_max", [12, 15, 18])
-    def test_rows_equal_in_process_scan(self, monkeypatch, n_max):
-        monkeypatch.setattr(enumeration, "_IN_PROCESS_BITS", n_max - 1)
-        monkeypatch.setattr(enumeration, "_LAYER_CHUNK", 1 << (n_max - 9))
-        monkeypatch.setattr(enumeration, "_usable_cpus", lambda: 1)
-        plan = _plan(n_max)
-        assert (plan.depth, len(plan.batches)) == (4, 1)
-        in_process = scan_lengths(n_max)
-        monkeypatch.setattr(enumeration, "_usable_cpus", lambda: 2)
-        plan = _plan(n_max)
-        assert (plan.depth, len(plan.batches)) == (4, 2)
-        assert scan_lengths(n_max) == in_process == _scan_sharded(_layout(n_max, 1))
-
-    def test_shards_reach_different_maxima(self, monkeypatch, two_cpus):
+    def test_shards_reach_different_maxima(self, monkeypatch):
         # The a-initial maximizers of length 11, aababbaabab and ababbaababb,
         # are each other's reversal images, in the blocks whose first and last
         # three letters are (aab, bab) and (aba, abb).  With blocks of one
         # 32-entry chunk only shard aab builds the pair's block, and counts
         # it twice; the merged histogram must keep its top value.
-        monkeypatch.setattr(enumeration, "_IN_PROCESS_BITS", 10)
         monkeypatch.setattr(enumeration, "_LAYER_CHUNK", 1 << 5)
         plan = _plan(11)
-        assert (plan.depth, len(plan.batches), 1 << (plan.ext_len - plan.depth)) == (3, 2, 1 << 5)
-        shards = {text_of(prefix, 3): _scan_shards(_layout(11, 3), (prefix,))[11] for prefix in range(0, 8, 2)}
+        assert (plan.depth, 1 << (plan.ext_len - plan.depth)) == (3, 1 << 5)
+        shards = {text_of(prefix, 3): _scan_shards(plan, (prefix,))[11] for prefix in range(0, 8, 2)}
         top = {text: max(k for k, c in enumerate(counts) if c) for text, counts in shards.items()}
         assert top == {"aaa": 4, "aba": 4, "aab": 5, "abb": 4}
         assert shards["aab"][5] == 2
@@ -445,135 +440,79 @@ class TestWorkers:
         assert rows == _scan_sharded(_layout(11, 1))
         assert (rows[11].k, rows[11].counts[5]) == (5, 4)
 
-    # Build chunks of 2^(n_max - 2 depth) entries put the scan at the given
-    # depth, and _IN_PROCESS_BITS = n_max - 1 lets it fork: three workers
-    # split 16 shards 6, 5, 5, as at n = 30 on three CPUs.
-    @pytest.mark.parametrize(("cpus", "depth"), [(1, 3), (2, 4), (3, 5)])
-    def test_rows_independent_of_worker_count(self, monkeypatch, cpus, depth):
-        n_max = 15
-        monkeypatch.setattr(enumeration, "_IN_PROCESS_BITS", n_max - 1)
-        monkeypatch.setattr(enumeration, "_LAYER_CHUNK", 1 << (n_max - 2 * depth))
-        monkeypatch.setattr(enumeration, "_usable_cpus", lambda: cpus)
-        plan = _plan(n_max)
-        assert (plan.depth, len(plan.batches)) == (depth, cpus)
-        assert scan_lengths(n_max) == _scan_sharded(_layout(n_max, 1))
-
     # Every scan runs at the deepest depth whose top blocks hold whole 2^19-
-    # entry chunks (depth 1 up to n = 22), n <= 26 in-process and longer ones
-    # on two workers.
+    # entry chunks (depth 1 up to n = 22), two CPUs or not.  Each plan is
+    # (depth, entries in a top block).
     @pytest.mark.parametrize(
         ("n_max", "plan"),
-        [(26, (3, 1)), (27, (4, 2)), (30, (5, 2)), (32, (6, 2))]
-        + [(21, (1, 1)), (24, (2, 1)), (29, (5, 2)), (31, (6, 2))],
+        [(26, (3, 1 << 20)), (27, (4, 1 << 19)), (30, (5, 1 << 20)), (32, (6, 1 << 20))]
+        + [(21, (1, 1 << 19)), (24, (2, 1 << 20)), (29, (5, 1 << 19)), (31, (6, 1 << 19))]
+        + [(22, (1, 1 << 20))],
     )
     def test_two_cpus_split_the_layer_budget(self, two_cpus, n_max, plan):
         got = _plan(n_max)
-        assert (got.depth, len(got.batches)) == plan
+        assert (got.depth, 1 << (got.ext_len - got.depth)) == plan
 
-    # A worker holds layers 1..19 whole and a 512 KiB chunk of each longer
-    # one, whatever the plan: at most 2^20 + 6 * 2^19 bytes of kept layers
-    # (n = 32, depth 6), plus the top chunk, the scratch and the tables.
+    # The one process holds layers 1..19 whole and a 512 KiB chunk of each
+    # longer one: at most 2^20 + 6 * 2^19 bytes of kept layers (n = 32,
+    # depth 6), plus the top chunk, the scratch and the tables.  That stays
+    # under 6 MiB for every n, the figure scan_lengths states.
     @pytest.mark.parametrize("cpus", [1, 2, 3, 4])
     def test_buffers_stay_under_10_mib_a_worker(self, monkeypatch, cpus):
-        monkeypatch.setattr(enumeration, "_usable_cpus", lambda: cpus)
-        for n_max in range(21, 33):
-            plan = _plan(n_max)
-            assert plan.buffer_bytes <= len(plan.batches) * (10 << 20), (n_max, plan.depth, len(plan.batches))
+        _report_cpus(monkeypatch, cpus)
+        for n_max in range(1, 33):
+            assert _plan(n_max).buffer_bytes < 6 << 20, n_max
 
-    # n = 30 runs at depth 5 on any CPU count, on at most its 16 shards.
-    # Each plan is (depth, W).
+    # n = 30 runs at depth 5 on any CPU count.
     @pytest.mark.parametrize(
         ("cpus", "plan"),
-        [(1, (5, 1)), (3, (5, 3)), (4, (5, 4))] + [(64, (5, 16)), (8, (5, 8))],
+        [(1, (5, 1 << 20)), (3, (5, 1 << 20)), (4, (5, 1 << 20))] + [(64, (5, 1 << 20)), (8, (5, 1 << 20))],
     )
     def test_plan_at_n30(self, monkeypatch, cpus, plan):
-        monkeypatch.setattr(enumeration, "_usable_cpus", lambda: cpus)
+        _report_cpus(monkeypatch, cpus)
         got = _plan(30)
-        assert (got.depth, len(got.batches)) == plan
+        assert (got.depth, 1 << (got.ext_len - got.depth)) == plan
 
-    @pytest.mark.parametrize("n_max", range(24, 33))
-    def test_workers_do_no_more_work_than_one_process(self, monkeypatch, n_max):
-        monkeypatch.setattr(enumeration, "_usable_cpus", lambda: 1)
-        alone = _plan(n_max)
-        for cpus in (2, 3, 4):
-            monkeypatch.setattr(enumeration, "_usable_cpus", lambda: cpus)
-            plan = _plan(n_max)
-            assert plan.built <= alone.built, (cpus, plan.depth)
-            assert plan.counted <= alone.counted, (cpus, plan.depth)
-
-    # The depth comes from the blocks alone, so the CPU count only splits the
-    # shards; from n = 21 on every top block holds whole build chunks.
+    # The plan comes from n_max alone; from n = 21 on every top block holds
+    # whole build chunks.
     @pytest.mark.parametrize("cpus", range(1, 9))
     def test_work_does_not_depend_on_the_cpu_count(self, monkeypatch, cpus):
-        monkeypatch.setattr(enumeration, "_usable_cpus", lambda: 1)
+        _report_cpus(monkeypatch, 1)
         alone = {n_max: _plan(n_max) for n_max in range(1, 33)}
-        monkeypatch.setattr(enumeration, "_usable_cpus", lambda: cpus)
+        _report_cpus(monkeypatch, cpus)
         for n_max, one in alone.items():
             plan = _plan(n_max)
-            assert (plan.depth, plan.spans, plan.built, plan.counted) == (
-                one.depth,
-                one.spans,
-                one.built,
-                one.counted,
-            ), n_max
-            assert len(plan.batches) == (1 if n_max <= 26 else min(cpus, 1 << (plan.depth - 1))), n_max
+            assert plan == one, n_max
             if n_max >= 21:
                 assert 1 << (plan.ext_len - plan.depth) >= enumeration._LAYER_CHUNK, n_max
 
-    # Every layer is built in a worker: the forking parent only merges rows.
-    # Build chunks of 2^3 entries put n = 12 at depth 4, on two workers.
-    def test_parent_builds_no_layer(self, monkeypatch, two_cpus):
-        parent, calls, in_parent = os.getpid(), multiprocessing.Value("q", 0), multiprocessing.Value("q", 0)
-        fill_chunk = enumeration._fill_chunk
-
-        def recorded(*args):
-            with calls.get_lock():
-                calls.value += 1
-                in_parent.value += os.getpid() == parent
-            fill_chunk(*args)
-
-        monkeypatch.setattr(enumeration, "_IN_PROCESS_BITS", 0)
-        monkeypatch.setattr(enumeration, "_LAYER_CHUNK", 1 << 3)
-        expected = _scan_sharded(_layout(12, 1))
-        monkeypatch.setattr(enumeration, "_fill_chunk", recorded)
-        plan = _plan(12)
-        assert (plan.depth, len(plan.batches)) == (4, 2)
-        assert scan_lengths(12) == expected
-        assert calls.value > 0
-        assert in_parent.value == 0
-
     # Small chunks, so that blocks are built and counted alone from small n
-    # on and scans run deeper than depth 1; _IN_PROCESS_BITS = 0, so that W
-    # workers run where there are W shards.  The workers are forked, so the
-    # counters are shared memory.
+    # on, at every depth a plan can take.
     @pytest.mark.parametrize(("layer_chunk", "row_chunk"), [(1 << 3, 1 << 3), (1 << 5, 1 << 8), (1 << 8, 1 << 6)])
     def test_counters_equal_the_plan(self, monkeypatch, layer_chunk, row_chunk):
-        built, counted = multiprocessing.Value("q", 0), multiprocessing.Value("q", 0)
+        built = counted = 0
         fill_chunk, count = enumeration._fill_chunk, enumeration._count
 
         def counted_fill(out, *args):
-            with built.get_lock():
-                built.value += out.size
+            nonlocal built
+            built += out.size
             fill_chunk(out, *args)
 
         def counted_count(counts, layer, *args):
-            with counted.get_lock():
-                counted.value += layer.size
+            nonlocal counted
+            counted += layer.size
             count(counts, layer, *args)
 
         monkeypatch.setattr(enumeration, "_fill_chunk", counted_fill)
         monkeypatch.setattr(enumeration, "_count", counted_count)
         monkeypatch.setattr(enumeration, "_LAYER_CHUNK", layer_chunk)
         monkeypatch.setattr(enumeration, "_ROW_CHUNK", row_chunk)
-        monkeypatch.setattr(enumeration, "_IN_PROCESS_BITS", 0)
         for n_max in (1, 5, 9, 12, 14):
             expected = _scan_sharded(_layout(n_max, 1))
-            for cpus in (1, 2, 3, 4):
-                monkeypatch.setattr(enumeration, "_usable_cpus", lambda: cpus)
-                plan = _plan(n_max)
-                built.value = counted.value = 0
-                assert _scan_sharded(plan) == expected, (n_max, cpus)
-                assert (built.value, counted.value) == (plan.built, plan.counted), (n_max, plan)
+            for plan in (_plan(n_max), *(_layout(n_max, depth) for depth in range(1, 7))):
+                built = counted = 0
+                assert _scan_sharded(plan) == expected, (n_max, plan.depth)
+                assert (built, counted) == (plan.built, plan.counted), (n_max, plan)
 
 
 def _check_worst(worst, counts):
@@ -630,14 +569,12 @@ def test_scan_never_holds_the_top_layer():
     """A scan holds its plan's buffers and little else.  A shard builds
     layers 1..19 whole, 2^20 bytes, and holds each longer layer one 512 KiB
     chunk at a time, the top one included: at n = 26 (depth 3, layers up to
-    22 kept) and at n = 27 (depth 4, up to 22) each process holds 2.5 MiB of
-    layers whatever the CPU count.  Every
-    process that runs a batch reports how far its peak RSS grew (VmHWM, its
-    own peak: ru_maxrss would start from the peak of the test process that
-    spawned it).  The growth summed over them stays below the plan's buffer
-    bytes plus 4 MiB per process: a scan in one process grew 0.7 MiB beyond
-    its plan, and each of two forked workers at n = 27 ~3 MiB (the library
-    pages it faults in).  Forked workers inherit the wrapper that reports it."""
+    22 kept) and at n = 27 (depth 4, up to 22) the scan holds 2.5 MiB of
+    layers.  The one process that runs the shards reports how far its peak
+    RSS grew (VmHWM, its own peak: ru_maxrss would start from the peak of
+    the test process that spawned it), which stays below the plan's buffer
+    bytes plus 2 MiB: ten fresh runs at n = 26 and 27 grew 0.58-0.72 MiB
+    beyond the plan (the library pages the scan faults in)."""
     code = (
         "import os, re, sys\n"
         "from palfact import enumeration\n"
@@ -654,7 +591,7 @@ def test_scan_never_holds_the_top_layer():
         "enumeration._scan_shards = measured\n"
         "n = int(sys.argv[1])\n"
         "plan = enumeration._plan(n)\n"
-        "print(enumeration._kept_layers(plan.ext_len)[1], plan.buffer_bytes, flush=True)\n"
+        "print(os.getpid(), enumeration._kept_layers(plan.ext_len)[1], plan.buffer_bytes, flush=True)\n"
         "enumeration.scan_lengths(n)\n"
     )
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
@@ -662,13 +599,11 @@ def test_scan_never_holds_the_top_layer():
         argv = [sys.executable, "-c", code, str(n)]
         proc = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=120)
         assert proc.returncode == 0, proc.stderr
-        (layers, buffer_bytes), *lines = [list(map(int, line.split())) for line in proc.stdout.splitlines()]
+        (scanner, layers, buffer_bytes), *lines = [list(map(int, line.split())) for line in proc.stdout.splitlines()]
         assert layers <= layer_bytes, n
-        growth = {}
-        for pid, grown in lines:
-            growth[pid] = max(growth.get(pid, 0), grown)
-        assert growth
-        assert sum(growth.values()) < buffer_bytes + len(growth) * (4 << 20), n
+        [(pid, grown)] = lines
+        assert pid == scanner, n
+        assert grown < buffer_bytes + (2 << 20), n
 
 
 @pytest.mark.parametrize("n_max", range(16, 27))
@@ -676,12 +611,11 @@ def test_scan_allocates_no_more_than_its_plan(n_max):
     """Everything a batch allocates, traced, is within ``buffer_bytes``: its
     buffers, its scratch and its tables, built afresh as in a new process."""
     plan = _plan(n_max)
-    assert len(plan.batches) == 1
     enumeration.palindrome_values.cache_clear()
     enumeration._reversed_words.cache_clear()
     tracemalloc.start()
     try:
-        enumeration._scan_shards(plan, plan.batches[0])
+        enumeration._scan_shards(plan, range(0, 1 << plan.depth, 2))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
